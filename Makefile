@@ -17,6 +17,7 @@ vet:
 
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...

@@ -159,9 +159,10 @@ func TestZCubeDirectAllReduceAllocGuard(t *testing.T) {
 // TestDirectSortAllocGuard is TestDirectPrefixAllocGuard for the sort
 // family: D_sort on a warm D_6 Runtime through SchedulerDirect. The warm
 // direct path allocates the run's flat payload/role arrays, the kernel and
-// its key array, the comparison closure, and the result slice; the schedule
-// and direction plan come from their caches. One stray allocation per node
-// or per step (2048 nodes x 66 steps) would blow the budget a hundredfold.
+// its key array, the comparison closure, and the result slice; the oriented
+// schedule and its sort-ID table come from the cache. One stray allocation
+// per node or per step (2048 nodes x 66 steps) would blow the budget a
+// hundredfold.
 func TestDirectSortAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc guard skipped in -short mode")
@@ -240,6 +241,16 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 	for i := range a2aBacking {
 		a2aBacking[i] = i * 31
 	}
+	// SortLarge at k = 64 keys per node, on the D_4 grid cell the
+	// benchmark's lib-bulk workload runs.
+	rt4, err := NewRuntime(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk := make([]int, 64*rt4.Nodes())
+	for i := range bulk {
+		bulk[i] = (i * 2654435761) % 1000
+	}
 	SetSimWorkers(1)
 	defer SetSimWorkers(0)
 
@@ -298,6 +309,15 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 			_, _, err := PermuteOn(rt, rev, in)
 			return err
 		}},
+		// SortLarge runs the merge-split kernel over chunk arenas
+		// double-buffered by step parity, so a warm run allocates the
+		// arena, the result and fixed bookkeeping — measured 9 allocs/op
+		// (D_4, k = 64), down from 3982 when it ran as a worker-pool node
+		// program allocating every merge.
+		{"SortLargeOn(D_4,k=64)", 16, func() error {
+			_, _, err := SortLargeOn(rt4, 64, bulk, Ascending)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,9 +331,9 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 				}
 			})
 			if allocs > tc.budget {
-				t.Fatalf("warm %s on D_%d: %.0f allocs/op, budget %.0f — steady-state runs must not rebuild topology or engines", tc.name, n, allocs, tc.budget)
+				t.Fatalf("warm %s: %.0f allocs/op, budget %.0f — steady-state runs must not rebuild topology or engines", tc.name, allocs, tc.budget)
 			}
-			t.Logf("warm %s on D_%d: %.0f allocs/op (budget %.0f)", tc.name, n, allocs, tc.budget)
+			t.Logf("warm %s: %.0f allocs/op (budget %.0f)", tc.name, allocs, tc.budget)
 		})
 	}
 }

@@ -271,15 +271,21 @@ func FuzzDirectVsInterpretVCollectives(f *testing.F) {
 // where the keep-local-on-tie rule must agree across backends), both sort
 // Orders, on D_2..D_4 — run through the direct kernel executor, the
 // worker-pool interpreter, and the legacy goroutine-per-node engine. All
-// three must produce identical outputs and identical Stats.
+// three must produce identical outputs and identical Stats. A chunk size
+// k > 1 runs SortLargeFunc's merge-split kernel instead, on tagged records
+// whose keys tie constantly, so the tags expose any backend that places
+// equal keys differently.
 func FuzzDirectVsInterpretSort(f *testing.F) {
-	f.Add(int64(1), uint8(0), false)
-	f.Add(int64(2), uint8(1), true)
-	f.Add(int64(3), uint8(2), false)
-	f.Add(int64(-42), uint8(1), true)
-	f.Add(int64(7), uint8(0), true)
-	f.Fuzz(func(t *testing.T, seed int64, order uint8, descending bool) {
+	f.Add(int64(1), uint8(0), false, uint8(0))
+	f.Add(int64(2), uint8(1), true, uint8(0))
+	f.Add(int64(3), uint8(2), false, uint8(0))
+	f.Add(int64(-42), uint8(1), true, uint8(0))
+	f.Add(int64(7), uint8(0), true, uint8(0))
+	f.Add(int64(4), uint8(1), false, uint8(2))
+	f.Add(int64(5), uint8(2), true, uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, order uint8, descending bool, chunk uint8) {
 		n := 2 + int(order)%3 // D_2 .. D_4
+		k := 1 + int(chunk)%8 // keys per node
 		N := 1 << (2*n - 1)
 		ord := Ascending
 		if descending {
@@ -290,10 +296,20 @@ func FuzzDirectVsInterpretSort(f *testing.F) {
 		for i := range in {
 			in[i] = rng.Intn(N/2 + 1) // duplicates guaranteed by pigeonhole
 		}
+		tagged := make([]tieKey, k*N)
+		for i := range tagged {
+			tagged[i] = tieKey{Key: uint8(rng.Intn(4)), Tag: uint16(i)}
+		}
+		run := func() (any, Stats, error) {
+			if k == 1 {
+				return Sort(n, in, ord)
+			}
+			return SortLargeFunc(n, k, tagged, tieLess, ord)
+		}
 
 		defer SetSimScheduler(SchedulerDefault)
 		SetSimScheduler(SchedulerDirect)
-		directOut, directStats, err := Sort(n, in, ord)
+		directOut, directStats, err := run()
 		if err != nil {
 			t.Fatalf("direct: %v", err)
 		}
@@ -305,7 +321,7 @@ func FuzzDirectVsInterpretSort(f *testing.F) {
 			{"goroutine-per-node", SchedulerGoroutinePerNode},
 		} {
 			SetSimScheduler(alt.sched)
-			out, st, err := Sort(n, in, ord)
+			out, st, err := run()
 			if err != nil {
 				t.Fatalf("%s: %v", alt.name, err)
 			}
@@ -313,7 +329,7 @@ func FuzzDirectVsInterpretSort(f *testing.F) {
 				t.Errorf("%s: stats diverge\n  direct: %+v\n  engine: %+v", alt.name, directStats, st)
 			}
 			if !reflect.DeepEqual(out, directOut) {
-				t.Errorf("%s: outputs diverge from the direct executor\n  in: %v\n  direct: %v\n  engine: %v", alt.name, in, directOut, out)
+				t.Errorf("%s: outputs diverge from the direct executor (k=%d)\n  direct: %v\n  engine: %v", alt.name, k, directOut, out)
 			}
 		}
 	})

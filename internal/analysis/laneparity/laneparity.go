@@ -36,8 +36,8 @@
 //     (LaneBroadcastKernel.role) — compare it against the single-lane
 //     Produce with payloads stripped, guard stacks compared exactly;
 //   - orient: the sort pair resolves the compare direction differently by
-//     design (exchKernel folds it into one dir variable, LaneSortKernel
-//     branches per plan kind), so structural equality is wrong; instead
+//     design (exchKernel through mergeDir, LaneSortKernel branching on the
+//     step's orientation), so structural equality is wrong; instead
 //     every keepMinAt-guarded compare must keep the minimum on the keep-min
 //     branch (less(V, key)) and the maximum on the other (less(key, V)), on
 //     both sides — the orientation a drift would silently corrupt.

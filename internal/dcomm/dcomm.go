@@ -1,8 +1,8 @@
 // Package dcomm provides the elementary dual-cube communication steps that
-// the paper's algorithms are built from, expressed against the machine
-// engine: intra-cluster and cross-edge exchanges (the cluster technique of
-// Section 3) and the recursive-dimension pairwise exchange with its
-// three-cycle relay schedule (the recursive technique of Sections 4 and 6).
+// the paper's algorithms are built from: the compiled schedules of the
+// cluster technique (Section 3) and of the recursive technique's sort
+// (Sections 4 and 6), the front that executes them, their fault rewrites,
+// and the node-level intra-cluster and cross-edge exchanges.
 package dcomm
 
 import (
@@ -32,15 +32,4 @@ func CyclesForDim(j int) int {
 		return 1
 	}
 	return 3
-}
-
-// DimExchange performs the parallel recursive-dimension-j exchange: every
-// node sends its value to its dimension-j partner (in recursive ID space)
-// and receives the partner's value. It is machine.RecDimExchange — the
-// choreography moved into the machine package when the sort schedules were
-// compiled to StepRecDim steps, and this alias remains for the algorithms
-// that still drive engines directly (DSortLarge's merge-split rounds and
-// the fault-tolerant DimExchangeFT fallback path).
-func DimExchange[T any](c *machine.Ctx[T], d topology.Recursive, j int, v T) T {
-	return machine.RecDimExchange(c, d, j, v)
 }

@@ -60,7 +60,7 @@ func TestDimExchangeAllDims(t *testing.T) {
 			got := make([]int, d.Nodes())
 			st, err := eng.Run(func(c *machine.Ctx[int]) {
 				r := d.ToRecursive(c.ID())
-				got[r] = DimExchange(c, d, j, r*10+1)
+				got[r] = machine.RecDimExchange(c, d, j, r*10+1)
 			})
 			if err != nil {
 				t.Fatalf("n=%d j=%d: %v", n, j, err)
@@ -89,7 +89,7 @@ func TestDimExchangeSequence(t *testing.T) {
 		r := d.ToRecursive(c.ID())
 		acc := 0
 		for j := 0; j < d.RecDims(); j++ {
-			acc += DimExchange(c, d, j, r)
+			acc += machine.RecDimExchange(c, d, j, r)
 		}
 		sum[r] = acc
 	})

@@ -97,7 +97,7 @@ func (p *FTPlan) finish() {
 
 // PlanDimExchangeFT computes the detour schedule for the parallel
 // recursive-dimension-j exchange under view. For j > 0 the plain 3-cycle
-// schedule (see DimExchange) makes a mismatched pair {v, v_j} depend on three
+// machine.RecDimExchange makes a mismatched pair {v, v_j} depend on three
 // links — its two cross-edges and its relay pair's j-link — so:
 //
 //   - a down j-link {w, w_j} breaks both the direct pair {w, w_j} and the
@@ -152,11 +152,11 @@ func PlanDimExchangeFT(d topology.Recursive, view *fault.View, j int) (*FTPlan, 
 	return p, nil
 }
 
-// DimExchangeFT is DimExchange surviving the faults planned in p (from
-// PlanDimExchangeFT with the same d and j).
+// DimExchangeFT is machine.RecDimExchange surviving the faults planned in p
+// (from PlanDimExchangeFT with the same d and j).
 func DimExchangeFT[T any](c *machine.Ctx[T], d topology.Recursive, j int, v T, p *FTPlan) T {
 	if p == nil {
-		return DimExchange(c, d, j, v)
+		return machine.RecDimExchange(c, d, j, v)
 	}
 	u := c.ID()
 	cross := d.CrossNeighbor(u)

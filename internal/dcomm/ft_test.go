@@ -134,12 +134,13 @@ func TestRewriteFTAnnotations(t *testing.T) {
 		u := c.ID()
 		x := machine.Interpret(c, sch)
 		var res []int
-		for !x.Done() {
-			if x.Kind() == machine.StepLocalCombine {
+		for i := range sch.Steps {
+			s := &sch.Steps[i]
+			if s.Kind == machine.StepLocalCombine {
 				x.LocalOps(0)
 				continue
 			}
-			want := x.Partner()
+			want := int(s.Partners()[u])
 			if r := x.Exchange(u); r != want {
 				res = append(res, -1)
 			} else {
@@ -239,7 +240,7 @@ func TestFTCleanViewIsPlain(t *testing.T) {
 				if ft {
 					acc += DimExchangeFT(c, d, j, r, nil)
 				} else {
-					acc += DimExchange(c, d, j, r)
+					acc += machine.RecDimExchange(c, d, j, r)
 				}
 			}
 			out[r] = acc

@@ -13,8 +13,11 @@ import (
 // Op names one operation whose communication skeleton is compiled to a
 // machine.Schedule. The cluster-technique collectives compile to
 // StepClusterDim/StepCrossHop sequences; the recursive-technique D_sort
-// compiles its 3-cycle DimExchange rounds to StepRecDim steps (OpDSort).
-// Only the transient fault machinery (DimExchangeFT) remains outside the IR.
+// compiles its 3-cycle recursive-dimension rounds to oriented StepRecDim
+// steps (OpDSort), the one ladder both sort kernels — compare-exchange for
+// one key per node, merge-split for SortLarge's chunks — run over. The
+// node programs still outside the IR (emulate's ascend/descend framework
+// and the transient-fault DimExchangeFT) call machine.RecDimExchange.
 type Op uint8
 
 const (
@@ -42,7 +45,11 @@ const (
 	// OpDSort is Algorithm 3 (D_sort): the flattened bitonic-merge ladder of
 	// recursive-dimension compare-exchanges — one cross step for dimension 0
 	// and a 3-cycle StepRecDim per higher dimension — 2n²-n compare-exchange
-	// steps, 6n²-7n+2 communication cycles (Theorem 2).
+	// steps, 6n²-7n+2 communication cycles (Theorem 2). At level l every
+	// sub-dual-cube of order l merges at once: its four quarters arrive
+	// sorted alternately ascending and descending, the half-merge turns
+	// them into a bitonic sequence, and the final merge sorts it in the
+	// direction the enclosing level needs.
 	OpDSort
 	opCount
 	// OpEnd is one past the last operation, for iterating all schedules
@@ -75,7 +82,8 @@ func (op Op) String() string {
 }
 
 // schedKey identifies one compiled schedule: a topology family at a
-// dual-cube order, and an operation. Keying by (family, order) instead of a
+// dual-cube order, and an operation — or, for the bitonic baseline, the
+// network's name at order -1. Keying by (family, order) instead of a
 // concrete topology pointer lets every Comm implementation share the cache
 // machinery, and the small struct key makes the lookup allocation-free.
 type schedKey struct {
@@ -108,24 +116,33 @@ func Compiled(c topology.Comm, op Op) (*machine.Schedule, error) {
 		return nil, fmt.Errorf("dcomm: no schedule builder for %s", op)
 	}
 	key := schedKey{family: c.Family(), order: c.Order(), op: op}
-	schedMu.RLock()
-	sch := schedCache[key]
-	schedMu.RUnlock()
-	if sch != nil {
+	if sch := cached(key); sch != nil {
 		return sch, nil
 	}
 	sch, err := buildSchedule(c, op)
 	if err != nil {
 		return nil, err
 	}
+	return publish(key, sch), nil
+}
+
+// cached returns the schedule published under key, or nil.
+func cached(key schedKey) *machine.Schedule {
+	schedMu.RLock()
+	defer schedMu.RUnlock()
+	return schedCache[key]
+}
+
+// publish caches sch under key and returns the cached schedule: if a
+// concurrent build won the race, its pointer is kept.
+func publish(key schedKey, sch *machine.Schedule) *machine.Schedule {
 	schedMu.Lock()
+	defer schedMu.Unlock()
 	if prior, ok := schedCache[key]; ok {
-		sch = prior // a concurrent build won the race: keep its pointer
-	} else {
-		schedCache[key] = sch
+		return prior
 	}
-	schedMu.Unlock()
-	return sch, nil
+	schedCache[key] = sch
+	return sch
 }
 
 // MustCompiled is Compiled, panicking on error. Intended for tests and
@@ -190,30 +207,36 @@ func buildSchedule(c topology.Comm, op Op) (*machine.Schedule, error) {
 		cross()
 		ascend()
 	case OpDSort:
-		// Algorithm 3 flattened: the dimension-0 merge, then per level
-		// l = 2..n a half-merge over dims 2l-3..0 and a final merge over
-		// dims 2l-2..0. Dimension 0 is a plain cross hop; every higher
-		// dimension is a 3-cycle recursive-dimension exchange. Patterns
-		// offset by m so RecDim matchings never collide with the cross hop.
+		// Algorithm 3 flattened into merges: the level-1 base sort over
+		// dim 0, then per level l = 2..n a half-merge over dims 2l-3..0
+		// and a final merge over dims 2l-2..0. A merge over dims top..0
+		// runs ascending or descending by sort-ID bit top+1 — the
+		// alternation of the enclosing block — except the outermost merge,
+		// which runs in the requested Order. Dimension 0 is a plain cross
+		// hop; every higher dimension is a 3-cycle recursive-dimension
+		// exchange. Patterns offset by m so RecDim matchings never collide
+		// with the cross hop.
 		if _, ok := c.(topology.Recursive); !ok {
 			return nil, fmt.Errorf("dcomm: %s has no recursive presentation; dsort needs a topology.Recursive", c.Name())
 		}
-		recDim := func(j int) {
-			if j == 0 {
-				cross()
-				return
-			}
-			sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepRecDim, Dim: j, Pattern: m + j})
-		}
 		n := c.Order()
-		recDim(0)
+		merge := func(top int) {
+			orient := machine.OrientBit(top + 1)
+			if top == 2*n-2 {
+				orient = machine.OrientByOrder
+			}
+			for j := top; j >= 0; j-- {
+				kind, pattern := machine.StepRecDim, m+j
+				if j == 0 {
+					kind, pattern = machine.StepCrossHop, m
+				}
+				sch.Steps = append(sch.Steps, machine.Step{Kind: kind, Dim: j, Pattern: pattern, Orient: orient})
+			}
+		}
+		merge(0)
 		for l := 2; l <= n; l++ {
-			for j := 2*l - 3; j >= 0; j-- {
-				recDim(j)
-			}
-			for j := 2*l - 2; j >= 0; j-- {
-				recDim(j)
-			}
+			merge(2*l - 3)
+			merge(2*l - 2)
 		}
 	default:
 		return nil, fmt.Errorf("dcomm: no schedule builder for %s", op)
@@ -222,19 +245,12 @@ func buildSchedule(c topology.Comm, op Op) (*machine.Schedule, error) {
 	return sch, nil
 }
 
-// cubeSortCache holds the compiled bitonic-sort schedule per topology,
-// keyed by the topology name (unique per family and size), mirroring
-// schedCache's locking and first-store-wins discipline.
-var (
-	cubeSortMu    sync.RWMutex
-	cubeSortCache = make(map[string]*machine.Schedule)
-)
-
 // CompiledCubeSort returns the cached bitonic-sort schedule on t: stages
 // k = 1..q, each a descending sweep of StepBitDim exchanges over dimensions
-// k-1..0 — q(q+1)/2 compare-exchange steps, q = log2(t.Nodes()). The
-// direction bits live in the sort kernel, not the schedule, so one schedule
-// serves both orders. A single-node network compiles to the empty schedule.
+// k-1..0 — q(q+1)/2 compare-exchange steps, q = log2(t.Nodes()). Stage k
+// is oriented by node bit k (the 2^k-block alternation), the last stage by
+// the requested Order, so one schedule serves both orders; the sort IDs
+// are the node IDs. A single-node network compiles to the empty schedule.
 //
 // Any topology whose bit-dimension matchings are all edges works (the
 // hypercube, of any dimension — even ones included, unlike the Comm
@@ -243,10 +259,8 @@ var (
 // set does not contain all bit flips.
 func CompiledCubeSort(t topology.Topology) (*machine.Schedule, error) {
 	name := t.Name()
-	cubeSortMu.RLock()
-	sch := cubeSortCache[name]
-	cubeSortMu.RUnlock()
-	if sch != nil {
+	key := schedKey{family: name, order: -1}
+	if sch := cached(key); sch != nil {
 		return sch, nil
 	}
 	N := t.Nodes()
@@ -264,21 +278,18 @@ func CompiledCubeSort(t topology.Topology) (*machine.Schedule, error) {
 			}
 		}
 	}
-	sch = &machine.Schedule{Name: fmt.Sprintf("cubesort/%s", name), Topo: t}
+	sch := &machine.Schedule{Name: fmt.Sprintf("cubesort/%s", name), Topo: t}
 	for k := 1; k <= q; k++ {
+		orient := machine.OrientBit(k)
+		if k == q {
+			orient = machine.OrientByOrder
+		}
 		for j := k - 1; j >= 0; j-- {
-			sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepBitDim, Dim: j, Pattern: j})
+			sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepBitDim, Dim: j, Pattern: j, Orient: orient})
 		}
 	}
 	sch.Finalize()
-	cubeSortMu.Lock()
-	if prior, ok := cubeSortCache[name]; ok {
-		sch = prior
-	} else {
-		cubeSortCache[name] = sch
-	}
-	cubeSortMu.Unlock()
-	return sch, nil
+	return publish(key, sch), nil
 }
 
 // RewriteFT derives the degraded-mode variant of a compiled schedule under a

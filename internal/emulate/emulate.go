@@ -15,7 +15,6 @@ package emulate
 import (
 	"fmt"
 
-	"dualcube/internal/dcomm"
 	"dualcube/internal/machine"
 	"dualcube/internal/topology"
 )
@@ -57,7 +56,7 @@ func run[T any](n int, init []T, step StepFunc[T], descend bool) ([]T, machine.S
 		r := d.ToRecursive(c.ID())
 		v := init[r]
 		for _, j := range order {
-			theirs := dcomm.DimExchange(c, d, j, v)
+			theirs := machine.RecDimExchange(c, d, j, v)
 			v = step(j, r, v, theirs)
 			c.Ops(1)
 		}

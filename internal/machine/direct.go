@@ -374,9 +374,18 @@ type passResult struct {
 // loops — a receiver whose partner did not send, a sender whose partner does
 // not receive, and a sender whose link the armed fault plan severed (outside
 // the schedule's Broken mask) are the engine's empty-link, unconsumed-message
-// and failed-link errors.
-func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) passResult {
-	res := passResult{failNode: -1}
+// and failed-link errors. A kernel call that panics (a user less or combine,
+// say) ends the shard's pass and becomes the engine's "node u panicked"
+// error, so sharded workers never take the process down and the lowest
+// failing node still wins the merge.
+func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) (res passResult) {
+	res.failNode = -1
+	defer func() {
+		if v := recover(); v != nil && (res.err == nil || dc.u < res.failNode) {
+			res.failNode = dc.u
+			res.err = fmt.Errorf("machine: node %d panicked: %v", dc.u, v)
+		}
+	}()
 	if p > 0 {
 		if s := &r.steps[p-1]; s.Kind != StepLocalCombine {
 			partners := s.partners

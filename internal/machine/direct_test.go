@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -134,6 +135,55 @@ func TestRunDirectParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d node %d: parallel %d, serial %d", w, u, parallelVals[u], serialVals[u])
 			}
 		}
+	}
+}
+
+// TestRunDirectContainsKernelPanics panics inside kernel calls — an absorb
+// on two nodes in different shards, or a produce — and requires RunDirect to
+// return the engine's "node u panicked" error for the lowest panicking node,
+// on the serial pass and on sharded passes alike, instead of letting the
+// panic escape (serial) or kill the process (a shard worker).
+func TestRunDirectContainsKernelPanics(t *testing.T) {
+	defer func(min int) { directParallelMin = min }(directParallelMin)
+	sch := directTestSchedule(t, 4)
+	N := sch.D.Nodes()
+	for _, tc := range []struct {
+		name string
+		kern fnKernel
+		want string
+	}{
+		{"absorb", fnKernel{
+			produce: func(dc *DirectCtx, k, u int) (DirectRole, int) { return DirectExchange, u },
+			absorb: func(dc *DirectCtx, k, u, v int) {
+				if k == 1 && (u == 37 || u == 90) {
+					panic(fmt.Sprintf("boom at %d", u))
+				}
+			},
+		}, "machine: node 37 panicked: boom at 37"},
+		{"produce", fnKernel{
+			produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+				if k == 2 && u >= 100 {
+					panic("produce exploded")
+				}
+				return DirectExchange, u
+			},
+		}, "machine: node 100 panicked: produce exploded"},
+	} {
+		for _, w := range []int{1, 2, 3, 7} {
+			directParallelMin = 1 << 30 // serial
+			if w > 1 {
+				directParallelMin = 1 // sharded over w workers
+			}
+			_, err := RunDirect(sch, Config{Workers: w}, DirectKernel[int](tc.kern))
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, workers=%d: err = %v, want %q", tc.name, w, err, tc.want)
+			}
+		}
+	}
+	// The executor holds no state across runs: the next run succeeds.
+	k, vals := sumKernel(N)
+	if _, err := RunDirect(sch, Config{Workers: 3}, DirectKernel[int](k)); err != nil || vals[0] == 0 {
+		t.Fatalf("run after a contained panic: err = %v, vals[0] = %d", err, vals[0])
 	}
 }
 

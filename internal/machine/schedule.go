@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"slices"
+	"strconv"
+
 	"dualcube/internal/topology"
 )
 
@@ -75,14 +78,52 @@ type Detour struct {
 	Back []int // Path reversed
 }
 
+// Orient orients one compare-exchange step of a sorting schedule: it names
+// the bit of each node's sort ID (Schedule.SortIDs) that decides whether
+// the node's merge runs ascending (bit 0) or descending (bit 1), or defers
+// to the run's requested order for the outermost merge. The zero value
+// means the step is not oriented, which is every cluster-technique step.
+type Orient int8
+
+// OrientByOrder orients a step by the run's requested order: the steps of
+// the outermost merge, whose direction is the caller's, not a sort-ID bit's.
+const OrientByOrder Orient = -1
+
+// OrientBit orients a step by bit b of each node's sort ID.
+func OrientBit(b int) Orient { return Orient(b + 1) }
+
+// Bit returns the sort-ID bit that orients the step, or -1 for a step
+// oriented by the requested order (or not oriented at all).
+func (o Orient) Bit() int {
+	if o > 0 {
+		return int(o) - 1
+	}
+	return -1
+}
+
+// String names the orientation in diagnostics: "bit b", "order", or
+// "bit -1" for a step that is not oriented.
+func (o Orient) String() string {
+	if o == OrientByOrder {
+		return "order"
+	}
+	return "bit " + strconv.Itoa(o.Bit())
+}
+
 // Step is one step of a compiled schedule. Fault-free schedules leave
 // Broken and Detours nil; a fault rewrite fills them in for the exchange
 // patterns severed by the fault view, and steps sharing a pattern share the
 // annotation slices.
 type Step struct {
 	Kind StepKind
-	// Dim is the cluster dimension of a StepClusterDim (0 <= Dim < n-1).
+	// Dim is the dimension the step pairs along: the cluster dimension of a
+	// StepClusterDim (0 <= Dim < n-1), the recursive dimension of a
+	// StepRecDim, the bit of a StepBitDim. A cross hop has Dim -1, except in
+	// a sort schedule, where it is recursive dimension 0.
 	Dim int
+	// Orient is the compare-exchange orientation of a sort schedule's step;
+	// zero (not oriented) everywhere else.
+	Orient Orient
 	// Pattern identifies the exchange pattern: Dim for a cluster step,
 	// ClusterDim(n) for the cross matching. Steps with equal Pattern use the
 	// same matching and therefore the same fault annotations; consumers that
@@ -137,7 +178,19 @@ type Schedule struct {
 	// over the fault-free schedule: the sum over steps of 2·(path length − 1)
 	// per detour. Zero for a fault-free schedule.
 	RepairCycles int
+
+	// sortIDs[u] is node u's sort ID, the address its oriented steps read
+	// their orientation bit from and the position of its key in a sorted
+	// sequence: the recursive ID on a Comm with a recursive presentation,
+	// the node ID otherwise (the hypercube). Built by Finalize when any step
+	// is oriented; nil on every other schedule.
+	sortIDs []int32
 }
+
+// SortIDs exposes the finalized node → sort-ID table of a sort schedule,
+// or nil if no step is oriented or the schedule was not finalized.
+// Read-only, like Step.Partners.
+func (s *Schedule) SortIDs() []int32 { return s.sortIDs }
 
 // Topology returns the network the schedule is compiled for: Topo when set,
 // otherwise the communication topology D.
@@ -149,16 +202,26 @@ func (s *Schedule) Topology() topology.Topology {
 }
 
 // Finalize precomputes every exchange step's partner and link-index tables,
-// shared across steps with equal Pattern. The cost is paid once per cached
-// schedule; it requires the topology's neighbor rows to be ascending (the
-// Topology contract, and the order the engine's CSR rows use), and leaves
-// the tables nil — interpreting stays correct, just unaccelerated — if a row
-// is not.
+// shared across steps with equal Pattern, and the sort-ID table of a
+// schedule with oriented steps. The cost is paid once per cached schedule;
+// it requires the topology's neighbor rows to be ascending (the Topology
+// contract, and the order the engine's CSR rows use), and leaves the tables
+// nil — interpreting stays correct, just unaccelerated — if a row is not.
 func (s *Schedule) Finalize() {
 	type tables struct{ partners, links []int32 }
 	byPattern := make(map[int]tables)
 	topo := s.Topology()
 	n := topo.Nodes()
+	if slices.ContainsFunc(s.Steps, func(st Step) bool { return st.Orient != 0 }) {
+		rec, _ := s.D.(topology.Recursive)
+		s.sortIDs = make([]int32, n)
+		for u := range s.sortIDs {
+			s.sortIDs[u] = int32(u)
+			if rec != nil {
+				s.sortIDs[u] = int32(rec.ToRecursive(u))
+			}
+		}
+	}
 	for i := range s.Steps {
 		st := &s.Steps[i]
 		if st.Kind == StepLocalCombine || st.partners != nil {
@@ -259,28 +322,12 @@ type Exec[T any] struct {
 }
 
 // Interpret starts executing sch on this node. The program must consume
-// every step in order (Exchange/Send/Recv/SendRecv/Idle for communication
+// every step in order (Exchange/Send/Recv/Idle for communication
 // steps, LocalOps for local-combine steps) — the SPMD discipline extended to
 // the schedule: all nodes walk the same steps together.
 func Interpret[T any](c *Ctx[T], sch *Schedule) Exec[T] {
 	return Exec[T]{c: c, sch: sch}
 }
-
-// Pos returns the index of the current (next unconsumed) step.
-func (x *Exec[T]) Pos() int { return x.pos }
-
-// Ctx returns the node context the cursor executes on, so programs can
-// interleave computation accounting (Ops) with schedule steps.
-func (x *Exec[T]) Ctx() *Ctx[T] { return x.c }
-
-// Done reports whether every step has been consumed.
-func (x *Exec[T]) Done() bool { return x.pos >= len(x.sch.Steps) }
-
-// Kind returns the current step's kind.
-func (x *Exec[T]) Kind() StepKind { return x.step().Kind }
-
-// Dim returns the current step's cluster dimension.
-func (x *Exec[T]) Dim() int { return x.step().Dim }
 
 func (x *Exec[T]) step() *Step {
 	if x.pos >= len(x.sch.Steps) {
@@ -309,9 +356,6 @@ func (x *Exec[T]) partner(s *Step) int {
 		return -1 // unreachable: failf aborts the run
 	}
 }
-
-// Partner returns this node's partner in the current step without advancing.
-func (x *Exec[T]) Partner() int { return x.partner(x.step()) }
 
 // Exchange executes the current step as a full matched exchange: send v to
 // the step's partner and receive the partner's value, honoring the step's
@@ -371,23 +415,6 @@ func (x *Exec[T]) Recv() T {
 		r, _ = x.c.recvAt(int(s.links[u]), int(s.partners[u]), false)
 	} else {
 		r = x.c.Recv(x.partner(s))
-	}
-	x.pos++
-	return r
-}
-
-// SendRecv executes the current step as a simultaneous send-to and
-// receive-from the step's partner (a node that is both holder and receiver,
-// e.g. a gather collector whose cross neighbor is also a collector).
-func (x *Exec[T]) SendRecv(v T) T {
-	s := x.step()
-	var r T
-	if s.links != nil {
-		u := x.c.id
-		r = x.c.exchangeAt(int(s.links[u]), int(s.partners[u]), v)
-	} else {
-		p := x.partner(s)
-		r = x.c.SendRecv(p, v, p)
 	}
 	x.pos++
 	return r

@@ -18,8 +18,9 @@
 //     DSortCompSteps(n) = 2n²-n compare-exchange steps whose communication
 //     cost is exactly DSortCommSteps(n) = 6n²-7n+2 cycles (each StepRecDim
 //     is the 3-cycle routed exchange), with every recursive-dimension
-//     matching the involution r ↔ r^(1<<j); the hypercube baseline fits
-//     q(q+1)/2 single-cycle steps;
+//     matching the involution r ↔ r^(1<<j) and every step oriented as its
+//     merge requires; the hypercube baseline fits q(q+1)/2 single-cycle
+//     steps;
 //   - fault rewrites (dcomm.RewriteFT) annotate exactly the severed pairs of
 //     each matching, repair them over alive simple detours of at most 7 hops
 //     (for f <= n-1 faults), and account RepairCycles exactly — and refuse
@@ -241,36 +242,55 @@ func CheckSchedule(sch *machine.Schedule, c topology.Comm, op dcomm.Op) error {
 // level l = 2..n a half-merge over dims 2l-3..0 and a final merge over dims
 // 2l-2..0 — as exactly DSortCompSteps(n) = 2n²-n compare-exchange steps
 // whose communication cost is exactly DSortCommSteps(n) = 6n²-7n+2 cycles:
-// one cycle per dimension-0 cross hop, three per StepRecDim. Each recursive
-// dimension's matching must be the involution r ↔ r^(1<<j) in recursive-ID
-// space, finalized partner-only (routed pairs are not adjacent, so there is
-// no link table), and the fault-free schedule must carry no annotations.
-// Generic over any topology carrying the recursive presentation.
+// one cycle per dimension-0 cross hop, three per StepRecDim. Every step
+// must carry its merge's orientation — the half-merge of level l recursive
+// bit 2l-2, the final merge bit 2l-1 (the enclosing quarter's
+// alternation), the final merge of level n the requested Order — and the
+// sort-ID table must be the recursive IDs the orientation bits are read
+// from. Each recursive dimension's matching must be the involution
+// r ↔ r^(1<<j) in recursive-ID space, finalized partner-only (routed pairs
+// are not adjacent, so there is no link table), and the fault-free
+// schedule must carry no annotations. Generic over any topology carrying
+// the recursive presentation.
 func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 	n, m, N := c.Order(), c.ClusterDim(), c.Nodes()
 	if sch.D != topology.Comm(c) {
 		return fmt.Errorf("schedcheck: %s: schedule bound to %s, want %s", sch.Name, sch.D.Name(), c.Name())
 	}
 
-	// The expected dimension ladder of Algorithm 3.
-	var dims []int
-	dims = append(dims, 0)
-	for l := 2; l <= n; l++ {
-		for j := 2*l - 3; j >= 0; j-- {
-			dims = append(dims, j)
+	// The expected ladder of Algorithm 3, level by level. Dimension 0 is
+	// the cross matching, every higher dimension a routed StepRecDim.
+	var want []machine.Step
+	sweep := func(top int, orient machine.Orient) {
+		for j := top; j >= 0; j-- {
+			w := machine.Step{Kind: machine.StepRecDim, Dim: j, Pattern: m + j, Orient: orient}
+			if j == 0 {
+				w.Kind, w.Pattern = machine.StepCrossHop, m
+			}
+			want = append(want, w)
 		}
-		for j := 2*l - 2; j >= 0; j-- {
-			dims = append(dims, j)
+	}
+	for l := 1; l <= n; l++ {
+		if l > 1 {
+			sweep(2*l-3, machine.OrientBit(2*l-2))
 		}
+		final := machine.OrientByOrder
+		if l < n {
+			final = machine.OrientBit(2*l - 1)
+		}
+		sweep(2*l-2, final)
 	}
-	if len(dims) != sortnet.DSortCompSteps(n) {
-		return fmt.Errorf("schedcheck: internal: D_%d ladder has %d steps, closed form says %d", n, len(dims), sortnet.DSortCompSteps(n))
+	if err := checkSortIDs(sch, N, c.ToRecursive); err != nil {
+		return err
 	}
-	if len(sch.Steps) != len(dims) {
-		return fmt.Errorf("schedcheck: %s: %d steps, want 2n²-n = %d", sch.Name, len(sch.Steps), len(dims))
+	if len(want) != sortnet.DSortCompSteps(n) {
+		return fmt.Errorf("schedcheck: internal: D_%d ladder has %d steps, closed form says %d", n, len(want), sortnet.DSortCompSteps(n))
 	}
-	if got := sch.CommSteps(); got != len(dims) {
-		return fmt.Errorf("schedcheck: %s: %d communication steps, want %d (every step exchanges)", sch.Name, got, len(dims))
+	if len(sch.Steps) != len(want) {
+		return fmt.Errorf("schedcheck: %s: %d steps, want 2n²-n = %d", sch.Name, len(sch.Steps), len(want))
+	}
+	if got := sch.CommSteps(); got != len(want) {
+		return fmt.Errorf("schedcheck: %s: %d communication steps, want %d (every step exchanges)", sch.Name, got, len(want))
 	}
 	if got, want := sch.CommCycles(), sortnet.DSortCommSteps(n); got != want {
 		return fmt.Errorf("schedcheck: %s: %d communication cycles, want 6n²-7n+2 = %d (Theorem 2)", sch.Name, got, want)
@@ -285,25 +305,12 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 		if s.Broken != nil || s.Detours != nil {
 			return fmt.Errorf("schedcheck: %s step %d: fault-free schedule carries fault annotations", sch.Name, i)
 		}
-		j := dims[i]
-		if j == 0 {
-			if s.Kind != machine.StepCrossHop {
-				return fmt.Errorf("schedcheck: %s step %d: kind %s, want %s for dimension 0", sch.Name, i, s.Kind, machine.StepCrossHop)
-			}
-			if s.Pattern != m {
-				return fmt.Errorf("schedcheck: %s step %d: cross pattern %d, want %d", sch.Name, i, s.Pattern, m)
-			}
-		} else {
-			if s.Kind != machine.StepRecDim {
-				return fmt.Errorf("schedcheck: %s step %d: kind %s, want %s for dimension %d", sch.Name, i, s.Kind, machine.StepRecDim, j)
-			}
-			if s.Dim != j {
-				return fmt.Errorf("schedcheck: %s step %d: dimension %d, want %d", sch.Name, i, s.Dim, j)
-			}
-			if s.Pattern != m+j {
-				return fmt.Errorf("schedcheck: %s step %d: pattern %d, want m+j = %d", sch.Name, i, s.Pattern, m+j)
-			}
+		w := &want[i]
+		if s.Kind != w.Kind || s.Dim != w.Dim || s.Pattern != w.Pattern || s.Orient != w.Orient {
+			return fmt.Errorf("schedcheck: %s step %d: got (%s dim %d pattern %d oriented by %s), want (%s dim %d pattern %d oriented by %s)",
+				sch.Name, i, s.Kind, s.Dim, s.Pattern, s.Orient, w.Kind, w.Dim, w.Pattern, w.Orient)
 		}
+		j := w.Dim
 
 		partners := s.Partners()
 		if partners == nil {
@@ -361,29 +368,42 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 // CheckCubeSortSchedule verifies the compiled hypercube bitonic-sort
 // schedule: stages k = 1..q sweeping StepBitDim exchanges over dimensions
 // k-1..0 — q(q+1)/2 steps of one cycle each — with every matching the
-// hypercube involution u ↔ u^(1<<j) over an adjacent link.
+// hypercube involution u ↔ u^(1<<j) over an adjacent link, stage k
+// oriented by node bit k (the 2^k-block alternation) and stage q by the
+// requested Order, and the node IDs as sort IDs.
 func CheckCubeSortSchedule(sch *machine.Schedule, h *topology.Hypercube) error {
 	q, N := h.Dim(), h.Nodes()
 	if sch.Topology() != topology.Topology(h) {
 		return fmt.Errorf("schedcheck: %s: schedule bound to the wrong topology", sch.Name)
 	}
-	var dims []int
+	var want []machine.Step
 	for k := 1; k <= q; k++ {
+		stage := machine.OrientBit(k)
+		if k == q {
+			stage = machine.OrientByOrder
+		}
 		for j := k - 1; j >= 0; j-- {
-			dims = append(dims, j)
+			want = append(want, machine.Step{Kind: machine.StepBitDim, Dim: j, Pattern: j, Orient: stage})
 		}
 	}
-	if len(sch.Steps) != len(dims) || len(dims) != sortnet.CubeSortSteps(q) {
+	if q > 0 {
+		if err := checkSortIDs(sch, N, func(u int) int { return u }); err != nil {
+			return err
+		}
+	}
+	if len(sch.Steps) != len(want) || len(want) != sortnet.CubeSortSteps(q) {
 		return fmt.Errorf("schedcheck: %s: %d steps, want q(q+1)/2 = %d", sch.Name, len(sch.Steps), sortnet.CubeSortSteps(q))
 	}
-	if got := sch.CommCycles(); got != len(dims) {
-		return fmt.Errorf("schedcheck: %s: %d communication cycles, want %d", sch.Name, got, len(dims))
+	if got := sch.CommCycles(); got != len(want) {
+		return fmt.Errorf("schedcheck: %s: %d communication cycles, want %d", sch.Name, got, len(want))
 	}
 	firstByPattern := make(map[int]*machine.Step, q)
 	for i := range sch.Steps {
 		s := &sch.Steps[i]
-		if s.Kind != machine.StepBitDim || s.Dim != dims[i] || s.Pattern != dims[i] {
-			return fmt.Errorf("schedcheck: %s step %d: got (%s dim %d pattern %d), want (%s dim %d pattern %d)", sch.Name, i, s.Kind, s.Dim, s.Pattern, machine.StepBitDim, dims[i], dims[i])
+		w := &want[i]
+		if s.Kind != w.Kind || s.Dim != w.Dim || s.Pattern != w.Pattern || s.Orient != w.Orient {
+			return fmt.Errorf("schedcheck: %s step %d: got (%s dim %d pattern %d oriented by %s), want (%s dim %d pattern %d oriented by %s)",
+				sch.Name, i, s.Kind, s.Dim, s.Pattern, s.Orient, w.Kind, w.Dim, w.Pattern, w.Orient)
 		}
 		partners, links := s.Partners(), s.LinkIndexes()
 		if partners == nil || links == nil {
@@ -398,14 +418,29 @@ func CheckCubeSortSchedule(sch *machine.Schedule, h *topology.Hypercube) error {
 		firstByPattern[s.Pattern] = s
 		for u := 0; u < N; u++ {
 			p := int(partners[u])
-			if p != u^1<<dims[i] {
-				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d, want %d", sch.Name, i, u, p, u^1<<dims[i])
+			if p != u^1<<w.Dim {
+				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d, want %d", sch.Name, i, u, p, u^1<<w.Dim)
 			}
 			row := h.Neighbors(u)
 			li := int(links[u])
 			if li < 0 || li >= len(row) || row[li] != p {
 				return fmt.Errorf("schedcheck: %s step %d: node %d link index %d does not select partner %d", sch.Name, i, u, li, p)
 			}
+		}
+	}
+	return nil
+}
+
+// checkSortIDs verifies a sort schedule's finalized node → sort-ID table
+// against the sort-ID map of its topology.
+func checkSortIDs(sch *machine.Schedule, N int, sortID func(u int) int) error {
+	ids := sch.SortIDs()
+	if len(ids) != N {
+		return fmt.Errorf("schedcheck: %s: sort-ID table has %d entries, want %d", sch.Name, len(ids), N)
+	}
+	for u, r := range ids {
+		if want := sortID(u); int(r) != want {
+			return fmt.Errorf("schedcheck: %s: node %d has sort ID %d, want %d", sch.Name, u, r, want)
 		}
 	}
 	return nil

@@ -86,31 +86,39 @@ func TestSortScheduleCounts(t *testing.T) {
 	}
 }
 
+// buildSortSchedule hand-builds the D_sort ladder on d, oriented and
+// finalized: a private schedule the negative tests may corrupt without
+// poisoning the shared dcomm cache.
+func buildSortSchedule(d topology.Recursive) *machine.Schedule {
+	n, m := d.Order(), d.ClusterDim()
+	sch := &machine.Schedule{Name: "dsort/" + d.Name(), D: d}
+	merge := func(top int, orient machine.Orient) {
+		for j := top; j >= 0; j-- {
+			kind, pattern := machine.StepRecDim, m+j
+			if j == 0 {
+				kind, pattern = machine.StepCrossHop, m
+			}
+			sch.Steps = append(sch.Steps, machine.Step{Kind: kind, Dim: j, Pattern: pattern, Orient: orient})
+		}
+	}
+	merge(0, machine.OrientBit(1))
+	for l := 2; l <= n; l++ {
+		merge(2*l-3, machine.OrientBit(2*l-2))
+		final := machine.OrientBit(2*l - 1)
+		if l == n {
+			final = machine.OrientByOrder
+		}
+		merge(2*l-2, final)
+	}
+	sch.Finalize()
+	return sch
+}
+
 // TestCheckSortScheduleCatchesTampering corrupts the compiled sort schedule
 // and expects the checker to reject each corruption.
 func TestCheckSortScheduleCatchesTampering(t *testing.T) {
 	d := topology.MustDualCube(3)
-	// Build privately (mirroring dcomm's OpDSort layout) so the shared cache
-	// is never poisoned.
-	m := d.ClusterDim()
-	sch := &machine.Schedule{Name: "dsort/" + d.Name(), D: d}
-	add := func(j int) {
-		if j == 0 {
-			sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepCrossHop, Dim: -1, Pattern: m})
-			return
-		}
-		sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepRecDim, Dim: j, Pattern: m + j})
-	}
-	add(0)
-	for l := 2; l <= 3; l++ {
-		for j := 2*l - 3; j >= 0; j-- {
-			add(j)
-		}
-		for j := 2*l - 2; j >= 0; j-- {
-			add(j)
-		}
-	}
-	sch.Finalize()
+	sch := buildSortSchedule(d)
 	if err := CheckSortSchedule(sch, d); err != nil {
 		t.Fatalf("pristine schedule rejected: %v", err)
 	}
@@ -139,6 +147,61 @@ func TestCheckSortScheduleCatchesTampering(t *testing.T) {
 	sch.Steps = sch.Steps[:len(sch.Steps)-1]
 	if CheckSortSchedule(sch, d) == nil {
 		t.Error("truncated ladder passed verification")
+	}
+}
+
+// TestCheckSortScheduleCatchesMisorientation re-orients single merges of
+// an otherwise pristine ladder — drifts that keep every dimension and
+// matching intact, so only the orientation check can see them.
+func TestCheckSortScheduleCatchesMisorientation(t *testing.T) {
+	d := topology.MustDualCube(3)
+	for _, tc := range []struct {
+		name     string
+		tamper   func(steps []machine.Step)
+		got, ref string // the orientations the rejection must name
+	}{
+		{"level-3 half-merge oriented by recursive bit 3 instead of 4", func(steps []machine.Step) {
+			// Level 3's half-merge is steps 6..9 (dims 3..0), after the
+			// base sort (1 step) and level 2 (2 + 3 steps).
+			for i := 6; i <= 9; i++ {
+				steps[i].Orient = machine.OrientBit(3)
+			}
+		}, "oriented by bit 3)", "oriented by bit 4)"},
+		{"outermost-merge step oriented by an ID bit instead of the requested Order", func(steps []machine.Step) {
+			steps[len(steps)-1].Orient = machine.OrientBit(5)
+		}, "oriented by bit 5)", "oriented by order)"},
+	} {
+		sch := buildSortSchedule(d)
+		if sch.Steps[6].Orient != machine.OrientBit(4) || sch.Steps[9].Dim != 0 {
+			t.Fatal("ladder layout changed; update the tampered step indexes")
+		}
+		tc.tamper(sch.Steps)
+		if err := CheckSortSchedule(sch, d); err == nil {
+			t.Errorf("%s: passed verification", tc.name)
+		} else if !strings.Contains(err.Error(), tc.got) || !strings.Contains(err.Error(), tc.ref) {
+			t.Errorf("%s: rejected for the wrong reason: %v", tc.name, err)
+		}
+	}
+
+	// The hypercube baseline: its last stage must follow the requested
+	// Order, not node bit q.
+	q3, err := topology.NewHypercube(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := dcomm.CompiledCubeSort(q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := base.Topo.(*topology.Hypercube) // the instance the cached schedule is bound to
+	cube := &machine.Schedule{Name: base.Name, Topo: h, Steps: append([]machine.Step(nil), base.Steps...)}
+	cube.Finalize() // rebuilds only the sort-ID table; the shared matchings are read, never written
+	if err := CheckCubeSortSchedule(cube, h); err != nil {
+		t.Fatalf("pristine cube schedule rejected: %v", err)
+	}
+	cube.Steps[len(cube.Steps)-1].Orient = machine.OrientBit(3)
+	if err := CheckCubeSortSchedule(cube, h); err == nil || !strings.Contains(err.Error(), "oriented by bit 3)") {
+		t.Errorf("cube final stage oriented by node bit 3: err = %v, want an orientation rejection", err)
 	}
 }
 

@@ -1,136 +1,33 @@
 package sortnet
 
 import (
-	"sync/atomic"
-
 	"dualcube/internal/machine"
-	"dualcube/internal/topology"
 )
 
-// This file is the compare-exchange kernel: the sort family expressed as a
-// machine.DirectKernel over a compiled schedule. A sort schedule (dcomm's
-// OpDSort on the dual-cube, CompiledCubeSort on the hypercube) fixes the
-// communication pattern — which dimension each step exchanges — while the
-// kernel supplies the data motion: every node produces its current key,
-// absorbs the partner's, and keeps the min or the max as decided by
-// keepMinAt over its sort ID and the step's direction bit. The direction
-// plan (which recursive-ID bit orients each step, or the caller's Order for
-// the final merge) depends only on the machine order, so it is computed
-// once per order and cached beside the compiled schedule.
+// This file holds the sort family's kernels: one compiled schedule, two
+// kinds of data motion. A sort schedule (dcomm's OpDSort on any topology
+// with a recursive presentation, CompiledCubeSort on the hypercube) is the
+// whole sorting network — each step names the dimension it compares on and
+// the sort-ID bit that orients its merge (machine.Step.Orient, or the
+// caller's Order for the outermost merge), and Schedule.SortIDs maps every
+// node to its sort ID. The kernels only move data: exchKernel
+// compare-exchanges one key per node (DSort, CubeSort, and LaneSortKernel
+// at k lanes per node), mergeKernel merge-splits a sorted chunk of k keys
+// per node (DSortLarge, CubeSortLarge). Each keeps the low or the high half
+// as keepMinAt decides from the node's sort ID, the step's dimension and
+// its orientation.
 
-// exchMeta is the per-step half of the direction plan: the dimension the
-// step compares on and the sort-ID bit that orients the merge. dirBit is
-// dirByOrder for the steps of the outermost merge, where the caller's
-// requested Order applies instead of an ID bit.
-type exchMeta struct {
-	dim    int8
-	dirBit int8
-}
-
-// dirByOrder marks a step oriented by the requested Order (the paper's tag)
-// rather than by a sort-ID bit.
-const dirByOrder = -1
-
-// dsortPlan is the cached direction plan of D_sort on one order: the step
-// metas of Algorithm 3's flattened ladder plus the node-ID → recursive-ID
-// table (the sort ID space of the dual-cube).
-type dsortPlan struct {
-	metas []exchMeta
-	rec   []int32
-}
-
-var dsortPlans [topology.MaxDualCubeOrder + 1]atomic.Pointer[dsortPlan]
-
-// dsortPlanFor returns the cached direction plan of D_sort on d, building
-// it on first use. The plan depends only on the order: every Comm family
-// shares the dual-cube recursive presentation (the hypercube and Z-cube
-// delegate to their spanning skeleton), so one cache slot per order serves
-// all of them. The meta sequence mirrors dcomm's OpDSort schedule step
-// for step: the level-1 base sort, then per level l a half-merge oriented by
-// recursive bit 2l-2 and a final merge oriented by bit 2l-1 (the enclosing
-// quarter's alternation) — or by the requested Order at the top level.
-func dsortPlanFor(d topology.Recursive) *dsortPlan {
-	slot := &dsortPlans[d.Order()]
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	n := d.Order()
-	p := &dsortPlan{rec: make([]int32, d.Nodes())}
-	for u := range p.rec {
-		p.rec[u] = int32(d.ToRecursive(u))
-	}
-	add := func(dim, dirBit int) {
-		p.metas = append(p.metas, exchMeta{dim: int8(dim), dirBit: int8(dirBit)})
-	}
-	if n == 1 {
-		add(0, dirByOrder)
-	} else {
-		add(0, 1)
-	}
-	for l := 2; l <= n; l++ {
-		for j := 2*l - 3; j >= 0; j-- {
-			add(j, 2*l-2)
-		}
-		dir := dirByOrder
-		if l < n {
-			dir = 2*l - 1
-		}
-		for j := 2*l - 2; j >= 0; j-- {
-			add(j, dir)
-		}
-	}
-	if slot.CompareAndSwap(nil, p) {
-		return p
-	}
-	return slot.Load()
-}
-
-var cubeSortMetas [topology.MaxHypercubeDim + 1]atomic.Pointer[[]exchMeta]
-
-// cubeSortMetasFor returns the cached direction plan of Batcher's bitonic
-// sort on Q_q: stage k compares dimensions k-1..0 oriented by node bit k
-// (the 2^k-block alternation), with the final stage oriented by the
-// requested Order. The hypercube's sort IDs are the node IDs themselves.
-func cubeSortMetasFor(q int) []exchMeta {
-	slot := &cubeSortMetas[q]
-	if m := slot.Load(); m != nil {
-		return *m
-	}
-	metas := make([]exchMeta, 0, q*(q+1)/2)
-	for k := 1; k <= q; k++ {
-		dir := dirByOrder
-		if k < q {
-			dir = k
-		}
-		for j := k - 1; j >= 0; j-- {
-			metas = append(metas, exchMeta{dim: int8(j), dirBit: int8(dir)})
-		}
-	}
-	if slot.CompareAndSwap(nil, &metas) {
-		return metas
-	}
-	return *slot.Load()
-}
-
-// exchKernel runs a direction plan as a DirectKernel: one compare-exchange
+// exchKernel runs a sort schedule as a DirectKernel: one compare-exchange
 // per schedule step. key holds each node's current key indexed by node ID;
-// id maps node IDs to sort IDs (nil for the hypercube, whose node IDs are
-// the sort IDs). snaps, when non-nil, receives the Figure 5/6 trace: one
-// key snapshot per step, indexed by sort ID.
+// id is the schedule's node → sort-ID table. snaps, when non-nil, receives
+// the Figure 5/6 trace: one key snapshot per step, indexed by sort ID.
 type exchKernel[K any] struct {
 	less  func(a, b K) bool
 	ord   Order
+	steps []machine.Step
 	id    []int32
 	key   []K
-	metas []exchMeta
-	snaps []*Step[K]
-}
-
-func (ek *exchKernel[K]) sortID(u int) int {
-	if ek.id == nil {
-		return u
-	}
-	return int(ek.id[u])
+	snaps []Step[K]
 }
 
 func (ek *exchKernel[K]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, K) {
@@ -138,17 +35,13 @@ func (ek *exchKernel[K]) Produce(dc *machine.DirectCtx, k, u int) (machine.Direc
 }
 
 func (ek *exchKernel[K]) Absorb(dc *machine.DirectCtx, k, u int, v K) {
-	meta := ek.metas[k]
-	id := ek.sortID(u)
-	dir := ek.ord
-	if meta.dirBit >= 0 {
-		dir = Order(id >> meta.dirBit & 1)
-	}
+	st := &ek.steps[k]
+	id := int(ek.id[u])
 	dc.Ops(1)
 	// The compare half of the exchange; ties keep the local key, which makes
 	// the step deterministic for equal keys.
 	key := ek.key[u]
-	if keepMinAt(id, int(meta.dim), dir) {
+	if keepMinAt(id, st.Dim, mergeDir(st, id, ek.ord)) {
 		if ek.less(v, key) {
 			key = v
 		}
@@ -163,21 +56,143 @@ func (ek *exchKernel[K]) Absorb(dc *machine.DirectCtx, k, u int, v K) {
 
 func (ek *exchKernel[K]) Local(dc *machine.DirectCtx, k, u int) {}
 
-// newDSortKernel loads keys (given in recursive-ID order) onto the nodes of
-// d and pairs them with the order's direction plan.
-func newDSortKernel[K any](d topology.Recursive, keys []K, less func(a, b K) bool, ord Order, snaps []*Step[K]) *exchKernel[K] {
-	plan := dsortPlanFor(d)
-	key := make([]K, len(keys))
-	for u := range key {
-		key[u] = keys[plan.rec[u]]
+// mergeDir is the direction of the merge that step st runs at the node with
+// sort ID id, in a sort requested in order ord: the sort-ID bit the step is
+// oriented by, or ord itself for the outermost merge.
+func mergeDir(st *machine.Step, id int, ord Order) Order {
+	if b := st.Orient.Bit(); b >= 0 {
+		return Order(id >> b & 1)
 	}
-	return &exchKernel[K]{less: less, ord: ord, id: plan.rec, key: key, metas: plan.metas, snaps: snaps}
+	return ord
+}
+
+// newDSortKernel loads keys (given in sort-ID order) onto the nodes of a
+// compiled D_sort schedule.
+func newDSortKernel[K any](sch *machine.Schedule, keys []K, less func(a, b K) bool, ord Order, snaps []Step[K]) *exchKernel[K] {
+	id := sch.SortIDs()
+	key := make([]K, len(keys))
+	for u, r := range id {
+		key[u] = keys[r]
+	}
+	return &exchKernel[K]{less: less, ord: ord, steps: sch.Steps, id: id, key: key, snaps: snaps}
 }
 
 // unload reads the sorted keys back in sort-ID order.
 func (ek *exchKernel[K]) unload(out []K) []K {
-	for u := range ek.key {
-		out[ek.sortID(u)] = ek.key[u]
+	for u, r := range ek.id {
+		out[r] = ek.key[u]
 	}
 	return out
+}
+
+// mergeKernel is exchKernel with a sorted chunk of k keys per node in place
+// of one key, and merge-split in place of compare-exchange — the block
+// generalization that keeps any sorting network correct on pre-sorted
+// chunks (Baudet and Stevenson, 1978). Chunks live in a machine.Lanes arena
+// double-buffered by step parity: node u's chunk for step s is
+// lanes.Row(s, u), which Produce hands out as the payload and Absorb
+// merge-splits with the partner's into lanes.Row(s+1, u). Partners read a
+// row only during the pass after its Produce, and the row is next written
+// two steps later, so a run allocates nothing after setup. Step 0's Produce
+// first loads the node's input chunk and sorts it stably.
+type mergeKernel[K any] struct {
+	less  func(a, b K) bool
+	ord   Order
+	steps []machine.Step
+	id    []int32
+	in    []K // the input: chunk r is the node with sort ID r's
+	lanes *machine.Lanes[K]
+}
+
+func (mk *mergeKernel[K]) Produce(dc *machine.DirectCtx, step, u int) (machine.DirectRole, []K) {
+	row := mk.lanes.Row(step, u)
+	if step == 0 {
+		k := len(row)
+		copy(row, mk.in[int(mk.id[u])*k:])
+		sortChunk(row, mk.lanes.Row(1, u), mk.less)
+		dc.Ops(1)
+	}
+	return machine.DirectExchange, row
+}
+
+func (mk *mergeKernel[K]) Absorb(dc *machine.DirectCtx, step, u int, v []K) {
+	st := &mk.steps[step]
+	id := int(mk.id[u])
+	dc.Ops(1)
+	own, dst := mk.lanes.Row(step, u), mk.lanes.Row(step+1, u)
+	if keepMinAt(id, st.Dim, mergeDir(st, id, mk.ord)) {
+		mergeLow(dst, own, v, mk.less)
+	} else {
+		mergeHigh(dst, own, v, mk.less)
+	}
+}
+
+func (mk *mergeKernel[K]) Local(dc *machine.DirectCtx, step, u int) {}
+
+// unload writes every node's final chunk to out in sort-ID order, each
+// chunk reversed for a descending sort (chunks are kept ascending and the
+// network decides which node holds which range).
+func (mk *mergeKernel[K]) unload(out []K) []K {
+	k := mk.lanes.Width()
+	for u, r := range mk.id {
+		row := mk.lanes.Row(len(mk.steps), u)
+		res := out[int(r)*k:][:k]
+		if mk.ord == Descending {
+			for i, x := range row {
+				res[k-1-i] = x
+			}
+		} else {
+			copy(res, row)
+		}
+	}
+	return out
+}
+
+// mergeLow fills dst with the len(dst) smallest keys of the ascending runs
+// a and b, ascending; on ties a's key comes first. With len(dst) =
+// len(a)+len(b) it is the stable merge of a and b.
+func mergeLow[K any](dst, a, b []K, less func(x, y K) bool) {
+	for t := range dst {
+		if len(b) > 0 {
+			if len(a) == 0 || less(b[0], a[0]) {
+				dst[t], b = b[0], b[1:]
+				continue
+			}
+		}
+		if len(a) > 0 {
+			dst[t], a = a[0], a[1:]
+		}
+	}
+}
+
+// mergeHigh fills dst with the len(dst) largest keys of the ascending runs
+// a and b, ascending; on ties a's key comes last.
+func mergeHigh[K any](dst, a, b []K, less func(x, y K) bool) {
+	for t := len(dst) - 1; t >= 0; t-- {
+		if j := len(b) - 1; j >= 0 {
+			if len(a) == 0 || less(a[len(a)-1], b[j]) {
+				dst[t], b = b[j], b[:j]
+				continue
+			}
+		}
+		if i := len(a) - 1; i >= 0 {
+			dst[t], a = a[i], a[:i]
+		}
+	}
+}
+
+// sortChunk sorts chunk stably and ascending by bottom-up merging, with
+// scratch (at least as long) as the second buffer.
+func sortChunk[K any](chunk, scratch []K, less func(x, y K) bool) {
+	src, dst := chunk, scratch[:len(chunk)]
+	for w := 1; w < len(src); w *= 2 {
+		for lo := 0; lo < len(src); lo += 2 * w {
+			mid, hi := min(lo+w, len(src)), min(lo+2*w, len(src))
+			mergeLow(dst[lo:hi], src[lo:mid], src[mid:hi], less)
+		}
+		src, dst = dst, src
+	}
+	if len(src) > 0 && &src[0] != &chunk[0] {
+		copy(chunk, src)
+	}
 }

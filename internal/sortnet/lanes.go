@@ -3,28 +3,29 @@ package sortnet
 import (
 	"fmt"
 
+	"dualcube/internal/dcomm"
 	"dualcube/internal/machine"
 	"dualcube/internal/topology"
 )
 
-// This file is the batched counterpart of kernel.go: Algorithm 3's
+// This file is the batched counterpart of exchKernel: Algorithm 3's
 // compare-exchange ladder widened to k independent lanes per node. Every
 // lane sorts its own key vector over the one compiled OpDSort schedule, and
-// because the direction plan resolves per lane — the dirByOrder steps of
-// the outermost merge read the lane's requested Order — ascending and
-// descending requests coalesce into the same pass. Lane l's compares are
-// identical statement for statement with exchKernel's, so the batched sort
-// is byte-identical to k unbatched DSort calls (the lanes differential
-// tests enforce it).
+// because the orientation resolves per lane — the steps oriented by the
+// requested order read the lane's own Order — ascending and descending
+// requests coalesce into the same pass. Lane l's compares are identical
+// statement for statement with exchKernel's, so the batched sort is
+// byte-identical to k unbatched DSort calls (the lanes differential tests
+// enforce it).
 
 // LaneSortKernel is exchKernel over k-wide rows on the dual-cube.
 type LaneSortKernel[K any] struct {
 	less  func(a, b K) bool
-	ords  []Order // per-lane direction for the dirByOrder steps
+	ords  []Order // per-lane direction for the steps oriented by order
+	steps []machine.Step
 	id    []int32
 	k     int
 	key   []K // node-major k-wide current keys
-	metas []exchMeta
 	lanes *machine.Lanes[K]
 }
 
@@ -40,18 +41,21 @@ func NewLaneSortKernel[K any](d *topology.DualCube, lanes *machine.Lanes[K], key
 			return nil, err
 		}
 	}
-	plan := dsortPlanFor(d)
+	sch, err := dcomm.Compiled(d, dcomm.OpDSort)
+	if err != nil {
+		return nil, err
+	}
+	id := sch.SortIDs()
 	k := len(keys)
 	key := make([]K, d.Nodes()*k)
-	for u := 0; u < d.Nodes(); u++ {
-		r := plan.rec[u]
+	for u, r := range id {
 		for l := 0; l < k; l++ {
 			key[u*k+l] = keys[l][r]
 		}
 	}
 	return &LaneSortKernel[K]{
-		less: less, ords: append([]Order(nil), ords...), id: plan.rec,
-		k: k, key: key, metas: plan.metas, lanes: lanes,
+		less: less, ords: append([]Order(nil), ords...), steps: sch.Steps, id: id,
+		k: k, key: key, lanes: lanes,
 	}, nil
 }
 
@@ -62,16 +66,16 @@ func (lk *LaneSortKernel[K]) Produce(dc *machine.DirectCtx, step, u int) (machin
 }
 
 func (lk *LaneSortKernel[K]) Absorb(dc *machine.DirectCtx, step, u int, v []K) {
-	meta := lk.metas[step]
+	st := &lk.steps[step]
 	id := int(lk.id[u])
 	dc.Ops(1)
 	// Re-slice the key row and payload to the lane width up front so the
 	// per-lane compare loops carry no bounds checks (escgate pins this).
 	key := lk.key[u*lk.k:][:lk.k]
 	v = v[:lk.k]
-	if meta.dirBit >= 0 {
-		// Direction by sort-ID bit: one keep-min decision covers every lane.
-		if keepMinAt(id, int(meta.dim), Order(id>>meta.dirBit&1)) {
+	if b := st.Orient.Bit(); b >= 0 {
+		// Oriented by a sort-ID bit: one keep-min decision covers every lane.
+		if keepMinAt(id, st.Dim, Order(id>>b&1)) {
 			for l, kv := range key {
 				if lk.less(v[l], kv) {
 					key[l] = v[l]
@@ -89,7 +93,7 @@ func (lk *LaneSortKernel[K]) Absorb(dc *machine.DirectCtx, step, u int, v []K) {
 	// Outermost merge: direction is the lane's requested Order.
 	ords := lk.ords[:lk.k]
 	for l, kv := range key {
-		if keepMinAt(id, int(meta.dim), ords[l]) {
+		if keepMinAt(id, st.Dim, ords[l]) {
 			if lk.less(v[l], kv) {
 				key[l] = v[l]
 			}

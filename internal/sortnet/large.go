@@ -2,46 +2,12 @@ package sortnet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dualcube/internal/dcomm"
 	"dualcube/internal/machine"
 	"dualcube/internal/topology"
 )
-
-// mergeSplit merges two ascending runs of equal length k and returns the k
-// smallest (low) or k largest (high) elements, themselves ascending. This
-// is the block generalization of compare-and-exchange: substituting it for
-// the scalar comparator in any sorting network sorts k·N keys, provided
-// every block is pre-sorted.
-func mergeSplit[K any](a, b []K, less func(x, y K) bool, low bool) []K {
-	k := len(a)
-	out := make([]K, k)
-	if low {
-		i, j := 0, 0
-		for t := 0; t < k; t++ {
-			if j >= len(b) || (i < len(a) && !less(b[j], a[i])) {
-				out[t] = a[i]
-				i++
-			} else {
-				out[t] = b[j]
-				j++
-			}
-		}
-		return out
-	}
-	i, j := len(a)-1, len(b)-1
-	for t := k - 1; t >= 0; t-- {
-		if j < 0 || (i >= 0 && !less(a[i], b[j])) {
-			out[t] = a[i]
-			i--
-		} else {
-			out[t] = b[j]
-			j--
-		}
-	}
-	return out
-}
 
 // DSortLarge generalizes D_sort to k keys per node (future-work item 1 of
 // the paper): keys has length k·2^(2n-1); chunk r (in recursive-ID order)
@@ -57,62 +23,21 @@ func DSortLarge[K any](n, k int, keys []K, less func(a, b K) bool, ord Order) ([
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	if k < 1 {
-		return nil, machine.Stats{}, fmt.Errorf("sortnet: chunk size %d < 1", k)
-	}
-	if len(keys) != k*d.Nodes() {
-		return nil, machine.Stats{}, fmt.Errorf("sortnet: %d keys != k*N = %d", len(keys), k*d.Nodes())
-	}
-	if err := validOrder(ord); err != nil {
+	return DSortLargeOn(d, k, keys, less, ord)
+}
+
+// DSortLargeOn is DSortLarge over an explicit communication topology
+// carrying the recursive presentation: the merge-split kernel runs over the
+// same compiled OpDSort schedule as DSortOn, on any family.
+func DSortLargeOn[K any](d topology.Recursive, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
+	if err := validLarge(k, len(keys), d.Nodes(), ord); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	out := make([]K, len(keys))
-	eng, err := machine.New[[]K](d, machine.Config{})
+	sch, err := dcomm.Compiled(d, dcomm.OpDSort)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	defer eng.Release()
-	st, err := eng.Run(func(c *machine.Ctx[[]K]) {
-		r := d.ToRecursive(c.ID())
-		chunk := append([]K(nil), keys[r*k:(r+1)*k]...)
-		// Local pre-sort, always ascending; directions are handled by which
-		// half each merge-split keeps.
-		sort.SliceStable(chunk, func(i, j int) bool { return less(chunk[i], chunk[j]) })
-		c.Ops(1)
-		exch := func(j int, dir Order) {
-			other := dcomm.DimExchange(c, d, j, chunk)
-			chunk = mergeSplit(chunk, other, less, keepMinAt(r, j, dir))
-			c.Ops(1)
-		}
-		for l := 1; l <= n; l++ {
-			dir := ord
-			if l < n {
-				dir = Order(r >> (2*l - 1) & 1)
-			}
-			if l > 1 {
-				for j := 2*l - 3; j >= 0; j-- {
-					exch(j, Order(r>>(2*l-2)&1))
-				}
-			}
-			for j := 2*l - 2; j >= 0; j-- {
-				exch(j, dir)
-			}
-		}
-		res := out[r*k : (r+1)*k]
-		if ord == Descending {
-			// Chunks are internally ascending; reverse each so the flat
-			// output is globally descending.
-			for i := range chunk {
-				res[i] = chunk[k-1-i]
-			}
-		} else {
-			copy(res, chunk)
-		}
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
+	return sortChunks(sch, k, keys, less, ord)
 }
 
 // CubeSortLarge is the same generalization for the hypercube baseline:
@@ -122,48 +47,47 @@ func CubeSortLarge[K any](q, k int, keys []K, less func(a, b K) bool, ord Order)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	if k < 1 {
-		return nil, machine.Stats{}, fmt.Errorf("sortnet: chunk size %d < 1", k)
-	}
-	if len(keys) != k*h.Nodes() {
-		return nil, machine.Stats{}, fmt.Errorf("sortnet: %d keys != k*N = %d", len(keys), k*h.Nodes())
-	}
-	if err := validOrder(ord); err != nil {
+	if err := validLarge(k, len(keys), h.Nodes(), ord); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	out := make([]K, len(keys))
-	eng, err := machine.New[[]K](h, machine.Config{})
+	if q == 0 {
+		// Q_0 is one node with no exchange step to run the local sort in:
+		// the sort is that local sort.
+		out := slices.Clone(keys)
+		sortChunk(out, make([]K, k), less)
+		if ord == Descending {
+			slices.Reverse(out)
+		}
+		return out, machine.Stats{Nodes: 1, MaxOps: 1, TotalOps: 1}, nil
+	}
+	sch, err := dcomm.CompiledCubeSort(h)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	defer eng.Release()
-	st, err := eng.Run(func(c *machine.Ctx[[]K]) {
-		u := c.ID()
-		chunk := append([]K(nil), keys[u*k:(u+1)*k]...)
-		sort.SliceStable(chunk, func(i, j int) bool { return less(chunk[i], chunk[j]) })
-		c.Ops(1)
-		for s := 1; s <= q; s++ {
-			dir := ord
-			if s < q {
-				dir = Order(u >> s & 1)
-			}
-			for j := s - 1; j >= 0; j-- {
-				other := c.Exchange(u^1<<j, chunk)
-				chunk = mergeSplit(chunk, other, less, keepMinAt(u, j, dir))
-				c.Ops(1)
-			}
-		}
-		res := out[u*k : (u+1)*k]
-		if ord == Descending {
-			for i := range chunk {
-				res[i] = chunk[k-1-i]
-			}
-		} else {
-			copy(res, chunk)
-		}
-	})
+	return sortChunks(sch, k, keys, less, ord)
+}
+
+func validLarge(k, keys, nodes int, ord Order) error {
+	if k < 1 {
+		return fmt.Errorf("sortnet: chunk size %d < 1", k)
+	}
+	if keys != k*nodes {
+		return fmt.Errorf("sortnet: %d keys != k*N = %d", keys, k*nodes)
+	}
+	return validOrder(ord)
+}
+
+// sortChunks runs the merge-split kernel over a compiled sort schedule,
+// through dcomm.Execute like every schedule-driven operation: k keys per
+// node, chunk r of keys on the node with sort ID r.
+func sortChunks[K any](sch *machine.Schedule, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
+	mk := &mergeKernel[K]{
+		less: less, ord: ord, steps: sch.Steps, id: sch.SortIDs(), in: keys,
+		lanes: machine.NewLanes[K](sch.Topology().Nodes(), k),
+	}
+	st, err := dcomm.Execute(sch, machine.Config{}, mk)
 	if err != nil {
 		return nil, st, err
 	}
-	return out, st, nil
+	return mk.unload(make([]K, len(keys))), st, nil
 }

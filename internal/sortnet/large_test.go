@@ -2,10 +2,45 @@ package sortnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/seq"
 )
+
+// mergeSplit returns the low or the high half of merge-splitting the
+// ascending runs a and b, as the merge-split kernel keeps it.
+func mergeSplit(a, b []int, less func(x, y int) bool, low bool) []int {
+	out := make([]int, len(a))
+	if low {
+		mergeLow(out, a, b, less)
+	} else {
+		mergeHigh(out, a, b, less)
+	}
+	return out
+}
+
+// TestSortChunkStable checks the kernel's local pre-sort against the
+// standard library's stable sort on tie-heavy records, at every chunk
+// length up to 70 (odd lengths leave ragged merge runs).
+func TestSortChunkStable(t *testing.T) {
+	type rec struct{ key, tag int }
+	less := func(a, b rec) bool { return a.key < b.key }
+	rng := rand.New(rand.NewSource(8))
+	for k := 0; k <= 70; k++ {
+		chunk := make([]rec, k)
+		for i := range chunk {
+			chunk[i] = rec{rng.Intn(4), i}
+		}
+		want := slices.Clone(chunk)
+		slices.SortStableFunc(want, func(a, b rec) int { return a.key - b.key })
+		sortChunk(chunk, make([]rec, k), less)
+		if !slices.Equal(chunk, want) {
+			t.Fatalf("k=%d: sortChunk = %v, want the stable order %v", k, chunk, want)
+		}
+	}
+}
 
 func TestMergeSplit(t *testing.T) {
 	a := []int{1, 4, 6, 9}
@@ -107,6 +142,45 @@ func TestDSortLargeK1MatchesDSort(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("k=1 large sort differs at %d", i)
+		}
+	}
+}
+
+// TestDSortLargeSharedArenas runs the merge-split kernel where its
+// parity-buffered chunk arenas are shared between goroutines — the direct
+// executor's sharded passes (D_7 is past the 4096-node sharding threshold)
+// and the worker-pool engine with several workers — and requires the
+// serial direct run's outputs and Stats from both. Under -race it checks
+// that no pass reads a row while another writes it.
+func TestDSortLargeSharedArenas(t *testing.T) {
+	defer machine.SetDefaultSched(machine.SchedDefault)
+	defer machine.SetDefaultWorkers(0)
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		n, k, workers int
+		sched         machine.Sched
+	}{
+		{7, 2, 4, machine.SchedDirect},
+		{4, 5, 4, machine.SchedWorkerPool},
+	} {
+		in := make([]int, tc.k<<(2*tc.n-1))
+		for i := range in {
+			in[i] = rng.Intn(64)
+		}
+		machine.SetDefaultSched(machine.SchedDirect)
+		machine.SetDefaultWorkers(1)
+		want, wantSt, err := DSortLarge(tc.n, tc.k, in, intLess, Descending)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine.SetDefaultSched(tc.sched)
+		machine.SetDefaultWorkers(tc.workers)
+		got, st, err := DSortLarge(tc.n, tc.k, in, intLess, Descending)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || st != wantSt {
+			t.Errorf("D_%d k=%d sched %d x%d workers: diverges from the serial direct run (stats %+v vs %+v)", tc.n, tc.k, tc.sched, tc.workers, st, wantSt)
 		}
 	}
 }

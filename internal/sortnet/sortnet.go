@@ -13,6 +13,7 @@ package sortnet
 
 import (
 	"fmt"
+	"slices"
 
 	"dualcube/internal/dcomm"
 	"dualcube/internal/machine"
@@ -84,9 +85,9 @@ func CubeSort[K any](q int, keys []K, less func(a, b K) bool, ord Order) ([]K, m
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	key := make([]K, len(keys))
-	copy(key, keys)
-	kern := &exchKernel[K]{less: less, ord: ord, key: key, metas: cubeSortMetasFor(q)}
+	// Sort IDs are node IDs on the hypercube: the keys load as they are.
+	key := slices.Clone(keys)
+	kern := &exchKernel[K]{less: less, ord: ord, steps: sch.Steps, id: sch.SortIDs(), key: key}
 	st, err := dcomm.Execute(sch, machine.Config{}, kern)
 	if err != nil {
 		return nil, st, err
@@ -109,51 +110,37 @@ type Step[K any] struct {
 	Keys  []K    // keys by recursive ID after the step
 }
 
-// dsortSchedule returns the step labels of DSort on D_n in execution
-// order, excluding the input row. Every node executes exactly this
-// schedule, which is what lets the tracer preallocate snapshots.
-func dsortSchedule(n int) []Step[struct{}] {
-	var steps []Step[struct{}]
-	add := func(level, dim int, phase string) {
-		steps = append(steps, Step[struct{}]{
-			Label: fmt.Sprintf("level %d %s dim %d", level, phase, dim),
-			Level: level,
-			Dim:   dim,
-		})
+// traceStep preallocates the Figure 5/6 snapshot of one D_sort schedule
+// step on D_n, labelled from the step's orientation: the merge over dims
+// top..0 is oriented by sort-ID bit top+1, the outermost (top = 2n-2) by
+// the requested Order. An odd top is level (top+3)/2's half-merge, an even
+// top level top/2+1's final merge — level 1's is the base sort.
+func traceStep[K any](st *machine.Step, n, nodes int) Step[K] {
+	top := 2*n - 2
+	if b := st.Orient.Bit(); b >= 0 {
+		top = b - 1
 	}
-	add(1, 0, "base-sort")
-	for l := 2; l <= n; l++ {
-		for j := 2*l - 3; j >= 0; j-- {
-			add(l, j, "half-merge")
-		}
-		for j := 2*l - 2; j >= 0; j-- {
-			add(l, j, "final-merge")
-		}
+	level, phase := top/2+1, "final-merge"
+	if top%2 == 1 {
+		level, phase = (top+3)/2, "half-merge"
+	} else if level == 1 {
+		phase = "base-sort"
 	}
-	return steps
+	label := fmt.Sprintf("level %d %s dim %d", level, phase, st.Dim)
+	return Step[K]{Label: label, Level: level, Dim: st.Dim, Keys: make([]K, nodes)}
 }
 
 // DSort runs Algorithm 3 on the dual-cube D_n: keys[r] is placed on the
 // node with recursive ID r and the result is the sorted permutation in
 // recursive-ID order (ascending or descending per ord, the paper's tag).
 //
-// The recursion of Algorithm 3 is executed iteratively, level by level.
-// At level l every disjoint sub-dual-cube of order l (fixed recursive bits
-// above 2l-2) runs its merge phases simultaneously:
-//
-//   - levels below n sort each quarter alternately ascending/descending
-//     (quarter index even/odd — bit 2l-1 of the recursive ID);
-//   - the half-merge phase (dims 2l-3 .. 0, direction by bit 2l-2) turns
-//     the four sorted quarters into an ascending half and a descending
-//     half, i.e. a bitonic sequence over the sub-dual-cube;
-//   - the final-merge phase (dims 2l-2 .. 0) sorts it in the level's
-//     direction.
-//
-// Every dimension-j step is one compiled schedule step — a cross hop for
-// j = 0, a 3-cycle StepRecDim exchange otherwise (half the pairs route
-// through two cross-edges) — run on the direct kernel executor by default,
-// or interpreted on a simulator engine under an engine scheduler.
-// tr may be nil; when non-nil it receives the Figure 5/6 snapshots.
+// The recursion runs iteratively as dcomm's compiled OpDSort ladder (see
+// OpDSort for its levels and orientations): every dimension-j step is a
+// cross hop for j = 0 and a 3-cycle StepRecDim exchange otherwise (half
+// the pairs route through two cross-edges), run on the direct kernel
+// executor by default, or interpreted on a simulator engine under an
+// engine scheduler. tr may be nil; when non-nil it receives the Figure 5/6
+// snapshots.
 func DSort[K any](n int, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
 	d, err := topology.Validated(n, len(keys))
 	if err != nil {
@@ -180,20 +167,18 @@ func DSortOn[K any](d topology.Recursive, keys []K, less func(a, b K) bool, ord 
 	}
 
 	// Optional tracing: preallocate one snapshot per scheduled step.
-	var snaps []*Step[K]
+	var snaps []Step[K]
 	tr0 := 0
 	if tr != nil {
 		tr0 = len(tr.Steps)
 		tr.Steps = append(tr.Steps, Step[K]{Label: "input", Level: 0, Dim: -1, Keys: append([]K(nil), keys...)})
-		for _, s := range dsortSchedule(n) {
-			tr.Steps = append(tr.Steps, Step[K]{Label: s.Label, Level: s.Level, Dim: s.Dim, Keys: make([]K, d.Nodes())})
+		for i := range sch.Steps {
+			tr.Steps = append(tr.Steps, traceStep[K](&sch.Steps[i], n, d.Nodes()))
 		}
-		for i := tr0 + 1; i < len(tr.Steps); i++ {
-			snaps = append(snaps, &tr.Steps[i])
-		}
+		snaps = tr.Steps[tr0+1:]
 	}
 
-	kern := newDSortKernel(d, keys, less, ord, snaps)
+	kern := newDSortKernel(sch, keys, less, ord, snaps)
 	st, err := dcomm.Execute(sch, machine.Config{}, kern)
 	if err != nil {
 		if tr != nil {
@@ -222,7 +207,7 @@ func DSortRecorded[K any](n int, keys []K, less func(a, b K) bool, ord Order) ([
 	if err != nil {
 		return nil, machine.Stats{}, nil, err
 	}
-	kern := newDSortKernel(d, keys, less, ord, nil)
+	kern := newDSortKernel(sch, keys, less, ord, nil)
 	eng, err := machine.New[K](d, machine.Config{})
 	if err != nil {
 		return nil, machine.Stats{}, nil, err

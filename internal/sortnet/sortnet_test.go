@@ -1,6 +1,7 @@
 package sortnet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -480,28 +481,36 @@ func TestDSortTraceFigures56(t *testing.T) {
 	}
 }
 
+// TestDSortTraceLabels checks the Figure 5/6 labels that DSort derives
+// from the compiled schedule's orientation: one per compare-exchange step,
+// the level-1 base sort first, then per level l >= 2 a half-merge over dims
+// 2l-3..0 and a final merge over dims 2l-2..0.
 func TestDSortTraceLabels(t *testing.T) {
-	sched := dsortSchedule(3)
-	if len(sched) != DSortCompSteps(3) {
-		t.Fatalf("schedule has %d steps, want %d", len(sched), DSortCompSteps(3))
+	const n = 3
+	var tr Trace[int]
+	if _, _, err := DSort(n, make([]int, 1<<(2*n-1)), intLess, Ascending, &tr); err != nil {
+		t.Fatal(err)
 	}
-	if sched[0].Label != "level 1 base-sort dim 0" {
-		t.Errorf("first label %q", sched[0].Label)
+	sched := tr.Steps[1:]
+	if len(sched) != DSortCompSteps(n) {
+		t.Fatalf("trace has %d steps, want %d", len(sched), DSortCompSteps(n))
 	}
-	// Per level l >= 2: dims 2l-3..0 half-merge then 2l-2..0 final-merge.
+	if sched[0].Label != "level 1 base-sort dim 0" || sched[0].Level != 1 || sched[0].Dim != 0 {
+		t.Errorf("first step %q (level %d dim %d)", sched[0].Label, sched[0].Level, sched[0].Dim)
+	}
 	i := 1
-	for l := 2; l <= 3; l++ {
-		for j := 2*l - 3; j >= 0; j-- {
-			if sched[i].Level != l || sched[i].Dim != j {
-				t.Fatalf("step %d = %+v, want level %d dim %d", i, sched[i], l, j)
+	for l := 2; l <= n; l++ {
+		for _, phase := range []struct {
+			name string
+			top  int
+		}{{"half-merge", 2*l - 3}, {"final-merge", 2*l - 2}} {
+			for j := phase.top; j >= 0; j-- {
+				want := fmt.Sprintf("level %d %s dim %d", l, phase.name, j)
+				if s := sched[i]; s.Label != want || s.Level != l || s.Dim != j {
+					t.Fatalf("step %d = %q (level %d dim %d), want %q", i, s.Label, s.Level, s.Dim, want)
+				}
+				i++
 			}
-			i++
-		}
-		for j := 2*l - 2; j >= 0; j-- {
-			if sched[i].Level != l || sched[i].Dim != j {
-				t.Fatalf("step %d = %+v, want level %d dim %d", i, sched[i], l, j)
-			}
-			i++
 		}
 	}
 }

@@ -63,10 +63,10 @@ func Families() []string { return topology.Families() }
 // NewRuntimeOn returns the execution handle for one communication topology:
 // family is "dualcube", "hypercube" (Q_{2n-1}) or "zcube" (Z_n), and n the
 // dual-cube order, so all three handles of the same order run over the same
-// node count 2^(2n-1) and the same block data layout. The cluster-technique
-// operations — Prefix, Sort, Broadcast, AllReduce and their Func variants —
-// run on any family; the remaining operations are dual-cube-only for now
-// and return an error on other families.
+// node count 2^(2n-1) and the same block data layout. Prefix, Sort,
+// SortLarge, Broadcast, AllReduce and their Func variants run on any
+// family; the remaining operations are dual-cube-only for now and return
+// an error on other families.
 func NewRuntimeOn(family string, n int) (*Runtime, error) {
 	c, err := topology.CommByID(family, n)
 	if err != nil {
@@ -252,22 +252,23 @@ func SortFuncOn[K any](rt *Runtime, keys []K, less func(a, b K) bool, ord Order)
 	return sortnet.DSortOn(r, keys, less, ord, nil)
 }
 
-// SortLargeOn sorts k·2^(2n-1) keys, k per node.
+// SortLargeOn sorts k·2^(2n-1) keys, k per node, on rt's network: the
+// Algorithm 3 schedule with merge-split in place of compare-exchange.
 func SortLargeOn[K cmp.Ordered](rt *Runtime, k int, keys []K, ord Order) ([]K, Stats, error) {
-	n, err := rt.dualOrder("SortLarge")
+	r, err := rt.recursive("SortLarge")
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return sortnet.DSortLarge(n, k, keys, func(a, b K) bool { return a < b }, ord)
+	return sortnet.DSortLargeOn(r, k, keys, func(a, b K) bool { return a < b }, ord)
 }
 
 // SortLargeFuncOn is SortLargeOn with a user comparison.
 func SortLargeFuncOn[K any](rt *Runtime, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, Stats, error) {
-	n, err := rt.dualOrder("SortLargeFunc")
+	r, err := rt.recursive("SortLargeFunc")
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return sortnet.DSortLarge(n, k, keys, less, ord)
+	return sortnet.DSortLargeOn(r, k, keys, less, ord)
 }
 
 // BroadcastOn delivers value from node root to every node in 2n steps.

@@ -39,6 +39,14 @@ var differentialWorkloads = []struct {
 		out, st, err := Sort(n, diffInput(n), Descending)
 		return out, st, err
 	}},
+	{"SortLarge", func(n int) (any, Stats, error) {
+		out, st, err := SortLarge(n, 3, diffLargeInput(n, 3), Ascending)
+		return out, st, err
+	}},
+	{"SortLargeDescending", func(n int) (any, Stats, error) {
+		out, st, err := SortLarge(n, 3, diffLargeInput(n, 3), Descending)
+		return out, st, err
+	}},
 	{"Broadcast", func(n int) (any, Stats, error) {
 		out, st, err := Broadcast(n, 3, 42)
 		return out, st, err
@@ -130,6 +138,14 @@ var topologyWorkloads = []struct {
 		out, st, err := SortOn(rt, diffInput(rt.Order()), Descending)
 		return out, st, err
 	}},
+	{"SortLarge", func(rt *Runtime) (any, Stats, error) {
+		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Ascending)
+		return out, st, err
+	}},
+	{"SortLargeDescending", func(rt *Runtime) (any, Stats, error) {
+		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Descending)
+		return out, st, err
+	}},
 	{"Broadcast", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := BroadcastOn(rt, 3, 42)
 		return out, st, err
@@ -138,6 +154,17 @@ var topologyWorkloads = []struct {
 		out, st, err := AllReduceSumOn(rt, diffInput(rt.Order()))
 		return out, st, err
 	}},
+}
+
+// diffLargeInput is k keys per node drawn from a small range, so every
+// merge-split of the SortLarge rows meets duplicate keys.
+func diffLargeInput(n, k int) []int {
+	rng := rand.New(rand.NewSource(int64(n)*11 + int64(k)))
+	in := make([]int, k<<(2*n-1))
+	for i := range in {
+		in[i] = rng.Intn(16)
+	}
+	return in
 }
 
 func diffInput(n int) []int {
