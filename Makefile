@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json experiments figures fuzz clean
+.PHONY: all build vet test test-short race bench experiments figures fuzz clean
 
 all: build vet test
 
@@ -22,18 +22,14 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# The race steps of CI's test and serve-smoke jobs, plus the collectives.
 race:
-	$(GO) test -race -short ./internal/machine ./internal/collective ./internal/prefix ./internal/serve
+	$(GO) test -race -short -count=1 . ./internal/machine/... ./internal/prefix/... ./internal/fault/... ./internal/dcomm/... ./internal/sortnet/... ./internal/collective/...
+	$(GO) test -race -run TestRuntimeConcurrent -count=1 .
+	$(GO) test -race -count=1 ./internal/serve/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable benchmark sweep plus the E23 serving load sweep: one
-# JSON line per point (grid: name, order, ns/op, allocs/op, bytes/op, cycles;
-# E23: op, order, clients, max batch, rps, p50/p99, mean batch).
-bench-json:
-	$(GO) run ./cmd/dcbench -json > BENCH_8.json
-	$(GO) run ./cmd/dcserve -load -op prefix -n 5 -clients 64 -dur 1s -sweep 1,8,32 -json >> BENCH_8.json
 
 # Regenerate every experiment table (the content of EXPERIMENTS.md).
 experiments:

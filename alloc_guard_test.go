@@ -3,6 +3,7 @@ package dualcube
 import (
 	"testing"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/prefix"
 )
@@ -27,17 +28,14 @@ func TestNoPlanPrefixAllocGuard(t *testing.T) {
 	// goroutine stack growth of a cold pool against the run. The scheduler is
 	// pinned to the worker pool: this guard protects the ENGINE's disarmed
 	// send path (the direct executor has its own, tighter guard below).
-	SetSimWorkers(1)
-	SetSimScheduler(SchedulerWorkerPool)
-	defer SetSimWorkers(0)
-	defer SetSimScheduler(SchedulerDefault)
+	cfg := machine.Config{Sched: machine.SchedWorkerPool, Workers: 1}
 	m := monoid.Sum[int]()
 	// Warm up once so lazily-initialized state is excluded.
-	if _, _, err := prefix.DPrefix(n, in, m, true, nil); err != nil {
+	if _, _, err := prefix.DPrefix(cfg, n, in, m, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := prefix.DPrefix(n, in, m, true, nil); err != nil {
+		if _, _, err := prefix.DPrefix(cfg, n, in, m, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -48,7 +46,7 @@ func TestNoPlanPrefixAllocGuard(t *testing.T) {
 
 // TestDirectPrefixAllocGuard pins the steady-state allocation cost of the
 // direct kernel executor: D_prefix on a warm D_6 Runtime, explicitly routed
-// through SchedulerDirect, must stay within 16 allocs/op. The direct path
+// through machine.SchedDirect, must stay within 16 allocs/op. The direct path
 // allocates only the run's flat payload/role arrays, the kernel's state,
 // and the result slice — no coroutines, no per-node contexts, no channels —
 // so even one stray per-node or per-step allocation (2048 nodes x 12 steps)
@@ -59,17 +57,12 @@ func TestDirectPrefixAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16 // measured steady state is 8 allocs/op
-	rt, err := NewRuntime(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDirect})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {
 		in[i] = i*2654435761 + 1
 	}
-	SetSimScheduler(SchedulerDirect)
-	defer SetSimScheduler(SchedulerDefault)
 	if _, _, err := PrefixOn(rt, in); err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +89,12 @@ func TestZCubeDirectPrefixAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16
-	rt, err := NewRuntimeOn("zcube", n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := runtimeWith(t, "zcube", n, machine.Config{Sched: machine.SchedDirect})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {
 		in[i] = i*2654435761 + 1
 	}
-	SetSimScheduler(SchedulerDirect)
-	defer SetSimScheduler(SchedulerDefault)
 	if _, _, err := PrefixOn(rt, in); err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +119,12 @@ func TestZCubeDirectAllReduceAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16
-	rt, err := NewRuntimeOn("zcube", n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := runtimeWith(t, "zcube", n, machine.Config{Sched: machine.SchedDirect})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {
 		in[i] = i*2654435761 + 1
 	}
-	SetSimScheduler(SchedulerDirect)
-	defer SetSimScheduler(SchedulerDefault)
 	if _, _, err := AllReduceSumOn(rt, in); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +140,7 @@ func TestZCubeDirectAllReduceAllocGuard(t *testing.T) {
 }
 
 // TestDirectSortAllocGuard is TestDirectPrefixAllocGuard for the sort
-// family: D_sort on a warm D_6 Runtime through SchedulerDirect. The warm
+// family: D_sort on a warm D_6 Runtime through machine.SchedDirect. The warm
 // direct path allocates the run's flat payload/role arrays, the kernel and
 // its key array, the comparison closure, and the result slice; the oriented
 // schedule and its sort-ID table come from the cache. One stray allocation
@@ -169,17 +152,12 @@ func TestDirectSortAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16
-	rt, err := NewRuntime(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDirect})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {
 		in[i] = i * 2654435761 % rt.Nodes()
 	}
-	SetSimScheduler(SchedulerDirect)
-	defer SetSimScheduler(SchedulerDefault)
 	if _, _, err := SortOn(rt, in, Ascending); err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +185,10 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 		t.Skip("alloc guard skipped in -short mode")
 	}
 	const n = 6
-	rt, err := NewRuntime(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One worker keeps goroutine stack growth of a cold pool out of the
+	// counts.
+	one := machine.Config{Workers: 1}
+	rt := runtimeWith(t, "dualcube", n, one)
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	rev := make([]int, rt.Nodes())
@@ -243,16 +221,11 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 	}
 	// SortLarge at k = 64 keys per node, on the D_4 grid cell the
 	// benchmark's lib-bulk workload runs.
-	rt4, err := NewRuntime(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt4 := runtimeWith(t, "dualcube", 4, one)
 	bulk := make([]int, 64*rt4.Nodes())
 	for i := range bulk {
 		bulk[i] = (i * 2654435761) % 1000
 	}
-	SetSimWorkers(1)
-	defer SetSimWorkers(0)
 
 	cases := []struct {
 		name   string

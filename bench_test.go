@@ -57,7 +57,7 @@ func BenchmarkE4DPrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, len(in)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prefix.DPrefix(n, in, monoid.Sum[int](), true, nil); err != nil {
+				if _, _, err := prefix.DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -72,7 +72,7 @@ func BenchmarkE4EmulatedPrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prefix.EmulatedCubePrefix(n, in, monoid.Sum[int](), true); err != nil {
+				if _, _, err := prefix.EmulatedCubePrefix(machine.Config{}, n, in, monoid.Sum[int](), true); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -91,7 +91,7 @@ func BenchmarkE5CubePrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("Q_%d/nodes=%d", q, len(in)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prefix.CubePrefix(q, in, monoid.Sum[int](), true); err != nil {
+				if _, _, err := prefix.CubePrefix(machine.Config{}, q, in, monoid.Sum[int](), true); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,7 +106,7 @@ func BenchmarkE8DSort(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, len(in)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.DSort(n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil); err != nil {
+				if _, _, err := sortnet.DSort(machine.Config{}, n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +125,7 @@ func BenchmarkE9CubeSort(b *testing.B) {
 		b.Run(fmt.Sprintf("Q_%d/nodes=%d", q, len(in)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.CubeSort(q, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
+				if _, _, err := sortnet.CubeSort(machine.Config{}, q, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +146,7 @@ func BenchmarkE12PrefixLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prefix.DPrefixLarge(n, k, in, monoid.Sum[int](), true); err != nil {
+				if _, _, err := prefix.DPrefixLarge(machine.Config{}, n, k, in, monoid.Sum[int](), true); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,7 +167,7 @@ func BenchmarkE12SortLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.DSortLarge(n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
+				if _, _, err := sortnet.DSortLarge(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -182,7 +182,7 @@ func BenchmarkE13Collectives(b *testing.B) {
 		b.Run(fmt.Sprintf("Broadcast/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.Broadcast(n, 5, 1); err != nil {
+				if _, _, err := collective.Broadcast(machine.Config{}, n, 5, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -190,7 +190,7 @@ func BenchmarkE13Collectives(b *testing.B) {
 		b.Run(fmt.Sprintf("AllReduce/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.AllReduce(n, in, monoid.Sum[int]()); err != nil {
+				if _, _, err := collective.AllReduce(machine.Config{}, n, in, monoid.Sum[int]()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -198,7 +198,7 @@ func BenchmarkE13Collectives(b *testing.B) {
 		b.Run(fmt.Sprintf("Gather/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.Gather(n, 5, in); err != nil {
+				if _, _, err := collective.Gather(machine.Config{}, n, 5, in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -208,18 +208,17 @@ func BenchmarkE13Collectives(b *testing.B) {
 
 // BenchmarkSchedulers runs the same D_prefix workload under all three
 // execution backends — the two simulator engines and the direct kernel
-// executor — the head-to-head behind the backend numbers in EXPERIMENTS.md
-// (E21 pins direct at >= 2x over the worker pool on D_6).
+// executor, one Runtime each — the head-to-head behind the backend numbers
+// in EXPERIMENTS.md (E21 pins direct at >= 2x over the worker pool on D_6).
 func BenchmarkSchedulers(b *testing.B) {
 	for _, n := range []int{5, 6} {
 		in := benchInput(n)
-		for _, s := range []Scheduler{SchedulerWorkerPool, SchedulerGoroutinePerNode, SchedulerDirect} {
+		for _, s := range backends {
 			b.Run(fmt.Sprintf("%v/D_%d", s, n), func(b *testing.B) {
 				b.ReportAllocs()
-				SetSimScheduler(s)
-				defer SetSimScheduler(SchedulerDefault)
+				rt := runtimeWith(b, "dualcube", n, machine.Config{Sched: s})
 				for i := 0; i < b.N; i++ {
-					if _, _, err := prefix.DPrefix(n, in, monoid.Sum[int](), true, nil); err != nil {
+					if _, _, err := PrefixOn(rt, in); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -229,19 +228,18 @@ func BenchmarkSchedulers(b *testing.B) {
 }
 
 // BenchmarkE22SortSchedulers runs the same D_sort workload under all three
-// execution backends — the head-to-head behind the sort kernelization
-// numbers in EXPERIMENTS.md (E22 pins direct at >= 5x over the worker pool
-// on D_4, mirroring what E21 measured for prefix).
+// execution backends, one Runtime each — the head-to-head behind the sort
+// kernelization numbers in EXPERIMENTS.md (E22 pins direct at >= 5x over
+// the worker pool on D_4, mirroring what E21 measured for prefix).
 func BenchmarkE22SortSchedulers(b *testing.B) {
 	for _, n := range []int{4, 5, 6} {
 		in := benchInput(n)
-		for _, s := range []Scheduler{SchedulerWorkerPool, SchedulerGoroutinePerNode, SchedulerDirect} {
+		for _, s := range backends {
 			b.Run(fmt.Sprintf("%v/D_%d", s, n), func(b *testing.B) {
 				b.ReportAllocs()
-				SetSimScheduler(s)
-				defer SetSimScheduler(SchedulerDefault)
+				rt := runtimeWith(b, "dualcube", n, machine.Config{Sched: s})
 				for i := 0; i < b.N; i++ {
-					if _, _, err := sortnet.DSort(n, in, func(a, x int) bool { return a < x }, sortnet.Ascending, nil); err != nil {
+					if _, _, err := SortOn(rt, in, Ascending); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -325,7 +323,7 @@ func BenchmarkPermute(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, N), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.Permute(n, dests, values); err != nil {
+				if _, _, err := sortnet.Permute(machine.Config{}, n, dests, values); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -347,7 +345,7 @@ func BenchmarkAllToAll(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, N), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.AllToAll(n, in); err != nil {
+				if _, _, err := collective.AllToAll(machine.Config{}, n, in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -368,7 +366,7 @@ func BenchmarkSegmentedPrefix(b *testing.B) {
 	b.Run(fmt.Sprintf("D_%d", n), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := prefix.DPrefixSegmented(n, values, heads, monoid.Sum[int]()); err != nil {
+			if _, _, err := prefix.DPrefixSegmented(machine.Config{}, n, values, heads, monoid.Sum[int]()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -405,7 +403,7 @@ func BenchmarkNTT(b *testing.B) {
 		b.Run(fmt.Sprintf("dualcube/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ntt.Transform(n, in, false); err != nil {
+				if _, _, err := ntt.Transform(machine.Config{}, n, in, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,7 +411,7 @@ func BenchmarkNTT(b *testing.B) {
 		b.Run(fmt.Sprintf("hypercube/Q_%d", 2*n-1), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ntt.CubeTransform(n, in, false); err != nil {
+				if _, _, err := ntt.CubeTransform(machine.Config{}, n, in, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -470,7 +468,7 @@ func BenchmarkE17SampleSort(b *testing.B) {
 		b.Run(fmt.Sprintf("samplesort/D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := samplesort.Sort(n, k, in, func(a, b int) bool { return a < b }); err != nil {
+				if _, _, err := samplesort.Sort(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -478,7 +476,7 @@ func BenchmarkE17SampleSort(b *testing.B) {
 		b.Run(fmt.Sprintf("bitonic/D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.DSortLarge(n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
+				if _, _, err := sortnet.DSortLarge(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,9 +8,6 @@
 //	dcbench                  # run every experiment
 //	dcbench -exp E8          # one experiment; the id list in -h comes from
 //	                         # the registry (internal/experiments/registry.go)
-//	dcbench -json            # benchmark sweep as JSON lines: one point per
-//	                         # experiment (name, order, ns/op, allocs/op, cycles)
-//	dcbench -json -sched worker-pool  # same sweep on an explicit backend
 //	dcbench -faults          # fault sweep: degraded D_prefix on D_4..D_6, f = 0..n-1
 //	dcbench -faults -json    # fault sweep as JSON lines (one point per line)
 //	dcbench -faults -seed 7  # sweep under a different plan seed
@@ -35,8 +32,7 @@ func main() {
 	// rot as experiments are added.
 	exp := flag.String("exp", "all", "experiment id ("+experiments.IDList()+") or 'all'")
 	faults := flag.Bool("faults", false, "run the seeded fault sweep (degraded D_prefix, f = 0..n-1 on D_4..D_6)")
-	jsonOut := flag.Bool("json", false, "emit JSON lines: alone, the benchmark sweep (one point per experiment); with -faults, the fault sweep")
-	sched := flag.String("sched", "", "with -json: backend to benchmark (direct, worker-pool, goroutine-per-node; empty = package defaults)")
+	jsonOut := flag.Bool("json", false, "with -faults: emit the fault sweep as JSON lines")
 	seed := flag.Int64("seed", 2008, "base seed for the fault-sweep plans")
 	warm := flag.Bool("warm", false, "run E20: cold-vs-warm per-call wall time of D_prefix (D_4..D_n)")
 	maxN := flag.Int("n", 6, "with -warm: largest dual-cube order to sweep")
@@ -44,6 +40,10 @@ func main() {
 	coldprobe := flag.Int("coldprobe", 0, "internal: time one cold D_prefix call on D_n and print ns (used by -warm subprocesses)")
 	warmprobe := flag.Int("warmprobe", 0, "internal: print the median warm D_prefix ns/call on D_n over -runs calls (used by -warm subprocesses)")
 	flag.Parse()
+	if *jsonOut && !*faults {
+		fmt.Fprintln(os.Stderr, "dcbench: -json applies to -faults only")
+		os.Exit(2)
+	}
 
 	if *coldprobe > 0 {
 		d, err := experiments.ColdCallOnce(*coldprobe)
@@ -75,8 +75,6 @@ func main() {
 		} else {
 			out, err = experiments.E18FaultSweep(4, 6, *seed)
 		}
-	case *jsonOut:
-		out, err = experiments.BenchJSON(*sched, 5)
 	default:
 		if *exp == "all" {
 			out, err = experiments.All()

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/prefix"
 	"dualcube/internal/topology"
@@ -53,7 +54,7 @@ func main() {
 
 	fmt.Printf("parallel prefix (sum) on %s: %d nodes, input %s\n\n", d.Name(), d.Nodes(), *input)
 	var tr prefix.Trace[int]
-	out, st, err := prefix.DPrefix(*n, in, monoid.Sum[int](), !*diminished, &tr)
+	out, st, err := prefix.DPrefix(machine.Config{}, *n, in, monoid.Sum[int](), !*diminished, &tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,7 +67,7 @@ func main() {
 	fmt.Printf("messages: %d\n", st.Messages)
 
 	if *spacetime {
-		_, _, rec, err := prefix.DPrefixRecorded(*n, in, monoid.Sum[int](), !*diminished)
+		_, _, rec, err := prefix.DPrefixRecorded(machine.Config{}, *n, in, monoid.Sum[int](), !*diminished)
 		if err != nil {
 			fatal(err)
 		}

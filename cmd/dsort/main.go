@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/sortnet"
 	"dualcube/internal/topology"
 	"dualcube/internal/trace"
@@ -38,7 +39,7 @@ func main() {
 
 	fmt.Printf("bitonic sort on %s (%d nodes, %s):\n\n", d.Name(), d.Nodes(), ord)
 	var tr sortnet.Trace[int]
-	out, st, err := sortnet.DSort(*n, in, func(a, b int) bool { return a < b }, ord, &tr)
+	out, st, err := sortnet.DSort(machine.Config{}, *n, in, func(a, b int) bool { return a < b }, ord, &tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -53,7 +54,7 @@ func main() {
 	fmt.Printf("messages: %d\n", st.Messages)
 
 	if *spacetime {
-		_, _, rec, err := sortnet.DSortRecorded(*n, in, func(a, b int) bool { return a < b }, ord)
+		_, _, rec, err := sortnet.DSortRecorded(machine.Config{}, *n, in, func(a, b int) bool { return a < b }, ord)
 		if err != nil {
 			fatal(err)
 		}

@@ -2,67 +2,18 @@ package dualcube
 
 import (
 	"fmt"
-	"time"
 
 	"dualcube/internal/fault"
 	"dualcube/internal/machine"
 	"dualcube/internal/topology"
 )
 
-// Scheduler selects the execution backend used by all algorithm entry
-// points of this package. See the internal/machine package comment for the
-// semantics; every backend produces identical results and Stats. With no
-// selection, schedule-driven operations use the direct kernel executor and
-// everything else uses the worker-pool engine.
-type Scheduler = machine.Sched
-
-const (
-	// SchedulerDefault restores the default backend selection: the direct
-	// kernel executor for schedule-driven operations, the worker pool for
-	// engine runs.
-	SchedulerDefault Scheduler = machine.SchedDefault
-	// SchedulerWorkerPool is the engine default: a stepped scheduler with
-	// W ≈ GOMAXPROCS workers advancing node coroutines cycle-by-cycle and
-	// synchronizing through a W-party sense-reversing barrier.
-	SchedulerWorkerPool Scheduler = machine.SchedWorkerPool
-	// SchedulerGoroutinePerNode is the original engine: one goroutine per
-	// node, an N-party barrier per clock cycle. Slower, but it tolerates
-	// node programs that block on synchronization of their own between
-	// clock boundaries.
-	SchedulerGoroutinePerNode Scheduler = machine.SchedGoroutinePerNode
-	// SchedulerDirect is the direct kernel executor: schedule-driven
-	// operations (prefix, the collectives) run as array kernels over flat
-	// state — no coroutines, no lockstep barrier — reproducing the
-	// interpreter's outputs and Stats exactly. This is the default for
-	// schedule-driven operations when no scheduler is selected; selecting it
-	// explicitly keeps direct execution while engine-only runs (RunRecorded,
-	// custom node programs) fall back to the worker pool.
-	SchedulerDirect Scheduler = machine.SchedDirect
-)
-
-// SetSimScheduler selects the execution backend for all subsequent runs.
-// The zero value machine.SchedDefault restores the defaults (direct kernel
-// execution for schedule-driven operations, the worker pool for engine
-// runs). Selecting an engine scheduler forces every operation — including
-// schedule-driven ones — through that engine. Affects process-wide state; intended for program
-// start-up or test setup, not for concurrent reconfiguration.
-func SetSimScheduler(s Scheduler) { machine.SetDefaultSched(s) }
-
-// SetSimTimeout overrides the simulator watchdog for all subsequent runs.
-// The watchdog aborts runs that stop making progress (for example, a node
-// program blocked outside the machine's primitives). d <= 0 restores the
-// default, which scales with machine size: 60s plus 30ms per node.
-func SetSimTimeout(d time.Duration) { machine.SetDefaultTimeout(d) }
-
-// SetSimWorkers overrides the worker-pool size for all subsequent runs.
-// k <= 0 restores the default (GOMAXPROCS). The pool clamps the count to
-// the machine's node count.
-func SetSimWorkers(k int) { machine.SetDefaultWorkers(k) }
-
 // FaultPlan is a seeded, reproducible fault scenario for the simulator:
 // permanent link and node failures plus transient per-message drop/delay
 // noise. The same plan (or two plans with equal fields) always produces the
-// same faults and the same Stats.Faults, under either scheduler.
+// same faults and the same Stats.Faults, under every backend. The
+// degraded-mode prefix (PrefixDegraded and its variants) takes a plan per
+// call; no other operation runs under one.
 type FaultPlan = fault.Plan
 
 // FaultLink names one undirected dual-cube link inside a FaultPlan.
@@ -70,14 +21,6 @@ type FaultLink = fault.Link
 
 // FaultStats is the per-run fault breakdown reported in Stats.Faults.
 type FaultStats = machine.FaultStats
-
-// SetSimFaultPlan arms plan for every subsequent simulated run of this
-// package's algorithms; nil disarms (the default — with no plan armed the
-// simulator's send path is unchanged from the fault-free engine). Algorithms
-// that are not fault-tolerant abort with a protocol error when their schedule
-// touches failed hardware; PrefixDegraded arms its own plan explicitly and
-// survives it. Process-wide, like SetSimScheduler.
-func SetSimFaultPlan(plan *FaultPlan) { machine.SetDefaultFaults(plan.Spec()) }
 
 // RandomFaultPlan builds a seeded plan of f random permanent link faults on
 // D_n. Keep f <= n-1 (the link connectivity of D_n) for the guarantee that

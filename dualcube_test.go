@@ -2,8 +2,12 @@ package dualcube
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
 )
@@ -505,20 +509,76 @@ func TestPrefixDegradedFacade(t *testing.T) {
 	}
 }
 
-// TestSetSimFaultPlanArms checks the process-wide hook: with a plan armed, a
-// non-fault-tolerant algorithm touching a failed link aborts with a protocol
-// error, and disarming restores normal operation.
-func TestSetSimFaultPlanArms(t *testing.T) {
-	const n = 2
-	plan := &FaultPlan{Links: []FaultLink{{U: 0, V: 1}}}
-	SetSimFaultPlan(plan)
-	defer SetSimFaultPlan(nil)
-	in := make([]int, 1<<(2*n-1))
-	if _, _, err := Prefix(n, in); err == nil {
-		t.Fatal("Prefix over a failed link succeeded with a plan armed")
+// TestRuntimeConfigIsolation runs three users of the library at once: a
+// serving front-end answering prefix requests on a healthy D_3 shard, a
+// Runtime on the worker-pool engine armed with RandomFaultPlan(3, 2, 7),
+// and a default Runtime. Execution configuration belongs to one Runtime, so
+// the plan must fail the armed Runtime's prefix on a failed link and reach
+// nothing else: every served prefix and every default-Runtime prefix and
+// sort must match internal/seq. Under -race it also checks that the three
+// share no unsynchronized state.
+func TestRuntimeConfigIsolation(t *testing.T) {
+	const n, rounds = 3, 20
+	plan, err := RandomFaultPlan(n, 2, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SetSimFaultPlan(nil)
-	if _, _, err := Prefix(n, in); err != nil {
-		t.Fatalf("disarmed Prefix failed: %v", err)
+	armed := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedWorkerPool, Faults: plan.Spec()})
+	healthy, err := NewRuntime(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv, err := NewServer(ServeConfig{Orders: []int{n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := NewServeClient(srv)
+
+	in := make([]int64, healthy.Nodes())
+	keys := make([]int64, healthy.Nodes())
+	for i := range in {
+		in[i] = int64(i*7919%101) - 50
+		keys[i] = int64(i * 2654435761 % 97)
+	}
+	wantPrefix := seq.ScanInclusive(in, monoid.Sum[int64]())
+	wantSorted := seq.Sorted(keys, func(a, b int64) bool { return a < b })
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			resp, err := client.Prefix(n, in)
+			if err != nil || !slices.Equal(resp.Data, wantPrefix) {
+				t.Errorf("served prefix %d on the healthy shard: err = %v, or wrong result", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, _, err := PrefixOn(armed, in); err == nil || !strings.Contains(err.Error(), "on a failed link") {
+				t.Errorf("prefix %d on the armed Runtime: err = %v, want a failed-link error", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			got, _, err := PrefixOn(healthy, in)
+			if err != nil || !slices.Equal(got, wantPrefix) {
+				t.Errorf("prefix %d on the default Runtime: err = %v, or wrong result", i, err)
+				return
+			}
+			sorted, _, err := SortOn(healthy, keys, Ascending)
+			if err != nil || !slices.Equal(sorted, wantSorted) {
+				t.Errorf("sort %d on the default Runtime: err = %v, or wrong result", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -4,20 +4,22 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"dualcube/internal/machine"
 )
 
 // FuzzDirectVsInterpret is the differential fuzzer for the direct kernel
-// executor: random monoid inputs — and, when the seed selects one, a seeded
-// fault plan — run through both the direct executor and the worker-pool
-// interpreter, which must produce identical outputs and identical Stats.
-// Three probes per input: sum prefix (fault-free or degraded under the
-// plan), a non-commutative mixing combine (order mistakes that a sum
-// conceals change the result), and the all-reduce collective.
+// executor: random monoid inputs run through a direct-executor Runtime and a
+// worker-pool Runtime, which must produce identical outputs and identical
+// Stats. When the seed selects a fault plan, the sum prefix and a
+// non-commutative mixing prefix (order mistakes that a sum conceals change
+// the result) first run degraded under it on the dual-cube.
 //
-// The fault-free probes then sweep every topology family: per family the
-// direct executor must reproduce the interpreter, and the hypercube and
-// Z-cube runs must reproduce the dual-cube run bit-for-bit — outputs and
-// Stats — since their schedules execute over the embedded D_n skeleton.
+// The fault-free probes — the two prefixes and the all-reduce collective —
+// then sweep every topology family: per family the direct executor must
+// reproduce the interpreter, and the hypercube and Z-cube runs must
+// reproduce the dual-cube run bit-for-bit — outputs and Stats — since their
+// schedules execute over the embedded D_n skeleton.
 func FuzzDirectVsInterpret(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(3), uint8(1))
@@ -25,6 +27,7 @@ func FuzzDirectVsInterpret(f *testing.F) {
 	f.Add(int64(42), uint8(5), uint8(4))
 	f.Add(int64(-7), uint8(3), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, order, faults uint8) {
+		t.Parallel()
 		n := 2 + int(order)%4 // D_2 .. D_5
 		N := 1 << (2*n - 1)
 		rng := rand.New(rand.NewSource(seed))
@@ -43,49 +46,45 @@ func FuzzDirectVsInterpret(f *testing.F) {
 		}
 		mix := func(a, b int) int { return a*1000003 + b }
 
-		defer SetSimScheduler(SchedulerDefault)
 		type probe struct {
 			name string
-			run  func() (any, Stats, error)
+			run  func(rt *Runtime) (any, Stats, error)
 		}
-		probes := []probe{
-			{"prefix", func() (any, Stats, error) {
-				if plan != nil {
-					out, st, err := PrefixDegraded(n, in, plan)
-					return out, st, err
-				}
-				out, st, err := Prefix(n, in)
-				return out, st, err
-			}},
-			{"prefix-noncommutative", func() (any, Stats, error) {
-				if plan != nil {
-					out, st, err := PrefixDegradedFunc(n, in, func() int { return 0 }, mix, true, plan)
-					return out, st, err
-				}
-				out, st, err := PrefixFunc(n, in, func() int { return 0 }, mix, true)
-				return out, st, err
-			}},
-			{"allreduce", func() (any, Stats, error) {
-				out, st, err := AllReduceSum(n, in)
-				return out, st, err
-			}},
-		}
-		for _, p := range probes {
-			SetSimScheduler(SchedulerDirect)
-			directOut, directStats, directErr := p.run()
-			SetSimScheduler(SchedulerWorkerPool)
-			poolOut, poolStats, poolErr := p.run()
+		same := func(label string, p probe, direct, pool *Runtime) (any, Stats, bool) {
+			directOut, directStats, directErr := p.run(direct)
+			poolOut, poolStats, poolErr := p.run(pool)
 			if (directErr == nil) != (poolErr == nil) {
-				t.Fatalf("%s: error divergence: direct=%v pool=%v", p.name, directErr, poolErr)
+				t.Fatalf("%s: error divergence: direct=%v pool=%v", label, directErr, poolErr)
 			}
 			if directErr != nil {
-				continue // both rejected the input identically
+				return nil, Stats{}, false // both rejected the input identically
 			}
 			if directStats != poolStats {
-				t.Errorf("%s: stats diverge\n  direct: %+v\n  pool:   %+v", p.name, directStats, poolStats)
+				t.Errorf("%s: stats diverge\n  direct: %+v\n  pool:   %+v", label, directStats, poolStats)
 			}
 			if !reflect.DeepEqual(directOut, poolOut) {
-				t.Errorf("%s: outputs diverge between direct executor and interpreter", p.name)
+				t.Errorf("%s: outputs diverge between direct executor and interpreter", label)
+			}
+			return directOut, directStats, true
+		}
+		runtimes := func(fam string) (direct, pool *Runtime) {
+			return runtimeWith(t, fam, n, machine.Config{Sched: machine.SchedDirect}),
+				runtimeWith(t, fam, n, machine.Config{Sched: machine.SchedWorkerPool})
+		}
+
+		if plan != nil {
+			direct, pool := runtimes("dualcube")
+			for _, p := range []probe{
+				{"prefix", func(rt *Runtime) (any, Stats, error) {
+					out, st, err := PrefixDegradedOn(rt, in, plan)
+					return out, st, err
+				}},
+				{"prefix-noncommutative", func(rt *Runtime) (any, Stats, error) {
+					out, st, err := PrefixDegradedFuncOn(rt, in, func() int { return 0 }, mix, true, plan)
+					return out, st, err
+				}},
+			} {
+				same("degraded/"+p.name, p, direct, pool)
 			}
 		}
 
@@ -95,50 +94,34 @@ func FuzzDirectVsInterpret(f *testing.F) {
 		}
 		oracle := make(map[string]result)
 		for _, fam := range Families() {
-			rt, err := NewRuntimeOn(fam, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			famProbes := []probe{
-				{"prefix", func() (any, Stats, error) {
+			direct, pool := runtimes(fam)
+			for _, p := range []probe{
+				{"prefix", func(rt *Runtime) (any, Stats, error) {
 					out, st, err := PrefixOn(rt, in)
 					return out, st, err
 				}},
-				{"prefix-noncommutative", func() (any, Stats, error) {
+				{"prefix-noncommutative", func(rt *Runtime) (any, Stats, error) {
 					out, st, err := PrefixFuncOn(rt, in, func() int { return 0 }, mix, true)
 					return out, st, err
 				}},
-				{"allreduce", func() (any, Stats, error) {
+				{"allreduce", func(rt *Runtime) (any, Stats, error) {
 					out, st, err := AllReduceSumOn(rt, in)
 					return out, st, err
 				}},
-			}
-			for _, p := range famProbes {
-				SetSimScheduler(SchedulerDirect)
-				directOut, directStats, directErr := p.run()
-				if directErr != nil {
-					t.Fatalf("%s/%s: direct: %v", fam, p.name, directErr)
-				}
-				SetSimScheduler(SchedulerWorkerPool)
-				poolOut, poolStats, poolErr := p.run()
-				if poolErr != nil {
-					t.Fatalf("%s/%s: pool: %v", fam, p.name, poolErr)
-				}
-				if directStats != poolStats {
-					t.Errorf("%s/%s: stats diverge\n  direct: %+v\n  pool:   %+v", fam, p.name, directStats, poolStats)
-				}
-				if !reflect.DeepEqual(directOut, poolOut) {
-					t.Errorf("%s/%s: outputs diverge between direct executor and interpreter", fam, p.name)
+			} {
+				out, st, ok := same(fam+"/"+p.name, p, direct, pool)
+				if !ok {
+					t.Fatalf("%s/%s: rejected a fault-free input", fam, p.name)
 				}
 				if fam == "dualcube" {
-					oracle[p.name] = result{directOut, directStats}
+					oracle[p.name] = result{out, st}
 					continue
 				}
 				ref := oracle[p.name]
-				if directStats != ref.st {
-					t.Errorf("%s/%s: stats diverge from the dual-cube oracle\n  dualcube: %+v\n  %s: %+v", fam, p.name, ref.st, fam, directStats)
+				if st != ref.st {
+					t.Errorf("%s/%s: stats diverge from the dual-cube oracle\n  dualcube: %+v\n  %s: %+v", fam, p.name, ref.st, fam, st)
 				}
-				if !reflect.DeepEqual(directOut, ref.out) {
+				if !reflect.DeepEqual(out, ref.out) {
 					t.Errorf("%s/%s: outputs diverge from the dual-cube oracle", fam, p.name)
 				}
 			}
@@ -160,6 +143,7 @@ func FuzzDirectVsInterpretVCollectives(f *testing.F) {
 	f.Add(int64(-9), uint8(3), uint8(255), uint8(3))
 	f.Add(int64(1<<40), uint8(2), uint8(128), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, order, rootSeed, shape uint8) {
+		t.Parallel()
 		n := 2 + int(order)%4 // D_2 .. D_5
 		N := 1 << (2*n - 1)
 		root := int(rootSeed) % N
@@ -212,54 +196,46 @@ func FuzzDirectVsInterpretVCollectives(f *testing.F) {
 
 		type probe struct {
 			name string
-			run  func() (any, Stats, error)
+			run  func(rt *Runtime) (any, Stats, error)
 		}
 		probes := []probe{
-			{"gather", func() (any, Stats, error) {
-				out, st, err := Gather(n, root, in)
+			{"gather", func(rt *Runtime) (any, Stats, error) {
+				out, st, err := GatherOn(rt, root, in)
 				return out, st, err
 			}},
-			{"scatter", func() (any, Stats, error) {
-				out, st, err := Scatter(n, root, in)
+			{"scatter", func(rt *Runtime) (any, Stats, error) {
+				out, st, err := ScatterOn(rt, root, in)
 				return out, st, err
 			}},
-			{"allgather", func() (any, Stats, error) {
-				out, st, err := AllGather(n, in)
+			{"allgather", func(rt *Runtime) (any, Stats, error) {
+				out, st, err := AllGatherOn(rt, in)
 				return out, st, err
 			}},
-			{"alltoall", func() (any, Stats, error) {
-				out, st, err := AllToAll(n, a2a)
+			{"alltoall", func(rt *Runtime) (any, Stats, error) {
+				out, st, err := AllToAllOn(rt, a2a)
 				return out, st, err
 			}},
-			{"alltoallv", func() (any, Stats, error) {
-				out, st, err := AllToAllV(n, a2av)
+			{"alltoallv", func(rt *Runtime) (any, Stats, error) {
+				out, st, err := AllToAllVOn(rt, a2av)
 				return out, st, err
 			}},
 		}
-		defer SetSimScheduler(SchedulerDefault)
+		direct := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDirect})
 		for _, p := range probes {
-			SetSimScheduler(SchedulerDirect)
-			directOut, directStats, err := p.run()
+			directOut, directStats, err := p.run(direct)
 			if err != nil {
 				t.Fatalf("%s: direct: %v", p.name, err)
 			}
-			for _, alt := range []struct {
-				name  string
-				sched Scheduler
-			}{
-				{"worker-pool", SchedulerWorkerPool},
-				{"goroutine-per-node", SchedulerGoroutinePerNode},
-			} {
-				SetSimScheduler(alt.sched)
-				out, st, err := p.run()
+			for _, s := range []machine.Sched{machine.SchedWorkerPool, machine.SchedGoroutinePerNode} {
+				out, st, err := p.run(runtimeWith(t, "dualcube", n, machine.Config{Sched: s}))
 				if err != nil {
-					t.Fatalf("%s/%s: %v", p.name, alt.name, err)
+					t.Fatalf("%s/%v: %v", p.name, s, err)
 				}
 				if st != directStats {
-					t.Errorf("%s/%s: stats diverge\n  direct: %+v\n  engine: %+v", p.name, alt.name, directStats, st)
+					t.Errorf("%s/%v: stats diverge\n  direct: %+v\n  engine: %+v", p.name, s, directStats, st)
 				}
 				if !reflect.DeepEqual(out, directOut) {
-					t.Errorf("%s/%s: outputs diverge from the direct executor", p.name, alt.name)
+					t.Errorf("%s/%v: outputs diverge from the direct executor", p.name, s)
 				}
 			}
 		}
@@ -284,6 +260,7 @@ func FuzzDirectVsInterpretSort(f *testing.F) {
 	f.Add(int64(4), uint8(1), false, uint8(2))
 	f.Add(int64(5), uint8(2), true, uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, order uint8, descending bool, chunk uint8) {
+		t.Parallel()
 		n := 2 + int(order)%3 // D_2 .. D_4
 		k := 1 + int(chunk)%8 // keys per node
 		N := 1 << (2*n - 1)
@@ -300,36 +277,28 @@ func FuzzDirectVsInterpretSort(f *testing.F) {
 		for i := range tagged {
 			tagged[i] = tieKey{Key: uint8(rng.Intn(4)), Tag: uint16(i)}
 		}
-		run := func() (any, Stats, error) {
+		run := func(s machine.Sched) (any, Stats, error) {
+			rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: s})
 			if k == 1 {
-				return Sort(n, in, ord)
+				return SortOn(rt, in, ord)
 			}
-			return SortLargeFunc(n, k, tagged, tieLess, ord)
+			return SortLargeFuncOn(rt, k, tagged, tieLess, ord)
 		}
 
-		defer SetSimScheduler(SchedulerDefault)
-		SetSimScheduler(SchedulerDirect)
-		directOut, directStats, err := run()
+		directOut, directStats, err := run(machine.SchedDirect)
 		if err != nil {
 			t.Fatalf("direct: %v", err)
 		}
-		for _, alt := range []struct {
-			name  string
-			sched Scheduler
-		}{
-			{"worker-pool", SchedulerWorkerPool},
-			{"goroutine-per-node", SchedulerGoroutinePerNode},
-		} {
-			SetSimScheduler(alt.sched)
-			out, st, err := run()
+		for _, s := range []machine.Sched{machine.SchedWorkerPool, machine.SchedGoroutinePerNode} {
+			out, st, err := run(s)
 			if err != nil {
-				t.Fatalf("%s: %v", alt.name, err)
+				t.Fatalf("%v: %v", s, err)
 			}
 			if st != directStats {
-				t.Errorf("%s: stats diverge\n  direct: %+v\n  engine: %+v", alt.name, directStats, st)
+				t.Errorf("%v: stats diverge\n  direct: %+v\n  engine: %+v", s, directStats, st)
 			}
 			if !reflect.DeepEqual(out, directOut) {
-				t.Errorf("%s: outputs diverge from the direct executor (k=%d)\n  direct: %v\n  engine: %v", alt.name, k, directOut, out)
+				t.Errorf("%v: outputs diverge from the direct executor (k=%d)\n  direct: %v\n  engine: %v", s, k, directOut, out)
 			}
 		}
 	})

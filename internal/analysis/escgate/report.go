@@ -3,7 +3,6 @@ package escgate
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // Report is the machine-readable escape/BCE summary emitted by
@@ -72,14 +71,4 @@ func (r *Report) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// TrackedNames returns the tracked function names sorted, for text output.
-func (r *Report) TrackedNames() []string {
-	names := make([]string, 0, len(r.Tracked))
-	for fn := range r.Tracked {
-		names = append(names, fn)
-	}
-	sort.Strings(names)
-	return names
 }

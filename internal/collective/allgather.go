@@ -20,7 +20,7 @@ import (
 // adjacent runs. The kernel moves only extents over one shared arena; the
 // host verifies every node assembled the full run and materializes the
 // per-node rows from one backing slab (two result allocations total).
-func AllGather[T any](n int, in []T) ([][]T, machine.Stats, error) {
+func AllGather[T any](cfg machine.Config, n int, in []T) ([][]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -36,7 +36,7 @@ func AllGather[T any](n int, in []T) ([][]T, machine.Stats, error) {
 	copy(pl.Vals, in) // the arena IS the element sequence
 
 	agk := &allGatherKernel[T]{d: d, mdim: m, pl: pl}
-	st, err := dcomm.Execute(sch, machine.Config{}, agk)
+	st, err := dcomm.Execute(sch, cfg, agk)
 	if err != nil {
 		return nil, st, err
 	}

@@ -32,7 +32,7 @@ import (
 // (src·N + dst) move by copy through fixed stride-N regions, double-
 // buffered send planes carrying each round's outgoing run — so a warm call
 // allocates only the result slab plus fixed run bookkeeping.
-func AllToAll[T any](n int, in [][]T) ([][]T, machine.Stats, error) {
+func AllToAll[T any](cfg machine.Config, n int, in [][]T) ([][]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -53,7 +53,7 @@ func AllToAll[T any](n int, in [][]T) ([][]T, machine.Stats, error) {
 	for i, row := range in {
 		copy(vals[i*N:(i+1)*N], row)
 	}
-	st, err := rk.execute()
+	st, err := rk.execute(cfg)
 	if err != nil {
 		return nil, st, err
 	}
@@ -129,8 +129,8 @@ type routeKernel[T any] struct {
 	pl        *machine.RoutePlane[T]
 }
 
-func (rk *routeKernel[T]) execute() (machine.Stats, error) {
-	return dcomm.Execute(rk.sch, machine.Config{}, rk)
+func (rk *routeKernel[T]) execute(cfg machine.Config) (machine.Stats, error) {
+	return dcomm.Execute(rk.sch, cfg, rk)
 }
 
 // nodeErr formats node u's post-run delivery error (or nil): the kernel's
@@ -276,8 +276,8 @@ func (rk *routeKernel[T]) Local(dc *machine.DirectCtx, k, u int) {}
 // total exchange (2n rounds) followed by a local reduction round; on a
 // machine with wormhole combining one could fold en route, but the round
 // count — which is what the paper's model prices — is the same.
-func ReduceScatter[T any](n int, in [][]T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
-	trans, st, err := AllToAll(n, in)
+func ReduceScatter[T any](cfg machine.Config, n int, in [][]T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
+	trans, st, err := AllToAll(cfg, n, in)
 	if err != nil {
 		return nil, st, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 )
 
@@ -19,7 +20,7 @@ func TestAllToAllTranspose(t *testing.T) {
 				in[i][j] = i*N + j
 			}
 		}
-		out, st, err := AllToAll(n, in)
+		out, st, err := AllToAll(machine.Config{}, n, in)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -46,7 +47,7 @@ func TestAllToAllStrings(t *testing.T) {
 			in[i][j] = fmt.Sprintf("%d->%d", i, j)
 		}
 	}
-	out, _, err := AllToAll(n, in)
+	out, _, err := AllToAll(machine.Config{}, n, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestAllToAllInvolution(t *testing.T) {
 			in[i][j] = rng.Int()
 		}
 	}
-	once, _, err := AllToAll(n, in)
+	once, _, err := AllToAll(machine.Config{}, n, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, _, err := AllToAll(n, once)
+	twice, _, err := AllToAll(machine.Config{}, n, once)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestAllToAllInvolution(t *testing.T) {
 }
 
 func TestAllToAllBadArgs(t *testing.T) {
-	if _, _, err := AllToAll(2, make([][]int, 3)); err == nil {
+	if _, _, err := AllToAll(machine.Config{}, 2, make([][]int, 3)); err == nil {
 		t.Error("wrong row count should fail")
 	}
 	bad := make([][]int, 8)
@@ -93,10 +94,10 @@ func TestAllToAllBadArgs(t *testing.T) {
 		bad[i] = make([]int, 8)
 	}
 	bad[3] = make([]int, 5)
-	if _, _, err := AllToAll(2, bad); err == nil {
+	if _, _, err := AllToAll(machine.Config{}, 2, bad); err == nil {
 		t.Error("ragged matrix should fail")
 	}
-	if _, _, err := AllToAll[int](0, nil); err == nil {
+	if _, _, err := AllToAll[int](machine.Config{}, 0, nil); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -113,7 +114,7 @@ func TestAllToAllQuick(t *testing.T) {
 				in[i][j] = rng.Intn(1 << 20)
 			}
 		}
-		out, _, err := AllToAll(n, in)
+		out, _, err := AllToAll(machine.Config{}, n, in)
 		if err != nil {
 			return false
 		}
@@ -141,7 +142,7 @@ func TestReduceScatter(t *testing.T) {
 				in[i][j] = i + j*100
 			}
 		}
-		out, st, err := ReduceScatter(n, in, monoid.Sum[int]())
+		out, st, err := ReduceScatter(machine.Config{}, n, in, monoid.Sum[int]())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -167,7 +168,7 @@ func TestReduceScatterNonCommutative(t *testing.T) {
 			in[i][j] = string(rune('a' + i)) // contribution tagged by source
 		}
 	}
-	out, _, err := ReduceScatter(n, in, monoid.Concat())
+	out, _, err := ReduceScatter(machine.Config{}, n, in, monoid.Concat())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestReduceScatterNonCommutative(t *testing.T) {
 }
 
 func TestReduceScatterBadArgs(t *testing.T) {
-	if _, _, err := ReduceScatter(0, nil, monoid.Sum[int]()); err == nil {
+	if _, _, err := ReduceScatter(machine.Config{}, 0, nil, monoid.Sum[int]()); err == nil {
 		t.Error("order 0 should fail")
 	}
 }

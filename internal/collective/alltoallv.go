@@ -19,7 +19,7 @@ import (
 // concatenated values sit still in the flat arena behind a CSR offset
 // table indexed by id, and only the int32 ids route. The host carves each
 // delivered bundle out of one result slab; empty bundles come back nil.
-func AllToAllV[T any](n int, in [][][]T) ([][][]T, machine.Stats, error) {
+func AllToAllV[T any](cfg machine.Config, n int, in [][][]T) ([][][]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -53,7 +53,7 @@ func AllToAllV[T any](n int, in [][][]T) ([][][]T, machine.Stats, error) {
 			copy(vals[voff[i*N+j]:], b)
 		}
 	}
-	st, err := rk.execute()
+	st, err := rk.execute(cfg)
 	if err != nil {
 		return nil, st, err
 	}

@@ -3,6 +3,8 @@ package collective
 import (
 	"math/rand"
 	"testing"
+
+	"dualcube/internal/machine"
 )
 
 func TestAllToAllVTranspose(t *testing.T) {
@@ -19,7 +21,7 @@ func TestAllToAllVTranspose(t *testing.T) {
 				}
 			}
 		}
-		out, st, err := AllToAllV(n, in)
+		out, st, err := AllToAllV(machine.Config{}, n, in)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -52,7 +54,7 @@ func TestAllToAllVHeavySkew(t *testing.T) {
 	for j := 0; j < N; j++ {
 		in[3][j] = []int{j * 7, j*7 + 1}
 	}
-	out, _, err := AllToAllV(n, in)
+	out, _, err := AllToAllV(machine.Config{}, n, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestAllToAllVHeavySkew(t *testing.T) {
 }
 
 func TestAllToAllVBadArgs(t *testing.T) {
-	if _, _, err := AllToAllV(2, make([][][]int, 3)); err == nil {
+	if _, _, err := AllToAllV(machine.Config{}, 2, make([][][]int, 3)); err == nil {
 		t.Error("wrong row count should fail")
 	}
 	bad := make([][][]int, 8)
@@ -77,10 +79,10 @@ func TestAllToAllVBadArgs(t *testing.T) {
 		bad[i] = make([][]int, 8)
 	}
 	bad[2] = make([][]int, 4)
-	if _, _, err := AllToAllV(2, bad); err == nil {
+	if _, _, err := AllToAllV(machine.Config{}, 2, bad); err == nil {
 		t.Error("ragged matrix should fail")
 	}
-	if _, _, err := AllToAllV[int](0, nil); err == nil {
+	if _, _, err := AllToAllV[int](machine.Config{}, 0, nil); err == nil {
 		t.Error("order 0 should fail")
 	}
 }

@@ -15,8 +15,9 @@
 // receive, exchange, idle) and payload, the schedule supplies the partner.
 // dcomm.Execute routes every kernel — through the direct array executor by
 // default, or through a simulator engine running the identical kernel when
-// an engine scheduler is selected — so both execution paths are one
-// algorithm per operation.
+// the caller's machine.Config (every entry point's first argument) names an
+// engine scheduler — so both execution paths are one algorithm per
+// operation.
 package collective
 
 import (
@@ -41,18 +42,18 @@ import (
 //     cover every node of root's class — delivering the value everywhere.
 //
 // The returned slice is indexed by node ID.
-func Broadcast[T any](n int, root topology.NodeID, value T) ([]T, machine.Stats, error) {
+func Broadcast[T any](cfg machine.Config, n int, root topology.NodeID, value T) ([]T, machine.Stats, error) {
 	d, err := topology.Shared(n)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return BroadcastOn(d, root, value)
+	return BroadcastOn(cfg, d, root, value)
 }
 
 // BroadcastOn is Broadcast over an explicit communication topology: the
 // binomial flood uses only the cluster decomposition, so it runs unchanged
 // on any Comm (dual-cube, odd hypercube, Z-cube).
-func BroadcastOn[T any](d topology.Comm, root topology.NodeID, value T) ([]T, machine.Stats, error) {
+func BroadcastOn[T any](cfg machine.Config, d topology.Comm, root topology.NodeID, value T) ([]T, machine.Stats, error) {
 	if root < 0 || root >= d.Nodes() {
 		return nil, machine.Stats{}, fmt.Errorf("collective: root %d out of range", root)
 	}
@@ -73,7 +74,7 @@ func BroadcastOn[T any](d topology.Comm, root topology.NodeID, value T) ([]T, ma
 	}
 	bk.have[root] = true
 	out[root] = value
-	st, err := dcomm.Execute(sch, machine.Config{}, bk)
+	st, err := dcomm.Execute(sch, cfg, bk)
 	if err != nil {
 		return nil, st, err
 	}
@@ -173,17 +174,17 @@ func (bk *broadcastKernel[T]) Local(dc *machine.DirectCtx, k, u int) {}
 // Values are combined in deterministic element order (class-0 elements
 // before class-1, clusters in index order), so non-commutative monoids
 // receive the in-order reduction of the block data layout.
-func AllReduce[T any](n int, in []T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
+func AllReduce[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return AllReduceOn(d, in, m)
+	return AllReduceOn(cfg, d, in, m)
 }
 
 // AllReduceOn is AllReduce over an explicit communication topology — the
 // double recursive-doubling reduction runs unchanged on any Comm.
-func AllReduceOn[T any](d topology.Comm, in []T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
+func AllReduceOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
 	if err := topology.ValidLen(d, len(in)); err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -197,7 +198,7 @@ func AllReduceOn[T any](d topology.Comm, in []T, m monoid.Monoid[T]) ([]T, machi
 		d: d, m: m, mdim: mdim,
 		in: in, out: out, t: make([]T, d.Nodes()),
 	}
-	st, err := dcomm.Execute(sch, machine.Config{}, ak)
+	st, err := dcomm.Execute(sch, cfg, ak)
 	if err != nil {
 		return nil, st, err
 	}
@@ -269,7 +270,7 @@ func (ak *allReduceKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
 // result as seen by root. It runs AllReduce and projects — the dual-cube
 // communication cost is the same 2n steps either way, matching the
 // network's diameter.
-func Reduce[T any](n int, root topology.NodeID, in []T, m monoid.Monoid[T]) (T, machine.Stats, error) {
+func Reduce[T any](cfg machine.Config, n int, root topology.NodeID, in []T, m monoid.Monoid[T]) (T, machine.Stats, error) {
 	var zero T
 	d, err := topology.Shared(n)
 	if err != nil {
@@ -278,7 +279,7 @@ func Reduce[T any](n int, root topology.NodeID, in []T, m monoid.Monoid[T]) (T, 
 	if root < 0 || root >= d.Nodes() {
 		return zero, machine.Stats{}, fmt.Errorf("collective: root %d out of range", root)
 	}
-	all, st, err := AllReduce(n, in, m)
+	all, st, err := AllReduce(cfg, n, in, m)
 	if err != nil {
 		return zero, st, err
 	}
@@ -288,17 +289,17 @@ func Reduce[T any](n int, root topology.NodeID, in []T, m monoid.Monoid[T]) (T, 
 // Barrier synchronizes all nodes: it completes only after every node has
 // entered it. Implemented as an all-reduce of units; returns the machine
 // statistics (2n communication steps).
-func Barrier(n int) (machine.Stats, error) {
+func Barrier(cfg machine.Config, n int) (machine.Stats, error) {
 	N := nodesOf(n)
 	in := make([]struct{}, N)
-	_, st, err := AllReduce(n, in, unitMonoid())
+	_, st, err := AllReduce(cfg, n, in, unitMonoid())
 	return st, err
 }
 
 // BarrierOn is Barrier over an explicit communication topology.
-func BarrierOn(c topology.Comm) (machine.Stats, error) {
+func BarrierOn(cfg machine.Config, c topology.Comm) (machine.Stats, error) {
 	in := make([]struct{}, c.Nodes())
-	_, st, err := AllReduceOn(c, in, unitMonoid())
+	_, st, err := AllReduceOn(cfg, c, in, unitMonoid())
 	return st, err
 }
 
@@ -318,18 +319,4 @@ func nodesOf(n int) int {
 		return -1
 	}
 	return 1 << (2*n - 1)
-}
-
-// firstErr returns the lowest-numbered node's recorded delivery-verification
-// error, or nil. Node programs record failures into a per-node slot (their
-// own index, so no synchronization is needed) and keep walking the schedule,
-// preserving the SPMD lockstep; the host reports the failure deterministically
-// after the run, regardless of worker interleaving.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

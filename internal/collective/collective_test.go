@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
 	"dualcube/internal/topology"
@@ -14,7 +15,7 @@ func TestBroadcastAllRoots(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		N := 1 << (2*n - 1)
 		for root := 0; root < N; root++ {
-			got, st, err := Broadcast(n, root, 1000+root)
+			got, st, err := Broadcast(machine.Config{}, n, root, 1000+root)
 			if err != nil {
 				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
@@ -36,7 +37,7 @@ func TestBroadcastLargerNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {
 		root := rng.Intn(N)
-		got, st, err := Broadcast(n, root, "payload")
+		got, st, err := Broadcast(machine.Config{}, n, root, "payload")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,13 +53,13 @@ func TestBroadcastLargerNetwork(t *testing.T) {
 }
 
 func TestBroadcastBadArgs(t *testing.T) {
-	if _, _, err := Broadcast(0, 0, 1); err == nil {
+	if _, _, err := Broadcast(machine.Config{}, 0, 0, 1); err == nil {
 		t.Error("order 0 should fail")
 	}
-	if _, _, err := Broadcast(2, -1, 1); err == nil {
+	if _, _, err := Broadcast(machine.Config{}, 2, -1, 1); err == nil {
 		t.Error("negative root should fail")
 	}
-	if _, _, err := Broadcast(2, 8, 1); err == nil {
+	if _, _, err := Broadcast(machine.Config{}, 2, 8, 1); err == nil {
 		t.Error("out-of-range root should fail")
 	}
 }
@@ -73,7 +74,7 @@ func TestAllReduceSum(t *testing.T) {
 			in[i] = rng.Intn(100) - 50
 			total += in[i]
 		}
-		got, st, err := AllReduce(n, in, monoid.Sum[int]())
+		got, st, err := AllReduce(machine.Config{}, n, in, monoid.Sum[int]())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -98,7 +99,7 @@ func TestAllReduceNonCommutativeOrder(t *testing.T) {
 			in[i] = string(rune('a' + i%26))
 		}
 		want := seq.Reduce(in, monoid.Concat())
-		got, _, err := AllReduce(n, in, monoid.Concat())
+		got, _, err := AllReduce(machine.Config{}, n, in, monoid.Concat())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestAllReduceMax(t *testing.T) {
 	for i := range in {
 		in[i] = (i * 7) % N
 	}
-	got, _, err := AllReduce(n, in, monoid.MaxInt())
+	got, _, err := AllReduce(machine.Config{}, n, in, monoid.MaxInt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +131,10 @@ func TestAllReduceMax(t *testing.T) {
 }
 
 func TestAllReduceBadArgs(t *testing.T) {
-	if _, _, err := AllReduce(2, make([]int, 3), monoid.Sum[int]()); err == nil {
+	if _, _, err := AllReduce(machine.Config{}, 2, make([]int, 3), monoid.Sum[int]()); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := AllReduce(0, nil, monoid.Sum[int]()); err == nil {
+	if _, _, err := AllReduce(machine.Config{}, 0, nil, monoid.Sum[int]()); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -147,7 +148,7 @@ func TestReduce(t *testing.T) {
 	}
 	want := seq.Reduce(in, monoid.Sum[int]())
 	for root := 0; root < N; root++ {
-		got, _, err := Reduce(n, root, in, monoid.Sum[int]())
+		got, _, err := Reduce(machine.Config{}, n, root, in, monoid.Sum[int]())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,17 +156,17 @@ func TestReduce(t *testing.T) {
 			t.Fatalf("root %d: %d, want %d", root, got, want)
 		}
 	}
-	if _, _, err := Reduce(2, 99, in, monoid.Sum[int]()); err == nil {
+	if _, _, err := Reduce(machine.Config{}, 2, 99, in, monoid.Sum[int]()); err == nil {
 		t.Error("bad root should fail")
 	}
-	if _, _, err := Reduce(0, 0, nil, monoid.Sum[int]()); err == nil {
+	if _, _, err := Reduce(machine.Config{}, 0, 0, nil, monoid.Sum[int]()); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
 
 func TestBarrier(t *testing.T) {
 	for n := 1; n <= 4; n++ {
-		st, err := Barrier(n)
+		st, err := Barrier(machine.Config{}, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -183,7 +184,7 @@ func TestGatherAllRoots(t *testing.T) {
 			in[i] = i*10 + 7
 		}
 		for root := 0; root < N; root++ {
-			got, st, err := Gather(n, root, in)
+			got, st, err := Gather(machine.Config{}, n, root, in)
 			if err != nil {
 				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
@@ -207,7 +208,7 @@ func TestGatherLarger(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Int()
 	}
-	got, st, err := Gather(n, 13, in)
+	got, st, err := Gather(machine.Config{}, n, 13, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +223,13 @@ func TestGatherLarger(t *testing.T) {
 }
 
 func TestGatherBadArgs(t *testing.T) {
-	if _, _, err := Gather(2, 0, make([]int, 3)); err == nil {
+	if _, _, err := Gather(machine.Config{}, 2, 0, make([]int, 3)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := Gather(2, -2, make([]int, 8)); err == nil {
+	if _, _, err := Gather(machine.Config{}, 2, -2, make([]int, 8)); err == nil {
 		t.Error("bad root should fail")
 	}
-	if _, _, err := Gather[int](0, 0, nil); err == nil {
+	if _, _, err := Gather[int](machine.Config{}, 0, 0, nil); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -269,7 +270,7 @@ func TestCollectiveQuick(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		all, _, err := AllReduce(n, in, monoid.Sum[int]())
+		all, _, err := AllReduce(machine.Config{}, n, in, monoid.Sum[int]())
 		if err != nil {
 			return false
 		}
@@ -277,7 +278,7 @@ func TestCollectiveQuick(t *testing.T) {
 		if all[root] != want {
 			return false
 		}
-		g, _, err := Gather(n, root, in)
+		g, _, err := Gather(machine.Config{}, n, root, in)
 		if err != nil {
 			return false
 		}

@@ -31,7 +31,7 @@ import (
 // under that order — and the host reads the single full-arena extent back
 // out at root. A warm call reuses the stashed plane and allocates only the
 // result slice plus fixed run bookkeeping.
-func Gather[T any](n int, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
+func Gather[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -61,7 +61,7 @@ func Gather[T any](n int, root topology.NodeID, in []T) ([]T, machine.Stats, err
 	}
 	// LinkCapacity only matters on the engine fallback path, where the
 	// bundle-bearing cross hops queue more than one message per link.
-	st, err := dcomm.Execute(sch, machine.Config{LinkCapacity: 4}, gk)
+	st, err := dcomm.Execute(sch, cfg, gk)
 	if err != nil {
 		return nil, st, err
 	}

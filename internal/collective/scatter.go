@@ -28,7 +28,7 @@ import (
 // varying position), so the kernel only narrows extents and never moves a
 // value. The returned slice is indexed by node ID with each node's own
 // element.
-func Scatter[T any](n int, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
+func Scatter[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -56,7 +56,7 @@ func Scatter[T any](n int, root topology.NodeID, in []T) ([]T, machine.Stats, er
 		rootClass: d.Class(root), rootCluster: d.ClusterID(root), rootLocal: d.LocalID(root),
 		pl: pl, half: int32(N / 2),
 	}
-	st, err := dcomm.Execute(sch, machine.Config{}, sk)
+	st, err := dcomm.Execute(sch, cfg, sk)
 	if err != nil {
 		return nil, st, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/topology"
 )
 
@@ -17,7 +18,7 @@ func TestScatterAllRoots(t *testing.T) {
 			in[i] = i*100 + 1
 		}
 		for root := 0; root < N; root++ {
-			got, st, err := Scatter(n, root, in)
+			got, st, err := Scatter(machine.Config{}, n, root, in)
 			if err != nil {
 				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
@@ -42,7 +43,7 @@ func TestScatterLarger(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Int()
 	}
-	got, st, err := Scatter(n, 77, in)
+	got, st, err := Scatter(machine.Config{}, n, 77, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,12 @@ func TestScatterLarger(t *testing.T) {
 }
 
 func TestScatterGatherRoundTrip(t *testing.T) {
-	// Gather(Scatter(x)) == x from any pair of roots.
+	// Gather(machine.Config{}, Scatter(machine.Config{}, x)) == x from any pair of roots.
 	n := 2
 	N := 1 << (2*n - 1)
 	in := []int{10, 20, 30, 40, 50, 60, 70, 80}
 	d, _ := topology.Validated(n, N)
-	scattered, _, err := Scatter(n, 3, in)
+	scattered, _, err := Scatter(machine.Config{}, n, 3, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	for u := 0; u < N; u++ {
 		elem[d.DataIndex(u)] = scattered[u]
 	}
-	back, _, err := Gather(n, 6, elem)
+	back, _, err := Gather(machine.Config{}, n, 6, elem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +85,13 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 }
 
 func TestScatterBadArgs(t *testing.T) {
-	if _, _, err := Scatter(2, 0, make([]int, 3)); err == nil {
+	if _, _, err := Scatter(machine.Config{}, 2, 0, make([]int, 3)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := Scatter(2, 64, make([]int, 8)); err == nil {
+	if _, _, err := Scatter(machine.Config{}, 2, 64, make([]int, 8)); err == nil {
 		t.Error("bad root should fail")
 	}
-	if _, _, err := Scatter[int](0, 0, nil); err == nil {
+	if _, _, err := Scatter[int](machine.Config{}, 0, 0, nil); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -102,7 +103,7 @@ func TestAllGather(t *testing.T) {
 		for i := range in {
 			in[i] = i + 1000
 		}
-		got, st, err := AllGather(n, in)
+		got, st, err := AllGather(machine.Config{}, n, in)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -123,10 +124,10 @@ func TestAllGather(t *testing.T) {
 }
 
 func TestAllGatherBadArgs(t *testing.T) {
-	if _, _, err := AllGather(2, make([]int, 5)); err == nil {
+	if _, _, err := AllGather(machine.Config{}, 2, make([]int, 5)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := AllGather[int](0, nil); err == nil {
+	if _, _, err := AllGather[int](machine.Config{}, 0, nil); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -191,7 +192,7 @@ func TestScatterQuick(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1 << 20)
 		}
-		got, _, err := Scatter(n, root, in)
+		got, _, err := Scatter(machine.Config{}, n, root, in)
 		if err != nil {
 			return false
 		}

@@ -7,51 +7,11 @@ import (
 	"dualcube/internal/topology"
 )
 
-func TestCyclesForDim(t *testing.T) {
-	if CyclesForDim(0) != 1 {
-		t.Error("dim 0 should cost 1 cycle")
-	}
-	for j := 1; j < 9; j++ {
-		if CyclesForDim(j) != 3 {
-			t.Errorf("dim %d should cost 3 cycles", j)
-		}
-	}
-}
-
-func TestClusterAndCrossExchange(t *testing.T) {
-	d := topology.MustDualCube(3)
-	eng := machine.MustNew[int](d, machine.Config{})
-	got := make([][]int, d.Nodes())
-	st, err := eng.Run(func(c *machine.Ctx[int]) {
-		u := c.ID()
-		var res []int
-		for i := 0; i < d.ClusterDim(); i++ {
-			res = append(res, ClusterExchange(c, d, i, u))
-		}
-		res = append(res, CrossExchange(c, d, u))
-		got[u] = res
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cycles != d.ClusterDim()+1 {
-		t.Errorf("cycles = %d", st.Cycles)
-	}
-	for u := 0; u < d.Nodes(); u++ {
-		for i := 0; i < d.ClusterDim(); i++ {
-			if got[u][i] != d.ClusterNeighbor(u, i) {
-				t.Fatalf("node %d dim %d: got %d", u, i, got[u][i])
-			}
-		}
-		if got[u][d.ClusterDim()] != d.CrossNeighbor(u) {
-			t.Fatalf("node %d cross: got %d", u, got[u][d.ClusterDim()])
-		}
-	}
-}
-
 // TestDimExchangeAllDims checks that the parallel dimension-j exchange
 // delivers exactly the dimension-j partner's value to every node, for
-// every recursive dimension, and that the cycle counts match CyclesForDim.
+// every recursive dimension, in 1 cycle on the cross-edge dimension 0 (all
+// pairs direct) and 3 on the others (Section 6: half the pairs route
+// through two cross-edges).
 func TestDimExchangeAllDims(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		d := topology.MustDualCube(n)
@@ -71,8 +31,12 @@ func TestDimExchangeAllDims(t *testing.T) {
 					t.Fatalf("n=%d j=%d: rec node %d got %d, want %d", n, j, r, got[r], want)
 				}
 			}
-			if st.Cycles != CyclesForDim(j) {
-				t.Errorf("n=%d j=%d: cycles %d, want %d", n, j, st.Cycles, CyclesForDim(j))
+			want := 3
+			if j == 0 {
+				want = 1
+			}
+			if st.Cycles != want {
+				t.Errorf("n=%d j=%d: cycles %d, want %d", n, j, st.Cycles, want)
 			}
 		}
 	}

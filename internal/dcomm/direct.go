@@ -6,10 +6,10 @@ import (
 
 // Execute runs one schedule-driven operation, dispatching between the two
 // execution paths of a compiled schedule: the direct kernel executor when
-// the resolved scheduler allows it (the default — compiled schedules are
-// static, so they run as array kernels with no simulation overhead), or a
-// simulator engine driving the same kernel through the KernelProgram
-// adapter (an explicit engine scheduler, or a fault spec with transient
+// cfg allows it (the zero Config does — compiled schedules are static, so
+// they run as array kernels with no simulation overhead), or a simulator
+// engine driving the same kernel through the KernelProgram adapter (cfg
+// names an engine scheduler, or carries a fault spec with transient
 // drop/delay hooks, which only a per-message wire can apply). Both paths
 // produce byte-identical outputs and Stats; the golden and differential
 // suites enforce it.

@@ -51,7 +51,11 @@ func TestDimExchangeFTSingleCrossFault(t *testing.T) {
 					t.Fatalf("j=%d sched=%v: rec node %d got %d, want %d", j, sched, r, got[r], want)
 				}
 			}
-			if want := CyclesForDim(j) + p.RepairCycles(); st.Cycles != want {
+			want := 3 + p.RepairCycles()
+			if j == 0 {
+				want = 1 + p.RepairCycles()
+			}
+			if st.Cycles != want {
 				t.Errorf("j=%d sched=%v: cycles %d, want %d", j, sched, st.Cycles, want)
 			}
 			if ref == nil {

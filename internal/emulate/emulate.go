@@ -40,14 +40,14 @@ func dims(q int, descend bool) []int {
 
 // run executes a normal algorithm on D_n. init and the result are indexed
 // by recursive ID.
-func run[T any](n int, init []T, step StepFunc[T], descend bool) ([]T, machine.Stats, error) {
+func run[T any](cfg machine.Config, n int, init []T, step StepFunc[T], descend bool) ([]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(init))
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
 	order := dims(d.RecDims(), descend)
 	out := make([]T, len(init))
-	eng, err := machine.New[T](d, machine.Config{})
+	eng, err := machine.New[T](d, cfg)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -69,13 +69,13 @@ func run[T any](n int, init []T, step StepFunc[T], descend bool) ([]T, machine.S
 }
 
 // Ascend runs a normal ascend algorithm (dimensions 0 .. 2n-2) on D_n.
-func Ascend[T any](n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return run(n, init, step, false)
+func Ascend[T any](cfg machine.Config, n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
+	return run(cfg, n, init, step, false)
 }
 
 // Descend runs a normal descend algorithm (dimensions 2n-2 .. 0) on D_n.
-func Descend[T any](n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return run(n, init, step, true)
+func Descend[T any](cfg machine.Config, n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
+	return run(cfg, n, init, step, true)
 }
 
 // CommSteps returns the communication cycles of one full normal sweep on
@@ -85,7 +85,7 @@ func CommSteps(n int) int { return 6*n - 5 }
 
 // cubeRun executes a normal algorithm on the hypercube Q_q (the baseline:
 // one cycle per dimension).
-func cubeRun[T any](q int, init []T, step StepFunc[T], descend bool) ([]T, machine.Stats, error) {
+func cubeRun[T any](cfg machine.Config, q int, init []T, step StepFunc[T], descend bool) ([]T, machine.Stats, error) {
 	h, err := topology.NewHypercube(q)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -95,7 +95,7 @@ func cubeRun[T any](q int, init []T, step StepFunc[T], descend bool) ([]T, machi
 	}
 	order := dims(q, descend)
 	out := make([]T, len(init))
-	eng, err := machine.New[T](h, machine.Config{})
+	eng, err := machine.New[T](h, cfg)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -117,11 +117,11 @@ func cubeRun[T any](q int, init []T, step StepFunc[T], descend bool) ([]T, machi
 }
 
 // CubeAscend runs a normal ascend algorithm on Q_q.
-func CubeAscend[T any](q int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return cubeRun(q, init, step, false)
+func CubeAscend[T any](cfg machine.Config, q int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
+	return cubeRun(cfg, q, init, step, false)
 }
 
 // CubeDescend runs a normal descend algorithm on Q_q.
-func CubeDescend[T any](q int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return cubeRun(q, init, step, true)
+func CubeDescend[T any](cfg machine.Config, q int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
+	return cubeRun(cfg, q, init, step, true)
 }

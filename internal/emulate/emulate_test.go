@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
 )
@@ -21,7 +22,7 @@ func TestAscendAllReduce(t *testing.T) {
 			in[i] = i*3 + 1
 			total += in[i]
 		}
-		out, st, err := Ascend(n, in, sumStep)
+		out, st, err := Ascend(machine.Config{}, n, in, sumStep)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -48,7 +49,7 @@ func TestDescendAllReduce(t *testing.T) {
 		in[i] = i
 		total += i
 	}
-	out, st, err := Descend(n, in, sumStep)
+	out, st, err := Descend(machine.Config{}, n, in, sumStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestAscendPrefix(t *testing.T) {
 		for i, v := range in {
 			init[i] = ts{t: v, s: v}
 		}
-		out, _, err := Ascend(n, init, prefixStep)
+		out, _, err := Ascend(machine.Config{}, n, init, prefixStep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestAscendPrefix(t *testing.T) {
 			}
 		}
 		q := 2*n - 1
-		cube, stQ, err := CubeAscend(q, init, prefixStep)
+		cube, stQ, err := CubeAscend(machine.Config{}, q, init, prefixStep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,16 +128,16 @@ func TestEmulationOverheadRatio(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	if _, _, err := Ascend(0, nil, sumStep); err == nil {
+	if _, _, err := Ascend(machine.Config{}, 0, nil, sumStep); err == nil {
 		t.Error("order 0 should fail")
 	}
-	if _, _, err := Ascend(2, make([]int, 3), sumStep); err == nil {
+	if _, _, err := Ascend(machine.Config{}, 2, make([]int, 3), sumStep); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := CubeAscend(-1, nil, sumStep); err == nil {
+	if _, _, err := CubeAscend(machine.Config{}, -1, nil, sumStep); err == nil {
 		t.Error("negative q should fail")
 	}
-	if _, _, err := CubeDescend(2, make([]int, 3), sumStep); err == nil {
+	if _, _, err := CubeDescend(machine.Config{}, 2, make([]int, 3), sumStep); err == nil {
 		t.Error("cube length mismatch should fail")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dualcube/internal/emulate"
+	"dualcube/internal/machine"
 	"dualcube/internal/ntt"
 )
 
@@ -24,11 +25,11 @@ func E16Emulation(maxN int) (string, error) {
 		for i := range in {
 			in[i] = rng.Uint64() % ntt.Mod
 		}
-		dual, stD, err := ntt.Transform(n, in, false)
+		dual, stD, err := ntt.Transform(machine.Config{}, n, in, false)
 		if err != nil {
 			return "", fmt.Errorf("E16 n=%d: %w", n, err)
 		}
-		cube, stQ, err := ntt.CubeTransform(n, in, false)
+		cube, stQ, err := ntt.CubeTransform(machine.Config{}, n, in, false)
 		if err != nil {
 			return "", fmt.Errorf("E16 cube n=%d: %w", n, err)
 		}
@@ -46,7 +47,7 @@ func E16Emulation(maxN int) (string, error) {
 			lb := N - la
 			a := in[:la]
 			b := in[la : la+lb]
-			prod, _, err := ntt.PolyMul(n, a, b)
+			prod, _, err := ntt.PolyMul(machine.Config{}, n, a, b)
 			if err != nil {
 				return "", fmt.Errorf("E16 polymul n=%d: %w", n, err)
 			}

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"dualcube/internal/collective"
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/prefix"
 	"dualcube/internal/sortnet"
@@ -90,11 +91,11 @@ func E4Prefix(maxN int) (string, error) {
 	for n := 1; n <= maxN; n++ {
 		N := 1 << (2*n - 1)
 		in := randInts(int64(n), N, -1000, 1000)
-		_, st, err := prefix.DPrefix(n, in, monoid.Sum[int](), true, nil)
+		_, st, err := prefix.DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
 		if err != nil {
 			return "", fmt.Errorf("E4 n=%d: %w", n, err)
 		}
-		_, ste, err := prefix.EmulatedCubePrefix(n, in, monoid.Sum[int](), true)
+		_, ste, err := prefix.EmulatedCubePrefix(machine.Config{}, n, in, monoid.Sum[int](), true)
 		if err != nil {
 			return "", fmt.Errorf("E4 emulation n=%d: %w", n, err)
 		}
@@ -111,7 +112,7 @@ func E5CubePrefix(maxQ int) (string, error) {
 		"q", "nodes", "comm measured", "comm expected q", "comp measured")
 	for q := 0; q <= maxQ; q++ {
 		in := randInts(int64(q+100), 1<<q, -1000, 1000)
-		_, st, err := prefix.CubePrefix(q, in, monoid.Sum[int](), true)
+		_, st, err := prefix.CubePrefix(machine.Config{}, q, in, monoid.Sum[int](), true)
 		if err != nil {
 			return "", fmt.Errorf("E5 q=%d: %w", q, err)
 		}
@@ -128,7 +129,7 @@ func E8Sort(maxN int) (string, error) {
 	for n := 1; n <= maxN; n++ {
 		N := 1 << (2*n - 1)
 		in := randInts(int64(n+7), N, 0, 1<<20)
-		_, st, err := sortnet.DSort(n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
+		_, st, err := sortnet.DSort(machine.Config{}, n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
 		if err != nil {
 			return "", fmt.Errorf("E8 n=%d: %w", n, err)
 		}
@@ -148,11 +149,11 @@ func E9E10CubeSortAndOverhead(maxN int) (string, error) {
 	for n := 1; n <= maxN; n++ {
 		q := 2*n - 1
 		in := randInts(int64(n+21), 1<<q, 0, 1<<20)
-		_, stQ, err := sortnet.CubeSort(q, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
+		_, stQ, err := sortnet.CubeSort(machine.Config{}, q, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
 		if err != nil {
 			return "", fmt.Errorf("E9 n=%d: %w", n, err)
 		}
-		_, stD, err := sortnet.DSort(n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
+		_, stD, err := sortnet.DSort(machine.Config{}, n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
 		if err != nil {
 			return "", fmt.Errorf("E9 D n=%d: %w", n, err)
 		}
@@ -212,7 +213,7 @@ func E12Large(n int, ks []int) (string, error) {
 	N := 1 << (2*n - 1)
 	for _, k := range ks {
 		in := randInts(int64(k), k*N, -1000, 1000)
-		pre, stP, err := prefix.DPrefixLarge(n, k, in, monoid.Sum[int](), true)
+		pre, stP, err := prefix.DPrefixLarge(machine.Config{}, n, k, in, monoid.Sum[int](), true)
 		if err != nil {
 			return "", fmt.Errorf("E12 prefix k=%d: %w", k, err)
 		}
@@ -225,7 +226,7 @@ func E12Large(n int, ks []int) (string, error) {
 				break
 			}
 		}
-		sorted, stS, err := sortnet.DSortLarge(n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
+		sorted, stS, err := sortnet.DSortLarge(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
 		if err != nil {
 			return "", fmt.Errorf("E12 sort k=%d: %w", k, err)
 		}
@@ -250,24 +251,24 @@ func E13Collectives(maxN int) (string, error) {
 		"n", "diameter 2n", "broadcast", "allreduce", "gather", "scatter", "allgather", "alltoall")
 	for n := 1; n <= maxN; n++ {
 		N := 1 << (2*n - 1)
-		_, stB, err := collective.Broadcast(n, N/3, 1)
+		_, stB, err := collective.Broadcast(machine.Config{}, n, N/3, 1)
 		if err != nil {
 			return "", fmt.Errorf("E13 broadcast n=%d: %w", n, err)
 		}
 		in := randInts(int64(n+5), N, -100, 100)
-		_, stA, err := collective.AllReduce(n, in, monoid.Sum[int]())
+		_, stA, err := collective.AllReduce(machine.Config{}, n, in, monoid.Sum[int]())
 		if err != nil {
 			return "", fmt.Errorf("E13 allreduce n=%d: %w", n, err)
 		}
-		_, stG, err := collective.Gather(n, N/2, in)
+		_, stG, err := collective.Gather(machine.Config{}, n, N/2, in)
 		if err != nil {
 			return "", fmt.Errorf("E13 gather n=%d: %w", n, err)
 		}
-		_, stS, err := collective.Scatter(n, N/2, in)
+		_, stS, err := collective.Scatter(machine.Config{}, n, N/2, in)
 		if err != nil {
 			return "", fmt.Errorf("E13 scatter n=%d: %w", n, err)
 		}
-		_, stAG, err := collective.AllGather(n, in)
+		_, stAG, err := collective.AllGather(machine.Config{}, n, in)
 		if err != nil {
 			return "", fmt.Errorf("E13 allgather n=%d: %w", n, err)
 		}
@@ -280,7 +281,7 @@ func E13Collectives(maxN int) (string, error) {
 					mat[i][j] = i ^ j
 				}
 			}
-			_, st, err := collective.AllToAll(n, mat)
+			_, st, err := collective.AllToAll(machine.Config{}, n, mat)
 			if err != nil {
 				return "", fmt.Errorf("E13 alltoall n=%d: %w", n, err)
 			}

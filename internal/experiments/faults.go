@@ -7,6 +7,7 @@ import (
 
 	"dualcube/internal/dcomm"
 	"dualcube/internal/fault"
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/prefix"
 	"dualcube/internal/topology"
@@ -44,7 +45,7 @@ func FaultSweep(minN, maxN int, seed int64) ([]FaultSweepPoint, error) {
 		for f := 0; f < n; f++ {
 			planSeed := seed + int64(1000*n+f)
 			plan := fault.Random(d, f, planSeed)
-			got, st, err := prefix.DPrefixDegraded(n, in, monoid.Sum[int](), true, plan)
+			got, st, err := prefix.DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
 			if err != nil {
 				return nil, fmt.Errorf("E18 n=%d f=%d: %w", n, f, err)
 			}

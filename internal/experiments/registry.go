@@ -86,7 +86,7 @@ var registry = []Experiment{
 	{ID: "E23", Title: "batched serving throughput (request coalescing)",
 		HowTo: "go run ./cmd/dcserve -load -op prefix -n 5 -clients 64 -dur 2s -sweep 1,8,32"},
 	{ID: "E24", Title: "arena payload plane for the v-collectives (before/after)",
-		HowTo: "make bench-json (compare BENCH_8.json to BENCH_7.json); go test -run TestWarmRuntimeAllocGuard -v ."},
+		HowTo: "bash bench/run.sh -record A.json at the parent and -record B.json at the change, then bash bench/run.sh -compare A.json B.json; go test -run TestWarmRuntimeAllocGuard -v ."},
 }
 
 // Registry returns the experiment list in EXPERIMENTS.md order.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/samplesort"
 	"dualcube/internal/seq"
 	"dualcube/internal/sortnet"
@@ -20,11 +21,11 @@ func E17SampleSort(maxN, k int) (string, error) {
 	for n := 1; n <= maxN; n++ {
 		N := 1 << (2*n - 1)
 		in := randInts(int64(n+61), k*N, -1<<20, 1<<20)
-		bit, stB, err := sortnet.DSortLarge(n, k, in, intLess, sortnet.Ascending)
+		bit, stB, err := sortnet.DSortLarge(machine.Config{}, n, k, in, intLess, sortnet.Ascending)
 		if err != nil {
 			return "", fmt.Errorf("E17 bitonic n=%d: %w", n, err)
 		}
-		smp, stS, err := samplesort.Sort(n, k, in, intLess)
+		smp, stS, err := samplesort.Sort(machine.Config{}, n, k, in, intLess)
 		if err != nil {
 			return "", fmt.Errorf("E17 sample n=%d: %w", n, err)
 		}

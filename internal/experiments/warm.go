@@ -28,7 +28,7 @@ func ColdCallOnce(n int) (time.Duration, error) {
 	N := 1 << (2*n - 1)
 	in := randInts(int64(n), N, -1000, 1000)
 	start := time.Now()
-	_, _, err := prefix.DPrefix(n, in, monoid.Sum[int](), true, nil)
+	_, _, err := prefix.DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
 	return time.Since(start), err
 }
 
@@ -49,14 +49,14 @@ func WarmSteadyState(n, runs int) (time.Duration, error) {
 	N := 1 << (2*n - 1)
 	in := randInts(int64(n), N, -1000, 1000)
 	m := monoid.Sum[int]()
-	if _, _, err := prefix.DPrefix(n, in, m, true, nil); err != nil {
+	if _, _, err := prefix.DPrefix(machine.Config{}, n, in, m, true, nil); err != nil {
 		return 0, err
 	}
 	runtime.GC()
 	warms := make([]time.Duration, 0, runs)
 	for r := 0; r < runs; r++ {
 		start := time.Now()
-		if _, _, err := prefix.DPrefix(n, in, m, true, nil); err != nil {
+		if _, _, err := prefix.DPrefix(machine.Config{}, n, in, m, true, nil); err != nil {
 			return 0, err
 		}
 		warms = append(warms, time.Since(start))
@@ -94,7 +94,7 @@ func ColdWarmSweep(minN, maxN, runs int, cold ColdProbe, warm WarmProbe) ([]Cold
 		N := 1 << (2*n - 1)
 		in := randInts(int64(n), N, -1000, 1000)
 		call := func() error {
-			_, _, err := prefix.DPrefix(n, in, m, true, nil)
+			_, _, err := prefix.DPrefix(machine.Config{}, n, in, m, true, nil)
 			return err
 		}
 

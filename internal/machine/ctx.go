@@ -48,9 +48,6 @@ func (c *Ctx[T]) Nodes() int { return c.engine.n }
 // call Ops(1) once per such round.
 func (c *Ctx[T]) Ops(k int) { c.ops += k }
 
-// OpCount returns the computation rounds recorded so far on this node.
-func (c *Ctx[T]) OpCount() int { return c.ops }
-
 // Cycle returns this node's local clock: the number of completed cycles,
 // which equals the global clock under the SPMD lockstep discipline.
 func (c *Ctx[T]) Cycle() int { return c.cycle }

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"dualcube/internal/topology"
@@ -135,28 +134,15 @@ func KernelProgram[T any](sch *Schedule, kern DirectKernel[T]) func(c *Ctx[T]) {
 }
 
 // DirectEligible reports whether a schedule-driven operation under cfg runs
-// on the direct executor. The resolution mirrors Config.withDefaults —
-// Config.Sched wins, then the SetDefaultSched package default — except that
-// an unset scheduler resolves to SchedDirect: compiled schedules run direct
-// by default, and either switch opts back into an engine. A fault spec with
-// transient Drop/Delay hooks disqualifies the run (the static executor has
-// no per-message wire to perturb); permanent link/node faults are fine.
+// on the direct executor: the zero Sched and SchedDirect do, an engine
+// scheduler opts back into that engine. A fault spec with transient
+// Drop/Delay hooks disqualifies the run (the static executor has no
+// per-message wire to perturb); permanent link/node faults are fine.
 func DirectEligible(cfg Config) bool {
-	s := cfg.Sched
-	if s == SchedDefault {
-		s = Sched(defaultSched.Load())
-		if s == SchedDefault {
-			s = SchedDirect
-		}
-	}
-	if s != SchedDirect {
+	if cfg.Sched != SchedDefault && cfg.Sched != SchedDirect {
 		return false
 	}
-	spec := cfg.Faults
-	if spec == nil {
-		spec = defaultFaults.Load()
-	}
-	return spec == nil || (spec.Drop == nil && spec.Delay == nil)
+	return cfg.Faults == nil || (cfg.Faults.Drop == nil && cfg.Faults.Delay == nil)
 }
 
 // directParallelMin is the node count from which RunDirect shards its passes
@@ -183,9 +169,6 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 	}
 
 	spec := cfg.Faults
-	if spec == nil {
-		spec = defaultFaults.Load()
-	}
 	var down map[int]bool
 	if spec != nil {
 		if spec.Drop != nil || spec.Delay != nil {
@@ -215,17 +198,8 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 	r.hostDC.ops = make([]int64, n)
 	ops := r.hostDC.ops
 
-	W := cfg.Workers
-	if W <= 0 {
-		W = int(defaultWorkers.Load())
-		if W <= 0 {
-			W = runtime.GOMAXPROCS(0)
-		}
-	}
-	if W > n {
-		W = n
-	}
-	if W < 1 || n < directParallelMin {
+	W := workerCount(cfg.Workers, n)
+	if n < directParallelMin {
 		W = 1
 	}
 	if W > 1 {

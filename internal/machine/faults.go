@@ -1,14 +1,11 @@
 package machine
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // FaultSpec is the engine-facing description of the failures injected into a
 // run, in topology-neutral terms: the engine compiles it into its internal
 // per-directed-link mask when a run starts with the spec armed (via
-// Config.Faults or SetDefaultFaults). User-level fault plans live in
+// Config.Faults). User-level fault plans live in
 // internal/fault, which produces FaultSpec values; the machine package
 // deliberately knows nothing about seeds or probabilities — only about which
 // links are dead and which messages the wire loses or holds back.
@@ -79,15 +76,6 @@ func (a FaultStats) add(b FaultStats) FaultStats {
 	return out
 }
 
-// defaultFaults is the package-level armed spec used by engines whose Config
-// leaves Faults nil; see SetDefaultFaults.
-var defaultFaults atomic.Pointer[FaultSpec]
-
-// SetDefaultFaults arms spec for every subsequent run whose Config.Faults is
-// nil, across all engines (the public dualcube facade exposes this as
-// SetSimFaultPlan). nil disarms. Config.Faults always wins over this default.
-func SetDefaultFaults(spec *FaultSpec) { defaultFaults.Store(spec) }
-
 // armedFaults is a FaultSpec compiled against one engine's CSR link table:
 // the per-directed-edge-slot down mask the send path consults, plus the
 // lazily allocated per-buffer-slot visibility stamps used only when the spec
@@ -101,13 +89,10 @@ type armedFaults struct {
 	downNodes int
 }
 
-// armFaults resolves and, if needed, compiles the fault spec for the coming
+// armFaults compiles, if needed, the engine's fault spec for the coming
 // run. With no spec armed it clears s.fx, keeping the hot path fault-free.
 func (s *engineState[T]) armFaults() error {
 	spec := s.cfg.Faults
-	if spec == nil {
-		spec = defaultFaults.Load()
-	}
 	if spec == nil {
 		s.fx = nil
 		return nil

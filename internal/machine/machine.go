@@ -103,9 +103,9 @@ const NoNode = -1
 type Sched uint8
 
 const (
-	// SchedDefault resolves to the package default (SchedWorkerPool for
-	// engine runs, SchedDirect for schedule-driven operations, unless
-	// overridden with SetDefaultSched).
+	// SchedDefault is the zero Config's choice: SchedDirect for
+	// schedule-driven operations (DirectEligible), SchedWorkerPool for
+	// engine runs.
 	SchedDefault Sched = iota
 	// SchedWorkerPool is the stepped worker-pool scheduler.
 	SchedWorkerPool
@@ -132,37 +132,6 @@ func (s Sched) String() string {
 	}
 }
 
-// Package-level defaults, overridable by embedding applications (the public
-// dualcube facade exposes them). Config fields always win over these.
-var (
-	defaultTimeout atomic.Int64 // nanoseconds; 0 = scale with node count
-	defaultSched   atomic.Int32 // Sched; SchedDefault = worker pool
-	defaultWorkers atomic.Int32 // 0 = GOMAXPROCS
-)
-
-// SetDefaultTimeout overrides the watchdog timeout used by engines whose
-// Config leaves Timeout zero. d <= 0 restores the built-in scaling default
-// (60s plus 30ms per node, so large machines are not aborted spuriously).
-func SetDefaultTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	defaultTimeout.Store(int64(d))
-}
-
-// SetDefaultSched overrides the scheduler used by engines whose Config
-// leaves Sched as SchedDefault.
-func SetDefaultSched(s Sched) { defaultSched.Store(int32(s)) }
-
-// SetDefaultWorkers overrides the worker count used by worker-pool engines
-// whose Config leaves Workers zero. k <= 0 restores GOMAXPROCS.
-func SetDefaultWorkers(k int) {
-	if k < 0 {
-		k = 0
-	}
-	defaultWorkers.Store(int32(k))
-}
-
 // scaledTimeout is the built-in watchdog default: a base of one minute plus
 // 30ms per node, so the ceiling grows with the machine instead of starving
 // large-n runs (the original fixed 60s default could be exceeded spuriously
@@ -179,64 +148,52 @@ type Config struct {
 	LinkCapacity int
 	// Timeout aborts a run that stops making progress (for example because
 	// a buggy program blocked outside the machine's primitives). Zero means
-	// the package default: SetDefaultTimeout's value if set, otherwise 60s
-	// plus 30ms per node.
+	// 60s plus 30ms per node.
 	Timeout time.Duration
-	// Sched selects the execution engine. SchedDefault resolves to the
-	// package default (worker pool unless overridden with SetDefaultSched).
+	// Sched selects the execution backend. SchedDefault runs compiled
+	// schedules on the direct executor and everything else on the worker
+	// pool; an engine scheduler forces schedule-driven runs onto that
+	// engine too.
 	Sched Sched
-	// Workers is the worker-pool size W. Zero means the package default
-	// (SetDefaultWorkers's value if set, otherwise GOMAXPROCS); the engine
-	// clamps W to the node count.
+	// Workers is the worker-pool size W, and the shard count of the direct
+	// executor's passes. Zero means GOMAXPROCS; both clamp W to the node
+	// count.
 	Workers int
-	// Faults arms a fault specification for every run of the engine: the
-	// listed links and nodes are permanently down and the Drop/Delay hooks
-	// perturb messages in flight (see FaultSpec). nil falls back to the
-	// package default armed with SetDefaultFaults (usually nothing). The
+	// Faults arms a fault specification for every run: the listed links
+	// and nodes are permanently down and the Drop/Delay hooks perturb
+	// messages in flight (see FaultSpec). nil means a fault-free run. The
 	// spec is compared by pointer when engines are recycled, so reuse one
 	// *FaultSpec value per plan.
 	Faults *FaultSpec
 }
 
-// withDefaults resolves zero Config fields against the package defaults for
-// a machine of n nodes.
+// withDefaults resolves zero Config fields for a machine of n nodes.
 func (c Config) withDefaults(n int) Config {
 	if c.LinkCapacity <= 0 {
 		c.LinkCapacity = 4
 	}
 	if c.Timeout <= 0 {
-		if d := time.Duration(defaultTimeout.Load()); d > 0 {
-			c.Timeout = d
-		} else {
-			c.Timeout = scaledTimeout(n)
-		}
+		c.Timeout = scaledTimeout(n)
 	}
-	if c.Sched == SchedDefault {
-		c.Sched = Sched(defaultSched.Load())
-		if c.Sched == SchedDefault {
-			c.Sched = SchedWorkerPool
-		}
-	}
-	if c.Sched == SchedDirect {
-		// The direct executor is not an engine; an engine run under a direct
-		// preference (a non-schedule-driven algorithm, or an ineligible
-		// fault spec) executes on the worker pool. Normalizing here also
-		// keeps the engine pool keyed on real engine schedulers only.
+	if c.Sched == SchedDefault || c.Sched == SchedDirect {
+		// The direct executor is not an engine; an engine run under the
+		// default or a direct preference (a non-schedule-driven algorithm,
+		// or an ineligible fault spec) executes on the worker pool.
+		// Normalizing here also keeps the engine pool keyed on real engine
+		// schedulers only.
 		c.Sched = SchedWorkerPool
 	}
-	if c.Workers <= 0 {
-		c.Workers = int(defaultWorkers.Load())
-		if c.Workers <= 0 {
-			c.Workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	if c.Workers > n {
-		c.Workers = n
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
+	c.Workers = workerCount(c.Workers, n)
 	return c
+}
+
+// workerCount resolves a Config's Workers for n nodes: zero means
+// GOMAXPROCS, and the result lies in 1..n.
+func workerCount(w, n int) int {
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(w, n))
 }
 
 // Stats reports the cost of one run in the paper's measures.

@@ -99,7 +99,7 @@ func validate(n int, in []uint64) (q int, data []uint64, err error) {
 // natural order out) on the dual-cube D_n, or the inverse transform when
 // invert is set (including the 1/N scaling). Communication time is
 // 6n-5 cycles — the emulated cost of the 2n-1 butterfly stages.
-func Transform(n int, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
+func Transform(cfg machine.Config, n int, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
 	q, data, err := validate(n, in)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -110,7 +110,7 @@ func Transform(n int, in []uint64, invert bool) ([]uint64, machine.Stats, error)
 	for r := 0; r < N; r++ {
 		init[r] = data[bitrev(r, q)]
 	}
-	out, st, err := emulate.Ascend(n, init, butterflyStep(invert))
+	out, st, err := emulate.Ascend(cfg, n, init, butterflyStep(invert))
 	if err != nil {
 		return nil, st, err
 	}
@@ -125,7 +125,7 @@ func Transform(n int, in []uint64, invert bool) ([]uint64, machine.Stats, error)
 
 // CubeTransform is the baseline: the same butterfly on the hypercube
 // Q_{2n-1} (one cycle per stage, 2n-1 cycles total).
-func CubeTransform(n int, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
+func CubeTransform(cfg machine.Config, n int, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
 	q, data, err := validate(n, in)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -135,7 +135,7 @@ func CubeTransform(n int, in []uint64, invert bool) ([]uint64, machine.Stats, er
 	for r := 0; r < N; r++ {
 		init[r] = data[bitrev(r, q)]
 	}
-	return emulate.CubeAscend(q, init, butterflyStep(invert))
+	return emulate.CubeAscend(cfg, q, init, butterflyStep(invert))
 }
 
 // Sequential computes the NTT (or inverse) by the O(N^2) definition — the
@@ -169,7 +169,7 @@ func Sequential(in []uint64, invert bool) []uint64 {
 // PolyMul multiplies two polynomials with coefficients mod p on the
 // dual-cube D_n: three distributed transforms plus a local pointwise
 // product. len(a)+len(b)-1 must not exceed 2^(2n-1).
-func PolyMul(n int, a, b []uint64) ([]uint64, machine.Stats, error) {
+func PolyMul(cfg machine.Config, n int, a, b []uint64) ([]uint64, machine.Stats, error) {
 	N := 1 << (2*n - 1)
 	if len(a) == 0 || len(b) == 0 {
 		return nil, machine.Stats{}, fmt.Errorf("ntt: empty polynomial")
@@ -183,11 +183,11 @@ func PolyMul(n int, a, b []uint64) ([]uint64, machine.Stats, error) {
 	copy(pa, a)
 	copy(pb, b)
 
-	fa, st1, err := Transform(n, pa, false)
+	fa, st1, err := Transform(cfg, n, pa, false)
 	if err != nil {
 		return nil, st1, err
 	}
-	fb, st2, err := Transform(n, pb, false)
+	fb, st2, err := Transform(cfg, n, pb, false)
 	if err != nil {
 		return nil, st2, err
 	}
@@ -195,7 +195,7 @@ func PolyMul(n int, a, b []uint64) ([]uint64, machine.Stats, error) {
 	for i := range fa {
 		fa[i] = mulmod(fa[i], fb[i])
 	}
-	res, st3, err := Transform(n, fa, true)
+	res, st3, err := Transform(cfg, n, fa, true)
 	if err != nil {
 		return nil, st3, err
 	}

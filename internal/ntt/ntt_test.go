@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dualcube/internal/emulate"
+	"dualcube/internal/machine"
 )
 
 func TestPowMod(t *testing.T) {
@@ -45,7 +46,7 @@ func TestTransformMatchesSequential(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Uint64() % Mod
 		}
-		got, st, err := Transform(n, in, false)
+		got, st, err := Transform(machine.Config{}, n, in, false)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -69,11 +70,11 @@ func TestInverseRoundTrip(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Uint64() % Mod
 		}
-		fwd, _, err := Transform(n, in, false)
+		fwd, _, err := Transform(machine.Config{}, n, in, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, _, err := Transform(n, fwd, true)
+		back, _, err := Transform(machine.Config{}, n, fwd, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +94,11 @@ func TestCubeTransformMatches(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Uint64() % Mod
 	}
-	dual, stD, err := Transform(n, in, false)
+	dual, stD, err := Transform(machine.Config{}, n, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, stQ, err := CubeTransform(n, in, false)
+	cube, stQ, err := CubeTransform(machine.Config{}, n, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestCubeTransformMatches(t *testing.T) {
 
 func TestPolyMul(t *testing.T) {
 	// (1 + 2x + 3x^2) * (4 + 5x) = 4 + 13x + 22x^2 + 15x^3
-	got, _, err := PolyMul(2, []uint64{1, 2, 3}, []uint64{4, 5})
+	got, _, err := PolyMul(machine.Config{}, 2, []uint64{1, 2, 3}, []uint64{4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestPolyMulRandomAgainstNaive(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Uint64() % Mod
 		}
-		got, _, err := PolyMul(n, a, b)
+		got, _, err := PolyMul(machine.Config{}, n, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,19 +169,19 @@ func TestPolyMulRandomAgainstNaive(t *testing.T) {
 }
 
 func TestPolyMulBadInputs(t *testing.T) {
-	if _, _, err := PolyMul(2, nil, []uint64{1}); err == nil {
+	if _, _, err := PolyMul(machine.Config{}, 2, nil, []uint64{1}); err == nil {
 		t.Error("empty polynomial should fail")
 	}
-	if _, _, err := PolyMul(2, make([]uint64, 8), make([]uint64, 8)); err == nil {
+	if _, _, err := PolyMul(machine.Config{}, 2, make([]uint64, 8), make([]uint64, 8)); err == nil {
 		t.Error("overflowing degree should fail")
 	}
 }
 
 func TestTransformBadInputs(t *testing.T) {
-	if _, _, err := Transform(0, nil, false); err == nil {
+	if _, _, err := Transform(machine.Config{}, 0, nil, false); err == nil {
 		t.Error("order 0 should fail")
 	}
-	if _, _, err := Transform(2, make([]uint64, 5), false); err == nil {
+	if _, _, err := Transform(machine.Config{}, 2, make([]uint64, 5), false); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }

@@ -17,8 +17,8 @@ import (
 // detour relays, and both execution paths stretch the affected steps
 // accordingly (the direct executor masks the severed pairs in the kernel and
 // replays the detours as a per-step epilogue; the simulator interpreter
-// relays them message by message). The fault plan is armed in the executor,
-// so the run aborts if the schedule ever touches failed hardware —
+// relays them message by message). The fault plan is armed in the executor
+// in place of cfg's own Faults, so the run aborts if the schedule ever touches failed hardware —
 // correctness of the detours is machine-checked, not assumed.
 //
 // The result is correct for any f <= n-1 permanent link faults (the link
@@ -35,7 +35,7 @@ import (
 // Each repaired pair adds 2·(detour length − 1) cycles per affected exchange;
 // the measured totals versus Theorem 1's fault-free 2n+1 bound are tabulated
 // in EXPERIMENTS.md.
-func DPrefixDegraded[T any](n int, in []T, m monoid.Monoid[T], inclusive bool, plan *fault.Plan) ([]T, machine.Stats, error) {
+func DPrefixDegraded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool, plan *fault.Plan) ([]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -62,7 +62,8 @@ func DPrefixDegraded[T any](n int, in []T, m monoid.Monoid[T], inclusive bool, p
 	}
 
 	out := make([]T, len(in))
-	st, err := dcomm.Execute(sch, machine.Config{Faults: plan.Spec()}, newPrefixKernel(d, m, inclusive, in, out, nil))
+	cfg.Faults = plan.Spec()
+	st, err := dcomm.Execute(sch, cfg, newPrefixKernel(d, m, inclusive, in, out, nil))
 	if err != nil {
 		return nil, st, err
 	}

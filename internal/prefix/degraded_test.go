@@ -6,6 +6,7 @@ import (
 
 	"dualcube/internal/dcomm"
 	"dualcube/internal/fault"
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
 	"dualcube/internal/topology"
@@ -23,7 +24,7 @@ func TestDPrefixDegradedSweep(t *testing.T) {
 		for f := 0; f < n; f++ {
 			plan := fault.Random(d, f, int64(1000*n+f))
 			for _, inclusive := range []bool{true, false} {
-				got, st, err := DPrefixDegraded(n, in, monoid.Sum[int](), inclusive, plan)
+				got, st, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), inclusive, plan)
 				if err != nil {
 					t.Fatalf("n=%d f=%d: %v", n, f, err)
 				}
@@ -59,12 +60,12 @@ func TestDPrefixDegradedReproducible(t *testing.T) {
 	d := topology.MustDualCube(n)
 	in := randInts(rand.New(rand.NewSource(3)), d.Nodes())
 	plan := fault.Random(d, n-1, 77)
-	_, first, err := DPrefixDegraded(n, in, monoid.Sum[int](), true, plan)
+	_, first, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		_, again, err := DPrefixDegraded(n, in, monoid.Sum[int](), true, plan)
+		_, again, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestDPrefixDegradedReproducible(t *testing.T) {
 		}
 	}
 	// A fresh but identically seeded plan must reproduce the same stats too.
-	_, fresh, err := DPrefixDegraded(n, in, monoid.Sum[int](), true, fault.Random(d, n-1, 77))
+	_, fresh, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, fault.Random(d, n-1, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +89,12 @@ func TestDPrefixDegradedFaultFree(t *testing.T) {
 	const n = 4
 	d := topology.MustDualCube(n)
 	in := randInts(rand.New(rand.NewSource(9)), d.Nodes())
-	plainOut, plainStats, err := DPrefix(n, in, monoid.Sum[int](), true, nil)
+	plainOut, plainStats, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*fault.Plan{nil, {Seed: 4}} {
-		out, st, err := DPrefixDegraded(n, in, monoid.Sum[int](), true, plan)
+		out, st, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestDPrefixDegradedNonCommutative(t *testing.T) {
 		in[i] = string(rune('a' + i%26))
 	}
 	plan := fault.Random(d, n-1, 13)
-	got, _, err := DPrefixDegraded(n, in, monoid.Concat(), true, plan)
+	got, _, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Concat(), true, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestDPrefixDegradedRejects(t *testing.T) {
 		"bogus link":    {Links: []fault.Link{{U: 0, V: 3}}},
 		"disconnection": {Links: disconnectNode0(d)},
 	} {
-		if _, _, err := DPrefixDegraded(n, in, monoid.Sum[int](), true, plan); err == nil {
+		if _, _, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan); err == nil {
 			t.Errorf("%s: accepted, want error", name)
 		}
 	}

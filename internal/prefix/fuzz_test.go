@@ -3,6 +3,7 @@ package prefix
 import (
 	"testing"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
 )
@@ -24,7 +25,7 @@ func FuzzDPrefixD3(f *testing.F) {
 				strs[i] = string(rune('a' + int(data[i])%26))
 			}
 		}
-		got, st, err := DPrefix(n, ints, monoid.Sum[int](), inclusive, nil)
+		got, st, err := DPrefix(machine.Config{}, n, ints, monoid.Sum[int](), inclusive, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func FuzzDPrefixD3(f *testing.F) {
 		if st.Cycles != MeasuredCommSteps(n) {
 			t.Fatalf("comm %d", st.Cycles)
 		}
-		gs, _, err := DPrefix(n, strs, monoid.Concat(), inclusive, nil)
+		gs, _, err := DPrefix(machine.Config{}, n, strs, monoid.Concat(), inclusive, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

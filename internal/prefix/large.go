@@ -17,7 +17,7 @@ import (
 // prefix (2n communication steps), and the received offset is folded into
 // each local result (k more combines). Communication cost is independent
 // of k; only the payload work grows.
-func DPrefixLarge[T any](n, k int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
+func DPrefixLarge[T any](cfg machine.Config, n, k int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
 	d, err := topology.Shared(n)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -33,7 +33,7 @@ func DPrefixLarge[T any](n, k int, in []T, m monoid.Monoid[T], inclusive bool) (
 		return nil, machine.Stats{}, err
 	}
 	out := make([]T, len(in))
-	st, err := dcomm.Execute(sch, machine.Config{}, newLargeKernel(d, m, k, inclusive, in, out))
+	st, err := dcomm.Execute(sch, cfg, newLargeKernel(d, m, k, inclusive, in, out))
 	if err != nil {
 		return nil, st, err
 	}

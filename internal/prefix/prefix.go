@@ -14,9 +14,10 @@
 // (dcomm.Compiled(d, dcomm.OpPrefix)): the algorithm is a machine.DirectKernel
 // (kernel.go) and dcomm.Execute routes it — by default through the direct
 // array executor, or through a simulator engine driving the same kernel when
-// an engine scheduler is requested — so the fault-free and degraded variants
-// are the same kernel over different schedules and both execution paths are
-// one algorithm.
+// the caller's machine.Config names an engine scheduler — so the fault-free
+// and degraded variants are the same kernel over different schedules and
+// both execution paths are one algorithm. Every entry point takes that
+// Config first and passes it down unchanged.
 package prefix
 
 import (
@@ -50,7 +51,7 @@ func ascendStep[T any](c *machine.Ctx[T], m monoid.Monoid[T], partner int, upper
 // in[u] and finishes with the prefix in[0] ⊕ ... ⊕ in[u] (inclusive) or
 // in[0] ⊕ ... ⊕ in[u-1] (diminished, the paper's tag = 0). It takes q
 // communication steps and q computation rounds.
-func CubePrefix[T any](q int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
+func CubePrefix[T any](cfg machine.Config, q int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
 	h, err := topology.NewHypercube(q)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -59,7 +60,7 @@ func CubePrefix[T any](q int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, 
 		return nil, machine.Stats{}, fmt.Errorf("prefix: input length %d != %d nodes of %s", len(in), h.Nodes(), h.Name())
 	}
 	out := make([]T, len(in))
-	eng, err := machine.New[T](h, machine.Config{})
+	eng, err := machine.New[T](h, cfg)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -128,12 +129,12 @@ func (tr *Trace[T]) addPhase(label string, n int) *Phase[T] {
 //     communication steps holds, ours measures exactly 2n).
 //
 // tr may be nil; when non-nil it receives the Figure 3 phase snapshots.
-func DPrefix[T any](n int, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace[T]) ([]T, machine.Stats, error) {
+func DPrefix[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace[T]) ([]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return DPrefixOn(d, in, m, inclusive, tr)
+	return DPrefixOn(cfg, d, in, m, inclusive, tr)
 }
 
 // DPrefixOn is DPrefix over an explicit communication topology: Algorithm 2
@@ -141,7 +142,7 @@ func DPrefix[T any](n int, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace
 // every exchange uses only the cluster decomposition the interface
 // guarantees. The input is in element order under the topology's block
 // layout (DataIndex), exactly as for DPrefix.
-func DPrefixOn[T any](d topology.Comm, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace[T]) ([]T, machine.Stats, error) {
+func DPrefixOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace[T]) ([]T, machine.Stats, error) {
 	if err := topology.ValidLen(d, len(in)); err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -171,7 +172,7 @@ func DPrefixOn[T any](d topology.Comm, in []T, m monoid.Monoid[T], inclusive boo
 		return nil, machine.Stats{}, err
 	}
 	out := make([]T, len(in))
-	st, err := dcomm.Execute(sch, machine.Config{}, newPrefixKernel(d, m, inclusive, in, out, snap))
+	st, err := dcomm.Execute(sch, cfg, newPrefixKernel(d, m, inclusive, in, out, snap))
 	if err != nil {
 		return nil, st, err
 	}
@@ -181,7 +182,7 @@ func DPrefixOn[T any](d topology.Comm, in []T, m monoid.Monoid[T], inclusive boo
 // DPrefixRecorded is DPrefix with full message recording (per-link loads
 // and the space-time event log) for the traffic analysis of experiment
 // E14. Tracing snapshots are not supported in this variant.
-func DPrefixRecorded[T any](n int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, *machine.Recording, error) {
+func DPrefixRecorded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, *machine.Recording, error) {
 	d, err := topology.Validated(n, len(in))
 	if err != nil {
 		return nil, machine.Stats{}, nil, err
@@ -191,7 +192,7 @@ func DPrefixRecorded[T any](n int, in []T, m monoid.Monoid[T], inclusive bool) (
 		return nil, machine.Stats{}, nil, err
 	}
 	out := make([]T, len(in))
-	eng, err := machine.New[T](d, machine.Config{})
+	eng, err := machine.New[T](d, cfg)
 	if err != nil {
 		return nil, machine.Stats{}, nil, err
 	}
@@ -210,7 +211,7 @@ func DPrefixRecorded[T any](n int, in []T, m monoid.Monoid[T], inclusive bool) (
 // technique. Input and output are in recursive-ID order. It costs 6n-5
 // communication steps versus D_prefix's 2n, demonstrating why the cluster
 // technique matters.
-func EmulatedCubePrefix[T any](n int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
+func EmulatedCubePrefix[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
 	init := make([]totalPrefix[T], len(in))
 	for i, v := range in {
 		init[i] = totalPrefix[T]{t: v, s: v}
@@ -218,7 +219,7 @@ func EmulatedCubePrefix[T any](n int, in []T, m monoid.Monoid[T], inclusive bool
 			init[i].s = m.Identity()
 		}
 	}
-	pairs, st, err := emulate.Ascend(n, init, func(dim, id int, mine, theirs totalPrefix[T]) totalPrefix[T] {
+	pairs, st, err := emulate.Ascend(cfg, n, init, func(dim, id int, mine, theirs totalPrefix[T]) totalPrefix[T] {
 		if id>>dim&1 == 1 {
 			return totalPrefix[T]{t: m.Combine(theirs.t, mine.t), s: m.Combine(theirs.t, mine.s)}
 		}

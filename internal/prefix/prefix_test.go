@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
 )
@@ -23,7 +24,7 @@ func TestCubePrefixSumAllSizes(t *testing.T) {
 	for q := 0; q <= 9; q++ {
 		in := randInts(rng, 1<<q)
 		for _, inclusive := range []bool{true, false} {
-			got, st, err := CubePrefix(q, in, monoid.Sum[int](), inclusive)
+			got, st, err := CubePrefix(machine.Config{}, q, in, monoid.Sum[int](), inclusive)
 			if err != nil {
 				t.Fatalf("q=%d: %v", q, err)
 			}
@@ -52,7 +53,7 @@ func TestCubePrefixNonCommutative(t *testing.T) {
 	for i := range in {
 		in[i] = string(rune('a' + i%26))
 	}
-	got, _, err := CubePrefix(q, in, monoid.Concat(), true)
+	got, _, err := CubePrefix(machine.Config{}, q, in, monoid.Concat(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,10 @@ func TestCubePrefixNonCommutative(t *testing.T) {
 }
 
 func TestCubePrefixBadInput(t *testing.T) {
-	if _, _, err := CubePrefix(3, make([]int, 7), monoid.Sum[int](), true); err == nil {
+	if _, _, err := CubePrefix(machine.Config{}, 3, make([]int, 7), monoid.Sum[int](), true); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := CubePrefix(-1, nil, monoid.Sum[int](), true); err == nil {
+	if _, _, err := CubePrefix(machine.Config{}, -1, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("negative dimension should fail")
 	}
 }
@@ -78,7 +79,7 @@ func TestDPrefixSumAllSizes(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		in := randInts(rng, 1<<(2*n-1))
 		for _, inclusive := range []bool{true, false} {
-			got, st, err := DPrefix(n, in, monoid.Sum[int](), inclusive, nil)
+			got, st, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), inclusive, nil)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -117,7 +118,7 @@ func TestDPrefixNonCommutativeOrder(t *testing.T) {
 		for i := range in {
 			in[i] = string(rune('A'+i%26)) + string(rune('a'+(i/26)%26))
 		}
-		got, _, err := DPrefix(n, in, monoid.Concat(), true, nil)
+		got, _, err := DPrefix(machine.Config{}, n, in, monoid.Concat(), true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestDPrefixMatrixMonoid(t *testing.T) {
 	for i := range in {
 		in[i] = monoid.Mat2{1, int64(i + 1), 0, 1}
 	}
-	got, _, err := DPrefix(n, in, monoid.Mat2Mul(), true, nil)
+	got, _, err := DPrefix(machine.Config{}, n, in, monoid.Mat2Mul(), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestDPrefixMaxMinXor(t *testing.T) {
 	N := 1 << (2*n - 1)
 	ints := randInts(rng, N)
 	for _, m := range []monoid.Monoid[int]{monoid.MaxInt(), monoid.MinInt()} {
-		got, _, err := DPrefix(n, ints, m, true, nil)
+		got, _, err := DPrefix(machine.Config{}, n, ints, m, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestDPrefixMaxMinXor(t *testing.T) {
 	for i := range words {
 		words[i] = rng.Uint64()
 	}
-	got, _, err := DPrefix(n, words, monoid.Xor(), false, nil)
+	got, _, err := DPrefix(machine.Config{}, n, words, monoid.Xor(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestDPrefixQuickProperty(t *testing.T) {
 		n := int(nSeed)%4 + 1
 		rng := rand.New(rand.NewSource(seed))
 		in := randInts(rng, 1<<(2*n-1))
-		got, _, err := DPrefix(n, in, monoid.Sum[int](), true, nil)
+		got, _, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
 		if err != nil {
 			return false
 		}
@@ -210,10 +211,10 @@ func TestDPrefixQuickProperty(t *testing.T) {
 }
 
 func TestDPrefixBadInput(t *testing.T) {
-	if _, _, err := DPrefix(2, make([]int, 5), monoid.Sum[int](), true, nil); err == nil {
+	if _, _, err := DPrefix(machine.Config{}, 2, make([]int, 5), monoid.Sum[int](), true, nil); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DPrefix(0, nil, monoid.Sum[int](), true, nil); err == nil {
+	if _, _, err := DPrefix(machine.Config{}, 0, nil, monoid.Sum[int](), true, nil); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -230,7 +231,7 @@ func TestDPrefixCombineCount(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	_, st, err := DPrefix(n, in, m, true, nil)
+	_, st, err := DPrefix(machine.Config{}, n, in, m, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestDPrefixTrace(t *testing.T) {
 		in[i] = 1
 	}
 	var tr Trace[int]
-	got, _, err := DPrefix(n, in, monoid.Sum[int](), true, &tr)
+	got, _, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestEmulatedCubePrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for n := 1; n <= 4; n++ {
 		in := randInts(rng, 1<<(2*n-1))
-		got, st, err := EmulatedCubePrefix(n, in, monoid.Sum[int](), true)
+		got, st, err := EmulatedCubePrefix(machine.Config{}, n, in, monoid.Sum[int](), true)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -303,10 +304,10 @@ func TestEmulatedCubePrefix(t *testing.T) {
 			t.Errorf("n=%d: emulation (%d) unexpectedly as cheap as D_prefix (%d)", n, st.Cycles, MeasuredCommSteps(n))
 		}
 	}
-	if _, _, err := EmulatedCubePrefix(2, make([]int, 3), monoid.Sum[int](), true); err == nil {
+	if _, _, err := EmulatedCubePrefix(machine.Config{}, 2, make([]int, 3), monoid.Sum[int](), true); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := EmulatedCubePrefix(0, nil, monoid.Sum[int](), true); err == nil {
+	if _, _, err := EmulatedCubePrefix(machine.Config{}, 0, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -317,7 +318,7 @@ func TestDPrefixLarge(t *testing.T) {
 		N := 1 << (2*tc.n - 1)
 		in := randInts(rng, tc.k*N)
 		for _, inclusive := range []bool{true, false} {
-			got, st, err := DPrefixLarge(tc.n, tc.k, in, monoid.Sum[int](), inclusive)
+			got, st, err := DPrefixLarge(machine.Config{}, tc.n, tc.k, in, monoid.Sum[int](), inclusive)
 			if err != nil {
 				t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 			}
@@ -345,7 +346,7 @@ func TestDPrefixLargeNonCommutative(t *testing.T) {
 	for i := range in {
 		in[i] = string(rune('a' + i%26))
 	}
-	got, _, err := DPrefixLarge(n, k, in, monoid.Concat(), true)
+	got, _, err := DPrefixLarge(machine.Config{}, n, k, in, monoid.Concat(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,13 +359,13 @@ func TestDPrefixLargeNonCommutative(t *testing.T) {
 }
 
 func TestDPrefixLargeBadInput(t *testing.T) {
-	if _, _, err := DPrefixLarge(2, 0, nil, monoid.Sum[int](), true); err == nil {
+	if _, _, err := DPrefixLarge(machine.Config{}, 2, 0, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, _, err := DPrefixLarge(2, 2, make([]int, 15), monoid.Sum[int](), true); err == nil {
+	if _, _, err := DPrefixLarge(machine.Config{}, 2, 2, make([]int, 15), monoid.Sum[int](), true); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DPrefixLarge(0, 1, nil, monoid.Sum[int](), true); err == nil {
+	if _, _, err := DPrefixLarge(machine.Config{}, 0, 1, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -373,11 +374,11 @@ func TestDPrefixRecordedMatchesDPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for n := 1; n <= 4; n++ {
 		in := randInts(rng, 1<<(2*n-1))
-		plain, stP, err := DPrefix(n, in, monoid.Sum[int](), true, nil)
+		plain, stP, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, stR, recording, err := DPrefixRecorded(n, in, monoid.Sum[int](), true)
+		rec, stR, recording, err := DPrefixRecorded(machine.Config{}, n, in, monoid.Sum[int](), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,10 +401,10 @@ func TestDPrefixRecordedMatchesDPrefix(t *testing.T) {
 			t.Errorf("n=%d: max link load %d, want 2", n, load)
 		}
 	}
-	if _, _, _, err := DPrefixRecorded(0, nil, monoid.Sum[int](), true); err == nil {
+	if _, _, _, err := DPrefixRecorded(machine.Config{}, 0, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("order 0 should fail")
 	}
-	if _, _, _, err := DPrefixRecorded(2, make([]int, 3), monoid.Sum[int](), true); err == nil {
+	if _, _, _, err := DPrefixRecorded(machine.Config{}, 2, make([]int, 3), monoid.Sum[int](), true); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -419,7 +420,7 @@ func TestDPrefixD7Smoke(t *testing.T) {
 	for i := range in {
 		in[i] = 1
 	}
-	got, st, err := DPrefix(n, in, monoid.Sum[int](), true, nil)
+	got, st, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

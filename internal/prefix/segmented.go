@@ -40,7 +40,7 @@ func segMonoid[T any](m monoid.Monoid[T]) monoid.Monoid[seg[T]] {
 // values from its segment's start through i. Element 0 implicitly starts
 // the first segment. Costs exactly the same 2n communication steps as
 // DPrefix — segmentation is free.
-func DPrefixSegmented[T any](n int, values []T, heads []bool, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
+func DPrefixSegmented[T any](cfg machine.Config, n int, values []T, heads []bool, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
 	if len(values) != len(heads) {
 		return nil, machine.Stats{}, fmt.Errorf("prefix: %d values but %d segment flags", len(values), len(heads))
 	}
@@ -48,7 +48,7 @@ func DPrefixSegmented[T any](n int, values []T, heads []bool, m monoid.Monoid[T]
 	for i := range values {
 		in[i] = seg[T]{head: heads[i], val: values[i]}
 	}
-	lifted, st, err := DPrefix(n, in, segMonoid(m), true, nil)
+	lifted, st, err := DPrefix(cfg, n, in, segMonoid(m), true, nil)
 	if err != nil {
 		return nil, st, err
 	}

@@ -34,7 +34,7 @@ import (
 // The result is the fully sorted sequence (bucket sizes vary with the key
 // distribution, so nodes end with unequal shares; the returned slice is
 // their in-order concatenation). Communication: exactly 4n rounds.
-func Sort[K any](n, k int, keys []K, less func(a, b K) bool) ([]K, machine.Stats, error) {
+func Sort[K any](cfg machine.Config, n, k int, keys []K, less func(a, b K) bool) ([]K, machine.Stats, error) {
 	d, err := topology.Shared(n)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -65,7 +65,7 @@ func Sort[K any](n, k int, keys []K, less func(a, b K) bool) ([]K, machine.Stats
 
 	// Phase 2: all-gather the samples; every node derives the splitters.
 	// The collective carries each node's sample slice as one element.
-	gathered, stAG, err := collective.AllGather(n, samples)
+	gathered, stAG, err := collective.AllGather(cfg, n, samples)
 	if err != nil {
 		return nil, stAG, err
 	}
@@ -99,7 +99,7 @@ func Sort[K any](n, k int, keys []K, less func(a, b K) bool) ([]K, machine.Stats
 	}
 
 	// Phase 4: the variable-size total exchange.
-	recv, stA2A, err := collective.AllToAllV(n, buckets)
+	recv, stA2A, err := collective.AllToAllV(cfg, n, buckets)
 	if err != nil {
 		return nil, stA2A, err
 	}

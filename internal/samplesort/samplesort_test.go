@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/seq"
 	"dualcube/internal/sortnet"
 )
@@ -19,7 +20,7 @@ func TestSampleSortRandom(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(10000) - 5000
 		}
-		got, st, err := Sort(tc.n, tc.k, in, intLess)
+		got, st, err := Sort(machine.Config{}, tc.n, tc.k, in, intLess)
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
@@ -50,7 +51,7 @@ func TestSampleSortAdversarial(t *testing.T) {
 		for i := range in {
 			in[i] = gen(i)
 		}
-		got, _, err := Sort(n, k, in, intLess)
+		got, _, err := Sort(machine.Config{}, n, k, in, intLess)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -69,7 +70,7 @@ func TestSampleSortSmallK(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Intn(100)
 	}
-	got, _, err := Sort(n, k, in, intLess)
+	got, _, err := Sort(machine.Config{}, n, k, in, intLess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSampleSortQuick(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(500)
 		}
-		got, _, err := Sort(n, k, in, intLess)
+		got, _, err := Sort(machine.Config{}, n, k, in, intLess)
 		if err != nil {
 			return false
 		}
@@ -109,13 +110,13 @@ func TestSampleSortQuick(t *testing.T) {
 }
 
 func TestSampleSortBadInputs(t *testing.T) {
-	if _, _, err := Sort(0, 1, nil, intLess); err == nil {
+	if _, _, err := Sort(machine.Config{}, 0, 1, nil, intLess); err == nil {
 		t.Error("order 0 should fail")
 	}
-	if _, _, err := Sort(2, 0, nil, intLess); err == nil {
+	if _, _, err := Sort(machine.Config{}, 2, 0, nil, intLess); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, _, err := Sort(2, 2, make([]int, 5), intLess); err == nil {
+	if _, _, err := Sort(machine.Config{}, 2, 2, make([]int, 5), intLess); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -132,7 +133,7 @@ func TestSampleSortRecords(t *testing.T) {
 	for i := range in {
 		in[i] = rec{key: rng.Intn(50), name: string(rune('a' + i%26))}
 	}
-	got, _, err := Sort(n, k, in, func(a, b rec) bool { return a.key < b.key })
+	got, _, err := Sort(machine.Config{}, n, k, in, func(a, b rec) bool { return a.key < b.key })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/prefix"
 	"dualcube/internal/sortnet"
@@ -37,7 +38,7 @@ func randPayload(rng *rand.Rand, nodes int) []int64 {
 func checkAgainstUnbatched(req *Request, resp *Response) error {
 	switch req.Op {
 	case OpPrefix:
-		want, _, err := prefix.DPrefix(req.N, req.Data, monoid.Sum[int64](), true, nil)
+		want, _, err := prefix.DPrefix(machine.Config{}, req.N, req.Data, monoid.Sum[int64](), true, nil)
 		if err != nil {
 			return err
 		}
@@ -59,7 +60,7 @@ func checkAgainstUnbatched(req *Request, resp *Response) error {
 		if req.Desc {
 			ord = sortnet.Descending
 		}
-		want, _, err := sortnet.DSort(req.N, req.Data, func(a, b int64) bool { return a < b }, ord, nil)
+		want, _, err := sortnet.DSort(machine.Config{}, req.N, req.Data, func(a, b int64) bool { return a < b }, ord, nil)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package sortnet
 import (
 	"testing"
 
+	"dualcube/internal/machine"
 	"dualcube/internal/seq"
 )
 
@@ -16,6 +17,7 @@ func FuzzDSortD3(f *testing.F) {
 	f.Add([]byte{255, 0, 255, 0, 1, 2, 3, 4, 250, 249, 248, 200, 100, 50, 25, 12,
 		6, 3, 1, 0, 9, 9, 9, 9, 7, 7, 7, 7, 128, 128, 64, 64})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		t.Parallel()
 		const n = 3
 		N := 1 << (2*n - 1)
 		in := make([]int, N)
@@ -24,7 +26,7 @@ func FuzzDSortD3(f *testing.F) {
 				in[i] = int(data[i])
 			}
 		}
-		got, st, err := DSort(n, in, intLess, Ascending, nil)
+		got, st, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,6 +49,7 @@ func FuzzMergeSplit(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{9}, []byte{1})
 	f.Fuzz(func(t *testing.T, ab, bb []byte) {
+		t.Parallel()
 		if len(ab) != len(bb) || len(ab) == 0 || len(ab) > 64 {
 			t.Skip()
 		}

@@ -13,6 +13,7 @@ import (
 // descending lanes must reproduce, per lane, exactly what DSort returns for
 // that lane's keys and direction.
 func TestLaneSortMatchesUnbatched(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
 	less := func(a, b int64) bool { return a < b }
 	for _, n := range []int{2, 3, 4} {
@@ -42,7 +43,7 @@ func TestLaneSortMatchesUnbatched(t *testing.T) {
 				t.Fatal(err)
 			}
 			for l := 0; l < k; l++ {
-				want, _, err := DSort(n, keys[l], less, ords[l], nil)
+				want, _, err := DSort(machine.Config{}, n, keys[l], less, ords[l], nil)
 				if err != nil {
 					t.Fatal(err)
 				}

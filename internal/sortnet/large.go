@@ -18,18 +18,18 @@ import (
 //
 // Communication steps are identical to DSort (messages carry k keys);
 // computation grows by the local sort and the k-element merges.
-func DSortLarge[K any](n, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
+func DSortLarge[K any](cfg machine.Config, n, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
 	d, err := topology.Shared(n)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return DSortLargeOn(d, k, keys, less, ord)
+	return DSortLargeOn(cfg, d, k, keys, less, ord)
 }
 
 // DSortLargeOn is DSortLarge over an explicit communication topology
 // carrying the recursive presentation: the merge-split kernel runs over the
 // same compiled OpDSort schedule as DSortOn, on any family.
-func DSortLargeOn[K any](d topology.Recursive, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
+func DSortLargeOn[K any](cfg machine.Config, d topology.Recursive, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
 	if err := validLarge(k, len(keys), d.Nodes(), ord); err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -37,12 +37,12 @@ func DSortLargeOn[K any](d topology.Recursive, k int, keys []K, less func(a, b K
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return sortChunks(sch, k, keys, less, ord)
+	return sortChunks(cfg, sch, k, keys, less, ord)
 }
 
 // CubeSortLarge is the same generalization for the hypercube baseline:
 // k keys per node of Q_q, bitonic sort with merge-split.
-func CubeSortLarge[K any](q, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
+func CubeSortLarge[K any](cfg machine.Config, q, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
 	h, err := topology.NewHypercube(q)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -64,7 +64,7 @@ func CubeSortLarge[K any](q, k int, keys []K, less func(a, b K) bool, ord Order)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return sortChunks(sch, k, keys, less, ord)
+	return sortChunks(cfg, sch, k, keys, less, ord)
 }
 
 func validLarge(k, keys, nodes int, ord Order) error {
@@ -80,12 +80,12 @@ func validLarge(k, keys, nodes int, ord Order) error {
 // sortChunks runs the merge-split kernel over a compiled sort schedule,
 // through dcomm.Execute like every schedule-driven operation: k keys per
 // node, chunk r of keys on the node with sort ID r.
-func sortChunks[K any](sch *machine.Schedule, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
+func sortChunks[K any](cfg machine.Config, sch *machine.Schedule, k int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
 	mk := &mergeKernel[K]{
 		less: less, ord: ord, steps: sch.Steps, id: sch.SortIDs(), in: keys,
 		lanes: machine.NewLanes[K](sch.Topology().Nodes(), k),
 	}
-	st, err := dcomm.Execute(sch, machine.Config{}, mk)
+	st, err := dcomm.Execute(sch, cfg, mk)
 	if err != nil {
 		return nil, st, err
 	}

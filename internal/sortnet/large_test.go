@@ -110,7 +110,7 @@ func TestDSortLarge(t *testing.T) {
 			for i := range in {
 				in[i] = rng.Intn(200) - 100
 			}
-			got, st, err := DSortLarge(tc.n, tc.k, in, intLess, ord)
+			got, st, err := DSortLarge(machine.Config{}, tc.n, tc.k, in, intLess, ord)
 			if err != nil {
 				t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 			}
@@ -124,6 +124,7 @@ func TestDSortLarge(t *testing.T) {
 }
 
 func TestDSortLargeK1MatchesDSort(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	n := 3
 	N := 1 << (2*n - 1)
@@ -131,11 +132,11 @@ func TestDSortLargeK1MatchesDSort(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Intn(1000)
 	}
-	a, _, err := DSort(n, in, intLess, Ascending, nil)
+	a, _, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := DSortLarge(n, 1, in, intLess, Ascending)
+	b, _, err := DSortLarge(machine.Config{}, n, 1, in, intLess, Ascending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,7 @@ func TestDSortLargeK1MatchesDSort(t *testing.T) {
 // serial direct run's outputs and Stats from both. Under -race it checks
 // that no pass reads a row while another writes it.
 func TestDSortLargeSharedArenas(t *testing.T) {
-	defer machine.SetDefaultSched(machine.SchedDefault)
-	defer machine.SetDefaultWorkers(0)
+	t.Parallel()
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct {
 		n, k, workers int
@@ -167,15 +167,13 @@ func TestDSortLargeSharedArenas(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(64)
 		}
-		machine.SetDefaultSched(machine.SchedDirect)
-		machine.SetDefaultWorkers(1)
-		want, wantSt, err := DSortLarge(tc.n, tc.k, in, intLess, Descending)
+		serial := machine.Config{Sched: machine.SchedDirect, Workers: 1}
+		want, wantSt, err := DSortLarge(serial, tc.n, tc.k, in, intLess, Descending)
 		if err != nil {
 			t.Fatal(err)
 		}
-		machine.SetDefaultSched(tc.sched)
-		machine.SetDefaultWorkers(tc.workers)
-		got, st, err := DSortLarge(tc.n, tc.k, in, intLess, Descending)
+		shared := machine.Config{Sched: tc.sched, Workers: tc.workers}
+		got, st, err := DSortLarge(shared, tc.n, tc.k, in, intLess, Descending)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +192,7 @@ func TestCubeSortLarge(t *testing.T) {
 			for i := range in {
 				in[i] = rng.Intn(100)
 			}
-			got, st, err := CubeSortLarge(tc.q, tc.k, in, intLess, ord)
+			got, st, err := CubeSortLarge(machine.Config{}, tc.q, tc.k, in, intLess, ord)
 			if err != nil {
 				t.Fatalf("q=%d k=%d: %v", tc.q, tc.k, err)
 			}
@@ -207,22 +205,22 @@ func TestCubeSortLarge(t *testing.T) {
 }
 
 func TestLargeBadInput(t *testing.T) {
-	if _, _, err := DSortLarge(2, 0, nil, intLess, Ascending); err == nil {
+	if _, _, err := DSortLarge(machine.Config{}, 2, 0, nil, intLess, Ascending); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, _, err := DSortLarge(2, 2, make([]int, 3), intLess, Ascending); err == nil {
+	if _, _, err := DSortLarge(machine.Config{}, 2, 2, make([]int, 3), intLess, Ascending); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DSortLarge(0, 1, nil, intLess, Ascending); err == nil {
+	if _, _, err := DSortLarge(machine.Config{}, 0, 1, nil, intLess, Ascending); err == nil {
 		t.Error("order 0 should fail")
 	}
-	if _, _, err := CubeSortLarge(2, 0, nil, intLess, Ascending); err == nil {
+	if _, _, err := CubeSortLarge(machine.Config{}, 2, 0, nil, intLess, Ascending); err == nil {
 		t.Error("cube k=0 should fail")
 	}
-	if _, _, err := CubeSortLarge(2, 2, make([]int, 3), intLess, Ascending); err == nil {
+	if _, _, err := CubeSortLarge(machine.Config{}, 2, 2, make([]int, 3), intLess, Ascending); err == nil {
 		t.Error("cube length mismatch should fail")
 	}
-	if _, _, err := CubeSortLarge(-1, 1, nil, intLess, Ascending); err == nil {
+	if _, _, err := CubeSortLarge(machine.Config{}, -1, 1, nil, intLess, Ascending); err == nil {
 		t.Error("cube negative dim should fail")
 	}
 }

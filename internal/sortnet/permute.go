@@ -20,7 +20,7 @@ type routed[T any] struct {
 // after sorting the pair destined for slot j sits exactly at position j.
 // The cost is that of one D_sort: 6n²-7n+2 communication steps — an
 // oblivious, contention-free routing schedule for any permutation.
-func Permute[T any](n int, dests []int, values []T) ([]T, machine.Stats, error) {
+func Permute[T any](cfg machine.Config, n int, dests []int, values []T) ([]T, machine.Stats, error) {
 	if len(dests) != len(values) {
 		return nil, machine.Stats{}, fmt.Errorf("sortnet: %d destinations for %d values", len(dests), len(values))
 	}
@@ -35,7 +35,7 @@ func Permute[T any](n int, dests []int, values []T) ([]T, machine.Stats, error) 
 	for i := range values {
 		pairs[i] = routed[T]{dest: dests[i], val: values[i]}
 	}
-	sorted, st, err := DSort(n, pairs, func(a, b routed[T]) bool { return a.dest < b.dest }, Ascending, nil)
+	sorted, st, err := DSort(cfg, n, pairs, func(a, b routed[T]) bool { return a.dest < b.dest }, Ascending, nil)
 	if err != nil {
 		return nil, st, err
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dualcube/internal/machine"
 )
 
 func TestPermuteIdentity(t *testing.T) {
@@ -15,7 +17,7 @@ func TestPermuteIdentity(t *testing.T) {
 		dests[i] = i
 		values[i] = string(rune('a' + i))
 	}
-	got, st, err := Permute(n, dests, values)
+	got, st, err := Permute(machine.Config{}, n, dests, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestPermuteReversal(t *testing.T) {
 		dests[i] = N - 1 - i
 		values[i] = i * 7
 	}
-	got, _, err := Permute(n, dests, values)
+	got, _, err := Permute(machine.Config{}, n, dests, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestPermuteRandom(t *testing.T) {
 			for i := range values {
 				values[i] = rng.Int()
 			}
-			got, _, err := Permute(n, dests, values)
+			got, _, err := Permute(machine.Config{}, n, dests, values)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -82,7 +84,7 @@ func TestPermuteQuick(t *testing.T) {
 		for i := range values {
 			values[i] = rng.Int()
 		}
-		got, _, err := Permute(n, dests, values)
+		got, _, err := Permute(machine.Config{}, n, dests, values)
 		if err != nil {
 			return false
 		}
@@ -99,16 +101,16 @@ func TestPermuteQuick(t *testing.T) {
 }
 
 func TestPermuteRejectsNonPermutation(t *testing.T) {
-	if _, _, err := Permute(2, []int{0, 1, 2, 3, 4, 5, 6, 6}, make([]int, 8)); err == nil {
+	if _, _, err := Permute(machine.Config{}, 2, []int{0, 1, 2, 3, 4, 5, 6, 6}, make([]int, 8)); err == nil {
 		t.Error("duplicate destination should fail")
 	}
-	if _, _, err := Permute(2, []int{0, 1, 2, 3, 4, 5, 6, 8}, make([]int, 8)); err == nil {
+	if _, _, err := Permute(machine.Config{}, 2, []int{0, 1, 2, 3, 4, 5, 6, 8}, make([]int, 8)); err == nil {
 		t.Error("out-of-range destination should fail")
 	}
-	if _, _, err := Permute(2, []int{0, 1}, make([]int, 8)); err == nil {
+	if _, _, err := Permute(machine.Config{}, 2, []int{0, 1}, make([]int, 8)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := Permute(0, nil, []int{}); err == nil {
+	if _, _, err := Permute(machine.Config{}, 0, nil, []int{}); err == nil {
 		t.Error("order 0 should fail")
 	}
 }

@@ -69,8 +69,8 @@ func keepMinAt(id, j int, dir Order) bool {
 // placed on node u, and the result is the sorted permutation in node-ID
 // order. It performs q(q+1)/2 compare-exchange steps, each a single
 // communication cycle, over the compiled schedule — the direct kernel
-// executor by default, or a simulator engine under an engine scheduler.
-func CubeSort[K any](q int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
+// executor by default, or a simulator engine when cfg names one.
+func CubeSort[K any](cfg machine.Config, q int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, error) {
 	h, err := topology.NewHypercube(q)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -88,7 +88,7 @@ func CubeSort[K any](q int, keys []K, less func(a, b K) bool, ord Order) ([]K, m
 	// Sort IDs are node IDs on the hypercube: the keys load as they are.
 	key := slices.Clone(keys)
 	kern := &exchKernel[K]{less: less, ord: ord, steps: sch.Steps, id: sch.SortIDs(), key: key}
-	st, err := dcomm.Execute(sch, machine.Config{}, kern)
+	st, err := dcomm.Execute(sch, cfg, kern)
 	if err != nil {
 		return nil, st, err
 	}
@@ -138,22 +138,22 @@ func traceStep[K any](st *machine.Step, n, nodes int) Step[K] {
 // OpDSort for its levels and orientations): every dimension-j step is a
 // cross hop for j = 0 and a 3-cycle StepRecDim exchange otherwise (half
 // the pairs route through two cross-edges), run on the direct kernel
-// executor by default, or interpreted on a simulator engine under an
-// engine scheduler. tr may be nil; when non-nil it receives the Figure 5/6
+// executor by default, or interpreted on a simulator engine when cfg names
+// one. tr may be nil; when non-nil it receives the Figure 5/6
 // snapshots.
-func DSort[K any](n int, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
+func DSort[K any](cfg machine.Config, n int, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
 	d, err := topology.Validated(n, len(keys))
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return DSortOn(d, keys, less, ord, tr)
+	return DSortOn(cfg, d, keys, less, ord, tr)
 }
 
 // DSortOn is DSort over an explicit communication topology carrying the
 // recursive presentation: the same merge ladder runs on the dual-cube, the
 // odd hypercube and the Z-cube, whose recursive IDs all coincide with the
 // embedded D_n's.
-func DSortOn[K any](d topology.Recursive, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
+func DSortOn[K any](cfg machine.Config, d topology.Recursive, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
 	n := d.Order()
 	if err := topology.ValidLen(d, len(keys)); err != nil {
 		return nil, machine.Stats{}, err
@@ -179,7 +179,7 @@ func DSortOn[K any](d topology.Recursive, keys []K, less func(a, b K) bool, ord 
 	}
 
 	kern := newDSortKernel(sch, keys, less, ord, snaps)
-	st, err := dcomm.Execute(sch, machine.Config{}, kern)
+	st, err := dcomm.Execute(sch, cfg, kern)
 	if err != nil {
 		if tr != nil {
 			// Discard the preallocated snapshots: a failed run leaves them as
@@ -195,7 +195,7 @@ func DSortOn[K any](d topology.Recursive, keys []K, less func(a, b K) bool, ord 
 // the space-time event log) for the traffic analysis of experiment E14.
 // Recording is an engine facility, so this always runs the kernel through
 // the schedule interpreter regardless of the configured scheduler.
-func DSortRecorded[K any](n int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, *machine.Recording, error) {
+func DSortRecorded[K any](cfg machine.Config, n int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, *machine.Recording, error) {
 	d, err := topology.Validated(n, len(keys))
 	if err != nil {
 		return nil, machine.Stats{}, nil, err
@@ -208,7 +208,7 @@ func DSortRecorded[K any](n int, keys []K, less func(a, b K) bool, ord Order) ([
 		return nil, machine.Stats{}, nil, err
 	}
 	kern := newDSortKernel(sch, keys, less, ord, nil)
-	eng, err := machine.New[K](d, machine.Config{})
+	eng, err := machine.New[K](d, cfg)
 	if err != nil {
 		return nil, machine.Stats{}, nil, err
 	}

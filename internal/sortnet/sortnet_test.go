@@ -34,7 +34,7 @@ func TestCubeSortAllSizes(t *testing.T) {
 			for i := range in {
 				in[i] = rng.Intn(100)
 			}
-			got, st, err := CubeSort(q, in, intLess, ord)
+			got, st, err := CubeSort(machine.Config{}, q, in, intLess, ord)
 			if err != nil {
 				t.Fatalf("q=%d: %v", q, err)
 			}
@@ -61,7 +61,7 @@ func TestCubeSortZeroOnePrinciple(t *testing.T) {
 			in[i] = mask >> i & 1
 			ones += in[i]
 		}
-		got, _, err := CubeSort(q, in, intLess, Ascending)
+		got, _, err := CubeSort(machine.Config{}, q, in, intLess, Ascending)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,13 +88,13 @@ func TestDSortD1(t *testing.T) {
 		{[]int{1, 2}, Descending, []int{2, 1}},
 		{[]int{5, 5}, Ascending, []int{5, 5}},
 	} {
-		got, st, err := DSort(1, tc.in, intLess, tc.ord, nil)
+		got, st, err := DSort(machine.Config{}, 1, tc.in, intLess, tc.ord, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range tc.want {
 			if got[i] != tc.want[i] {
-				t.Errorf("DSort(D_1, %v, %v) = %v", tc.in, tc.ord, got)
+				t.Errorf("DSort(machine.Config{}, D_1, %v, %v) = %v", tc.in, tc.ord, got)
 			}
 		}
 		if st.Cycles != 1 || st.MaxOps != 1 {
@@ -116,7 +116,7 @@ func TestDSortD2Exhaustive(t *testing.T) {
 		if k == len(perm) {
 			count++
 			in := append([]int(nil), perm...)
-			got, _, err := DSort(2, in, intLess, Ascending, nil)
+			got, _, err := DSort(machine.Config{}, 2, in, intLess, Ascending, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestDSortD2ExhaustiveDescending(t *testing.T) {
 	rec = func(k int) {
 		if k == len(perm) {
 			in := append([]int(nil), perm...)
-			got, _, err := DSort(2, in, intLess, Descending, nil)
+			got, _, err := DSort(machine.Config{}, 2, in, intLess, Descending, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestDSortD3ZeroOnePrinciple(t *testing.T) {
 		for _, v := range in {
 			ones += v
 		}
-		got, _, err := DSort(3, in, intLess, Ascending, nil)
+		got, _, err := DSort(machine.Config{}, 3, in, intLess, Ascending, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestDSortRandom(t *testing.T) {
 				for i := range in {
 					in[i] = rng.Intn(50) - 25
 				}
-				got, st, err := DSort(n, in, intLess, ord, nil)
+				got, st, err := DSort(machine.Config{}, n, in, intLess, ord, nil)
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
@@ -279,7 +279,7 @@ func TestDSortAdversarialInputs(t *testing.T) {
 		cases["organ-pipe"] = organ
 		cases["heavy-duplicates"] = dup
 		for label, in := range cases {
-			got, _, err := DSort(n, in, intLess, Ascending, nil)
+			got, _, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, label, err)
 			}
@@ -300,7 +300,7 @@ func TestDSortQuick(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		got, _, err := DSort(n, in, intLess, ord, nil)
+		got, _, err := DSort(machine.Config{}, n, in, intLess, ord, nil)
 		if err != nil {
 			return false
 		}
@@ -329,7 +329,7 @@ func TestDSortStructKeys(t *testing.T) {
 	for i := range in {
 		in[i] = job{prio: (i*5 + 3) % N, name: string(rune('a' + i))}
 	}
-	got, _, err := DSort(n, in, func(a, b job) bool { return a.prio < b.prio }, Ascending, nil)
+	got, _, err := DSort(machine.Config{}, n, in, func(a, b job) bool { return a.prio < b.prio }, Ascending, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,10 +341,10 @@ func TestDSortStructKeys(t *testing.T) {
 }
 
 func TestDSortBadInput(t *testing.T) {
-	if _, _, err := DSort(2, make([]int, 3), intLess, Ascending, nil); err == nil {
+	if _, _, err := DSort(machine.Config{}, 2, make([]int, 3), intLess, Ascending, nil); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DSort(0, nil, intLess, Ascending, nil); err == nil {
+	if _, _, err := DSort(machine.Config{}, 0, nil, intLess, Ascending, nil); err == nil {
 		t.Error("order 0 should fail")
 	}
 }
@@ -354,24 +354,24 @@ func TestSortInvalidOrder(t *testing.T) {
 	// entry point now rejects it with the uniform validation wording.
 	const want = "sortnet: invalid Order(2): want Ascending or Descending"
 	bad := Order(2)
-	if _, _, err := DSort(2, make([]int, 8), intLess, bad, nil); err == nil || err.Error() != want {
+	if _, _, err := DSort(machine.Config{}, 2, make([]int, 8), intLess, bad, nil); err == nil || err.Error() != want {
 		t.Errorf("DSort: err = %v, want %q", err, want)
 	}
-	if _, _, err := CubeSort(3, make([]int, 8), intLess, bad); err == nil || err.Error() != want {
+	if _, _, err := CubeSort(machine.Config{}, 3, make([]int, 8), intLess, bad); err == nil || err.Error() != want {
 		t.Errorf("CubeSort: err = %v, want %q", err, want)
 	}
-	if _, _, _, err := DSortRecorded(2, make([]int, 8), intLess, bad); err == nil || err.Error() != want {
+	if _, _, _, err := DSortRecorded(machine.Config{}, 2, make([]int, 8), intLess, bad); err == nil || err.Error() != want {
 		t.Errorf("DSortRecorded: err = %v, want %q", err, want)
 	}
-	if _, _, err := DSortLarge(2, 2, make([]int, 16), intLess, bad); err == nil || err.Error() != want {
+	if _, _, err := DSortLarge(machine.Config{}, 2, 2, make([]int, 16), intLess, bad); err == nil || err.Error() != want {
 		t.Errorf("DSortLarge: err = %v, want %q", err, want)
 	}
-	if _, _, err := CubeSortLarge(3, 2, make([]int, 16), intLess, bad); err == nil || err.Error() != want {
+	if _, _, err := CubeSortLarge(machine.Config{}, 3, 2, make([]int, 16), intLess, bad); err == nil || err.Error() != want {
 		t.Errorf("CubeSortLarge: err = %v, want %q", err, want)
 	}
 	// The trace must stay untouched when validation rejects the call.
 	var tr Trace[int]
-	if _, _, err := DSort(2, make([]int, 8), intLess, bad, &tr); err == nil {
+	if _, _, err := DSort(machine.Config{}, 2, make([]int, 8), intLess, bad, &tr); err == nil {
 		t.Error("traced DSort with invalid Order should fail")
 	}
 	if len(tr.Steps) != 0 {
@@ -382,11 +382,10 @@ func TestSortInvalidOrder(t *testing.T) {
 func TestDSortTraceResetOnError(t *testing.T) {
 	// A run that fails mid-program must not leave the trace populated with
 	// preallocated zero-value snapshots (stale Figure 5/6 data).
-	defer machine.SetDefaultFaults(nil)
-	machine.SetDefaultFaults(&machine.FaultSpec{Links: [][2]int{{0, 1}}})
+	faulty := machine.Config{Faults: &machine.FaultSpec{Links: [][2]int{{0, 1}}}}
 	in := []int{5, 3, 7, 1, 6, 0, 4, 2}
 	var tr Trace[int]
-	if _, _, err := DSort(2, in, intLess, Ascending, &tr); err == nil {
+	if _, _, err := DSort(faulty, 2, in, intLess, Ascending, &tr); err == nil {
 		t.Fatal("DSort under a permanent link fault should fail")
 	}
 	if len(tr.Steps) != 0 {
@@ -395,16 +394,15 @@ func TestDSortTraceResetOnError(t *testing.T) {
 	// A pre-populated trace keeps its earlier entries and only drops the
 	// failed run's snapshots.
 	tr.Steps = append(tr.Steps, Step[int]{Label: "earlier"})
-	if _, _, err := DSort(2, in, intLess, Ascending, &tr); err == nil {
+	if _, _, err := DSort(faulty, 2, in, intLess, Ascending, &tr); err == nil {
 		t.Fatal("DSort under a permanent link fault should fail")
 	}
 	if len(tr.Steps) != 1 || tr.Steps[0].Label != "earlier" {
 		t.Fatalf("pre-existing trace entries clobbered: %+v", tr.Steps)
 	}
-	// And the same input succeeds with an intact trace once faults clear.
-	machine.SetDefaultFaults(nil)
+	// And the same input succeeds with an intact trace without the faults.
 	tr = Trace[int]{}
-	if _, _, err := DSort(2, in, intLess, Ascending, &tr); err != nil {
+	if _, _, err := DSort(machine.Config{}, 2, in, intLess, Ascending, &tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Steps) != 1+DSortCompSteps(2) {
@@ -434,6 +432,7 @@ func TestDSortStepFormulas(t *testing.T) {
 }
 
 func TestDSortTraceFigures56(t *testing.T) {
+	t.Parallel()
 	// Figures 5 and 6: D_sort(D_2, ascending) on 8 keys. The trace must
 	// show (1) the four sorted D_1 blocks alternating asc/desc after the
 	// base sort, (2) an ascending half and a descending half — a bitonic
@@ -441,7 +440,7 @@ func TestDSortTraceFigures56(t *testing.T) {
 	// sequence after the final merge (Figure 6).
 	in := []int{5, 3, 7, 1, 6, 0, 4, 2}
 	var tr Trace[int]
-	got, _, err := DSort(2, in, intLess, Ascending, &tr)
+	got, _, err := DSort(machine.Config{}, 2, in, intLess, Ascending, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,9 +485,10 @@ func TestDSortTraceFigures56(t *testing.T) {
 // the level-1 base sort first, then per level l >= 2 a half-merge over dims
 // 2l-3..0 and a final merge over dims 2l-2..0.
 func TestDSortTraceLabels(t *testing.T) {
+	t.Parallel()
 	const n = 3
 	var tr Trace[int]
-	if _, _, err := DSort(n, make([]int, 1<<(2*n-1)), intLess, Ascending, &tr); err != nil {
+	if _, _, err := DSort(machine.Config{}, n, make([]int, 1<<(2*n-1)), intLess, Ascending, &tr); err != nil {
 		t.Fatal(err)
 	}
 	sched := tr.Steps[1:]
@@ -529,6 +529,7 @@ func TestOrderString(t *testing.T) {
 }
 
 func TestDSortRecordedMatchesDSort(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(13))
 	for n := 1; n <= 4; n++ {
 		N := 1 << (2*n - 1)
@@ -536,11 +537,11 @@ func TestDSortRecordedMatchesDSort(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		plain, stP, err := DSort(n, in, intLess, Ascending, nil)
+		plain, stP, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, stR, recording, err := DSortRecorded(n, in, intLess, Ascending)
+		rec, stR, recording, err := DSortRecorded(machine.Config{}, n, in, intLess, Ascending)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,10 +557,10 @@ func TestDSortRecordedMatchesDSort(t *testing.T) {
 			t.Errorf("n=%d: event/message mismatch", n)
 		}
 	}
-	if _, _, _, err := DSortRecorded(0, nil, intLess, Ascending); err == nil {
+	if _, _, _, err := DSortRecorded(machine.Config{}, 0, nil, intLess, Ascending); err == nil {
 		t.Error("order 0 should fail")
 	}
-	if _, _, _, err := DSortRecorded(2, make([]int, 3), intLess, Ascending); err == nil {
+	if _, _, _, err := DSortRecorded(machine.Config{}, 2, make([]int, 3), intLess, Ascending); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -575,7 +576,7 @@ func TestDSortScheduleLinkInvariants(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		_, _, rec, err := DSortRecorded(n, in, intLess, Ascending)
+		_, _, rec, err := DSortRecorded(machine.Config{}, n, in, intLess, Ascending)
 		if err != nil {
 			t.Fatal(err)
 		}

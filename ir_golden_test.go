@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dualcube/internal/machine"
 )
 
 // goldenStats is the serializable projection of Stats pinned by the golden
@@ -36,26 +38,23 @@ func toGolden(st Stats) goldenStats {
 // order and repair cycle counts) alongside the fault-free operations.
 var degradedWorkloads = []struct {
 	name string
-	run  func(n int) (any, Stats, error)
+	run  func(rt *Runtime) (any, Stats, error)
 }{
-	{"PrefixDegraded/f=1", func(n int) (any, Stats, error) {
-		plan, err := RandomFaultPlan(n, 1, 2008)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return runDegraded(n, plan)
+	{"PrefixDegraded/f=1", func(rt *Runtime) (any, Stats, error) {
+		return runDegraded(rt, 1, 2008)
 	}},
-	{"PrefixDegraded/f=max", func(n int) (any, Stats, error) {
-		plan, err := RandomFaultPlan(n, n-1, 42)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return runDegraded(n, plan)
+	{"PrefixDegraded/f=max", func(rt *Runtime) (any, Stats, error) {
+		return runDegraded(rt, rt.Order()-1, 42)
 	}},
 }
 
-func runDegraded(n int, plan *FaultPlan) (any, Stats, error) {
-	out, st, err := PrefixDegraded(n, diffInput(n), plan)
+func runDegraded(rt *Runtime, f int, seed int64) (any, Stats, error) {
+	n := rt.Order()
+	plan, err := RandomFaultPlan(n, f, seed)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out, st, err := PrefixDegradedOn(rt, diffInput(n), plan)
 	return out, st, err
 }
 
@@ -76,34 +75,28 @@ func TestIRGoldenStats(t *testing.T) {
 		Stats    goldenStats `json:"stats"`
 	}
 
-	collect := func(t *testing.T) []entry {
+	collect := func(t *testing.T, sched machine.Sched) []entry {
 		var got []entry
-		for _, w := range differentialWorkloads {
+		add := func(name string, run func(*Runtime) (any, Stats, error)) {
 			for n := 2; n <= 4; n++ {
-				_, st, err := w.run(n)
+				_, st, err := run(runtimeWith(t, "dualcube", n, machine.Config{Sched: sched}))
 				if err != nil {
-					t.Fatalf("%s/D_%d: %v", w.name, n, err)
+					t.Fatalf("%s/D_%d: %v", name, n, err)
 				}
-				got = append(got, entry{Workload: w.name, N: n, Stats: toGolden(st)})
+				got = append(got, entry{Workload: name, N: n, Stats: toGolden(st)})
 			}
 		}
+		for _, w := range differentialWorkloads {
+			add(w.name, w.run)
+		}
 		for _, w := range degradedWorkloads {
-			for n := 2; n <= 4; n++ {
-				_, st, err := w.run(n)
-				if err != nil {
-					t.Fatalf("%s/D_%d: %v", w.name, n, err)
-				}
-				got = append(got, entry{Workload: w.name, N: n, Stats: toGolden(st)})
-			}
+			add(w.name, w.run)
 		}
 		return got
 	}
 
-	defer SetSimScheduler(SchedulerDefault)
-
 	if os.Getenv("IR_GOLDEN_UPDATE") == "1" {
-		SetSimScheduler(SchedulerWorkerPool)
-		got := collect(t)
+		got := collect(t, machine.SchedWorkerPool)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -131,16 +124,17 @@ func TestIRGoldenStats(t *testing.T) {
 		wantByKey[fmt.Sprintf("%s/D_%d", e.Workload, e.N)] = e.Stats
 	}
 
+	t.Parallel()
 	for _, backend := range []struct {
 		name  string
-		sched Scheduler
+		sched machine.Sched
 	}{
-		{"interpreter", SchedulerWorkerPool},
-		{"direct", SchedulerDirect},
+		{"interpreter", machine.SchedWorkerPool},
+		{"direct", machine.SchedDirect},
 	} {
 		t.Run(backend.name, func(t *testing.T) {
-			SetSimScheduler(backend.sched)
-			got := collect(t)
+			t.Parallel()
+			got := collect(t, backend.sched)
 			for _, e := range got {
 				key := fmt.Sprintf("%s/D_%d", e.Workload, e.N)
 				ref, ok := wantByKey[key]

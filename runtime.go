@@ -7,6 +7,7 @@ import (
 	"dualcube/internal/collective"
 	"dualcube/internal/dcomm"
 	"dualcube/internal/embedding"
+	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/ntt"
 	"dualcube/internal/prefix"
@@ -42,6 +43,12 @@ type Runtime struct {
 	// otherwise; operations not yet generalized beyond the dual-cube
 	// require it and reject other families with a clear error.
 	d *topology.DualCube
+	// cfg is the execution configuration every operation passes down. It
+	// is zero on every Runtime this package hands out: compiled schedules
+	// run on the direct executor, other runs on the worker pool, with no
+	// faults. Only the package's tests set it, to pin a backend per
+	// Runtime; every backend gives identical outputs and Stats.
+	cfg machine.Config
 }
 
 // NewRuntime returns the execution handle for D_n (1 <= n <= 14). The
@@ -162,7 +169,7 @@ func (rt *Runtime) Warm() error {
 // Barrier synchronizes all nodes of the Runtime's network; it completes
 // only after every node has entered it (2n communication steps).
 func (rt *Runtime) Barrier() (Stats, error) {
-	return collective.BarrierOn(rt.c)
+	return collective.BarrierOn(rt.cfg, rt.c)
 }
 
 // HamiltonianCycle returns a Hamiltonian cycle of the Runtime's network
@@ -177,14 +184,14 @@ func (rt *Runtime) HamiltonianCycle() ([]int, error) {
 // PrefixOn computes all prefix sums of in on rt's network: out[i] =
 // in[0]+...+in[i], Algorithm 2 of the paper in 2n communication steps.
 func PrefixOn[T monoid.Number](rt *Runtime, in []T) ([]T, Stats, error) {
-	return prefix.DPrefixOn(rt.c, in, monoid.Sum[T](), true, nil)
+	return prefix.DPrefixOn(rt.cfg, rt.c, in, monoid.Sum[T](), true, nil)
 }
 
 // PrefixFuncOn is PrefixOn under an arbitrary associative operation with
 // identity; combine is applied strictly in element order. Set inclusive to
 // false for the diminished prefix.
 func PrefixFuncOn[T any](rt *Runtime, in []T, identity func() T, combine func(a, b T) T, inclusive bool) ([]T, Stats, error) {
-	return prefix.DPrefixOn(rt.c, in, mono(identity, combine), inclusive, nil)
+	return prefix.DPrefixOn(rt.cfg, rt.c, in, mono(identity, combine), inclusive, nil)
 }
 
 // PrefixDegradedOn is PrefixOn on a network degraded by plan's permanent
@@ -194,7 +201,7 @@ func PrefixDegradedOn[T monoid.Number](rt *Runtime, in []T, plan *FaultPlan) ([]
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return prefix.DPrefixDegraded(n, in, monoid.Sum[T](), true, plan)
+	return prefix.DPrefixDegraded(rt.cfg, n, in, monoid.Sum[T](), true, plan)
 }
 
 // PrefixDegradedFuncOn is PrefixDegradedOn for an arbitrary monoid.
@@ -203,7 +210,7 @@ func PrefixDegradedFuncOn[T any](rt *Runtime, in []T, identity func() T, combine
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return prefix.DPrefixDegraded(n, in, mono(identity, combine), inclusive, plan)
+	return prefix.DPrefixDegraded(rt.cfg, n, in, mono(identity, combine), inclusive, plan)
 }
 
 // PrefixLargeOn computes prefix sums of an input with k elements per node.
@@ -212,7 +219,7 @@ func PrefixLargeOn[T monoid.Number](rt *Runtime, k int, in []T) ([]T, Stats, err
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return prefix.DPrefixLarge(n, k, in, monoid.Sum[T](), true)
+	return prefix.DPrefixLarge(rt.cfg, n, k, in, monoid.Sum[T](), true)
 }
 
 // PrefixLargeFuncOn is PrefixLargeOn for an arbitrary monoid.
@@ -221,7 +228,7 @@ func PrefixLargeFuncOn[T any](rt *Runtime, k int, in []T, identity func() T, com
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return prefix.DPrefixLarge(n, k, in, mono(identity, combine), inclusive)
+	return prefix.DPrefixLarge(rt.cfg, n, k, in, mono(identity, combine), inclusive)
 }
 
 // PrefixSegmentedOn computes the inclusive segmented prefix; see
@@ -231,7 +238,7 @@ func PrefixSegmentedOn[T any](rt *Runtime, values []T, heads []bool, identity fu
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return prefix.DPrefixSegmented(n, values, heads, mono(identity, combine))
+	return prefix.DPrefixSegmented(rt.cfg, n, values, heads, mono(identity, combine))
 }
 
 // SortOn sorts 2^(2n-1) ordered keys on rt's network with Algorithm 3.
@@ -240,7 +247,7 @@ func SortOn[K cmp.Ordered](rt *Runtime, keys []K, ord Order) ([]K, Stats, error)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return sortnet.DSortOn(r, keys, func(a, b K) bool { return a < b }, ord, nil)
+	return sortnet.DSortOn(rt.cfg, r, keys, func(a, b K) bool { return a < b }, ord, nil)
 }
 
 // SortFuncOn sorts arbitrary records under a user comparison.
@@ -249,7 +256,7 @@ func SortFuncOn[K any](rt *Runtime, keys []K, less func(a, b K) bool, ord Order)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return sortnet.DSortOn(r, keys, less, ord, nil)
+	return sortnet.DSortOn(rt.cfg, r, keys, less, ord, nil)
 }
 
 // SortLargeOn sorts k·2^(2n-1) keys, k per node, on rt's network: the
@@ -259,7 +266,7 @@ func SortLargeOn[K cmp.Ordered](rt *Runtime, k int, keys []K, ord Order) ([]K, S
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return sortnet.DSortLargeOn(r, k, keys, func(a, b K) bool { return a < b }, ord)
+	return sortnet.DSortLargeOn(rt.cfg, r, k, keys, func(a, b K) bool { return a < b }, ord)
 }
 
 // SortLargeFuncOn is SortLargeOn with a user comparison.
@@ -268,23 +275,23 @@ func SortLargeFuncOn[K any](rt *Runtime, k int, keys []K, less func(a, b K) bool
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return sortnet.DSortLargeOn(r, k, keys, less, ord)
+	return sortnet.DSortLargeOn(rt.cfg, r, k, keys, less, ord)
 }
 
 // BroadcastOn delivers value from node root to every node in 2n steps.
 func BroadcastOn[T any](rt *Runtime, root int, value T) ([]T, Stats, error) {
-	return collective.BroadcastOn(rt.c, root, value)
+	return collective.BroadcastOn(rt.cfg, rt.c, root, value)
 }
 
 // AllReduceOn combines all elements in order and delivers the total to
 // every node, in 2n steps.
 func AllReduceOn[T any](rt *Runtime, in []T, identity func() T, combine func(a, b T) T) ([]T, Stats, error) {
-	return collective.AllReduceOn(rt.c, in, mono(identity, combine))
+	return collective.AllReduceOn(rt.cfg, rt.c, in, mono(identity, combine))
 }
 
 // AllReduceSumOn is AllReduceOn specialised to addition.
 func AllReduceSumOn[T monoid.Number](rt *Runtime, in []T) ([]T, Stats, error) {
-	return collective.AllReduceOn(rt.c, in, monoid.Sum[T]())
+	return collective.AllReduceOn(rt.cfg, rt.c, in, monoid.Sum[T]())
 }
 
 // GatherOn collects every element to root in element order.
@@ -293,7 +300,7 @@ func GatherOn[T any](rt *Runtime, root int, in []T) ([]T, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return collective.Gather(n, root, in)
+	return collective.Gather(rt.cfg, n, root, in)
 }
 
 // ScatterOn distributes in (element order) from root.
@@ -302,7 +309,7 @@ func ScatterOn[T any](rt *Runtime, root int, in []T) ([]T, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return collective.Scatter(n, root, in)
+	return collective.Scatter(rt.cfg, n, root, in)
 }
 
 // AllGatherOn delivers the whole element sequence to every node.
@@ -311,7 +318,7 @@ func AllGatherOn[T any](rt *Runtime, in []T) ([][]T, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return collective.AllGather(n, in)
+	return collective.AllGather(rt.cfg, n, in)
 }
 
 // AllToAllOn performs the total exchange: out[j][i] = in[i][j].
@@ -320,7 +327,7 @@ func AllToAllOn[T any](rt *Runtime, in [][]T) ([][]T, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return collective.AllToAll(n, in)
+	return collective.AllToAll(rt.cfg, n, in)
 }
 
 // AllToAllVOn is the variable-size total exchange.
@@ -329,7 +336,7 @@ func AllToAllVOn[T any](rt *Runtime, in [][][]T) ([][][]T, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return collective.AllToAllV(n, in)
+	return collective.AllToAllV(rt.cfg, n, in)
 }
 
 // ReduceScatterOn combines element-wise contributions and leaves each node
@@ -339,7 +346,7 @@ func ReduceScatterOn[T any](rt *Runtime, in [][]T, identity func() T, combine fu
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return collective.ReduceScatter(n, in, mono(identity, combine))
+	return collective.ReduceScatter(rt.cfg, n, in, mono(identity, combine))
 }
 
 // PermuteOn routes values[i] to slot dests[i].
@@ -348,7 +355,7 @@ func PermuteOn[T any](rt *Runtime, dests []int, values []T) ([]T, Stats, error) 
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return sortnet.Permute(n, dests, values)
+	return sortnet.Permute(rt.cfg, n, dests, values)
 }
 
 // SampleSortOn sorts k·2^(2n-1) keys by parallel sample sort.
@@ -357,7 +364,7 @@ func SampleSortOn[K cmp.Ordered](rt *Runtime, k int, keys []K) ([]K, Stats, erro
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return samplesort.Sort(n, k, keys, func(a, b K) bool { return a < b })
+	return samplesort.Sort(rt.cfg, n, k, keys, func(a, b K) bool { return a < b })
 }
 
 // SampleSortFuncOn is SampleSortOn with a user comparison.
@@ -366,7 +373,7 @@ func SampleSortFuncOn[K any](rt *Runtime, k int, keys []K, less func(a, b K) boo
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return samplesort.Sort(n, k, keys, less)
+	return samplesort.Sort(rt.cfg, n, k, keys, less)
 }
 
 // NTTOn computes the 2^(2n-1)-point number-theoretic transform of coeffs,
@@ -376,7 +383,7 @@ func NTTOn(rt *Runtime, coeffs []uint64, invert bool) ([]uint64, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ntt.Transform(n, coeffs, invert)
+	return ntt.Transform(rt.cfg, n, coeffs, invert)
 }
 
 // PolyMulModOn multiplies two polynomials with coefficients mod 998244353.
@@ -385,5 +392,5 @@ func PolyMulModOn(rt *Runtime, a, b []uint64) ([]uint64, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ntt.PolyMul(n, a, b)
+	return ntt.PolyMul(rt.cfg, n, a, b)
 }

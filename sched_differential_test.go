@@ -5,70 +5,75 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"dualcube/internal/machine"
 )
 
 // differentialWorkloads is every algorithm family exercised by the
 // scheduler equivalence test: prefix, sorting, and all collectives, each
-// returning its outputs and the run statistics for a given machine order.
+// returning its outputs and the run statistics on a given Runtime.
 var differentialWorkloads = []struct {
 	name string
-	run  func(n int) (any, Stats, error)
+	// anyFamily marks the operations implemented over topology.Comm, which
+	// the harness also aims at every topology family.
+	anyFamily bool
+	run       func(rt *Runtime) (any, Stats, error)
 }{
-	{"Prefix", func(n int) (any, Stats, error) {
-		out, st, err := Prefix(n, diffInput(n))
+	{"Prefix", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := PrefixOn(rt, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"PrefixDiminished", func(n int) (any, Stats, error) {
-		out, st, err := PrefixFunc(n, diffInput(n), func() int { return 0 }, func(a, b int) int { return a + b }, false)
+	{"PrefixDiminished", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := PrefixFuncOn(rt, diffInput(rt.Order()), func() int { return 0 }, func(a, b int) int { return a + b }, false)
 		return out, st, err
 	}},
-	{"PrefixSegmented", func(n int) (any, Stats, error) {
-		in := diffInput(n)
+	{"PrefixSegmented", false, func(rt *Runtime) (any, Stats, error) {
+		in := diffInput(rt.Order())
 		heads := make([]bool, len(in))
 		for i := range heads {
 			heads[i] = i%5 == 0
 		}
-		out, st, err := PrefixSegmented(n, in, heads, func() int { return 0 }, func(a, b int) int { return a + b })
+		out, st, err := PrefixSegmentedOn(rt, in, heads, func() int { return 0 }, func(a, b int) int { return a + b })
 		return out, st, err
 	}},
-	{"Sort", func(n int) (any, Stats, error) {
-		out, st, err := Sort(n, diffInput(n), Ascending)
+	{"Sort", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := SortOn(rt, diffInput(rt.Order()), Ascending)
 		return out, st, err
 	}},
-	{"SortDescending", func(n int) (any, Stats, error) {
-		out, st, err := Sort(n, diffInput(n), Descending)
+	{"SortDescending", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := SortOn(rt, diffInput(rt.Order()), Descending)
 		return out, st, err
 	}},
-	{"SortLarge", func(n int) (any, Stats, error) {
-		out, st, err := SortLarge(n, 3, diffLargeInput(n, 3), Ascending)
+	{"SortLarge", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Ascending)
 		return out, st, err
 	}},
-	{"SortLargeDescending", func(n int) (any, Stats, error) {
-		out, st, err := SortLarge(n, 3, diffLargeInput(n, 3), Descending)
+	{"SortLargeDescending", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Descending)
 		return out, st, err
 	}},
-	{"Broadcast", func(n int) (any, Stats, error) {
-		out, st, err := Broadcast(n, 3, 42)
+	{"Broadcast", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := BroadcastOn(rt, 3, 42)
 		return out, st, err
 	}},
-	{"AllReduce", func(n int) (any, Stats, error) {
-		out, st, err := AllReduceSum(n, diffInput(n))
+	{"AllReduce", true, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := AllReduceSumOn(rt, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"Gather", func(n int) (any, Stats, error) {
-		out, st, err := Gather(n, 1, diffInput(n))
+	{"Gather", false, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := GatherOn(rt, 1, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"Scatter", func(n int) (any, Stats, error) {
-		out, st, err := Scatter(n, 1, diffInput(n))
+	{"Scatter", false, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := ScatterOn(rt, 1, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"AllGather", func(n int) (any, Stats, error) {
-		out, st, err := AllGather(n, diffInput(n))
+	{"AllGather", false, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := AllGatherOn(rt, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"AllToAll", func(n int) (any, Stats, error) {
-		N := 1 << (2*n - 1)
+	{"AllToAll", false, func(rt *Runtime) (any, Stats, error) {
+		N := rt.Nodes()
 		in := make([][]int, N)
 		for i := range in {
 			in[i] = make([]int, N)
@@ -76,12 +81,12 @@ var differentialWorkloads = []struct {
 				in[i][j] = i*N + j
 			}
 		}
-		out, st, err := AllToAll(n, in)
+		out, st, err := AllToAllOn(rt, in)
 		return out, st, err
 	}},
-	{"AllToAllV", func(n int) (any, Stats, error) {
-		N := 1 << (2*n - 1)
-		rng := rand.New(rand.NewSource(int64(n)))
+	{"AllToAllV", false, func(rt *Runtime) (any, Stats, error) {
+		N := rt.Nodes()
+		rng := rand.New(rand.NewSource(int64(rt.Order())))
 		in := make([][][]int, N)
 		for i := range in {
 			in[i] = make([][]int, N)
@@ -92,11 +97,11 @@ var differentialWorkloads = []struct {
 				}
 			}
 		}
-		out, st, err := AllToAllV(n, in)
+		out, st, err := AllToAllVOn(rt, in)
 		return out, st, err
 	}},
-	{"ReduceScatter", func(n int) (any, Stats, error) {
-		N := 1 << (2*n - 1)
+	{"ReduceScatter", false, func(rt *Runtime) (any, Stats, error) {
+		N := rt.Nodes()
 		in := make([][]int, N)
 		for i := range in {
 			in[i] = make([]int, N)
@@ -104,54 +109,12 @@ var differentialWorkloads = []struct {
 				in[i][j] = (i + 1) * (j + 1)
 			}
 		}
-		out, st, err := ReduceScatter(n, in, func() int { return 0 }, func(a, b int) int { return a + b })
+		out, st, err := ReduceScatterOn(rt, in, func() int { return 0 }, func(a, b int) int { return a + b })
 		return out, st, err
 	}},
-	{"Permute", func(n int) (any, Stats, error) {
-		N := 1 << (2*n - 1)
-		rng := rand.New(rand.NewSource(int64(n)))
-		out, st, err := Permute(n, rng.Perm(N), diffInput(n))
-		return out, st, err
-	}},
-}
-
-// topologyWorkloads are the operations implemented generically over
-// topology.Comm — the subset of differentialWorkloads that accepts an
-// explicit Runtime, so the differential harness can aim it at any family.
-var topologyWorkloads = []struct {
-	name string
-	run  func(rt *Runtime) (any, Stats, error)
-}{
-	{"Prefix", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := PrefixOn(rt, diffInput(rt.Order()))
-		return out, st, err
-	}},
-	{"PrefixDiminished", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := PrefixFuncOn(rt, diffInput(rt.Order()), func() int { return 0 }, func(a, b int) int { return a + b }, false)
-		return out, st, err
-	}},
-	{"Sort", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := SortOn(rt, diffInput(rt.Order()), Ascending)
-		return out, st, err
-	}},
-	{"SortDescending", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := SortOn(rt, diffInput(rt.Order()), Descending)
-		return out, st, err
-	}},
-	{"SortLarge", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Ascending)
-		return out, st, err
-	}},
-	{"SortLargeDescending", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Descending)
-		return out, st, err
-	}},
-	{"Broadcast", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := BroadcastOn(rt, 3, 42)
-		return out, st, err
-	}},
-	{"AllReduce", func(rt *Runtime) (any, Stats, error) {
-		out, st, err := AllReduceSumOn(rt, diffInput(rt.Order()))
+	{"Permute", false, func(rt *Runtime) (any, Stats, error) {
+		rng := rand.New(rand.NewSource(int64(rt.Order())))
+		out, st, err := PermuteOn(rt, rng.Perm(rt.Nodes()), diffInput(rt.Order()))
 		return out, st, err
 	}},
 }
@@ -177,6 +140,50 @@ func diffInput(n int) []int {
 	return in
 }
 
+// runtimeWith returns a Runtime on family's topology of order n that runs
+// every operation under cfg. The package hands out zero-Config Runtimes
+// only, so this is how a test pins a backend, a worker count or a fault
+// spec — per Runtime, with no state shared between tests.
+func runtimeWith(tb testing.TB, family string, n int, cfg machine.Config) *Runtime {
+	tb.Helper()
+	rt, err := NewRuntimeOn(family, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rt.cfg = cfg
+	return rt
+}
+
+// backends are the three execution backends, the worker-pool engine (the
+// reference) first.
+var backends = []machine.Sched{machine.SchedWorkerPool, machine.SchedGoroutinePerNode, machine.SchedDirect}
+
+// sameOnEveryBackend runs run on one Runtime per backend over family's D_n,
+// requires bit-identical outputs and identical Stats from all of them, and
+// returns the worker-pool run's.
+func sameOnEveryBackend(t *testing.T, family string, n int, run func(*Runtime) (any, Stats, error)) (any, Stats) {
+	t.Helper()
+	var refOut any
+	var refStats Stats
+	for i, s := range backends {
+		out, st, err := run(runtimeWith(t, family, n, machine.Config{Sched: s}))
+		if err != nil {
+			t.Fatalf("%v err = %v", s, err)
+		}
+		if i == 0 {
+			refOut, refStats = out, st
+			continue
+		}
+		if st != refStats {
+			t.Errorf("stats diverge:\n  %v: %+v\n  %v: %+v", backends[0], refStats, s, st)
+		}
+		if !reflect.DeepEqual(out, refOut) {
+			t.Errorf("outputs diverge between %v and %v", backends[0], s)
+		}
+	}
+	return refOut, refStats
+}
+
 // TestSchedulerDifferential runs every workload under all three execution
 // backends — the worker-pool engine, the goroutine-per-node engine, and the
 // direct kernel executor — and requires bit-identical outputs and identical
@@ -189,85 +196,31 @@ func diffInput(n int) []int {
 // Z-cube schedules execute over the embedded D_n skeleton, so the dual-cube
 // is their oracle.
 func TestSchedulerDifferential(t *testing.T) {
-	defer SetSimScheduler(SchedulerDefault)
+	t.Parallel()
 	for _, w := range differentialWorkloads {
 		for n := 2; n <= 4; n++ {
 			t.Run(fmt.Sprintf("%s/D_%d", w.name, n), func(t *testing.T) {
-				SetSimScheduler(SchedulerWorkerPool)
-				poolOut, poolStats, poolErr := w.run(n)
-				if poolErr != nil {
-					t.Fatalf("pool err = %v", poolErr)
-				}
-				for _, alt := range []struct {
-					name  string
-					sched Scheduler
-				}{
-					{"goroutine-per-node", SchedulerGoroutinePerNode},
-					{"direct", SchedulerDirect},
-				} {
-					SetSimScheduler(alt.sched)
-					out, st, err := w.run(n)
-					if err != nil {
-						t.Fatalf("%s err = %v", alt.name, err)
-					}
-					if st != poolStats {
-						t.Errorf("stats diverge:\n  worker-pool: %+v\n  %s: %+v", poolStats, alt.name, st)
-					}
-					if !reflect.DeepEqual(out, poolOut) {
-						t.Errorf("outputs diverge between worker-pool and %s", alt.name)
-					}
-				}
+				t.Parallel()
+				sameOnEveryBackend(t, "dualcube", n, w.run)
 			})
-		}
-	}
-
-	for _, w := range topologyWorkloads {
-		for n := 2; n <= 4; n++ {
-			// The dualcube family runs first (Families() order) and becomes
-			// the oracle the other families are pinned against.
-			var oracleOut any
-			var oracleStats Stats
+			if !w.anyFamily {
+				continue
+			}
 			for _, fam := range Families() {
 				t.Run(fmt.Sprintf("%s/%s/D_%d", w.name, fam, n), func(t *testing.T) {
-					rt, err := NewRuntimeOn(fam, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					SetSimScheduler(SchedulerWorkerPool)
-					poolOut, poolStats, poolErr := w.run(rt)
-					if poolErr != nil {
-						t.Fatalf("pool err = %v", poolErr)
-					}
-					for _, alt := range []struct {
-						name  string
-						sched Scheduler
-					}{
-						{"goroutine-per-node", SchedulerGoroutinePerNode},
-						{"direct", SchedulerDirect},
-					} {
-						SetSimScheduler(alt.sched)
-						out, st, err := w.run(rt)
-						if err != nil {
-							t.Fatalf("%s err = %v", alt.name, err)
-						}
-						if st != poolStats {
-							t.Errorf("stats diverge:\n  worker-pool: %+v\n  %s: %+v", poolStats, alt.name, st)
-						}
-						if !reflect.DeepEqual(out, poolOut) {
-							t.Errorf("outputs diverge between worker-pool and %s", alt.name)
-						}
-					}
+					t.Parallel()
+					out, st := sameOnEveryBackend(t, fam, n, w.run)
 					if fam == "dualcube" {
-						oracleOut, oracleStats = poolOut, poolStats
 						return
 					}
-					if oracleOut == nil {
-						t.Fatal("dualcube oracle run missing")
+					oracleOut, oracleStats, err := w.run(runtimeWith(t, "dualcube", n, machine.Config{Sched: backends[0]}))
+					if err != nil {
+						t.Fatalf("dualcube oracle err = %v", err)
 					}
-					if poolStats != oracleStats {
-						t.Errorf("stats diverge from the dual-cube oracle:\n  dualcube: %+v\n  %s: %+v", oracleStats, fam, poolStats)
+					if st != oracleStats {
+						t.Errorf("stats diverge from the dual-cube oracle:\n  dualcube: %+v\n  %s: %+v", oracleStats, fam, st)
 					}
-					if !reflect.DeepEqual(poolOut, oracleOut) {
+					if !reflect.DeepEqual(out, oracleOut) {
 						t.Errorf("outputs diverge between dualcube and %s", fam)
 					}
 				})
@@ -277,26 +230,28 @@ func TestSchedulerDifferential(t *testing.T) {
 }
 
 // TestSchedulerDifferentialWorkerCounts pins the worker count to several
-// values and requires the same equivalence — shard boundaries must not be
+// values, on the direct executor and on the worker pool, and requires the
+// default Runtime's outputs and Stats — shard boundaries must not be
 // observable.
 func TestSchedulerDifferentialWorkerCounts(t *testing.T) {
-	defer SetSimWorkers(0)
+	t.Parallel()
 	const n = 3
 	ref, refStats, err := Prefix(n, diffInput(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 2, 3, 7, 64} {
-		SetSimWorkers(k)
-		out, st, err := Prefix(n, diffInput(n))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", k, err)
-		}
-		if st != refStats {
-			t.Errorf("workers=%d: stats diverge: %+v vs %+v", k, st, refStats)
-		}
-		if !reflect.DeepEqual(out, ref) {
-			t.Errorf("workers=%d: outputs diverge", k)
+		for _, s := range []machine.Sched{machine.SchedDirect, machine.SchedWorkerPool} {
+			out, st, err := PrefixOn(runtimeWith(t, "dualcube", n, machine.Config{Sched: s, Workers: k}), diffInput(n))
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", s, k, err)
+			}
+			if st != refStats {
+				t.Errorf("%v workers=%d: stats diverge: %+v vs %+v", s, k, st, refStats)
+			}
+			if !reflect.DeepEqual(out, ref) {
+				t.Errorf("%v workers=%d: outputs diverge", s, k)
+			}
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dualcube/internal/machine"
 )
 
 // tieKey is a tie-heavy sort record: tieLess compares only Key (four
@@ -29,15 +31,16 @@ func tieInput(n, k int) []tieKey {
 	return in
 }
 
-// renderSortLargeTies runs SortLargeFunc over the tie-heavy grid (D_2..D_4,
-// k in {1, 3, 64}, both orders) and renders one line per run: the output's
-// tags in order.
-func renderSortLargeTies() ([]byte, error) {
+// renderSortLargeTies runs SortLargeFuncOn under sched over the tie-heavy
+// grid (D_2..D_4, k in {1, 3, 64}, both orders) and renders one line per
+// run: the output's tags in order.
+func renderSortLargeTies(t *testing.T, sched machine.Sched) ([]byte, error) {
 	var b bytes.Buffer
 	for n := 2; n <= 4; n++ {
+		rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: sched})
 		for _, k := range []int{1, 3, 64} {
 			for _, ord := range []Order{Ascending, Descending} {
-				out, _, err := SortLargeFunc(n, k, tieInput(n, k), tieLess, ord)
+				out, _, err := SortLargeFuncOn(rt, k, tieInput(n, k), tieLess, ord)
 				if err != nil {
 					return nil, fmt.Errorf("D_%d k=%d %s: %v", n, k, ord, err)
 				}
@@ -63,18 +66,11 @@ func TestSortLargeTieGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetSimScheduler(SchedulerDefault)
-	for _, backend := range []struct {
-		name  string
-		sched Scheduler
-	}{
-		{"direct", SchedulerDirect},
-		{"worker-pool", SchedulerWorkerPool},
-		{"goroutine-per-node", SchedulerGoroutinePerNode},
-	} {
-		t.Run(backend.name, func(t *testing.T) {
-			SetSimScheduler(backend.sched)
-			got, err := renderSortLargeTies()
+	t.Parallel()
+	for _, sched := range []machine.Sched{machine.SchedDirect, machine.SchedWorkerPool, machine.SchedGoroutinePerNode} {
+		t.Run(sched.String(), func(t *testing.T) {
+			t.Parallel()
+			got, err := renderSortLargeTies(t, sched)
 			if err != nil {
 				t.Fatal(err)
 			}

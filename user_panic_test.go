@@ -4,6 +4,8 @@ import (
 	"regexp"
 	"slices"
 	"testing"
+
+	"dualcube/internal/machine"
 )
 
 // TestUserPanicsBecomeErrors hands the library a user less or combine that
@@ -15,8 +17,6 @@ func TestUserPanicsBecomeErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("D_7 sharded case skipped in -short mode")
 	}
-	defer SetSimScheduler(SchedulerDefault)
-	defer SetSimWorkers(0)
 	badLess := func(a, b int) bool { panic("user less exploded") }
 	badCombine := func(a, b int) int { panic("user combine exploded") }
 	calls := []struct {
@@ -39,22 +39,17 @@ func TestUserPanicsBecomeErrors(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		backend string
-		sched   Scheduler
+		sched   machine.Sched
 		n       int
 		node0   bool // the lowest panicking node is reported deterministically
 	}{
-		{"direct", SchedulerDirect, 3, true},
-		{"direct-sharded", SchedulerDirect, 7, true},
-		{"worker-pool", SchedulerWorkerPool, 3, false},
-		{"goroutine-per-node", SchedulerGoroutinePerNode, 3, false},
+		{"direct", machine.SchedDirect, 3, true},
+		{"direct-sharded", machine.SchedDirect, 7, true},
+		{"worker-pool", machine.SchedWorkerPool, 3, false},
+		{"goroutine-per-node", machine.SchedGoroutinePerNode, 3, false},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
-			SetSimScheduler(tc.sched)
-			SetSimWorkers(4)
-			rt, err := NewRuntime(tc.n)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rt := runtimeWith(t, "dualcube", tc.n, machine.Config{Sched: tc.sched, Workers: 4})
 			in := make([]int, rt.Nodes())
 			for i := range in {
 				in[i] = (i * 7919) % len(in)
