@@ -13,7 +13,7 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dcvet ./...
 	$(GO) run ./cmd/dcvet -escgate
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

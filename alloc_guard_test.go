@@ -45,8 +45,8 @@ func TestNoPlanPrefixAllocGuard(t *testing.T) {
 }
 
 // TestDirectPrefixAllocGuard pins the steady-state allocation cost of the
-// direct kernel executor: D_prefix on a warm D_6 Runtime, explicitly routed
-// through machine.SchedDirect, must stay within 16 allocs/op. The direct path
+// direct kernel executor: D_prefix on a warm D_6 Runtime, routed there by
+// machine.SchedDefault, must stay within 16 allocs/op. The direct path
 // allocates only the run's flat payload/role arrays, the kernel's state,
 // and the result slice — no coroutines, no per-node contexts, no channels —
 // so even one stray per-node or per-step allocation (2048 nodes x 12 steps)
@@ -57,7 +57,7 @@ func TestDirectPrefixAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16 // measured steady state is 8 allocs/op
-	rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDirect})
+	rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDefault})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {
@@ -89,7 +89,7 @@ func TestZCubeDirectPrefixAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16
-	rt := runtimeWith(t, "zcube", n, machine.Config{Sched: machine.SchedDirect})
+	rt := runtimeWith(t, "zcube", n, machine.Config{Sched: machine.SchedDefault})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {
@@ -119,7 +119,7 @@ func TestZCubeDirectAllReduceAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16
-	rt := runtimeWith(t, "zcube", n, machine.Config{Sched: machine.SchedDirect})
+	rt := runtimeWith(t, "zcube", n, machine.Config{Sched: machine.SchedDefault})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {
@@ -140,7 +140,7 @@ func TestZCubeDirectAllReduceAllocGuard(t *testing.T) {
 }
 
 // TestDirectSortAllocGuard is TestDirectPrefixAllocGuard for the sort
-// family: D_sort on a warm D_6 Runtime through machine.SchedDirect. The warm
+// family: D_sort on a warm D_6 Runtime through machine.SchedDefault. The warm
 // direct path allocates the run's flat payload/role arrays, the kernel and
 // its key array, the comparison closure, and the result slice; the oriented
 // schedule and its sort-ID table come from the cache. One stray allocation
@@ -152,7 +152,7 @@ func TestDirectSortAllocGuard(t *testing.T) {
 	}
 	const n = 6
 	const budget = 16
-	rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDirect})
+	rt := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDefault})
 	rt.Warm()
 	in := make([]int, rt.Nodes())
 	for i := range in {

@@ -1,9 +1,10 @@
 // Benchmarks, one per experiment in DESIGN.md's index. Each measures the
-// wall-clock cost of one full simulated run under the configured scheduler
-// (the worker-pool engine by default; BenchmarkSchedulers compares it with
-// the goroutine-per-node engine); the step counts the paper's theorems
-// bound are asserted in the unit tests and reported by cmd/dcbench — here
-// we measure the simulator.
+// wall-clock cost of one full run on the default backend (the direct
+// executor for compiled schedules, the worker-pool engine for everything
+// else; BenchmarkSchedulers and BenchmarkE22SortSchedulers compare the two
+// head to head); the step counts the paper's theorems bound are asserted in
+// the unit tests and reported by cmd/dcbench — here we measure the
+// simulator.
 //
 // Run: go test -bench=. -benchmem
 package dualcube
@@ -206,10 +207,10 @@ func BenchmarkE13Collectives(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulers runs the same D_prefix workload under all three
-// execution backends — the two simulator engines and the direct kernel
-// executor, one Runtime each — the head-to-head behind the backend numbers
-// in EXPERIMENTS.md (E21 pins direct at >= 2x over the worker pool on D_6).
+// BenchmarkSchedulers runs the same D_prefix workload under both execution
+// backends — the worker-pool engine and the direct kernel executor, one
+// Runtime each — the head-to-head behind the backend numbers in
+// EXPERIMENTS.md (E21 pins direct at >= 2x over the worker pool on D_6).
 func BenchmarkSchedulers(b *testing.B) {
 	for _, n := range []int{5, 6} {
 		in := benchInput(n)
@@ -227,7 +228,7 @@ func BenchmarkSchedulers(b *testing.B) {
 	}
 }
 
-// BenchmarkE22SortSchedulers runs the same D_sort workload under all three
+// BenchmarkE22SortSchedulers runs the same D_sort workload under both
 // execution backends, one Runtime each — the head-to-head behind the sort
 // kernelization numbers in EXPERIMENTS.md (E22 pins direct at >= 5x over
 // the worker pool on D_4, mirroring what E21 measured for prefix).

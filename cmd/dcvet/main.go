@@ -1,6 +1,6 @@
 // Command dcvet is the repository's static checker: the repo-specific
-// analyzers registered in internal/analysis (nodebody, statsadd, faultpure,
-// abortpanic, kernelpure, laneparity) plus the schedule-IR verifier
+// analyzers registered in internal/analysis (nodebody, statsadd, abortpanic,
+// kernelpure, laneparity, schedtopo) plus the schedule-IR verifier
 // (internal/schedcheck), which proves every schedule dcomm.Compiled can
 // produce for D_2..D_7 well-formed without running the simulator, and the
 // compiler-diagnostics escape/BCE gate (internal/analysis/escgate).

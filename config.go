@@ -8,18 +8,19 @@ import (
 	"dualcube/internal/topology"
 )
 
-// FaultPlan is a seeded, reproducible fault scenario for the simulator:
-// permanent link and node failures plus transient per-message drop/delay
-// noise. The same plan (or two plans with equal fields) always produces the
-// same faults and the same Stats.Faults, under every backend. The
-// degraded-mode prefix (PrefixDegraded and its variants) takes a plan per
-// call; no other operation runs under one.
+// FaultPlan is a reproducible fault scenario for the simulator: a set of
+// permanently failed links, the fault model of the paper's degraded mode.
+// The same plan (or two plans with equal links) always produces the same
+// detours and the same Stats, on every backend. The degraded-mode prefix
+// (PrefixDegraded and its variants) takes a plan per call; no other
+// operation runs under one.
 type FaultPlan = fault.Plan
 
 // FaultLink names one undirected dual-cube link inside a FaultPlan.
 type FaultLink = fault.Link
 
-// FaultStats is the per-run fault breakdown reported in Stats.Faults.
+// FaultStats is the per-run fault figure reported in Stats.Faults: the
+// number of directed links the armed plan failed.
 type FaultStats = machine.FaultStats
 
 // RandomFaultPlan builds a seeded plan of f random permanent link faults on

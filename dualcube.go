@@ -158,7 +158,8 @@ func PrefixFunc[T any](n int, in []T, identity func() T, combine func(a, b T) T,
 // connectivity of D_n). A nil plan is byte-identical to Prefix; each broken
 // pair stretches the 2n-step schedule by its repair relay cycles, reported in
 // Stats (see EXPERIMENTS.md for the measured sweep against Theorem 1's 2n+1
-// bound). Plans with node faults or transient noise are rejected.
+// bound). A plan that names a non-link, or whose faults disconnect the
+// network, is rejected.
 func PrefixDegraded[T monoid.Number](n int, in []T, plan *FaultPlan) ([]T, Stats, error) {
 	rt, err := defaultRuntime(n)
 	if err != nil {

@@ -68,7 +68,7 @@ func FuzzDirectVsInterpret(f *testing.F) {
 			return directOut, directStats, true
 		}
 		runtimes := func(fam string) (direct, pool *Runtime) {
-			return runtimeWith(t, fam, n, machine.Config{Sched: machine.SchedDirect}),
+			return runtimeWith(t, fam, n, machine.Config{Sched: machine.SchedDefault}),
 				runtimeWith(t, fam, n, machine.Config{Sched: machine.SchedWorkerPool})
 		}
 
@@ -133,9 +133,9 @@ func FuzzDirectVsInterpret(f *testing.F) {
 // arena-plane v-collectives: gather, scatter, all-gather and both total
 // exchanges on D_2..D_5 with random roots and random payload shapes —
 // including empty and heavily skewed all-to-all-v count vectors — run
-// through the direct kernel executor, the worker-pool interpreter, and the
-// goroutine-per-node engine. All three drive the same plane kernels, so
-// outputs and Stats must be byte-identical across backends.
+// through the direct kernel executor and the worker-pool interpreter. Both
+// drive the same plane kernels, so outputs and Stats must be byte-identical
+// across backends.
 func FuzzDirectVsInterpretVCollectives(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(3), uint8(1))
@@ -220,23 +220,22 @@ func FuzzDirectVsInterpretVCollectives(f *testing.F) {
 				return out, st, err
 			}},
 		}
-		direct := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDirect})
+		direct := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedDefault})
+		pool := runtimeWith(t, "dualcube", n, machine.Config{Sched: machine.SchedWorkerPool})
 		for _, p := range probes {
 			directOut, directStats, err := p.run(direct)
 			if err != nil {
 				t.Fatalf("%s: direct: %v", p.name, err)
 			}
-			for _, s := range []machine.Sched{machine.SchedWorkerPool, machine.SchedGoroutinePerNode} {
-				out, st, err := p.run(runtimeWith(t, "dualcube", n, machine.Config{Sched: s}))
-				if err != nil {
-					t.Fatalf("%s/%v: %v", p.name, s, err)
-				}
-				if st != directStats {
-					t.Errorf("%s/%v: stats diverge\n  direct: %+v\n  engine: %+v", p.name, s, directStats, st)
-				}
-				if !reflect.DeepEqual(out, directOut) {
-					t.Errorf("%s/%v: outputs diverge from the direct executor", p.name, s)
-				}
+			out, st, err := p.run(pool)
+			if err != nil {
+				t.Fatalf("%s: worker-pool: %v", p.name, err)
+			}
+			if st != directStats {
+				t.Errorf("%s: stats diverge\n  direct: %+v\n  engine: %+v", p.name, directStats, st)
+			}
+			if !reflect.DeepEqual(out, directOut) {
+				t.Errorf("%s: outputs diverge from the direct executor", p.name)
 			}
 		}
 	})
@@ -245,9 +244,9 @@ func FuzzDirectVsInterpretVCollectives(f *testing.F) {
 // FuzzDirectVsInterpretSort is the sort family's differential fuzzer: random
 // keys with heavy duplicates (a small value range forces equal-key ties,
 // where the keep-local-on-tie rule must agree across backends), both sort
-// Orders, on D_2..D_4 — run through the direct kernel executor, the
-// worker-pool interpreter, and the legacy goroutine-per-node engine. All
-// three must produce identical outputs and identical Stats. A chunk size
+// Orders, on D_2..D_4 — run through the direct kernel executor and the
+// worker-pool interpreter. Both must produce identical outputs and
+// identical Stats. A chunk size
 // k > 1 runs SortLargeFunc's merge-split kernel instead, on tagged records
 // whose keys tie constantly, so the tags expose any backend that places
 // equal keys differently.
@@ -285,21 +284,19 @@ func FuzzDirectVsInterpretSort(f *testing.F) {
 			return SortLargeFuncOn(rt, k, tagged, tieLess, ord)
 		}
 
-		directOut, directStats, err := run(machine.SchedDirect)
+		directOut, directStats, err := run(machine.SchedDefault)
 		if err != nil {
 			t.Fatalf("direct: %v", err)
 		}
-		for _, s := range []machine.Sched{machine.SchedWorkerPool, machine.SchedGoroutinePerNode} {
-			out, st, err := run(s)
-			if err != nil {
-				t.Fatalf("%v: %v", s, err)
-			}
-			if st != directStats {
-				t.Errorf("%v: stats diverge\n  direct: %+v\n  engine: %+v", s, directStats, st)
-			}
-			if !reflect.DeepEqual(out, directOut) {
-				t.Errorf("%v: outputs diverge from the direct executor (k=%d)\n  direct: %v\n  engine: %v", s, k, directOut, out)
-			}
+		out, st, err := run(machine.SchedWorkerPool)
+		if err != nil {
+			t.Fatalf("worker-pool: %v", err)
+		}
+		if st != directStats {
+			t.Errorf("stats diverge\n  direct: %+v\n  engine: %+v", directStats, st)
+		}
+		if !reflect.DeepEqual(out, directOut) {
+			t.Errorf("outputs diverge from the direct executor (k=%d)\n  direct: %v\n  engine: %v", k, directOut, out)
 		}
 	})
 }

@@ -7,7 +7,6 @@ package analysis
 import (
 	"dualcube/internal/analysis/abortpanic"
 	"dualcube/internal/analysis/driver"
-	"dualcube/internal/analysis/faultpure"
 	"dualcube/internal/analysis/kernelpure"
 	"dualcube/internal/analysis/laneparity"
 	"dualcube/internal/analysis/nodebody"
@@ -19,7 +18,6 @@ import (
 func All() []*driver.Analyzer {
 	return []*driver.Analyzer{
 		abortpanic.Analyzer,
-		faultpure.Analyzer,
 		kernelpure.Analyzer,
 		laneparity.Analyzer,
 		nodebody.Analyzer,

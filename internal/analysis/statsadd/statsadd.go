@@ -98,7 +98,7 @@ func mergesStatsFields(pass *driver.Pass, a, b ast.Expr) (string, bool) {
 }
 
 // statsField returns the field name if e selects a field of machine.Stats or
-// machine.FaultStats (through any depth, so st.Faults.DroppedMessages counts).
+// machine.FaultStats (through any depth, so st.Faults.DownLinks counts).
 func statsField(pass *driver.Pass, e ast.Expr) (string, bool) {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {

@@ -24,6 +24,6 @@ func badAccumulate(total *machine.Stats, st machine.Stats) {
 	total.Cycles |= st.Cycles     // want `field-wise \|= of machine.Stats field Cycles`
 }
 
-func badFaultStats(a, b machine.Stats) int64 {
-	return a.Faults.DroppedMessages + b.Faults.DroppedMessages // want `field-wise \+ of machine.Stats field DroppedMessages`
+func badFaultStats(a, b machine.Stats) int {
+	return a.Faults.DownLinks + b.Faults.DownLinks // want `field-wise \+ of machine.Stats field DownLinks`
 }

@@ -11,9 +11,9 @@ import (
 // runFT executes program on d with plan's faults armed in the engine, so any
 // send the FT routing attempts on a down link aborts the run — passing these
 // tests proves the detours genuinely avoid the failed hardware.
-func runFT[T any](t *testing.T, d *topology.DualCube, plan *fault.Plan, sched machine.Sched, program func(*machine.Ctx[T])) machine.Stats {
+func runFT[T any](t *testing.T, d *topology.DualCube, plan *fault.Plan, workers int, program func(*machine.Ctx[T])) machine.Stats {
 	t.Helper()
-	eng := machine.MustNew[T](d, machine.Config{Sched: sched, Faults: plan.Spec()})
+	eng := machine.MustNew[T](d, machine.Config{Workers: workers, Faults: plan.Spec()})
 	defer eng.Release()
 	st, err := eng.Run(program)
 	if err != nil {
@@ -24,8 +24,8 @@ func runFT[T any](t *testing.T, d *topology.DualCube, plan *fault.Plan, sched ma
 
 // TestDimExchangeFTSingleCrossFault is the single-failed-cross-edge coverage
 // for the 3-cycle relay schedule: for every relay dimension, every node must
-// still receive its dimension partner's value, under both schedulers, with
-// bit-identical results and Stats across them (differential).
+// still receive its dimension partner's value, on one worker and on four,
+// with bit-identical results and Stats across them (differential).
 func TestDimExchangeFTSingleCrossFault(t *testing.T) {
 	d := topology.MustDualCube(3)
 	plan := &fault.Plan{Links: []fault.Link{{U: 0, V: d.CrossNeighbor(0)}}}
@@ -40,15 +40,15 @@ func TestDimExchangeFTSingleCrossFault(t *testing.T) {
 		}
 		var ref []int
 		var refStats machine.Stats
-		for _, sched := range []machine.Sched{machine.SchedWorkerPool, machine.SchedGoroutinePerNode} {
+		for _, workers := range []int{1, 4} {
 			got := make([]int, d.Nodes())
-			st := runFT[int](t, d, plan, sched, func(c *machine.Ctx[int]) {
+			st := runFT[int](t, d, plan, workers, func(c *machine.Ctx[int]) {
 				r := d.ToRecursive(c.ID())
 				got[r] = DimExchangeFT(c, d, j, r*10+1, p)
 			})
 			for r := 0; r < d.Nodes(); r++ {
 				if want := (r^1<<j)*10 + 1; got[r] != want {
-					t.Fatalf("j=%d sched=%v: rec node %d got %d, want %d", j, sched, r, got[r], want)
+					t.Fatalf("j=%d workers=%d: rec node %d got %d, want %d", j, workers, r, got[r], want)
 				}
 			}
 			want := 3 + p.RepairCycles()
@@ -56,18 +56,18 @@ func TestDimExchangeFTSingleCrossFault(t *testing.T) {
 				want = 1 + p.RepairCycles()
 			}
 			if st.Cycles != want {
-				t.Errorf("j=%d sched=%v: cycles %d, want %d", j, sched, st.Cycles, want)
+				t.Errorf("j=%d workers=%d: cycles %d, want %d", j, workers, st.Cycles, want)
 			}
 			if ref == nil {
 				ref, refStats = got, st
 			} else {
 				for r := range got {
 					if got[r] != ref[r] {
-						t.Fatalf("j=%d: schedulers disagree at rec node %d: %d vs %d", j, r, got[r], ref[r])
+						t.Fatalf("j=%d: worker counts disagree at rec node %d: %d vs %d", j, r, got[r], ref[r])
 					}
 				}
 				if st != refStats {
-					t.Errorf("j=%d: scheduler Stats diverge:\n  %+v\n  %+v", j, refStats, st)
+					t.Errorf("j=%d: Stats diverge across worker counts:\n  %+v\n  %+v", j, refStats, st)
 				}
 			}
 		}
@@ -91,7 +91,7 @@ func TestDimExchangeFTSingleDimLinkFault(t *testing.T) {
 		t.Fatalf("%d detours for a failed j-link, want 2 (direct + mismatched pair)", len(p.Detours()))
 	}
 	got := make([]int, d.Nodes())
-	runFT[int](t, d, plan, machine.SchedWorkerPool, func(c *machine.Ctx[int]) {
+	runFT[int](t, d, plan, 0, func(c *machine.Ctx[int]) {
 		r := d.ToRecursive(c.ID())
 		got[r] = DimExchangeFT(c, d, j, r*10+1, p)
 	})
@@ -134,7 +134,7 @@ func TestRewriteFTAnnotations(t *testing.T) {
 		t.Fatalf("PatternDetours: %d unique detours, want 2", len(dets))
 	}
 	got := make([][]int, d.Nodes())
-	st := runFT[int](t, d, plan, machine.SchedWorkerPool, func(c *machine.Ctx[int]) {
+	st := runFT[int](t, d, plan, 0, func(c *machine.Ctx[int]) {
 		u := c.ID()
 		x := machine.Interpret(c, sch)
 		var res []int
@@ -199,7 +199,7 @@ func TestExchangeFTRandomFaults(t *testing.T) {
 				}
 			}
 			got := make([][]int, d.Nodes())
-			runFT[int](t, d, plan, machine.SchedWorkerPool, func(c *machine.Ctx[int]) {
+			runFT[int](t, d, plan, 0, func(c *machine.Ctx[int]) {
 				r := d.ToRecursive(c.ID())
 				res := make([]int, d.RecDims())
 				for j := 0; j < d.RecDims(); j++ {

@@ -17,7 +17,7 @@ import (
 // steps (OpDSort), the one ladder both sort kernels — compare-exchange for
 // one key per node, merge-split for SortLarge's chunks — run over. The
 // node programs still outside the IR (emulate's ascend/descend framework
-// and the transient-fault DimExchangeFT) call machine.RecDimExchange.
+// and the link-fault relay DimExchangeFT) call machine.RecDimExchange.
 type Op uint8
 
 const (

@@ -1,16 +1,16 @@
-// Package fault provides seeded, reproducible fault plans for the dual-cube
-// machine: which links and nodes are permanently down for a run and which
-// messages the wire transiently loses or holds back. A Plan is the user-level
-// description (seeds and probabilities); Spec compiles it into the
-// topology-neutral machine.FaultSpec the engine arms, and View is the global
-// post-diagnosis picture of the permanent faults that fault-tolerant routing
-// (internal/dcomm) and the degraded algorithms (internal/prefix) consult.
+// Package fault provides reproducible fault plans for the dual-cube machine:
+// the set of links permanently down for a run, the fault model of the
+// paper's degraded mode (D_n has link connectivity n, so f <= n-1 failed
+// links leave every severed pair an alive detour). A Plan is the user-level
+// description, drawn at random from a seed by Random; Spec compiles it into
+// the topology-neutral machine.FaultSpec the executors arm, and View is the
+// global post-diagnosis picture of the failed links that fault-tolerant
+// routing (internal/dcomm) and the degraded algorithms (internal/prefix)
+// consult.
 //
-// Everything here is deterministic: the same Plan produces the same faults,
-// the same per-cycle drop/delay decisions, and therefore the same Stats.Faults
-// under either scheduler and any worker count. Transient decisions are pure
-// functions of (seed, src, dst, cycle) via a splitmix64-style hash — no shared
-// RNG state exists to race on.
+// Everything here is deterministic: the same seed picks the same links, and
+// the same Plan yields the same detours and therefore the same Stats on
+// either executor and under any worker count.
 package fault
 
 import (
@@ -40,31 +40,18 @@ func (l Link) Normalize() Link {
 
 func (l Link) String() string { return fmt.Sprintf("%d-%d", l.U, l.V) }
 
-// Plan is a reproducible fault scenario. The permanent part (Links, Nodes) is
-// explicit; the transient part is probabilistic but seeded, so every run of
-// the same plan sees the same drops and delays. A Plan must not be mutated
-// after its Spec has been taken; share one *Plan across runs to reuse the
-// engine's compiled fault mask.
+// Plan is a reproducible fault scenario: a set of permanently failed links.
+// A Plan must not be mutated after its Spec has been taken; share one *Plan
+// across runs to reuse the engine's compiled fault mask.
 type Plan struct {
-	// Seed drives every transient decision. Plans with equal Seed and equal
-	// probabilities make identical per-message choices.
-	Seed int64
 	// Links are permanently failed undirected links.
 	Links []Link
-	// Nodes are permanently failed (fail-stop) nodes: all incident links die.
-	Nodes []int
-	// DropProb is the probability that any given message is lost in flight.
-	DropProb float64
-	// DelayProb is the probability that any given message is held back; a
-	// delayed message suffers 1..MaxDelay extra cycles (MaxDelay 0 means 1).
-	DelayProb float64
-	MaxDelay  int
 
 	once sync.Once
 	spec *machine.FaultSpec
 }
 
-// Spec compiles the plan into the engine-facing fault spec, caching the
+// Spec compiles the plan into the executor-facing fault spec, caching the
 // result so repeated runs arm the identical pointer (which lets the engine
 // reuse its compiled per-link mask). A nil plan yields a nil spec — fault-free.
 func (p *Plan) Spec() *machine.FaultSpec {
@@ -72,31 +59,9 @@ func (p *Plan) Spec() *machine.FaultSpec {
 		return nil
 	}
 	p.once.Do(func() {
-		s := &machine.FaultSpec{
-			Links: make([][2]int, len(p.Links)),
-			Nodes: append([]int(nil), p.Nodes...),
-		}
+		s := &machine.FaultSpec{Links: make([][2]int, len(p.Links))}
 		for i, l := range p.Links {
 			s.Links[i] = [2]int{l.U, l.V}
-		}
-		if p.DropProb > 0 {
-			seed, prob := p.Seed, p.DropProb
-			s.Drop = func(src, dst, cycle int) bool {
-				return roll(seed, rollDrop, src, dst, cycle) < prob
-			}
-		}
-		if p.DelayProb > 0 {
-			seed, prob := p.Seed, p.DelayProb
-			maxDelay := p.MaxDelay
-			if maxDelay < 1 {
-				maxDelay = 1
-			}
-			s.Delay = func(src, dst, cycle int) int {
-				if roll(seed, rollDelay, src, dst, cycle) >= prob {
-					return 0
-				}
-				return 1 + int(hash(seed, rollDelaySpan, src, dst, cycle)%uint64(maxDelay))
-			}
 		}
 		p.spec = s
 	})
@@ -104,9 +69,8 @@ func (p *Plan) Spec() *machine.FaultSpec {
 }
 
 // Validate checks the plan against a topology: every failed link must be an
-// edge of t, every failed node an address, and the probabilities sensible.
-// The engine re-checks links when arming; Validate exists so commands can
-// reject bad plans before spending a run.
+// edge of t. The executors re-check links when arming; Validate exists so
+// commands can reject bad plans before spending a run.
 func (p *Plan) Validate(t topology.Topology) error {
 	if p == nil {
 		return nil
@@ -116,17 +80,6 @@ func (p *Plan) Validate(t topology.Topology) error {
 		if l.U < 0 || l.U >= n || l.V < 0 || l.V >= n || !t.HasEdge(l.U, l.V) {
 			return fmt.Errorf("fault: plan fails link %v, which is not a link of %s", l, t.Name())
 		}
-	}
-	for _, u := range p.Nodes {
-		if u < 0 || u >= n {
-			return fmt.Errorf("fault: plan fails node %d, outside %s", u, t.Name())
-		}
-	}
-	if p.DropProb < 0 || p.DropProb > 1 || p.DelayProb < 0 || p.DelayProb > 1 {
-		return fmt.Errorf("fault: probabilities must lie in [0, 1]")
-	}
-	if p.MaxDelay < 0 {
-		return fmt.Errorf("fault: MaxDelay must be non-negative")
 	}
 	return nil
 }
@@ -161,7 +114,7 @@ func RandomLinks(t topology.Topology, f int, seed int64) []Link {
 // Random builds a plan of f random permanent link faults — the standard
 // scenario of the fault-sweep experiments.
 func Random(t topology.Topology, f int, seed int64) *Plan {
-	return &Plan{Seed: seed, Links: RandomLinks(t, f, seed)}
+	return &Plan{Links: RandomLinks(t, f, seed)}
 }
 
 // allLinks enumerates every undirected link of t in canonical (U < V) order.
@@ -180,34 +133,4 @@ func allLinks(t topology.Topology) []Link {
 		}
 	}
 	return edges
-}
-
-// rollX tag the independent hash streams carved out of one seed.
-const (
-	rollDrop = iota
-	rollDelay
-	rollDelaySpan
-)
-
-// hash is a splitmix64-style avalanche over (seed, kind, src, dst, cycle) —
-// stateless, so drop/delay decisions are reproducible under any scheduler.
-func hash(seed int64, kind, src, dst, cycle int) uint64 {
-	x := uint64(seed)
-	for _, v := range [4]uint64{uint64(kind), uint64(src), uint64(dst), uint64(cycle)} {
-		x = mix(x ^ v)
-	}
-	return x
-}
-
-// mix is the splitmix64 finalizer.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// roll maps a hash to a uniform float64 in [0, 1).
-func roll(seed int64, kind, src, dst, cycle int) float64 {
-	return float64(hash(seed, kind, src, dst, cycle)>>11) / (1 << 53)
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"dualcube/internal/machine"
@@ -54,43 +55,23 @@ func TestRandomLinksBounds(t *testing.T) {
 }
 
 // TestSpecCachedAndDeterministic checks that Spec returns the identical
-// pointer every call (the engine's compile-once contract) and that its
-// transient predicates are pure functions of their arguments.
+// pointer every call (the engine's compile-once contract) and that equal
+// plans compile to equal link lists.
 func TestSpecCachedAndDeterministic(t *testing.T) {
-	p := &Plan{Seed: 7, DropProb: 0.3, DelayProb: 0.3, MaxDelay: 3}
+	d := topology.MustDualCube(3)
+	p := Random(d, 2, 7)
 	s := p.Spec()
 	if s != p.Spec() {
 		t.Fatal("Spec not cached: distinct pointers across calls")
 	}
-	twin := &Plan{Seed: 7, DropProb: 0.3, DelayProb: 0.3, MaxDelay: 3}
-	s2 := twin.Spec()
-	drops, delays := 0, 0
-	for src := 0; src < 8; src++ {
-		for cycle := 0; cycle < 50; cycle++ {
-			dst := src ^ 1
-			if s.Drop(src, dst, cycle) != s2.Drop(src, dst, cycle) {
-				t.Fatalf("Drop(%d,%d,%d) differs between equal plans", src, dst, cycle)
-			}
-			if s.Delay(src, dst, cycle) != s2.Delay(src, dst, cycle) {
-				t.Fatalf("Delay(%d,%d,%d) differs between equal plans", src, dst, cycle)
-			}
-			if s.Drop(src, dst, cycle) {
-				drops++
-			}
-			if dl := s.Delay(src, dst, cycle); dl > 0 {
-				delays++
-				if dl > 3 {
-					t.Fatalf("Delay(%d,%d,%d) = %d exceeds MaxDelay", src, dst, cycle, dl)
-				}
-			}
+	twin := Random(d, 2, 7).Spec()
+	if len(s.Links) != 2 || !reflect.DeepEqual(s.Links, twin.Links) {
+		t.Errorf("equal plans compiled to %v and %v", s.Links, twin.Links)
+	}
+	for i, l := range p.Links {
+		if s.Links[i] != [2]int{l.U, l.V} {
+			t.Errorf("Spec link %d = %v, want %v", i, s.Links[i], l)
 		}
-	}
-	// 400 samples at p=0.3: both event kinds must actually fire.
-	if drops == 0 || delays == 0 {
-		t.Errorf("predicates never fired: %d drops, %d delays", drops, delays)
-	}
-	if (&Plan{}).Spec().Drop != nil {
-		t.Error("zero-probability plan grew a Drop predicate")
 	}
 	var nilPlan *Plan
 	if nilPlan.Spec() != nil {
@@ -101,15 +82,14 @@ func TestSpecCachedAndDeterministic(t *testing.T) {
 // TestValidate checks plan screening against a topology.
 func TestValidate(t *testing.T) {
 	d := topology.MustDualCube(2)
-	good := &Plan{Links: []Link{{0, d.CrossNeighbor(0)}}, Nodes: []int{1}}
+	good := &Plan{Links: []Link{{0, d.CrossNeighbor(0)}}}
 	if err := good.Validate(d); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 	for _, bad := range []*Plan{
 		{Links: []Link{{0, 3}}},
-		{Nodes: []int{-1}},
-		{DropProb: 1.5},
-		{MaxDelay: -1},
+		{Links: []Link{{-1, 0}}},
+		{Links: []Link{{0, 99}}},
 	} {
 		if bad.Validate(d) == nil {
 			t.Errorf("plan %+v passed validation", bad)
@@ -117,36 +97,35 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestViewBasics checks the fault predicates and the canonical down-link
-// enumeration, including links killed transitively by node failures.
+// TestViewBasics checks the fault predicate and the canonical down-link
+// enumeration.
 func TestViewBasics(t *testing.T) {
 	d := topology.MustDualCube(2)
 	dead := Link{d.CrossNeighbor(0), 0} // deliberately unnormalized
-	v := NewView(d, &Plan{Links: []Link{dead}, Nodes: []int{3}})
+	other := Link{3, d.ClusterNeighbor(3, 0)}
+	v := NewView(d, &Plan{Links: []Link{dead, other, dead}})
 	if v.Clean() {
 		t.Fatal("view with faults reports clean")
 	}
 	if !v.LinkDown(0, d.CrossNeighbor(0)) || !v.LinkDown(d.CrossNeighbor(0), 0) {
 		t.Error("failed link not down in both orientations")
 	}
-	if !v.NodeDown(3) || v.NodeDown(0) {
-		t.Error("node fault misreported")
+	if v.LinkDown(0, d.ClusterNeighbor(0, 0)) {
+		t.Error("live link reported down")
 	}
-	for _, w := range d.Neighbors(3) {
-		if !v.LinkDown(3, w) {
-			t.Errorf("link 3-%d incident to dead node not down", w)
-		}
+	want := []Link{dead.Normalize(), other.Normalize()}
+	if want[0].U > want[1].U {
+		want[0], want[1] = want[1], want[0]
 	}
-	want := 1 + d.Order() // explicit link + node 3's incident links (disjoint here)
-	if got := v.DownLinks(); len(got) != want {
-		t.Errorf("DownLinks = %v, want %d links", got, want)
+	if got := v.DownLinks(); !reflect.DeepEqual(got, want) {
+		t.Errorf("DownLinks = %v, want %v", got, want)
 	}
 	var nilView *View
-	if !nilView.Clean() || nilView.LinkDown(0, 1) || nilView.NodeDown(0) || nilView.DownLinks() != nil {
+	if !nilView.Clean() || nilView.LinkDown(0, 1) || nilView.DownLinks() != nil {
 		t.Error("nil view must be clean")
 	}
-	if NewView(d, &Plan{Seed: 1, DropProb: 0.5}) != nil {
-		t.Error("transient-only plan must yield a nil (clean) view")
+	if NewView(d, &Plan{}) != nil {
+		t.Error("empty plan must yield a nil (clean) view")
 	}
 }
 
@@ -201,7 +180,7 @@ func TestPlanEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Faults.DownLinks != 2*len(plan.Links) || st.Faults.DownNodes != 0 {
+	if st.Faults.DownLinks != 2*len(plan.Links) {
 		t.Errorf("Stats.Faults = %+v, want %d directed down links", st.Faults, 2*len(plan.Links))
 	}
 }

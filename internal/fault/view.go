@@ -6,7 +6,7 @@ import (
 	"dualcube/internal/topology"
 )
 
-// View is the global picture of a plan's permanent faults over one topology —
+// View is the global picture of a plan's failed links over one topology —
 // the post-diagnosis knowledge the paper's fault model grants every node.
 // Fault-tolerant routing (internal/dcomm) consults it to decide which
 // exchanges need a detour and which alive path to relay over; because every
@@ -19,75 +19,43 @@ import (
 type View struct {
 	t        topology.Topology
 	downLink map[Link]struct{}
-	downNode map[int]struct{}
 }
 
-// NewView indexes plan's permanent faults against t. Transient probabilities
-// are deliberately excluded: drops and delays are not diagnosable in advance,
-// so routing treats them as live-link noise. A nil plan (or one with no
-// permanent faults) yields a nil View.
+// NewView indexes plan's failed links against t. A nil plan (or one with no
+// failed links) yields a nil View.
 func NewView(t topology.Topology, plan *Plan) *View {
-	if plan == nil || (len(plan.Links) == 0 && len(plan.Nodes) == 0) {
+	if plan == nil || len(plan.Links) == 0 {
 		return nil
 	}
-	v := &View{
-		t:        t,
-		downLink: make(map[Link]struct{}, len(plan.Links)),
-		downNode: make(map[int]struct{}, len(plan.Nodes)),
-	}
+	v := &View{t: t, downLink: make(map[Link]struct{}, len(plan.Links))}
 	for _, l := range plan.Links {
 		v.downLink[l.Normalize()] = struct{}{}
-	}
-	for _, u := range plan.Nodes {
-		v.downNode[u] = struct{}{}
 	}
 	return v
 }
 
-// Clean reports whether the view carries no permanent faults.
+// Clean reports whether the view carries no failed links.
 func (v *View) Clean() bool {
-	return v == nil || (len(v.downLink) == 0 && len(v.downNode) == 0)
+	return v == nil || len(v.downLink) == 0
 }
 
-// NodeDown reports whether node u is failed.
-func (v *View) NodeDown(u int) bool {
-	if v == nil {
-		return false
-	}
-	_, down := v.downNode[u]
-	return down
-}
-
-// LinkDown reports whether the link {u, w} is unusable: failed itself, or
-// incident to a failed node.
+// LinkDown reports whether the link {u, w} is failed.
 func (v *View) LinkDown(u, w int) bool {
 	if v == nil {
 		return false
 	}
-	if _, down := v.downLink[Link{u, w}.Normalize()]; down {
-		return true
-	}
-	return v.NodeDown(u) || v.NodeDown(w)
+	_, down := v.downLink[Link{u, w}.Normalize()]
+	return down
 }
 
-// DownLinks returns every unusable link (explicit failures plus links killed
-// by node failures), normalized and sorted — a canonical enumeration all
-// nodes agree on.
+// DownLinks returns every failed link, normalized and sorted — a canonical
+// enumeration all nodes agree on.
 func (v *View) DownLinks() []Link {
 	if v == nil {
 		return nil
 	}
-	set := make(map[Link]struct{}, len(v.downLink))
+	out := make([]Link, 0, len(v.downLink))
 	for l := range v.downLink {
-		set[l] = struct{}{}
-	}
-	for u := range v.downNode {
-		for _, w := range v.t.Neighbors(u) {
-			set[Link{u, w}.Normalize()] = struct{}{}
-		}
-	}
-	out := make([]Link, 0, len(set))
-	for l := range set {
 		out = append(out, l)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -110,9 +78,6 @@ func (v *View) Path(u, w int) []int {
 	}
 	if u == w {
 		return []int{u}
-	}
-	if v.NodeDown(u) || v.NodeDown(w) {
-		return nil
 	}
 	prev := make(map[int]int, 64)
 	prev[u] = u

@@ -16,18 +16,11 @@ type Ctx[T any] struct {
 	cycle  int   // this node's local clock (== global clock under lockstep)
 	msgs   int64 // messages sent by this node, merged into Stats at run end
 
-	// Fault accounting (only written while a fault spec is armed), merged
-	// into Stats.Faults at run end like msgs.
-	refused int64 // send attempts on permanently failed links
-	dropped int64 // transient in-flight losses
-	delayed int64 // messages held back by at least one cycle
-
-	// Exactly one of the following is set per run, selecting the clock
-	// boundary mechanism: yield parks this node's persistent coroutine until
-	// its worker reaches the next cycle (worker pool; the false payload
+	// yield is the clock boundary: it parks this node's persistent coroutine
+	// until its worker reaches the next cycle (the false payload
 	// distinguishes a clock boundary from the coroutine's between-runs
-	// park); a nil yield routes through the engine's N-party Barrier
-	// (goroutine-per-node).
+	// park). worker is the shard worker resuming the node; a send sets its
+	// sent flag for the barrier leader's comm-cycle count.
 	yield  func(bool) bool
 	worker *poolWorker
 
@@ -94,45 +87,6 @@ func (c *Ctx[T]) SendRecv2(to int, v T, from1, from2 int) (T, T) {
 	return c.step(to, v, from1, from2)
 }
 
-// Recv2 receives from two distinct links in one cycle without sending.
-func (c *Ctx[T]) Recv2(from1, from2 int) (T, T) {
-	return c.step(NoNode, *new(T), from1, from2)
-}
-
-// TrySend transmits v to neighbor `to` and spends the cycle (no receive) —
-// the fault-tolerant form of Send. It reports delivery refusal instead of
-// aborting the run: false means the link is permanently down under the armed
-// fault plan (the port is still spent, so the SPMD clock stays in lockstep).
-// A transient in-flight drop is indistinguishable from a successful send —
-// the wire loses the message after the sender let it go — and shows up only
-// in Stats.Faults.
-func (c *Ctx[T]) TrySend(to int, v T) bool {
-	ok := c.send(to, v, true)
-	c.boundary()
-	return ok
-}
-
-// TryRecv spends one cycle attempting to receive the pending message from
-// neighbor `from` — the fault-tolerant form of Recv. ok reports whether a
-// message was pending and visible (a delayed message stays invisible until
-// its extra latency has elapsed). Unlike Recv, an empty link is not a
-// protocol error, so protocols that must survive lost messages poll with
-// TryRecv instead of wedging the barrier.
-func (c *Ctx[T]) TryRecv(from int) (T, bool) {
-	c.boundary()
-	return c.recvFrom(from, true)
-}
-
-// TryExchange sends v to neighbor partner and attempts to receive partner's
-// message of the same cycle — the fault-tolerant form of Exchange, one clock
-// cycle. ok is false when the link is permanently down (nothing was sent or
-// received) or when the partner's message was dropped or delayed in flight.
-func (c *Ctx[T]) TryExchange(partner int, v T) (T, bool) {
-	c.send(partner, v, true)
-	c.boundary()
-	return c.recvFrom(partner, true)
-}
-
 // step is the single clock-cycle primitive: at most one send, at most two
 // receives, one clock boundary. All other methods delegate here. The
 // Exchange shape (send and first receive on the same link) resolves the
@@ -140,11 +94,10 @@ func (c *Ctx[T]) TryExchange(partner int, v T) (T, bool) {
 func (c *Ctx[T]) step(sendTo int, v T, recv1, recv2 int) (T, T) {
 	ex := -1
 	if sendTo != NoNode {
+		i := c.linkIdx(sendTo)
+		c.sendAt(i, sendTo, v)
 		if sendTo == recv1 {
-			ex = c.linkIdx(sendTo)
-			c.sendAt(ex, sendTo, v, false)
-		} else {
-			c.send(sendTo, v, false)
+			ex = i
 		}
 	}
 	if recv1 != NoNode && recv1 == recv2 {
@@ -154,13 +107,13 @@ func (c *Ctx[T]) step(sendTo int, v T, recv1, recv2 int) (T, T) {
 	var r1, r2 T
 	if recv1 != NoNode {
 		if ex >= 0 {
-			r1, _ = c.recvAt(ex, recv1, false)
+			r1 = c.recvAt(ex, recv1)
 		} else {
-			r1 = c.recvNow(recv1)
+			r1 = c.recvFrom(recv1)
 		}
 	}
 	if recv2 != NoNode {
-		r2 = c.recvNow(recv2)
+		r2 = c.recvFrom(recv2)
 	}
 	return r1, r2
 }
@@ -169,9 +122,9 @@ func (c *Ctx[T]) step(sendTo int, v T, recv1, recv2 int) (T, T) {
 // schedule interpreter's table-accelerated path): same send, boundary and
 // receive as step, with no neighbor search. With no fault spec armed, plain
 // (non-atomic) links and no send hook, the whole matched exchange is fused
-// into one body so the per-side fault and atomics branches of sendAt/recvAt
-// are checked once instead of eight times; counters, clock and failure
-// messages are identical to the general path.
+// into one body so the fault, atomics and hook branches of sendAt/recvAt are
+// tested once instead of per side; counters, clock and failure messages are
+// identical to the general path.
 func (c *Ctx[T]) exchangeAt(i, partner int, v T) T {
 	e := c.engine
 	if e.fx == nil && !e.atomicLinks && e.onSend == nil {
@@ -183,11 +136,7 @@ func (c *Ctx[T]) exchangeAt(i, partner int, v T) T {
 		e.buf[uint32(s)*e.ringSize+tail&e.ringMask] = v
 		e.tails[s] = tail + 1
 		c.msgs++
-		if c.worker != nil {
-			c.worker.sent = true
-		} else {
-			e.anySent.Store(true)
-		}
+		c.worker.sent = true
 		c.boundary()
 		rs := int(e.inSlot[s])
 		rhead, rtail := e.heads[rs], e.tails[rs]
@@ -201,10 +150,9 @@ func (c *Ctx[T]) exchangeAt(i, partner int, v T) T {
 		e.heads[rs] = rhead + 1
 		return r
 	}
-	c.sendAt(i, partner, v, false)
+	c.sendAt(i, partner, v)
 	c.boundary()
-	r, _ := c.recvAt(i, partner, false)
-	return r
+	return c.recvAt(i, partner)
 }
 
 // linkIdx resolves neighbor peer to its position in this node's CSR row,
@@ -217,47 +165,14 @@ func (c *Ctx[T]) linkIdx(peer int) int {
 	return i
 }
 
-// send posts v on the directed link to neighbor `to`. try selects the
-// fault-tolerant contract: a send on a permanently failed link reports false
-// instead of aborting the run. With no fault spec armed the fault block is a
-// single nil check.
-func (c *Ctx[T]) send(to int, v T, try bool) bool {
-	return c.sendAt(c.linkIdx(to), to, v, try)
-}
-
-// sendAt is send with the neighbor's CSR index already resolved.
-func (c *Ctx[T]) sendAt(i, to int, v T, try bool) bool {
+// sendAt posts v on the directed link to neighbor `to`, the i-th entry of
+// this node's CSR row. A send on a link the armed fault plan failed aborts
+// the run; with no fault spec armed that check is a single nil test.
+func (c *Ctx[T]) sendAt(i, to int, v T) {
 	e := c.engine
 	s := int(e.offs[c.id]) + i
-	delay := 0
-	if fx := e.fx; fx != nil {
-		if fx.down[s] {
-			c.refused++
-			if !try {
-				c.failf("node %d: send to %d on a failed link", c.id, to)
-			}
-			return false
-		}
-		if fx.spec.Drop != nil && fx.spec.Drop(c.id, to, c.cycle) {
-			// The message entered the wire and was lost: the port and the
-			// hop are spent, but nothing reaches the receiver's buffer.
-			c.dropped++
-			c.msgs++
-			if c.worker != nil {
-				c.worker.sent = true
-			} else {
-				e.anySent.Store(true)
-			}
-			return true
-		}
-		if fx.spec.Delay != nil {
-			if delay = fx.spec.Delay(c.id, to, c.cycle); delay < 0 {
-				delay = 0
-			}
-			if delay > 0 {
-				c.delayed++
-			}
-		}
+	if fx := e.fx; fx != nil && fx.down[s] {
+		c.failf("node %d: send to %d on a failed link", c.id, to)
 	}
 	tail := e.tails[s] // producer-owned cursor: plain read is always safe
 	var head uint32
@@ -271,68 +186,44 @@ func (c *Ctx[T]) sendAt(i, to int, v T, try bool) bool {
 	}
 	idx := uint32(s)*e.ringSize + tail&e.ringMask
 	e.buf[idx] = v
-	if fx := e.fx; fx != nil && fx.stamps != nil {
-		// Written before the tail store, read by the consumer only after it
-		// observes the new tail — the same release/acquire protocol as buf.
-		fx.stamps[idx] = uint32(c.cycle + delay)
-	}
 	if e.atomicLinks {
 		atomic.StoreUint32(&e.tails[s], tail+1)
 	} else {
 		e.tails[s] = tail + 1
 	}
 	c.msgs++
-	if c.worker != nil {
-		c.worker.sent = true
-	} else {
-		e.anySent.Store(true)
-	}
+	c.worker.sent = true
 	if e.onSend != nil {
 		e.onSend(c, to)
 	}
-	return true
 }
 
 // boundary is the clock edge: park until every node has finished the cycle.
 func (c *Ctx[T]) boundary() {
-	e := c.engine
-	if c.yield != nil {
-		if !c.yield(false) || e.state == roundAbort {
-			// A false return means the engine is being torn down with this
-			// program still live; roundAbort is the barrier leader routing
-			// every worker into the drain pass after a recorded failure.
-			panic(abortPanic{ErrAborted})
-		}
-	} else if err := e.bar.Wait(); err != nil {
-		panic(abortPanic{err})
+	if !c.yield(false) || c.engine.state == roundAbort {
+		// A false return means the engine is being torn down with this
+		// program still live; roundAbort is the barrier leader routing
+		// every worker into the drain pass after a recorded failure.
+		panic(abortPanic{ErrAborted})
 	}
 	c.cycle++
 }
 
-// recvNow pops the oldest pending message on the link from -> id. It never
+// recvFrom pops the oldest pending message on the link from -> id. It never
 // blocks: by the time the clock boundary has released us, every message of
 // the current cycle has been posted, so an empty link is a protocol error.
-func (c *Ctx[T]) recvNow(from int) T {
-	v, _ := c.recvFrom(from, false)
-	return v
-}
-
-// recvFrom pops the oldest visible message on the link from -> id. try
-// selects the fault-tolerant contract: an empty link — or one whose head
-// message is still delayed in flight — reports ok = false instead of
-// aborting the run. The incoming slot is read from the precomputed inSlot
-// table; no adjacency scan happens here.
-func (c *Ctx[T]) recvFrom(from int, try bool) (T, bool) {
-	e := c.engine
-	i := e.idxOf(c.id, from)
+// The incoming slot is read from the precomputed inSlot table; no adjacency
+// scan happens here.
+func (c *Ctx[T]) recvFrom(from int) T {
+	i := c.engine.idxOf(c.id, from)
 	if i < 0 {
 		c.failf("node %d: receive from %d, which is not a neighbor", c.id, from)
 	}
-	return c.recvAt(i, from, try)
+	return c.recvAt(i, from)
 }
 
 // recvAt is recvFrom with the neighbor's CSR index already resolved.
-func (c *Ctx[T]) recvAt(i, from int, try bool) (T, bool) {
+func (c *Ctx[T]) recvAt(i, from int) T {
 	e := c.engine
 	s := int(e.inSlot[int(e.offs[c.id])+i])
 	head := e.heads[s] // consumer-owned cursor: plain read is always safe
@@ -342,14 +233,10 @@ func (c *Ctx[T]) recvAt(i, from int, try bool) (T, bool) {
 	} else {
 		tail = e.tails[s]
 	}
-	idx := uint32(s)*e.ringSize + head&e.ringMask
-	if tail == head || !c.visible(idx) {
-		if try {
-			var zero T
-			return zero, false
-		}
+	if tail == head {
 		c.failf("node %d: receive from %d on an empty link", c.id, from)
 	}
+	idx := uint32(s)*e.ringSize + head&e.ringMask
 	v := e.buf[idx]
 	var zero T
 	e.buf[idx] = zero // release references held by the buffered element
@@ -358,17 +245,7 @@ func (c *Ctx[T]) recvAt(i, from int, try bool) (T, bool) {
 	} else {
 		e.heads[s] = head + 1
 	}
-	return v, true
-}
-
-// visible reports whether the buffered message at idx has cleared its
-// injected latency: messages are stamped with send cycle + delay and become
-// receivable strictly after that cycle, which for an undelayed message is
-// the same cycle it was sent in (the receiver's clock has already advanced
-// past the boundary).
-func (c *Ctx[T]) visible(idx uint32) bool {
-	fx := c.engine.fx
-	return fx == nil || fx.stamps == nil || fx.stamps[idx] < uint32(c.cycle)
+	return v
 }
 
 // failf aborts the whole run with a formatted protocol error and unwinds

@@ -7,10 +7,10 @@ import (
 	"dualcube/internal/topology"
 )
 
-// This file is the direct kernel executor: the third way to run a compiled
-// Schedule. The simulator engines execute a schedule as N communicating
-// node programs — coroutines or goroutines meeting at a clock barrier every
-// cycle — which is the faithful machine model but pure overhead once the
+// This file is the direct kernel executor: the second way to run a compiled
+// Schedule. The simulator engine executes a schedule as N communicating
+// node programs — coroutines meeting at a clock barrier every cycle — which
+// is the faithful machine model but pure overhead once the
 // communication pattern is static. A finalized Schedule IS static: every
 // step's matching is a precomputed partner table. The direct executor
 // therefore runs the schedule as a sequence of array kernels over one flat
@@ -22,12 +22,12 @@ import (
 // The executor is NOT a second semantics. The algorithm is supplied as a
 // DirectKernel — produce a payload + role per step, absorb the partner's
 // payload, run the local combine — and the same kernel value runs unchanged
-// on the simulator engines through the KernelProgram adapter. Stats are
+// on the simulator engine through the KernelProgram adapter. Stats are
 // reproduced exactly: cycles = communication steps (+ detour relay cycles),
 // CommCycles counts steps that carried at least one message, Messages sums
 // the per-step sender counts, MaxOps/TotalOps aggregate the per-node
 // DirectCtx.Ops accounts, and Stats.Faults reports the armed plan's
-// DownLinks/DownNodes by the engine's counting rules. TestIRGoldenStats and
+// DownLinks from the same compiled down set (downSet). TestIRGoldenStats and
 // the differential suite hold the executor to byte-identical Stats and
 // outputs against the schedule interpreter.
 //
@@ -37,8 +37,6 @@ import (
 // relays compute — and the Detours are replayed as a serial accounting +
 // validation epilogue per step: 2·(len(Path)−1) cycles each, one message per
 // relay hop, every hop checked against the armed fault plan's down set.
-// Transient Drop/Delay hooks have no static equivalent, so specs carrying
-// them are rejected; DirectEligible steers those runs to an engine.
 
 // DirectRole is the communication role a kernel assigns to one node for one
 // schedule step: the direct-executor analogue of choosing between
@@ -60,7 +58,7 @@ const (
 )
 
 // opsSink abstracts Ctx.Ops so DirectCtx can forward computation accounting
-// to a node context when a kernel runs on a simulator engine.
+// to a node context when a kernel runs on the simulator engine.
 type opsSink interface{ Ops(k int) }
 
 // DirectCtx is a kernel's accounting handle: the direct-executor stand-in
@@ -95,7 +93,7 @@ func (dc *DirectCtx) Ops(k int) {
 // Within one node, Absorb for step k-1 always precedes Produce for step k.
 // For a StepLocalCombine, Local(dc, k, u) runs instead. Matched pairs must
 // agree within a step — a receiver whose partner does not send (or a sender
-// whose partner does not receive) is a protocol error, as on the engines.
+// whose partner does not receive) is a protocol error, as on the engine.
 type DirectKernel[T any] interface {
 	Produce(dc *DirectCtx, k, u int) (DirectRole, T)
 	Absorb(dc *DirectCtx, k, u int, v T)
@@ -134,16 +132,10 @@ func KernelProgram[T any](sch *Schedule, kern DirectKernel[T]) func(c *Ctx[T]) {
 }
 
 // DirectEligible reports whether a schedule-driven operation under cfg runs
-// on the direct executor: the zero Sched and SchedDirect do, an engine
-// scheduler opts back into that engine. A fault spec with transient
-// Drop/Delay hooks disqualifies the run (the static executor has no
-// per-message wire to perturb); permanent link/node faults are fine.
-func DirectEligible(cfg Config) bool {
-	if cfg.Sched != SchedDefault && cfg.Sched != SchedDirect {
-		return false
-	}
-	return cfg.Faults == nil || (cfg.Faults.Drop == nil && cfg.Faults.Delay == nil)
-}
+// on the direct executor: the zero Sched does, SchedWorkerPool forces the
+// engine. An armed fault spec does not matter — permanent link faults are
+// static, and both executors compile them alike.
+func DirectEligible(cfg Config) bool { return cfg.Sched == SchedDefault }
 
 // directParallelMin is the node count from which RunDirect shards its passes
 // across workers. Below it a whole pass is a few microseconds of straight-
@@ -152,11 +144,12 @@ func DirectEligible(cfg Config) bool {
 var directParallelMin = 4096
 
 // RunDirect executes a finalized schedule as array kernels and returns the
-// run's cost statistics, identical to what a simulator engine reports for
+// run's cost statistics, identical to what the simulator engine reports for
 // KernelProgram(sch, kern). cfg contributes Workers (sharding) and Faults
-// (validated against the schedule's annotations exactly like the engine's
-// armed spec); LinkCapacity and Timeout have no meaning here — there are no
-// buffers to overflow and no coroutines to wedge.
+// (compiled by downSet, as the engine compiles its armed spec, and checked
+// against the schedule's annotations); LinkCapacity and Timeout have no
+// meaning here — there are no buffers to overflow and no coroutines to
+// wedge.
 func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, error) {
 	topo := sch.Topology()
 	n := topo.Nodes()
@@ -168,17 +161,13 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 		}
 	}
 
-	spec := cfg.Faults
 	var down map[int]bool
-	if spec != nil {
-		if spec.Drop != nil || spec.Delay != nil {
-			return st, fmt.Errorf("machine: direct executor cannot apply transient drop/delay fault hooks; run on an engine scheduler")
-		}
+	if cfg.Faults != nil {
 		var err error
-		down, st.Faults.DownLinks, st.Faults.DownNodes, err = directDownSet(topo, spec, n)
-		if err != nil {
+		if down, err = downSet(topo, cfg.Faults); err != nil {
 			return st, err
 		}
+		st.Faults.DownLinks = len(down)
 	}
 
 	// One backing array per kind halves the allocation count; the halves
@@ -436,51 +425,6 @@ func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) (res passResult) {
 	return res
 }
 
-// directDownSet compiles a fault spec into the directed down-link set and
-// the DownLinks/DownNodes figures, with the same counting rules (and the
-// same validation errors) as the engine's armFaults: an undirected link
-// failure masks both directions, a node failure masks every incident link in
-// both directions, and overlapping failures are deduplicated per directed
-// link.
-func directDownSet(t topology.Topology, spec *FaultSpec, n int) (map[int]bool, int, int, error) {
-	down := make(map[int]bool)
-	links := 0
-	mark := func(u, v int) error {
-		if u < 0 || u >= n || !adjacentIn(t, u, v) {
-			return fmt.Errorf("machine: fault plan fails link %d-%d, which is not a link", u, v)
-		}
-		if !down[u*n+v] {
-			down[u*n+v] = true
-			links++
-		}
-		return nil
-	}
-	for _, l := range spec.Links {
-		if err := mark(l[0], l[1]); err != nil {
-			return nil, 0, 0, err
-		}
-		if err := mark(l[1], l[0]); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	nodes := 0
-	for _, u := range spec.Nodes {
-		if u < 0 || u >= n {
-			return nil, 0, 0, fmt.Errorf("machine: fault plan fails node %d, outside 0..%d", u, n-1)
-		}
-		nodes++
-		for _, v := range t.Neighbors(u) {
-			if err := mark(u, v); err != nil {
-				return nil, 0, 0, err
-			}
-			if err := mark(v, u); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-	}
-	return down, links, nodes, nil
-}
-
 // checkRecDimLinks validates one recursive-dimension exchange against the
 // armed fault plan's down set. The choreography uses, in both directions,
 // every cross edge (the routed half's delivery plus the direct half's relay
@@ -501,15 +445,4 @@ func checkRecDimLinks(d topology.Recursive, j int, down map[int]bool, n int) err
 		}
 	}
 	return nil
-}
-
-// adjacentIn reports whether v is a neighbor of u. The caller has validated
-// u's range.
-func adjacentIn(t topology.Topology, u, v int) bool {
-	for _, w := range t.Neighbors(u) {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }

@@ -199,33 +199,24 @@ func TestRunDirectRequiresFinalizedSchedule(t *testing.T) {
 	}
 }
 
-// TestRunDirectRejectsTransientFaultHooks: Drop/Delay have no static
-// equivalent, so RunDirect must refuse them (DirectEligible steers such runs
-// to an engine before this point; the guard is defense in depth).
-func TestRunDirectRejectsTransientFaultHooks(t *testing.T) {
-	sch := directTestSchedule(t, 2)
-	k, _ := sumKernel(sch.D.Nodes())
-	spec := &FaultSpec{Drop: func(src, dst, cycle int) bool { return false }}
-	_, err := RunDirect(sch, Config{Faults: spec}, DirectKernel[int](k))
-	if err == nil || !strings.Contains(err.Error(), "drop/delay") {
-		t.Fatalf("err = %v, want drop/delay rejection", err)
-	}
-}
-
-// TestRunDirectFaultPlanValidation: invalid fault plans fail with the
-// engine's exact error texts.
+// TestRunDirectFaultPlanValidation: a valid spec that lists one link twice,
+// in both orientations, compiles to two directed down links on the direct
+// executor exactly as on the engine.
 func TestRunDirectFaultPlanValidation(t *testing.T) {
 	sch := directTestSchedule(t, 2)
-	k, _ := sumKernel(sch.D.Nodes())
-
-	_, err := RunDirect(sch, Config{Faults: &FaultSpec{Links: [][2]int{{0, 5}}}}, DirectKernel[int](k))
-	if err == nil || !strings.Contains(err.Error(), "which is not a link") {
-		t.Fatalf("bad link: err = %v", err)
+	d := sch.D
+	cross := d.CrossNeighbor(1)
+	spec := &FaultSpec{Links: [][2]int{{1, cross}, {cross, 1}}}
+	k := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) { return DirectIdle, 0 }}
+	st, err := RunDirect(sch, Config{Faults: spec}, DirectKernel[int](k))
+	if err != nil || st.Faults.DownLinks != 2 {
+		t.Fatalf("direct: err = %v, Faults = %+v, want 2 directed down links", err, st.Faults)
 	}
-
-	_, err = RunDirect(sch, Config{Faults: &FaultSpec{Nodes: []int{99}}}, DirectKernel[int](k))
-	if err == nil || !strings.Contains(err.Error(), "outside 0..7") {
-		t.Fatalf("bad node: err = %v", err)
+	eng := MustNew[int](d, Config{Faults: spec})
+	defer eng.Release()
+	est, err := eng.Run(KernelProgram(sch, DirectKernel[int](k)))
+	if err != nil || est != st {
+		t.Fatalf("engine: err = %v, stats %+v, want the direct run's %+v", err, est, st)
 	}
 }
 

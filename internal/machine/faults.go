@@ -1,14 +1,19 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"dualcube/internal/topology"
+)
 
 // FaultSpec is the engine-facing description of the failures injected into a
-// run, in topology-neutral terms: the engine compiles it into its internal
-// per-directed-link mask when a run starts with the spec armed (via
-// Config.Faults). User-level fault plans live in
-// internal/fault, which produces FaultSpec values; the machine package
-// deliberately knows nothing about seeds or probabilities — only about which
-// links are dead and which messages the wire loses or holds back.
+// run, in topology-neutral terms: the set of permanently failed links, the
+// only fault model the algorithms above survive (D_n has link connectivity n,
+// so f <= n-1 failed links leave every severed pair a detour). Both
+// executors compile it through downSet when a run starts with the spec armed
+// (via Config.Faults). User-level fault plans live in internal/fault, which
+// produces FaultSpec values.
 //
 // A FaultSpec must not be mutated after it has been armed. Specs are compared
 // by pointer identity when the engine decides whether its compiled mask is
@@ -18,80 +23,64 @@ type FaultSpec struct {
 	// Links lists permanently failed undirected links {U, V}: both directed
 	// channels are down for the whole run.
 	Links [][2]int
-	// Nodes lists permanently failed nodes (fail-stop from the network's
-	// point of view): every link incident to a listed node is down in both
-	// directions. The node's program still executes — it is partitioned, not
-	// halted — so SPMD lockstep is preserved.
-	Nodes []int
-	// Drop, when non-nil, reports whether the message sent from src to dst
-	// during clock cycle c is lost in flight (a transient fault). The sender
-	// spends its port and the message counts as sent, but it is never
-	// delivered. Must be a pure function of its arguments so runs are
-	// reproducible under any scheduler.
-	Drop func(src, dst, cycle int) bool
-	// Delay, when non-nil, returns the extra cycles of latency the message
-	// sent from src to dst during cycle c suffers (0 = on time). Links stay
-	// FIFO: a delayed message also holds back the messages queued behind it.
-	// Must be pure, like Drop.
-	Delay func(src, dst, cycle int) int
 }
 
-// FaultStats is the per-run fault breakdown reported in Stats.Faults. All
-// counts are exactly reproducible: for a fixed program, topology and armed
-// FaultSpec they do not depend on the scheduler or worker count.
+// FaultStats is the per-run fault breakdown reported in Stats.Faults. It
+// depends only on the armed FaultSpec and the topology, never on the
+// executor or worker count.
 type FaultStats struct {
 	// DownLinks is the number of directed links masked out by the armed
 	// spec (an undirected failure contributes 2).
 	DownLinks int
-	// DownNodes is the number of failed nodes of the armed spec.
-	DownNodes int
-	// RefusedSends counts send attempts on permanently failed links: the
-	// failures TrySend reported (or that aborted the run, for non-Try sends).
-	RefusedSends int64
-	// DroppedMessages counts transient in-flight losses (FaultSpec.Drop).
-	DroppedMessages int64
-	// DelayedMessages counts messages that FaultSpec.Delay held back by at
-	// least one cycle.
-	DelayedMessages int64
 }
 
-// add accumulates b into a for Stats.Add: event counts sum across phases;
-// the static plan figures (DownLinks, DownNodes) carry through unchanged,
-// preferring a's non-zero values — composite algorithms run their phases on
-// the same machine under the same armed plan.
+// add combines the fault figures of two phases for Stats.Add: the static
+// plan figure carries through unchanged, preferring a's non-zero value —
+// composite algorithms run their phases on the same machine under the same
+// armed plan.
 func (a FaultStats) add(b FaultStats) FaultStats {
-	out := FaultStats{
-		DownLinks:       a.DownLinks,
-		DownNodes:       a.DownNodes,
-		RefusedSends:    a.RefusedSends + b.RefusedSends,
-		DroppedMessages: a.DroppedMessages + b.DroppedMessages,
-		DelayedMessages: a.DelayedMessages + b.DelayedMessages,
+	if a.DownLinks == 0 {
+		return b
 	}
-	if out.DownLinks == 0 {
-		out.DownLinks = b.DownLinks
+	return a
+}
+
+// downSet validates spec against t and returns its directed down set, keyed
+// u*n+v for the link u -> v: a failed undirected link marks both directions,
+// and a link listed twice counts once, so len(down) is Stats.Faults.DownLinks.
+// Both executors compile specs here — the engine maps the set onto its CSR
+// slots, RunDirect uses it as it is — so they accept, reject and count a spec
+// alike. An endpoint outside the machine or a pair that is not an edge of t
+// fails with the same error on either.
+func downSet(t topology.Topology, spec *FaultSpec) (map[int]bool, error) {
+	n := t.Nodes()
+	down := make(map[int]bool, 2*len(spec.Links))
+	for _, l := range spec.Links {
+		for _, e := range [2][2]int{l, {l[1], l[0]}} {
+			u, v := e[0], e[1]
+			if u < 0 || u >= n || !slices.Contains(t.Neighbors(u), v) {
+				return nil, fmt.Errorf("machine: fault plan fails link %d-%d, which is not a link", l[0], l[1])
+			}
+			down[u*n+v] = true
+		}
 	}
-	if out.DownNodes == 0 {
-		out.DownNodes = b.DownNodes
-	}
-	return out
+	return down, nil
 }
 
 // armedFaults is a FaultSpec compiled against one engine's CSR link table:
-// the per-directed-edge-slot down mask the send path consults, plus the
-// lazily allocated per-buffer-slot visibility stamps used only when the spec
-// can delay messages. It is rebuilt only when the armed *FaultSpec changes
-// (pointer identity), so repeated runs under one plan pay the compile once.
+// the per-directed-edge-slot down mask the send path consults. It is rebuilt
+// only when the armed *FaultSpec changes (pointer identity), so repeated runs
+// under one plan pay the compile once.
 type armedFaults struct {
 	spec      *FaultSpec
-	down      []bool   // per directed edge slot: permanently failed
-	stamps    []uint32 // per ring buffer slot: cycle after which the message is visible; nil when spec.Delay == nil
+	down      []bool // per directed edge slot: permanently failed
 	downLinks int
-	downNodes int
 }
 
-// armFaults compiles, if needed, the engine's fault spec for the coming
-// run. With no spec armed it clears s.fx, keeping the hot path fault-free.
-func (s *engineState[T]) armFaults() error {
+// armFaults compiles, if needed, the engine's fault spec for the coming run
+// on topology t. With no spec armed it clears s.fx, keeping the hot path
+// fault-free.
+func (s *engineState[T]) armFaults(t topology.Topology) error {
 	spec := s.cfg.Faults
 	if spec == nil {
 		s.fx = nil
@@ -100,45 +89,14 @@ func (s *engineState[T]) armFaults() error {
 	if s.fx != nil && s.fx.spec == spec {
 		return nil
 	}
-	fx := &armedFaults{spec: spec, down: make([]bool, len(s.nbrs))}
-	markDown := func(u, v int) error {
-		i := s.idxOf(u, v)
-		if i < 0 {
-			return fmt.Errorf("machine: fault plan fails link %d-%d, which is not a link", u, v)
-		}
-		sl := int(s.offs[u]) + i
-		if !fx.down[sl] {
-			fx.down[sl] = true
-			fx.downLinks++
-		}
-		return nil
+	set, err := downSet(t, spec)
+	if err != nil {
+		return err
 	}
-	for _, l := range spec.Links {
-		if err := markDown(l[0], l[1]); err != nil {
-			return err
-		}
-		if err := markDown(l[1], l[0]); err != nil {
-			return err
-		}
-	}
-	for _, u := range spec.Nodes {
-		if u < 0 || u >= s.n {
-			return fmt.Errorf("machine: fault plan fails node %d, outside 0..%d", u, s.n-1)
-		}
-		fx.downNodes++
-		for sl := s.offs[u]; sl < s.offs[u+1]; sl++ {
-			v := int(s.nbrs[sl])
-			if !fx.down[sl] {
-				fx.down[sl] = true
-				fx.downLinks++
-			}
-			if err := markDown(v, u); err != nil {
-				return err
-			}
-		}
-	}
-	if spec.Delay != nil {
-		fx.stamps = make([]uint32, len(s.buf))
+	fx := &armedFaults{spec: spec, down: make([]bool, len(s.nbrs)), downLinks: len(set)}
+	for k := range set {
+		u, v := k/s.n, k%s.n
+		fx.down[int(s.offs[u])+s.idxOf(u, v)] = true
 	}
 	s.fx = fx
 	return nil

@@ -1,76 +1,35 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dualcube/internal/topology"
 )
 
-// faultSchedulers runs the test body under both execution engines.
-func faultSchedulers(t *testing.T, body func(t *testing.T, sched Sched)) {
+// faultSchedulers runs the test body on the engine with one worker (plain
+// link cursors) and with four (atomic cursors, sharded fault mask reads).
+func faultSchedulers(t *testing.T, body func(t *testing.T, cfg Config)) {
 	t.Helper()
-	for _, s := range []Sched{SchedWorkerPool, SchedGoroutinePerNode} {
-		t.Run(s.String(), func(t *testing.T) { body(t, s) })
+	for _, w := range []int{1, 4} {
+		name := "worker-pool"
+		if w > 1 {
+			name = fmt.Sprintf("worker-pool-w%d", w)
+		}
+		t.Run(name, func(t *testing.T) { body(t, Config{Sched: SchedWorkerPool, Workers: w}) })
 	}
 }
 
-// TestFaultDownLinkTrySend checks the fault-tolerant send contract on a
-// permanently failed link: TrySend reports false, nothing is delivered, the
-// partner's TryExchange sees no message, and Stats.Faults accounts for every
-// refused attempt — identically under both schedulers.
-func TestFaultDownLinkTrySend(t *testing.T) {
-	d := topology.MustDualCube(2)
-	dead := [2]int{0, d.CrossNeighbor(0)}
-	spec := &FaultSpec{Links: [][2]int{dead}}
-	faultSchedulers(t, func(t *testing.T, sched Sched) {
-		eng := MustNew[int](d, Config{Sched: sched, Faults: spec})
-		defer eng.Release()
-		okSend := make([]bool, d.Nodes())
-		okRecv := make([]bool, d.Nodes())
-		st, err := eng.Run(func(c *Ctx[int]) {
-			u := c.ID()
-			cross := d.CrossNeighbor(u)
-			okSend[u] = c.TrySend(cross, u)
-			c.TryRecv(cross) // consume the partner's TrySend
-			got, ok := c.TryExchange(cross, u)
-			okRecv[u] = ok
-			if ok && got != cross {
-				c.failf("node %d: got %d from cross exchange", u, got)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < d.Nodes(); u++ {
-			onDead := u == dead[0] || u == dead[1]
-			if okSend[u] == onDead {
-				t.Errorf("node %d: TrySend ok = %v, want %v", u, okSend[u], !onDead)
-			}
-			if okRecv[u] == onDead {
-				t.Errorf("node %d: TryExchange ok = %v, want %v", u, okRecv[u], !onDead)
-			}
-		}
-		want := FaultStats{DownLinks: 2, RefusedSends: 4} // 2 nodes x (TrySend + TryExchange)
-		if st.Faults != want {
-			t.Errorf("Stats.Faults = %+v, want %+v", st.Faults, want)
-		}
-		// Refused sends are not sends: every node attempted 2, the two
-		// dead-end nodes got both refused.
-		if st.Messages != int64(2*d.Nodes()-4) {
-			t.Errorf("Messages = %d, want %d", st.Messages, 2*d.Nodes()-4)
-		}
-	})
-}
-
-// TestFaultDownLinkPlainSendFails checks fail-fast: a non-Try send on a
-// failed link aborts the run with a protocol error instead of wedging or
-// silently dropping.
+// TestFaultDownLinkPlainSendFails checks fail-fast: a send on a failed link
+// aborts the run with a protocol error instead of wedging or silently
+// dropping.
 func TestFaultDownLinkPlainSendFails(t *testing.T) {
 	d := topology.MustDualCube(2)
 	spec := &FaultSpec{Links: [][2]int{{0, d.CrossNeighbor(0)}}}
-	faultSchedulers(t, func(t *testing.T, sched Sched) {
-		eng := MustNew[int](d, Config{Sched: sched, Faults: spec})
+	faultSchedulers(t, func(t *testing.T, cfg Config) {
+		cfg.Faults = spec
+		eng := MustNew[int](d, cfg)
 		defer eng.Release()
 		_, err := eng.Run(func(c *Ctx[int]) {
 			c.Exchange(d.CrossNeighbor(c.ID()), c.ID())
@@ -81,159 +40,50 @@ func TestFaultDownLinkPlainSendFails(t *testing.T) {
 	})
 }
 
-// TestFaultDownNode checks that a failed node is cut off in both directions:
-// every incident directed link is masked.
-func TestFaultDownNode(t *testing.T) {
-	d := topology.MustDualCube(2)
-	const deadNode = 3
-	spec := &FaultSpec{Nodes: []int{deadNode}}
-	eng := MustNew[int](d, Config{Faults: spec})
-	defer eng.Release()
-	okOut := make([]bool, d.Nodes())
-	okIn := make([]bool, d.Nodes())
-	st, err := eng.Run(func(c *Ctx[int]) {
-		u := c.ID()
-		cross := d.CrossNeighbor(u)
-		okOut[u] = c.TrySend(cross, u)
-		c.TryRecv(cross) // consume the partner's TrySend
-		_, okIn[u] = c.TryExchange(cross, u)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < d.Nodes(); u++ {
-		touches := u == deadNode || d.CrossNeighbor(u) == deadNode
-		if okOut[u] == touches || okIn[u] == touches {
-			t.Errorf("node %d: ok out/in = %v/%v, want %v", u, okOut[u], okIn[u], !touches)
-		}
-	}
-	if st.Faults.DownNodes != 1 || st.Faults.DownLinks != 2*d.Order() {
-		t.Errorf("Faults = %+v, want 1 down node, %d directed links", st.Faults, 2*d.Order())
-	}
-}
-
-// TestFaultTransientDrop checks deterministic in-flight loss: the sender
-// believes the send succeeded, the receiver sees nothing, and the drop is
-// accounted once.
-func TestFaultTransientDrop(t *testing.T) {
-	d := topology.MustDualCube(2)
-	spec := &FaultSpec{
-		// Lose exactly the cycle-0 message 0 -> cross(0).
-		Drop: func(src, dst, cycle int) bool { return src == 0 && cycle == 0 },
-	}
-	faultSchedulers(t, func(t *testing.T, sched Sched) {
-		eng := MustNew[int](d, Config{Sched: sched, Faults: spec})
-		defer eng.Release()
-		got := make([]bool, d.Nodes())
-		st, err := eng.Run(func(c *Ctx[int]) {
-			u := c.ID()
-			if !c.TrySend(d.CrossNeighbor(u), u) {
-				c.failf("node %d: unexpected refusal", u)
-			}
-			_, got[u] = c.TryRecv(d.CrossNeighbor(u))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < d.Nodes(); u++ {
-			want := u != d.CrossNeighbor(0)
-			if got[u] != want {
-				t.Errorf("node %d: received = %v, want %v", u, got[u], want)
-			}
-		}
-		if st.Faults.DroppedMessages != 1 || st.Faults.RefusedSends != 0 {
-			t.Errorf("Faults = %+v, want exactly 1 dropped", st.Faults)
-		}
-		if st.Messages != int64(d.Nodes()) {
-			t.Errorf("Messages = %d, want %d (drops still count as sends)", st.Messages, d.Nodes())
-		}
-	})
-}
-
-// TestFaultDelay checks injected latency: a message delayed by k cycles is
-// invisible to TryRecv for exactly k extra cycles, FIFO order is preserved,
-// and the delay is accounted.
-func TestFaultDelay(t *testing.T) {
-	d := topology.MustDualCube(2)
-	const lag = 2
-	spec := &FaultSpec{
-		Delay: func(src, dst, cycle int) int {
-			if src == 0 && cycle == 0 {
-				return lag
-			}
-			return 0
-		},
-	}
-	faultSchedulers(t, func(t *testing.T, sched Sched) {
-		eng := MustNew[int](d, Config{Sched: sched, Faults: spec})
-		defer eng.Release()
-		arrival := make([]int, d.Nodes())
-		st, err := eng.Run(func(c *Ctx[int]) {
-			u := c.ID()
-			c.Send(d.CrossNeighbor(u), u)
-			arrival[u] = -1
-			for i := 0; i < lag+1; i++ {
-				if _, ok := c.TryRecv(d.CrossNeighbor(u)); ok && arrival[u] < 0 {
-					arrival[u] = c.Cycle()
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < d.Nodes(); u++ {
-			// Everyone sends during cycle 0 and first polls during cycle 2;
-			// an undelayed message is long since visible, one delayed by lag
-			// becomes visible during cycle lag+1.
-			want := 2
-			if u == d.CrossNeighbor(0) {
-				want = lag + 1
-			}
-			if arrival[u] != want {
-				t.Errorf("node %d: arrival cycle %d, want %d", u, arrival[u], want)
-			}
-		}
-		if st.Faults.DelayedMessages != 1 {
-			t.Errorf("Faults = %+v, want exactly 1 delayed", st.Faults)
-		}
-	})
-}
-
-// TestFaultStatsReproducible runs the same faulted program twice per
-// scheduler and across schedulers and requires identical Stats, including
-// the fault breakdown — the determinism contract of the subsystem.
+// TestFaultStatsReproducible runs a program that exchanges on every live
+// link and idles on the failed ones, twice per worker count and across
+// worker counts, and requires identical Stats, including the fault figures —
+// the determinism contract of the subsystem.
 func TestFaultStatsReproducible(t *testing.T) {
 	d := topology.MustDualCube(3)
-	spec := &FaultSpec{
-		Links: [][2]int{{0, d.ClusterNeighbor(0, 0)}, {5, d.CrossNeighbor(5)}},
-		Drop:  func(src, dst, cycle int) bool { return (src+dst+cycle)%7 == 3 },
-		Delay: func(src, dst, cycle int) int { return (src ^ cycle) & 1 },
+	dead := [][2]int{{0, d.ClusterNeighbor(0, 0)}, {5, d.CrossNeighbor(5)}}
+	spec := &FaultSpec{Links: dead}
+	isDead := func(u, v int) bool {
+		for _, l := range dead {
+			if (l[0] == u && l[1] == v) || (l[0] == v && l[1] == u) {
+				return true
+			}
+		}
+		return false
+	}
+	exchangeOrIdle := func(c *Ctx[int], v int) {
+		if isDead(c.ID(), v) {
+			c.Idle()
+		} else {
+			c.Exchange(v, c.ID())
+		}
 	}
 	program := func(c *Ctx[int]) {
-		u := c.ID()
 		for i := 0; i < d.ClusterDim(); i++ {
-			c.TryExchange(d.ClusterNeighbor(u, i), u*10+i)
+			exchangeOrIdle(c, d.ClusterNeighbor(c.ID(), i))
 		}
-		c.TryExchange(d.CrossNeighbor(u), u)
-		// Drain any late (delayed) arrivals so link hygiene holds.
-		for i := 0; i < 2; i++ {
-			for j := 0; j < d.ClusterDim(); j++ {
-				c.TryRecv(d.ClusterNeighbor(u, j))
-			}
-			c.TryRecv(d.CrossNeighbor(u))
-		}
+		exchangeOrIdle(c, d.CrossNeighbor(c.ID()))
 	}
 	var ref *Stats
-	faultSchedulers(t, func(t *testing.T, sched Sched) {
+	faultSchedulers(t, func(t *testing.T, cfg Config) {
+		cfg.Faults = spec
 		for run := 0; run < 2; run++ {
-			eng := MustNew[int](d, Config{Sched: sched, Faults: spec})
+			eng := MustNew[int](d, cfg)
 			st, err := eng.Run(program)
 			eng.Release()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Faults.DroppedMessages == 0 || st.Faults.DelayedMessages == 0 || st.Faults.RefusedSends == 0 {
-				t.Fatalf("test not exercising all fault kinds: %+v", st.Faults)
+			if st.Faults.DownLinks != 2*len(dead) {
+				t.Fatalf("Faults = %+v, want %d directed down links", st.Faults, 2*len(dead))
+			}
+			if want := int64(d.Nodes()*d.Order() - 2*len(dead)); st.Messages != want {
+				t.Fatalf("Messages = %d, want %d (every live directed link once)", st.Messages, want)
 			}
 			if ref == nil {
 				ref = &st
@@ -244,31 +94,44 @@ func TestFaultStatsReproducible(t *testing.T) {
 	})
 }
 
-// TestFaultSpecInvalid checks that arming a spec naming a non-link or an
-// out-of-range node fails the run up front with a descriptive error.
+// TestFaultSpecInvalid checks that a spec naming an endpoint outside the
+// machine or a pair that is not an edge fails the run up front, with the
+// same error on the engine and on the direct executor — both compile specs
+// through downSet.
 func TestFaultSpecInvalid(t *testing.T) {
-	d := topology.MustDualCube(2)
-	for _, spec := range []*FaultSpec{
-		{Links: [][2]int{{0, 3}}}, // not an edge of D_2
-		{Nodes: []int{99}},
+	sch := directTestSchedule(t, 2)
+	d := sch.D
+	for _, l := range [][2]int{
+		{99, 0}, // endpoint past the last node
+		{-1, 0}, // negative endpoint
+		{0, 3},  // two nodes of D_2 that are not adjacent
 	} {
+		spec := &FaultSpec{Links: [][2]int{l}}
+		want := fmt.Sprintf("machine: fault plan fails link %d-%d, which is not a link", l[0], l[1])
+
 		eng := MustNew[int](d, Config{Faults: spec})
 		_, err := eng.Run(func(c *Ctx[int]) { c.Idle() })
 		eng.Release()
-		if err == nil || !strings.Contains(err.Error(), "fault plan") {
-			t.Errorf("spec %+v: err = %v, want fault-plan error", spec, err)
+		if err == nil || err.Error() != want {
+			t.Errorf("engine, link %v: err = %v, want %q", l, err, want)
+		}
+
+		k, _ := sumKernel(d.Nodes())
+		_, err = RunDirect(sch, Config{Faults: spec}, DirectKernel[int](k))
+		if err == nil || err.Error() != want {
+			t.Errorf("direct, link %v: err = %v, want %q", l, err, want)
 		}
 	}
 }
 
 // TestStatsAddFaults checks the composite-phase accounting of the fault
-// breakdown: event counts accumulate, the static plan figures carry through.
+// figures: the static plan figure carries through, from either side.
 func TestStatsAddFaults(t *testing.T) {
-	a := Stats{Nodes: 8, Faults: FaultStats{DownLinks: 2, DownNodes: 1, RefusedSends: 3, DroppedMessages: 1}}
-	b := Stats{Nodes: 8, Faults: FaultStats{DownLinks: 2, DownNodes: 1, RefusedSends: 2, DelayedMessages: 4}}
-	got := a.Add(b).Faults
-	want := FaultStats{DownLinks: 2, DownNodes: 1, RefusedSends: 5, DroppedMessages: 1, DelayedMessages: 4}
-	if got != want {
-		t.Errorf("Add faults = %+v, want %+v", got, want)
+	planned := Stats{Nodes: 8, Faults: FaultStats{DownLinks: 2}}
+	clean := Stats{Nodes: 8}
+	for _, tc := range []struct{ a, b Stats }{{planned, planned}, {planned, clean}, {clean, planned}} {
+		if got := tc.a.Add(tc.b).Faults; got != planned.Faults {
+			t.Errorf("Add faults %+v + %+v = %+v, want %+v", tc.a.Faults, tc.b.Faults, got, planned.Faults)
+		}
 	}
 }

@@ -14,7 +14,7 @@ package machine
 // stays immutable from its Produce until every partner has absorbed it. A
 // kernel that produced rows out of its live state arrays instead would race
 // with its own next step. The same discipline holds on the simulator
-// engines: the lockstep clock barrier guarantees step s's absorbs complete
+// engine: the lockstep clock barrier guarantees step s's absorbs complete
 // before any node produces step s+2, the first reuse of the arena.
 type Lanes[E any] struct {
 	k   int

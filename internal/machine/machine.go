@@ -22,42 +22,39 @@
 // or a link buffer overflow aborts the whole run with a descriptive error —
 // the machine is also a protocol checker for the algorithms above it.
 //
-// # Execution engines
+// # Execution
 //
-// Two schedulers implement the model; both observe identical semantics
-// (same outputs, same Stats, same protocol errors) for well-formed SPMD
-// programs, which the differential tests assert.
+// The engine is a stepped worker-pool scheduler: W ≈ GOMAXPROCS workers
+// each own a contiguous shard of nodes and advance them cycle-by-cycle for
+// the whole run. Each node program runs as a coroutine (iter.Pull) that
+// parks at every clock boundary, so resuming a node is a direct stack switch
+// with no Go-scheduler involvement, no per-node goroutine wakeup, and no
+// N-party lock contention. Node coroutines are created once and persist
+// across runs of the same engine (parking between runs), so repeated runs
+// pay no per-node setup. Workers synchronize once per cycle through a
+// sense-reversing barrier over W parties (not N), whose leader performs the
+// per-cycle accounting and detects desynchronized programs
+// deterministically. Message and operation counters are kept
+// per-node/per-worker and merged once at run end — there are no shared
+// atomics on the hot path, and with a single worker the whole simulation is
+// lock-free straight-line code.
 //
-// SchedWorkerPool (the default) is a stepped worker-pool scheduler:
-// W ≈ GOMAXPROCS workers each own a contiguous shard of nodes and advance
-// them cycle-by-cycle for the whole run. Each node program runs as a
-// coroutine (iter.Pull) that parks at every clock boundary, so resuming a
-// node is a direct stack switch with no Go-scheduler involvement, no
-// per-node goroutine wakeup, and no N-party lock contention. Node
-// coroutines are created once and persist across runs of the same engine
-// (parking between runs), so repeated runs pay no per-node setup. Workers
-// synchronize once per cycle through a sense-reversing barrier over W
-// parties (not N), whose leader performs the per-cycle accounting and
-// detects desynchronized programs deterministically. Message and operation
-// counters are kept per-node/per-worker and merged once at run end — there
-// are no shared atomics on the hot path, and with a single worker the whole
-// simulation is lock-free straight-line code.
+// Because the leader sees every broken lockstep, the watchdog
+// (Config.Timeout) only has runaway lockstep programs left to end: nodes
+// that keep stepping together forever. A program that blocks outside the
+// machine's primitives would wedge its shard, since a shard runs its nodes'
+// cycle segments one after another; node programs communicate only through
+// links, and the nodebody analyzer rejects raw channel operations,
+// goroutine spawns and sleeps in them statically.
 //
-// SchedGoroutinePerNode is the original engine — one goroutine per node,
-// all N parties meeting in one barrier per cycle. It is kept for
-// differential testing and for the rare program that performs its own
-// blocking synchronization between node programs outside the machine's
-// primitives (worker-pool shards serialize node segments within a cycle, so
-// such out-of-model blocking would deadlock a shard; none of the paper's
-// algorithms do this — node programs must communicate only through links).
-//
-// Schedule-driven operations have a third path that is not a simulator at
-// all: the direct kernel executor (direct.go, SchedDirect) runs a finalized
-// Schedule as array kernels over flat per-node state — no coroutines, no
-// per-cycle barrier, one worker join per schedule step — and reproduces the
-// engines' Stats exactly. Operations expressed as a DirectKernel use it by
-// default (see DirectEligible); the engines remain the reference semantics
-// via the KernelProgram adapter.
+// Schedule-driven operations have a second path that is not a simulator at
+// all: the direct kernel executor (direct.go) runs a finalized Schedule as
+// array kernels over flat per-node state — no coroutines, no per-cycle
+// barrier, one worker join per schedule step — and reproduces the engine's
+// Stats exactly. Operations expressed as a DirectKernel use it by default
+// (see DirectEligible); the engine remains the reference semantics, the
+// oracle the direct executor is tested against, via the KernelProgram
+// adapter.
 //
 // # Cost-model invariants
 //
@@ -65,13 +62,13 @@
 // least one message was sent, total messages (= hops, since every send
 // traverses one link), and per-node computation rounds reported by the
 // programs through Ctx.Ops. The maximum per-node operation count is the
-// parallel computation time the paper's theorems bound. Both schedulers
-// preserve these measures exactly: Cycles is the number of barrier rounds,
+// parallel computation time the paper's theorems bound. The engine keeps
+// these measures exactly: Cycles is the number of barrier rounds,
 // CommCycles counts rounds whose preceding send phase carried at least one
 // message, Messages is the sum of per-node send counts, and MaxOps/TotalOps
 // aggregate the per-node operation accounts. Scheduling order inside a
-// cycle is deterministic in the worker pool (shard order), so repeated runs
-// produce identical results bit-for-bit.
+// cycle is deterministic (shard order), so repeated runs produce identical
+// results bit-for-bit.
 //
 // # Link representation
 //
@@ -79,11 +76,12 @@
 // allocation, indexed by a precomputed CSR adjacency table: for every
 // directed edge the engine stores the reverse-edge slot (inSlot), so sends
 // and receives resolve a neighbor to its link in O(log degree) via binary
-// search over the sorted neighbor row instead of the linear indexOf scan of
-// the original engine, and never search the peer's adjacency list.
+// search over the sorted neighbor row, and never search the peer's
+// adjacency list.
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -98,38 +96,30 @@ import (
 // NoNode marks an absent peer in the low-level step call.
 const NoNode = -1
 
-// Sched selects the execution engine of a run. See the package comment for
-// the two schedulers' trade-offs.
+// ErrAborted is the error a node program unwinds with when the run was
+// failed elsewhere (another node's protocol error, a desynchronized program
+// or the watchdog); Engine.Run reports the failure that caused it.
+var ErrAborted = errors.New("machine: run aborted")
+
+// Sched selects the execution backend of a run.
 type Sched uint8
 
 const (
-	// SchedDefault is the zero Config's choice: SchedDirect for
-	// schedule-driven operations (DirectEligible), SchedWorkerPool for
-	// engine runs.
+	// SchedDefault is the zero Config's choice: the direct executor for
+	// schedule-driven operations (DirectEligible), the worker-pool engine
+	// for everything else.
 	SchedDefault Sched = iota
-	// SchedWorkerPool is the stepped worker-pool scheduler.
+	// SchedWorkerPool forces every run onto the worker-pool engine,
+	// schedule-driven ones included through the KernelProgram adapter: the
+	// reference oracle the direct executor is tested against.
 	SchedWorkerPool
-	// SchedGoroutinePerNode is the original goroutine-per-node engine.
-	SchedGoroutinePerNode
-	// SchedDirect is the direct kernel executor (direct.go): finalized
-	// schedules run as array kernels with one worker join per step instead
-	// of per-cycle barriers. Only schedule-driven operations can use it
-	// (DirectEligible); an engine asked for SchedDirect falls back to the
-	// worker pool, so free-form node programs keep running.
-	SchedDirect
 )
 
 func (s Sched) String() string {
-	switch s {
-	case SchedWorkerPool:
+	if s == SchedWorkerPool {
 		return "worker-pool"
-	case SchedGoroutinePerNode:
-		return "goroutine-per-node"
-	case SchedDirect:
-		return "direct"
-	default:
-		return "default"
 	}
+	return "default"
 }
 
 // scaledTimeout is the built-in watchdog default: a base of one minute plus
@@ -146,28 +136,29 @@ type Config struct {
 	// algorithms need at most 2 in-flight messages per link; the default of
 	// 4 leaves headroom while still catching runaway protocols.
 	LinkCapacity int
-	// Timeout aborts a run that stops making progress (for example because
-	// a buggy program blocked outside the machine's primitives). Zero means
-	// 60s plus 30ms per node.
+	// Timeout is the engine's watchdog: it aborts a run still stepping
+	// after this long, a lockstep program that never ends (the barrier
+	// leader already catches every desynchronized one). Zero means 60s plus
+	// 30ms per node.
 	Timeout time.Duration
 	// Sched selects the execution backend. SchedDefault runs compiled
 	// schedules on the direct executor and everything else on the worker
-	// pool; an engine scheduler forces schedule-driven runs onto that
-	// engine too.
+	// pool; SchedWorkerPool forces schedule-driven runs onto the engine too.
 	Sched Sched
 	// Workers is the worker-pool size W, and the shard count of the direct
 	// executor's passes. Zero means GOMAXPROCS; both clamp W to the node
 	// count.
 	Workers int
-	// Faults arms a fault specification for every run: the listed links
-	// and nodes are permanently down and the Drop/Delay hooks perturb
-	// messages in flight (see FaultSpec). nil means a fault-free run. The
-	// spec is compared by pointer when engines are recycled, so reuse one
+	// Faults arms a fault specification for every run: the listed links are
+	// permanently down (see FaultSpec). nil means a fault-free run. The spec
+	// is compared by pointer when engines are recycled, so reuse one
 	// *FaultSpec value per plan.
 	Faults *FaultSpec
 }
 
-// withDefaults resolves zero Config fields for a machine of n nodes.
+// withDefaults resolves zero Config fields for a machine of n nodes. The
+// engine has one scheduler, so Sched normalizes to SchedWorkerPool, which
+// also keeps the engine free list keyed on one value.
 func (c Config) withDefaults(n int) Config {
 	if c.LinkCapacity <= 0 {
 		c.LinkCapacity = 4
@@ -175,14 +166,7 @@ func (c Config) withDefaults(n int) Config {
 	if c.Timeout <= 0 {
 		c.Timeout = scaledTimeout(n)
 	}
-	if c.Sched == SchedDefault || c.Sched == SchedDirect {
-		// The direct executor is not an engine; an engine run under the
-		// default or a direct preference (a non-schedule-driven algorithm,
-		// or an ineligible fault spec) executes on the worker pool.
-		// Normalizing here also keeps the engine pool keyed on real engine
-		// schedulers only.
-		c.Sched = SchedWorkerPool
-	}
+	c.Sched = SchedWorkerPool
 	c.Workers = workerCount(c.Workers, n)
 	return c
 }
@@ -204,7 +188,7 @@ type Stats struct {
 	Messages   int64      // total messages = total hops
 	MaxOps     int        // max per-node computation rounds = parallel computation time
 	TotalOps   int64      // sum of computation rounds over all nodes
-	Faults     FaultStats // fault-injection breakdown; zero when no plan is armed
+	Faults     FaultStats // fault-plan figures; zero when no plan is armed
 }
 
 // Add returns the combined cost of two phases of a composite algorithm that
@@ -272,9 +256,9 @@ type engineState[T any] struct {
 	tails    []uint32 // producer cursors, written by the sending node only
 
 	// atomicLinks selects atomic ring-cursor access. Required whenever link
-	// endpoints can run on different OS threads (goroutine-per-node, or a
-	// worker pool with W > 1); a single-worker pool runs the whole machine
-	// on one goroutine and uses plain loads/stores.
+	// endpoints can run on different OS threads (a worker pool with W > 1);
+	// a single-worker pool runs the whole machine on one goroutine and uses
+	// plain loads/stores.
 	atomicLinks bool
 
 	nodes []Ctx[T] // per-node contexts, reused across runs
@@ -292,10 +276,6 @@ type engineState[T any] struct {
 	workers []poolWorker
 	wbar    *senseBarrier
 	state   roundState
-
-	// Goroutine-per-node scheduler state.
-	bar     *Barrier
-	anySent atomic.Bool
 
 	failMu   sync.Mutex
 	failed   atomic.Bool
@@ -519,9 +499,6 @@ func (e *Engine[T]) Topology() topology.Topology { return e.topo }
 // Nodes returns the number of nodes.
 func (e *Engine[T]) Nodes() int { return e.n }
 
-// Sched returns the scheduler this engine resolved to.
-func (e *Engine[T]) Sched() Sched { return e.cfg.Sched }
-
 // idxOf returns the position of v in u's sorted neighbor row, or -1. Binary
 // search over the CSR row: O(log degree), no allocation.
 func (s *engineState[T]) idxOf(u, v int) int {
@@ -546,9 +523,9 @@ type abortPanic struct{ err error }
 
 // Run executes program on every node in lockstep and returns the cost
 // statistics. The program must perform the same number of clock cycles on
-// every node (the usual SPMD discipline); a desynchronized program is
-// reported as an error — deterministically by the worker-pool scheduler's
-// barrier leader, via the watchdog by the goroutine-per-node engine.
+// every node (the usual SPMD discipline); the barrier leader reports a
+// desynchronized program as an error deterministically, and the watchdog
+// ends one that keeps stepping past Config.Timeout.
 func (e *Engine[T]) Run(program func(c *Ctx[T])) (Stats, error) {
 	return e.run(program, nil)
 }
@@ -568,19 +545,16 @@ func (e *Engine[T]) run(program func(c *Ctx[T]), onSend func(c *Ctx[T], dst int)
 	s.onSend = onSend
 	s.cycles = 0
 	s.commCycles = 0
-	s.anySent.Store(false)
 	s.failed.Store(false)
 	s.failMu.Lock()
 	s.firstErr = nil
 	s.failMu.Unlock()
-	if err := s.armFaults(); err != nil {
+	if err := s.armFaults(e.topo); err != nil {
 		return Stats{Nodes: s.n}, err
 	}
 	for u := range s.nodes {
 		c := &s.nodes[u]
 		c.ops, c.cycle, c.msgs = 0, 0, 0
-		c.refused, c.dropped, c.delayed = 0, 0, 0
-		c.worker = nil
 	}
 
 	watchdog := time.AfterFunc(s.cfg.Timeout, func() {
@@ -588,14 +562,8 @@ func (e *Engine[T]) run(program func(c *Ctx[T]), onSend func(c *Ctx[T], dst int)
 	})
 	defer watchdog.Stop()
 
-	switch s.cfg.Sched {
-	case SchedGoroutinePerNode:
-		s.atomicLinks = true
-		s.runGoroutines(program)
-	default:
-		s.atomicLinks = s.cfg.Workers > 1
-		e.runWorkers(program)
-	}
+	s.atomicLinks = s.cfg.Workers > 1
+	e.runWorkers(program)
 	watchdog.Stop()
 
 	s.failMu.Lock()
@@ -621,7 +589,6 @@ func (e *Engine[T]) run(program func(c *Ctx[T]), onSend func(c *Ctx[T], dst int)
 	}
 	if s.fx != nil {
 		st.Faults.DownLinks = s.fx.downLinks
-		st.Faults.DownNodes = s.fx.downNodes
 	}
 	for u := range s.nodes {
 		c := &s.nodes[u]
@@ -630,9 +597,6 @@ func (e *Engine[T]) run(program func(c *Ctx[T]), onSend func(c *Ctx[T], dst int)
 			st.MaxOps = c.ops
 		}
 		st.TotalOps += int64(c.ops)
-		st.Faults.RefusedSends += c.refused
-		st.Faults.DroppedMessages += c.dropped
-		st.Faults.DelayedMessages += c.delayed
 	}
 	if err != nil {
 		s.drainLinks()
@@ -652,20 +616,15 @@ func (s *engineState[T]) drainLinks() {
 	}
 }
 
-// fail records the first error, marks the run failed, and (in the
-// goroutine-per-node engine) aborts the barrier so all nodes unwind. The
-// worker pool needs no abort broadcast: its barrier always completes a
-// round, and the leader routes every worker into the drain path on the next
-// cycle once the failure flag is up.
+// fail records the first error and marks the run failed. No abort
+// broadcast is needed: the worker barrier always completes a round, and the
+// leader routes every worker into the drain path on the next cycle once the
+// failure flag is up.
 func (s *engineState[T]) fail(err error) {
 	s.failMu.Lock()
 	if s.firstErr == nil {
 		s.firstErr = err
 	}
-	bar := s.bar
 	s.failMu.Unlock()
 	s.failed.Store(true)
-	if bar != nil {
-		bar.Abort()
-	}
 }

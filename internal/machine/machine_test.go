@@ -10,16 +10,15 @@ import (
 )
 
 // schedConfigs enumerates the engine configurations every semantic test
-// runs under: the worker pool in its single-worker fast path, the pool with
-// forced multi-worker sharding (exercising the atomic link cursors and the
-// sense barrier even on one CPU), and the legacy goroutine-per-node engine.
+// runs under: the worker pool in its single-worker fast path, and the pool
+// with forced multi-worker sharding (exercising the atomic link cursors and
+// the sense barrier even on one CPU).
 var schedConfigs = []struct {
 	name string
 	cfg  Config
 }{
 	{"pool", Config{Sched: SchedWorkerPool, Workers: 1}},
 	{"pool-w4", Config{Sched: SchedWorkerPool, Workers: 4}},
-	{"goroutines", Config{Sched: SchedGoroutinePerNode}},
 }
 
 func forEachSched(t *testing.T, base Config, f func(t *testing.T, cfg Config)) {
@@ -227,9 +226,9 @@ func TestDuplicateRecvFails(t *testing.T) {
 		e := MustNew[int](h, cfg)
 		_, err := e.Run(func(c *Ctx[int]) {
 			if c.ID() == 0 {
-				c.Recv2(1, 1)
+				c.SendRecv2(1, 0, 1, 1)
 			} else {
-				c.Send(0, 1)
+				c.Exchange(0, 1)
 			}
 		})
 		if err == nil || !strings.Contains(err.Error(), "duplicate receive") {
@@ -300,15 +299,27 @@ func desyncProgram(c *Ctx[int]) {
 	}
 }
 
-// TestWatchdogCatchesDesync pins the legacy engine's behavior: a
-// desynchronized program can only be caught by the watchdog timeout there.
+// TestWatchdogCatchesDesync runs a program whose nodes all idle forever.
+// The barrier leader sees perfect lockstep every cycle, so only the watchdog
+// (Config.Timeout) can end the run; afterwards the engine must serve the
+// next run cleanly.
 func TestWatchdogCatchesDesync(t *testing.T) {
-	h := topology.MustHypercube(1)
-	e := MustNew[int](h, Config{Sched: SchedGoroutinePerNode, Timeout: 50 * time.Millisecond})
-	_, err := e.Run(desyncProgram)
-	if err == nil || !strings.Contains(err.Error(), "exceeded") {
-		t.Errorf("want watchdog error, got %v", err)
-	}
+	forEachSched(t, Config{Timeout: 50 * time.Millisecond}, func(t *testing.T, cfg Config) {
+		h := topology.MustHypercube(2)
+		e := MustNew[int](h, cfg)
+		_, err := e.Run(func(c *Ctx[int]) {
+			for {
+				c.Idle()
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "exceeded") {
+			t.Fatalf("want watchdog error, got %v", err)
+		}
+		st, err := e.Run(func(c *Ctx[int]) { c.Exchange(c.ID()^1, c.ID()) })
+		if err != nil || st.Cycles != 1 {
+			t.Fatalf("engine not reusable after the watchdog: err = %v, stats = %+v", err, st)
+		}
+	})
 }
 
 // TestPoolDetectsDesyncDeterministically asserts the worker pool improves
@@ -520,87 +531,6 @@ func TestStatsAddRejectsMixedMachines(t *testing.T) {
 	}()
 	// With the old a.Nodes|b.Nodes these would silently combine to 40.
 	_ = Stats{Nodes: 8}.Add(Stats{Nodes: 32})
-}
-
-func TestBarrierAbortUnblocksWaiters(t *testing.T) {
-	b := NewBarrier(2, nil)
-	done := make(chan error, 1)
-	go func() { done <- b.Wait() }()
-	time.Sleep(10 * time.Millisecond)
-	b.Abort()
-	select {
-	case err := <-done:
-		if err != ErrAborted {
-			t.Errorf("got %v, want ErrAborted", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter not unblocked")
-	}
-	if !b.Aborted() {
-		t.Error("Aborted() = false after Abort")
-	}
-	// Further waits return immediately.
-	if err := b.Wait(); err != ErrAborted {
-		t.Errorf("post-abort Wait = %v", err)
-	}
-}
-
-// TestBarrierWaitAbortRace hammers concurrent Wait and Abort under the race
-// detector: waiters must either complete a round or observe ErrAborted, and
-// nothing may deadlock regardless of how Abort interleaves with arrivals.
-func TestBarrierWaitAbortRace(t *testing.T) {
-	for iter := 0; iter < 100; iter++ {
-		const parties = 4
-		b := NewBarrier(parties, nil)
-		var wg sync.WaitGroup
-		for p := 0; p < parties; p++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if err := b.Wait(); err != nil {
-						if err != ErrAborted {
-							t.Errorf("Wait = %v, want ErrAborted", err)
-						}
-						return
-					}
-				}
-			}()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.Abort()
-		}()
-		wg.Wait()
-		if !b.Aborted() {
-			t.Fatal("barrier not aborted after Abort returned")
-		}
-	}
-}
-
-func TestBarrierRounds(t *testing.T) {
-	const parties, rounds = 8, 50
-	count := 0
-	b := NewBarrier(parties, func() { count++ })
-	done := make(chan struct{})
-	for p := 0; p < parties; p++ {
-		go func() {
-			for r := 0; r < rounds; r++ {
-				if err := b.Wait(); err != nil {
-					t.Error(err)
-					break
-				}
-			}
-			done <- struct{}{}
-		}()
-	}
-	for p := 0; p < parties; p++ {
-		<-done
-	}
-	if count != rounds {
-		t.Errorf("leader action ran %d times, want %d", count, rounds)
-	}
 }
 
 // TestSenseBarrierRounds drives the worker pool's W-party barrier directly

@@ -34,7 +34,7 @@ type nodeRunner struct {
 	stop func()
 }
 
-// runWorkers executes program under the worker-pool stepped scheduler.
+// runWorkers executes program under the stepped worker-pool scheduler.
 func (e *Engine[T]) runWorkers(program func(c *Ctx[T])) {
 	s := e.engineState
 	w := s.cfg.Workers
@@ -87,9 +87,8 @@ func (e *Engine[T]) runWorkers(program func(c *Ctx[T])) {
 // Finished runners are compacted out of the pass list so completed nodes
 // cost nothing in later cycles. After an abnormal end (failure or desync)
 // one extra drain pass resumes each still-live program, whose next clock
-// boundary observes roundAbort and unwinds with ErrAborted — the same
-// unwinding the goroutine-per-node engine performs through Barrier.Abort —
-// leaving every coroutine parked between runs again.
+// boundary observes roundAbort and unwinds with ErrAborted, leaving every
+// coroutine parked between runs again.
 func (s *engineState[T]) workerMain(wi int, rs []nodeRunner) {
 	w := &s.workers[wi]
 	for u := w.lo; u < w.hi; u++ {
@@ -139,10 +138,9 @@ func (s *engineState[T]) workerMain(wi int, rs []nodeRunner) {
 // alternation of "run the engine's current program" and a between-runs park
 // (yield true). The yield function doubles as the node's clock boundary
 // while a program is running (yield false). Protocol failures and user
-// panics are recovered per run in runNode and recorded as the run's error,
-// exactly as the goroutine-per-node engine does at the top of each node
-// goroutine; the coroutine itself survives to serve the next run. It only
-// returns when a teardown stop makes the between-runs yield report false.
+// panics are recovered per run in runNode and recorded as the run's error;
+// the coroutine itself survives to serve the next run. It only returns when
+// a teardown stop makes the between-runs yield report false.
 func (s *engineState[T]) nodeLoop(c *Ctx[T]) iter.Seq[bool] {
 	return func(yield func(bool) bool) {
 		for {
@@ -178,11 +176,9 @@ func (s *engineState[T]) runNode(c *Ctx[T]) {
 //   - every node stepped: one clock cycle elapsed (a comm cycle if any
 //     shard sent);
 //   - every node finished: the run completed — the final pass ran program
-//     epilogues only, so no cycle is counted, matching the N-party barrier
-//     which never completes a round after nodes stop arriving;
-//   - a strict subset finished: the SPMD lockstep is broken. The old engine
-//     could only catch this via the watchdog timeout; the barrier leader
-//     sees it immediately and deterministically.
+//     epilogues only, so no cycle is counted;
+//   - a strict subset finished: the SPMD lockstep is broken, which the
+//     leader sees immediately and deterministically, with no timeout.
 func (s *engineState[T]) poolLeader() {
 	total, any := 0, false
 	for i := range s.workers {

@@ -396,7 +396,7 @@ func (x *Exec[T]) Send(v T) {
 	s := x.step()
 	if s.links != nil {
 		u := x.c.id
-		x.c.sendAt(int(s.links[u]), int(s.partners[u]), v, false)
+		x.c.sendAt(int(s.links[u]), int(s.partners[u]), v)
 		x.c.boundary()
 	} else {
 		x.c.Send(x.partner(s), v)
@@ -412,7 +412,7 @@ func (x *Exec[T]) Recv() T {
 	if s.links != nil {
 		u := x.c.id
 		x.c.boundary()
-		r, _ = x.c.recvAt(int(s.links[u]), int(s.partners[u]), false)
+		r = x.c.recvAt(int(s.links[u]), int(s.partners[u]))
 	} else {
 		r = x.c.Recv(x.partner(s))
 	}
@@ -511,7 +511,7 @@ func RelayOneWay[T any](c *Ctx[T], path []int, v T) (T, bool) {
 // Every directed link carries at most one message per cycle and every node
 // sends at most once per cycle; relay nodes receive on two links in cycle 1
 // (the bidirectional-channel allowance). This is the choreography behind
-// StepRecDim: Exec.Exchange runs it on the engines, and RunDirect reproduces
+// StepRecDim: Exec.Exchange runs it on the engine, and RunDirect reproduces
 // its accounting (3 cycles, 2N messages) without executing the relays.
 func RecDimExchange[T any](c *Ctx[T], d topology.Recursive, j int, v T) T {
 	u := c.ID()

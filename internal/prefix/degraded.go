@@ -1,8 +1,6 @@
 package prefix
 
 import (
-	"fmt"
-
 	"dualcube/internal/dcomm"
 	"dualcube/internal/fault"
 	"dualcube/internal/machine"
@@ -24,11 +22,7 @@ import (
 // The result is correct for any f <= n-1 permanent link faults (the link
 // connectivity of D_n is n, so every broken pair keeps an alive repair path);
 // larger f is accepted as long as the network stays connected, and rejected
-// with an error when it does not. Plans with node faults or transient
-// drop/delay noise are rejected: a fail-stop node cannot hold its share of
-// the input, and the deterministic detour schedule has no retransmission
-// protocol for message loss — both are out of the paper's degraded-mode
-// scope.
+// with an error when it does not.
 //
 // With a nil (or empty) plan the rewrite returns the fault-free schedule
 // itself and the run is byte-identical to DPrefix: 2n communication steps.
@@ -42,14 +36,6 @@ func DPrefixDegraded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T
 	}
 	if err := plan.Validate(d); err != nil {
 		return nil, machine.Stats{}, err
-	}
-	if plan != nil {
-		if len(plan.Nodes) > 0 {
-			return nil, machine.Stats{}, fmt.Errorf("prefix: degraded D_prefix survives link faults only; plan fails %d node(s)", len(plan.Nodes))
-		}
-		if plan.DropProb > 0 || plan.DelayProb > 0 {
-			return nil, machine.Stats{}, fmt.Errorf("prefix: degraded D_prefix has no retransmission protocol; plan injects transient drop/delay noise")
-		}
 	}
 
 	base, err := dcomm.Compiled(d, dcomm.OpPrefix)

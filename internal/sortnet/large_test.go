@@ -160,14 +160,14 @@ func TestDSortLargeSharedArenas(t *testing.T) {
 		n, k, workers int
 		sched         machine.Sched
 	}{
-		{7, 2, 4, machine.SchedDirect},
+		{7, 2, 4, machine.SchedDefault},
 		{4, 5, 4, machine.SchedWorkerPool},
 	} {
 		in := make([]int, tc.k<<(2*tc.n-1))
 		for i := range in {
 			in[i] = rng.Intn(64)
 		}
-		serial := machine.Config{Sched: machine.SchedDirect, Workers: 1}
+		serial := machine.Config{Workers: 1}
 		want, wantSt, err := DSortLarge(serial, tc.n, tc.k, in, intLess, Descending)
 		if err != nil {
 			t.Fatal(err)

@@ -130,7 +130,7 @@ func TestIRGoldenStats(t *testing.T) {
 		sched machine.Sched
 	}{
 		{"interpreter", machine.SchedWorkerPool},
-		{"direct", machine.SchedDirect},
+		{"direct", machine.SchedDefault},
 	} {
 		t.Run(backend.name, func(t *testing.T) {
 			t.Parallel()

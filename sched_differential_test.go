@@ -154,9 +154,10 @@ func runtimeWith(tb testing.TB, family string, n int, cfg machine.Config) *Runti
 	return rt
 }
 
-// backends are the three execution backends, the worker-pool engine (the
-// reference) first.
-var backends = []machine.Sched{machine.SchedWorkerPool, machine.SchedGoroutinePerNode, machine.SchedDirect}
+// backends are the two execution backends: the worker-pool engine (the
+// reference) first, then the default, which runs compiled schedules on the
+// direct executor.
+var backends = []machine.Sched{machine.SchedWorkerPool, machine.SchedDefault}
 
 // sameOnEveryBackend runs run on one Runtime per backend over family's D_n,
 // requires bit-identical outputs and identical Stats from all of them, and
@@ -184,14 +185,14 @@ func sameOnEveryBackend(t *testing.T, family string, n int, run func(*Runtime) (
 	return refOut, refStats
 }
 
-// TestSchedulerDifferential runs every workload under all three execution
-// backends — the worker-pool engine, the goroutine-per-node engine, and the
-// direct kernel executor — and requires bit-identical outputs and identical
+// TestSchedulerDifferential runs every workload under both execution
+// backends — the worker-pool engine and the direct kernel executor — and
+// requires bit-identical outputs and identical
 // cost statistics (Cycles, CommCycles, Messages, MaxOps, TotalOps): the
 // backends must be observationally equivalent, not merely all correct.
 //
 // The generic workloads then sweep every topology family. Per family the
-// same three-backend equivalence must hold, and every family must reproduce
+// same two-backend equivalence must hold, and every family must reproduce
 // the dual-cube run bit-for-bit — outputs AND Stats — because hypercube and
 // Z-cube schedules execute over the embedded D_n skeleton, so the dual-cube
 // is their oracle.
@@ -241,7 +242,7 @@ func TestSchedulerDifferentialWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 2, 3, 7, 64} {
-		for _, s := range []machine.Sched{machine.SchedDirect, machine.SchedWorkerPool} {
+		for _, s := range []machine.Sched{machine.SchedDefault, machine.SchedWorkerPool} {
 			out, st, err := PrefixOn(runtimeWith(t, "dualcube", n, machine.Config{Sched: s, Workers: k}), diffInput(n))
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", s, k, err)

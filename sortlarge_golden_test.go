@@ -67,10 +67,16 @@ func TestSortLargeTieGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Parallel()
-	for _, sched := range []machine.Sched{machine.SchedDirect, machine.SchedWorkerPool, machine.SchedGoroutinePerNode} {
-		t.Run(sched.String(), func(t *testing.T) {
+	for _, backend := range []struct {
+		name  string
+		sched machine.Sched
+	}{
+		{"direct", machine.SchedDefault},
+		{"worker-pool", machine.SchedWorkerPool},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
 			t.Parallel()
-			got, err := renderSortLargeTies(t, sched)
+			got, err := renderSortLargeTies(t, backend.sched)
 			if err != nil {
 				t.Fatal(err)
 			}

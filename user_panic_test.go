@@ -12,7 +12,8 @@ import (
 // panics and requires every backend to return the run's "node u panicked"
 // error instead of crashing — the direct executor on its serial pass (D_3)
 // and on a sharded pass (D_7, past the 4096-node sharding threshold), and
-// both engines — after which the same Runtime must serve the next call.
+// the worker-pool engine — after which the same Runtime must serve the next
+// call.
 func TestUserPanicsBecomeErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("D_7 sharded case skipped in -short mode")
@@ -43,10 +44,9 @@ func TestUserPanicsBecomeErrors(t *testing.T) {
 		n       int
 		node0   bool // the lowest panicking node is reported deterministically
 	}{
-		{"direct", machine.SchedDirect, 3, true},
-		{"direct-sharded", machine.SchedDirect, 7, true},
+		{"direct", machine.SchedDefault, 3, true},
+		{"direct-sharded", machine.SchedDefault, 7, true},
 		{"worker-pool", machine.SchedWorkerPool, 3, false},
-		{"goroutine-per-node", machine.SchedGoroutinePerNode, 3, false},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			rt := runtimeWith(t, "dualcube", tc.n, machine.Config{Sched: tc.sched, Workers: 4})
