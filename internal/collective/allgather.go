@@ -34,8 +34,12 @@ func AllGather[T any](cfg machine.Config, n int, in []T) ([][]T, machine.Stats, 
 	pl := extentPlane[T](N)
 	defer putExtentPlane(N, pl)
 	copy(pl.Vals, in) // the arena IS the element sequence
+	// Every node starts with the one-element extent of its own element.
+	for u, nd := range d.Tables().Node {
+		pl.Off[u], pl.Len[u] = nd.Data, 1
+	}
 
-	agk := &allGatherKernel[T]{d: d, mdim: m, pl: pl}
+	agk := &allGatherKernel[T]{mdim: m, pl: pl}
 	st, err := dcomm.Execute(sch, cfg, agk)
 	if err != nil {
 		return nil, st, err
@@ -59,17 +63,12 @@ func AllGather[T any](cfg machine.Config, n int, in []T) ([][]T, machine.Stats, 
 // whole sequence per node. Every union is of adjacent runs of the natural
 // element order, so the two extent tables are the only in-flight state.
 type allGatherKernel[T any] struct {
-	d    *topology.DualCube
 	mdim int
 	pl   *machine.ExtentPlane[T]
 }
 
 func (agk *allGatherKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, machine.Extent) {
 	pl := agk.pl
-	if k == 0 {
-		pl.Off[u] = int32(agk.d.DataIndex(u))
-		pl.Len[u] = 1
-	}
 	if k <= agk.mdim {
 		// Phases 1-2: all-gather the block within the cluster, then swap
 		// blocks over the cross-edge.

@@ -65,7 +65,7 @@ func AllToAll[T any](cfg machine.Config, n int, in [][]T) ([][]T, machine.Stats,
 	for u := 0; u < N; u++ {
 		uerr := rk.nodeErr(u, "item")
 		cnt := int(pl.Cnt[u])
-		myIdx := d.DataIndex(u)
+		myIdx := int(rk.node[u].Data)
 		row := backing[myIdx*N : (myIdx+1)*N : (myIdx+1)*N]
 		out[myIdx] = row
 		if uerr == nil {
@@ -105,9 +105,12 @@ func newRoute[T any](d *topology.DualCube) (*routeKernel[T], error) {
 		// far beyond what an N² exchange could materialize anyway.
 		return nil, fmt.Errorf("collective: all-to-all id plane overflows at order %d", n)
 	}
+	m := d.ClusterDim()
+	tab := d.Tables()
 	return &routeKernel[T]{
-		d: d, sch: sch, mdim: d.ClusterDim(), nodes: d.Nodes(),
-		logN: 2*n - 1, fieldMask: d.ClusterSize() - 1, clsShift: n - 1,
+		sch: sch, mdim: m, nodes: d.Nodes(),
+		logN: 2*n - 1, dstMask: int32(d.Nodes() - 1),
+		node: tab.Node, key: tab.Key, cross: sch.Steps[2*m+1].Partners(),
 		pl: routePlane[T](d.Nodes()),
 	}, nil
 }
@@ -117,16 +120,19 @@ func newRoute[T any](d *topology.DualCube) (*routeKernel[T], error) {
 // compacts its kept ids in place and copies the moving run into its send
 // region, the cross rounds carry the whole buffer or the cross-destined
 // remainder. A misrouted id is recorded in the plane's Bad slot (the host
-// also re-checks counts and ownership after the run).
+// also re-checks counts and ownership after the run). The kernel body reads
+// the topology only through tables: the order's node roles and per-class
+// routing keys, and the schedule's final cross-hop partner table.
 type routeKernel[T any] struct {
-	d         *topology.DualCube
-	sch       *machine.Schedule
-	mdim      int
-	nodes     int
-	logN      int // id = srcElem<<logN | dstElem
-	fieldMask int
-	clsShift  int
-	pl        *machine.RoutePlane[T]
+	sch     *machine.Schedule
+	mdim    int
+	nodes   int
+	logN    int   // id = srcElem<<logN | dstElem
+	dstMask int32 // id & dstMask = dstElem
+	node    []topology.NodeRole
+	key     [2][]uint16 // topology.Tables.Key: key[class][dstElem]
+	cross   []int32     // cross[u] = u's cross neighbor
+	pl      *machine.RoutePlane[T]
 }
 
 func (rk *routeKernel[T]) execute(cfg machine.Config) (machine.Stats, error) {
@@ -162,39 +168,31 @@ func strandedNoun(kind string) string {
 	return " item"
 }
 
-// key is the within-cluster routing target of an item at a node of the
-// given class: the destination coordinate occupying this class's local
-// field (part I for class 0, part II for class 1).
-func (rk *routeKernel[T]) key(class int, dstNode topology.NodeID) int {
-	if class == 0 {
-		return dstNode & rk.fieldMask
-	}
-	return dstNode >> rk.clsShift & rk.fieldMask
-}
-
 func (rk *routeKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, machine.Extent) {
-	d := rk.d
 	p := rk.pl
+	cnts := p.Cnt
+	nd := rk.node[u]
 	base := u * p.Stride
+	cnt := int(cnts[u])
+	if k == 0 {
+		cnt = p.Stride
+	}
+	ids := p.IDs[base : base+cnt]
 	if k == 0 {
 		// Seed: node u's N outgoing items, ids myIdx·N + j in order.
-		myIdx := d.DataIndex(u)
-		ids := p.IDs[base : base+p.Stride]
-		first := int32(myIdx << rk.logN)
+		first := nd.Data << rk.logN
 		for j := range ids {
 			ids[j] = first | int32(j)
 		}
-		p.Cnt[u] = int32(p.Stride)
 	}
-	cnt := int(p.Cnt[u])
-	ids := p.IDs[base : base+cnt]
 	send := p.Send[k&1][base : base+p.Stride]
-	switch {
-	case k == rk.mdim:
+	if k == rk.mdim {
 		// Phase 2: the cross-edge carries the whole buffer.
 		copy(send, ids)
-		return machine.DirectExchange, machine.Extent{Off: int32(base), Len: int32(cnt)}
-	case k < rk.mdim, k <= 2*rk.mdim:
+		return machine.DirectExchange, machine.Extent{Off: int32(base), Len: int32(len(ids))}
+	}
+	keep, sent := 0, 0
+	if k <= 2*rk.mdim {
 		// Phases 1 and 3: one dimension-ordered routing round; items whose
 		// key differs at the step's bit move to the partner. Keeps compact
 		// in place, the moving run copies into this step's send plane.
@@ -202,11 +200,11 @@ func (rk *routeKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dire
 		if i > rk.mdim {
 			i = k - rk.mdim - 1
 		}
-		class, local := d.Class(u), d.LocalID(u)
-		keep, sent := 0, 0
+		key := rk.key[nd.Class&1]
+		bit := 1 << i
+		own := int(nd.Local) & bit
 		for _, id := range ids {
-			dstNode := d.NodeAtDataIndex(int(id) & (rk.nodes - 1))
-			if rk.key(class, dstNode)&(1<<i) != local&(1<<i) {
+			if int(key[id&rk.dstMask])&bit != own {
 				send[sent] = id
 				sent++
 			} else {
@@ -214,33 +212,34 @@ func (rk *routeKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dire
 				keep++
 			}
 		}
-		p.Cnt[u] = int32(keep)
-		return machine.DirectExchange, machine.Extent{Off: int32(base), Len: int32(sent)}
-	default:
+	} else {
 		// Phase 4: deliver the cross-destined remainder; everything else
 		// must already be home.
-		cross := d.CrossNeighbor(u)
-		keep, sent := 0, 0
+		home, away := nd.Data, rk.node[rk.cross[u]].Data
+		bad := int32(0)
 		for _, id := range ids {
-			switch int(d.NodeAtDataIndex(int(id) & (rk.nodes - 1))) {
-			case u:
+			switch id & rk.dstMask {
+			case home:
 				ids[keep] = id
 				keep++
-			case cross:
+			case away:
 				send[sent] = id
 				sent++
 			default:
 				// A misrouted item means the routing keys disagree with the
 				// topology; record it and drop the item — the host's count
 				// check fails too, and the run reports the first error.
-				if p.Bad[u] == 0 {
-					p.Bad[u] = id + 1
+				if bad == 0 {
+					bad = id + 1
 				}
 			}
 		}
-		p.Cnt[u] = int32(keep)
-		return machine.DirectExchange, machine.Extent{Off: int32(base), Len: int32(sent)}
+		if bad != 0 && p.Bad[u] == 0 {
+			p.Bad[u] = bad
+		}
 	}
+	cnts[u] = int32(keep)
+	return machine.DirectExchange, machine.Extent{Off: int32(base), Len: int32(sent)}
 }
 
 func (rk *routeKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v machine.Extent) {

@@ -66,7 +66,7 @@ func AllToAllV[T any](cfg machine.Config, n int, in [][][]T) ([][][]T, machine.S
 	for u := 0; u < N; u++ {
 		uerr := rk.nodeErr(u, "bundle")
 		cnt := int(pl.Cnt[u])
-		myIdx := d.DataIndex(u)
+		myIdx := int(rk.node[u].Data)
 		row := hdrs[myIdx*N : (myIdx+1)*N : (myIdx+1)*N]
 		out[myIdx] = row
 		if uerr == nil {

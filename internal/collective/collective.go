@@ -62,14 +62,13 @@ func BroadcastOn[T any](cfg machine.Config, d topology.Comm, root topology.NodeI
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	rootClass := d.Class(root)
-	rootCluster := d.ClusterID(root)
-	rootLocal := d.LocalID(root)
+	node := d.Tables().Node
+	r := node[root]
 
 	out := make([]T, d.Nodes())
 	bk := &broadcastKernel[T]{
-		d: d, mdim: m, root: root,
-		rootClass: rootClass, rootCluster: rootCluster, rootLocal: rootLocal,
+		node: node, mdim: m, root: root,
+		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
 		out: out, have: make([]bool, d.Nodes()),
 	}
 	bk.have[root] = true
@@ -90,8 +89,9 @@ func BroadcastOn[T any](cfg machine.Config, d topology.Comm, root topology.NodeI
 // directly in out; have marks delivery so late duplicate receives (phase 4
 // covers root's own cluster again, keeping the schedule uniform) are
 // discarded, and the host verifies every node was reached after the run.
+// node is the order's node table, the only topology the kernel body reads.
 type broadcastKernel[T any] struct {
-	d           topology.Comm
+	node        []topology.NodeRole
 	mdim        int
 	root        topology.NodeID
 	rootClass   int
@@ -102,15 +102,15 @@ type broadcastKernel[T any] struct {
 }
 
 func (bk *broadcastKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, T) {
-	d := bk.d
-	class, local := d.Class(u), d.LocalID(u)
+	nd := bk.node[u]
+	class, cluster, local := int(nd.Class), int(nd.Cluster), int(nd.Local)
 	have := bk.have[u]
 	switch {
 	case k < bk.mdim:
 		// Phase 1: flood root's cluster. At step i, holders are the nodes of
 		// root's cluster whose local ID matches rootLocal on bits >= i; each
 		// holder sends along dimension i to the node differing at bit i.
-		if class == bk.rootClass && d.ClusterID(u) == bk.rootCluster {
+		if class == bk.rootClass && cluster == bk.rootCluster {
 			i := k
 			mask := ^((1 << (i + 1)) - 1) // bits above i
 			if have && local&(1<<i) == bk.rootLocal&(1<<i) {
@@ -124,7 +124,7 @@ func (bk *broadcastKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.
 		// cluster is one node in every opposite-class cluster, namely the
 		// node whose local ID equals root's cluster ID (the cross-edge
 		// swaps the roles of the two address fields).
-		if class == bk.rootClass && d.ClusterID(u) == bk.rootCluster {
+		if class == bk.rootClass && cluster == bk.rootCluster {
 			return machine.DirectSend, bk.out[u]
 		} else if class != bk.rootClass && local == bk.rootCluster {
 			return machine.DirectRecv, bk.out[u]
@@ -193,11 +193,16 @@ func AllReduceOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Mo
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
+	node := d.Tables().Node
 	out := make([]T, d.Nodes())
-	ak := &allReduceKernel[T]{
-		d: d, m: m, mdim: mdim,
-		in: in, out: out, t: make([]T, d.Nodes()),
+	t := make([]T, d.Nodes())
+	// Ordered all-reduce within the cluster (order = local index, which is
+	// element order within the block): each running total starts as the
+	// node's own element.
+	for u, nd := range node {
+		t[u] = in[nd.Data]
 	}
+	ak := &allReduceKernel[T]{node: node, m: m, mdim: mdim, out: out, t: t}
 	st, err := dcomm.Execute(sch, cfg, ak)
 	if err != nil {
 		return nil, st, err
@@ -206,30 +211,25 @@ func AllReduceOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Mo
 }
 
 // allReduceKernel is the double recursive-doubling all-reduce as a kernel.
-// t carries the in-cluster running total, then (after the first cross hop)
-// the other class's running total; the received grand total of this node's
-// own class parks in out until the final class-order combine.
+// t carries the in-cluster running total (seeded by the host with the
+// node's own element), then (after the first cross hop) the other class's
+// running total; the received grand total of this node's own class parks in
+// out until the final class-order combine. node is the order's node table.
 type allReduceKernel[T any] struct {
-	d    topology.Comm
+	node []topology.NodeRole
 	m    monoid.Monoid[T]
 	mdim int
-	in   []T
 	out  []T
 	t    []T
 }
 
 func (ak *allReduceKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, T) {
-	if k == 0 {
-		// Ordered all-reduce within the cluster (order = local index, which
-		// is element order within the block).
-		ak.t[u] = ak.in[ak.d.DataIndex(u)]
-	}
 	return machine.DirectExchange, ak.t[u]
 }
 
 func (ak *allReduceKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 	m := ak.m
-	local := ak.d.LocalID(u)
+	local := int(ak.node[u].Local)
 	switch {
 	case k < ak.mdim:
 		if local&(1<<k) != 0 {
@@ -258,7 +258,7 @@ func (ak *allReduceKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 func (ak *allReduceKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
 	// At a class-0 node: t = total(class 1), out = total(class 0) — and the
 	// mirror at class 1 — so both classes combine in class order.
-	if ak.d.Class(u) == 0 {
+	if ak.node[u].Class == 0 {
 		ak.out[u] = ak.m.Combine(ak.out[u], ak.t[u])
 	} else {
 		ak.out[u] = ak.m.Combine(ak.t[u], ak.out[u])

@@ -45,19 +45,25 @@ func Gather[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T
 		return nil, machine.Stats{}, err
 	}
 	N := d.Nodes()
+	tab := d.Tables()
 	lay := layoutFor(d)
 	pl := extentPlane[T](N)
 	defer putExtentPlane(N, pl)
 	// Element i belongs to node NodeAtDataIndex(i); place it at that node's
-	// arena slot.
+	// arena slot, and start every node's extent as that one slot.
 	for i, v := range in {
-		pl.Vals[lay.posOf[d.NodeAtDataIndex(i)]] = v
+		pl.Vals[lay.posOf[tab.AtData[i]]] = v
+	}
+	copy(pl.Off, lay.posOf)
+	for u := range pl.Len {
+		pl.Len[u] = 1
 	}
 
+	r := tab.Node[root]
 	gk := &gatherKernel[T]{
-		d: d, sch: sch, mdim: m, root: root,
-		rootClass: d.Class(root), rootCluster: d.ClusterID(root), rootLocal: d.LocalID(root),
-		posOf: lay.posOf, pl: pl,
+		node: tab.Node, sch: sch, mdim: m, root: root, rootCross: d.CrossNeighbor(root),
+		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
+		pl: pl,
 	}
 	// LinkCapacity only matters on the engine fallback path, where the
 	// bundle-bearing cross hops queue more than one message per link.
@@ -73,7 +79,7 @@ func Gather[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T
 	}
 	out := make([]T, N)
 	for i := range out {
-		out[i] = pl.Vals[lay.posOf[d.NodeAtDataIndex(i)]]
+		out[i] = pl.Vals[lay.posOf[tab.AtData[i]]]
 	}
 	return out, st, nil
 }
@@ -82,24 +88,25 @@ func Gather[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T
 // node's bundle is empty (Len 0) exactly when it has handed its items up
 // the collection tree — which also disambiguates the phase-2 roles during
 // Absorb: the bundle of a collector that exchanged with its cross collector
-// is still non-empty, a bare receiver's is empty.
+// is still non-empty, a bare receiver's is empty. node is the order's node
+// table; rootCross is root's cross neighbor.
 type gatherKernel[T any] struct {
-	d           *topology.DualCube
+	node        []topology.NodeRole
 	sch         *machine.Schedule
 	mdim        int
 	root        topology.NodeID
+	rootCross   topology.NodeID
 	rootClass   int
 	rootCluster int
 	rootLocal   int
-	posOf       []int32
 	pl          *machine.ExtentPlane[T]
 }
 
-// gatherRole is one level of the collection tree at node u: the schedule
-// supplies the descending dimension, target is the collector's local index.
-func (gk *gatherKernel[T]) gatherRole(k, u, tgt int) machine.DirectRole {
+// gatherRole is one level of the collection tree at a node with the given
+// local ID: the schedule supplies the descending dimension, tgt is the
+// collector's local index.
+func (gk *gatherKernel[T]) gatherRole(k, local, tgt int) machine.DirectRole {
 	i := gk.sch.Steps[k].Dim
-	local := gk.d.LocalID(u)
 	maskAbove := ^((1 << (i + 1)) - 1)
 	if local&maskAbove != tgt&maskAbove {
 		return machine.DirectIdle // already out of the collection tree at this level
@@ -110,9 +117,10 @@ func (gk *gatherKernel[T]) gatherRole(k, u, tgt int) machine.DirectRole {
 	return machine.DirectRecv
 }
 
-// target returns the collector position inside node u's cluster.
-func (gk *gatherKernel[T]) target(u int) int {
-	if gk.d.Class(u) != gk.rootClass {
+// target returns the collector position inside a cluster of the given
+// class.
+func (gk *gatherKernel[T]) target(class int) int {
+	if class != gk.rootClass {
 		return gk.rootCluster
 	}
 	return gk.rootLocal
@@ -127,28 +135,26 @@ func (gk *gatherKernel[T]) take(u int) machine.Extent {
 }
 
 func (gk *gatherKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, machine.Extent) {
-	d := gk.d
 	pl := gk.pl
-	if k == 0 {
-		pl.Off[u] = gk.posOf[u]
-		pl.Len[u] = 1
-	}
+	nd := gk.node[u]
+	class, cluster, local := int(nd.Class), int(nd.Cluster), int(nd.Local)
 	switch {
 	case k < gk.mdim:
 		// Phase 1: binomial gather of the cluster block toward the target
 		// (reverse flood: the schedule descends dimensions m-1 down to 0).
-		role := gk.gatherRole(k, u, gk.target(u))
+		role := gk.gatherRole(k, local, gk.target(class))
 		if role == machine.DirectSend {
 			return role, gk.take(u)
 		}
 		return role, machine.Extent{Off: pl.Off[u], Len: pl.Len[u]}
 	case k == gk.mdim:
 		// Phase 2: collectors hop their cross-edges; a node receives iff its
-		// cross neighbor is a collector of its own cluster.
-		cross := d.CrossNeighbor(u)
-		isCollector := d.LocalID(u) == gk.target(u) && pl.Len[u] != 0
-		crossIsCollector := d.LocalID(cross) == gk.target(cross)
+		// cross neighbor is a collector of its own cluster. The cross-edge
+		// swaps the two address fields, so that neighbor is the node of the
+		// other class whose local ID is u's cluster ID.
 		b := machine.Extent{Off: pl.Off[u], Len: pl.Len[u]}
+		isCollector := local == gk.target(class) && b.Len != 0
+		crossIsCollector := cluster == gk.target(1-class)
 		switch {
 		case isCollector && crossIsCollector:
 			return machine.DirectExchange, b
@@ -163,7 +169,6 @@ func (gk *gatherKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dir
 		// Phase 3: two clusters gather the phase-2 bundles concurrently:
 		// root's cluster (toward root) and the opposite-class mirror cluster
 		// (toward root's cross neighbor).
-		class, cluster := d.Class(u), d.ClusterID(u)
 		inRootCluster := class == gk.rootClass && cluster == gk.rootCluster
 		inMirrorCluster := class != gk.rootClass && cluster == gk.rootLocal
 		if !inRootCluster && !inMirrorCluster {
@@ -173,7 +178,7 @@ func (gk *gatherKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dir
 		if inMirrorCluster {
 			tgt = gk.rootCluster
 		}
-		role := gk.gatherRole(k, u, tgt)
+		role := gk.gatherRole(k, local, tgt)
 		if role == machine.DirectSend {
 			return role, gk.take(u)
 		}
@@ -181,7 +186,7 @@ func (gk *gatherKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dir
 	default:
 		// Phase 4: root's cross neighbor delivers the mega-bundle.
 		switch u {
-		case d.CrossNeighbor(gk.root):
+		case gk.rootCross:
 			return machine.DirectSend, gk.take(u)
 		case gk.root:
 			return machine.DirectRecv, machine.Extent{}

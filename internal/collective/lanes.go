@@ -19,12 +19,11 @@ import (
 
 // laneAllReduceKernel is allReduceKernel over k-wide rows.
 type laneAllReduceKernel[E any] struct {
-	d     *topology.DualCube
+	node  []topology.NodeRole
 	m     monoid.Monoid[E]
 	mdim  int
 	k     int
 	lanes *machine.Lanes[E]
-	in    [][]E // k input vectors, element order
 	out   []E   // node-major k-wide: the own-class grand total parking slot
 	t     []E   // node-major k-wide: running totals
 	res   [][]E // k result vectors (per node, all equal), element order
@@ -36,33 +35,34 @@ type laneAllReduceKernel[E any] struct {
 func NewLaneAllReduceKernel[E any](d *topology.DualCube, m monoid.Monoid[E], lanes *machine.Lanes[E], in, res [][]E) machine.DirectKernel[[]E] {
 	n := d.Nodes()
 	k := len(in)
+	node := d.Tables().Node
 	state := make([]E, 2*n*k)
+	t := state[n*k:]
+	// Each lane's running total starts as the node's own element.
+	for u, nd := range node {
+		for l, x := range in {
+			t[u*k+l] = x[nd.Data]
+		}
+	}
 	return &laneAllReduceKernel[E]{
-		d: d, m: m, mdim: d.ClusterDim(), k: k,
-		lanes: lanes, in: in, res: res,
+		node: node, m: m, mdim: d.ClusterDim(), k: k,
+		lanes: lanes, res: res,
 		out: state[: n*k : n*k],
-		t:   state[n*k:],
+		t:   t,
 	}
 }
 
 func (ak *laneAllReduceKernel[E]) Produce(dc *machine.DirectCtx, step, u int) (machine.DirectRole, []E) {
 	k := ak.k
-	t := ak.t[u*k : (u+1)*k]
-	if step == 0 {
-		idx := ak.d.DataIndex(u)
-		for l := 0; l < k; l++ {
-			t[l] = ak.in[l][idx]
-		}
-	}
 	row := ak.lanes.Row(step, u)[:k]
-	copy(row, t)
+	copy(row, ak.t[u*k:(u+1)*k])
 	return machine.DirectExchange, row
 }
 
 func (ak *laneAllReduceKernel[E]) Absorb(dc *machine.DirectCtx, step, u int, v []E) {
 	m := ak.m
 	k := ak.k
-	local := ak.d.LocalID(u)
+	local := int(ak.node[u].Local)
 	// Re-slice the rows to length k up front so every in-loop index is
 	// bounds-check-free (the escgate budget pins this at zero).
 	t := ak.t[u*k:][:k]
@@ -102,16 +102,18 @@ func (ak *laneAllReduceKernel[E]) Absorb(dc *machine.DirectCtx, step, u int, v [
 
 func (ak *laneAllReduceKernel[E]) Local(dc *machine.DirectCtx, step, u int) {
 	k := ak.k
-	idx := ak.d.DataIndex(u)
+	nd := ak.node[u]
+	idx := nd.Data
 	t := ak.t[u*k : (u+1)*k]
 	out := ak.out[u*k : (u+1)*k]
-	if ak.d.Class(u) == 0 {
+	res := ak.res[:k]
+	if nd.Class == 0 {
 		for l := 0; l < k; l++ {
-			ak.res[l][idx] = ak.m.Combine(out[l], t[l])
+			res[l][idx] = ak.m.Combine(out[l], t[l])
 		}
 	} else {
 		for l := 0; l < k; l++ {
-			ak.res[l][idx] = ak.m.Combine(t[l], out[l])
+			res[l][idx] = ak.m.Combine(t[l], out[l])
 		}
 	}
 	dc.Ops(1)
@@ -120,7 +122,7 @@ func (ak *laneAllReduceKernel[E]) Local(dc *machine.DirectCtx, step, u int) {
 // LaneBroadcastKernel is broadcastKernel over k-wide rows: k values flooded
 // from one shared root. Verify must be called after the run.
 type LaneBroadcastKernel[E any] struct {
-	d           *topology.DualCube
+	node        []topology.NodeRole
 	mdim        int
 	k           int
 	root        topology.NodeID
@@ -138,9 +140,11 @@ type LaneBroadcastKernel[E any] struct {
 func NewLaneBroadcastKernel[E any](d *topology.DualCube, root topology.NodeID, lanes *machine.Lanes[E], values []E) *LaneBroadcastKernel[E] {
 	n := d.Nodes()
 	k := len(values)
+	node := d.Tables().Node
+	r := node[root]
 	bk := &LaneBroadcastKernel[E]{
-		d: d, mdim: d.ClusterDim(), k: k, root: root,
-		rootClass: d.Class(root), rootCluster: d.ClusterID(root), rootLocal: d.LocalID(root),
+		node: node, mdim: d.ClusterDim(), k: k, root: root,
+		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
 		lanes: lanes,
 		val:   make([]E, n*k),
 		have:  make([]bool, n),
@@ -151,13 +155,13 @@ func NewLaneBroadcastKernel[E any](d *topology.DualCube, root topology.NodeID, l
 }
 
 func (bk *LaneBroadcastKernel[E]) role(step, u int) machine.DirectRole {
-	d := bk.d
-	class, local := d.Class(u), d.LocalID(u)
+	nd := bk.node[u]
+	class, cluster, local := int(nd.Class), int(nd.Cluster), int(nd.Local)
 	have := bk.have[u]
 	switch {
 	case step < bk.mdim:
 		// Phase 1: flood root's cluster (see broadcastKernel).
-		if class == bk.rootClass && d.ClusterID(u) == bk.rootCluster {
+		if class == bk.rootClass && cluster == bk.rootCluster {
 			i := step
 			mask := ^((1 << (i + 1)) - 1)
 			if have && local&(1<<i) == bk.rootLocal&(1<<i) {
@@ -168,7 +172,7 @@ func (bk *LaneBroadcastKernel[E]) role(step, u int) machine.DirectRole {
 		}
 	case step == bk.mdim:
 		// Phase 2: root's cluster crosses over.
-		if class == bk.rootClass && d.ClusterID(u) == bk.rootCluster {
+		if class == bk.rootClass && cluster == bk.rootCluster {
 			return machine.DirectSend
 		} else if class != bk.rootClass && local == bk.rootCluster {
 			return machine.DirectRecv

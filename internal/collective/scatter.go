@@ -42,19 +42,30 @@ func Scatter[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]
 		return nil, machine.Stats{}, err
 	}
 	N := d.Nodes()
+	tab := d.Tables()
 	lay := layoutFor(d)
 	pl := extentPlane[T](N)
 	defer putExtentPlane(N, pl)
 	// Element i is destined for node NodeAtDataIndex(i); place it at the
 	// destination's arena slot.
 	for i, v := range in {
-		pl.Vals[lay.posOf[d.NodeAtDataIndex(i)]] = v
+		pl.Vals[lay.posOf[tab.AtData[i]]] = v
 	}
 
+	// Root holds the whole arena: it keeps the opposite class's half and
+	// exports its own class's half in step 0 (the arena's class halves are
+	// exactly those two sets).
+	r := tab.Node[root]
+	half := int32(N / 2)
+	keep, send := machine.Extent{Off: 0, Len: half}, machine.Extent{Off: half, Len: half}
+	if r.Class == 0 {
+		keep, send = send, keep
+	}
+	pl.Off[root], pl.Len[root] = keep.Off, keep.Len
 	sk := &scatterKernel[T]{
-		d: d, sch: sch, mdim: m, root: root,
-		rootClass: d.Class(root), rootCluster: d.ClusterID(root), rootLocal: d.LocalID(root),
-		pl: pl, half: int32(N / 2),
+		node: tab.Node, sch: sch, mdim: m, root: root, rootCross: d.CrossNeighbor(root),
+		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
+		rootSend: send, pl: pl,
 	}
 	st, err := dcomm.Execute(sch, cfg, sk)
 	if err != nil {
@@ -74,28 +85,31 @@ func Scatter[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]
 // gatherKernel's fan-in, narrowing extents over the destination-ordered
 // arena. Every receive simply adopts the incoming extent (the sender
 // halved its run), so Absorb is a plain replacement and the host verifies
-// each node ends with exactly its own slot.
+// each node ends with exactly its own slot. node is the order's node table;
+// rootCross is root's cross neighbor and rootSend the half of the arena root
+// exports in step 0 (the host seeds root's extent with the half it keeps).
 type scatterKernel[T any] struct {
-	d           *topology.DualCube
+	node        []topology.NodeRole
 	sch         *machine.Schedule
 	mdim        int
 	root        topology.NodeID
+	rootCross   topology.NodeID
 	rootClass   int
 	rootCluster int
 	rootLocal   int
+	rootSend    machine.Extent
 	pl          *machine.ExtentPlane[T]
-	half        int32 // arena offset of the class-1 half
 }
 
-// splitRole is one level of the fan-out tree at node u: the schedule ascends
-// the dimensions, and at level i the active subtree is the set of locals
-// matching the seed on bits above i (the holders halve their bundles toward
-// the bit-i partner). Under the bit-reversed arena order the first half of a
-// holder's run carries key bit i == 0, so the holder keeps the half matching
-// its own bit and sends the other — a midpoint split, no value moves.
-func (sk *scatterKernel[T]) splitRole(k, u, seed int) (machine.DirectRole, machine.Extent) {
+// splitRole is one level of the fan-out tree at node u, whose local ID is
+// local: the schedule ascends the dimensions, and at level i the active
+// subtree is the set of locals matching the seed on bits above i (the
+// holders halve their bundles toward the bit-i partner). Under the
+// bit-reversed arena order the first half of a holder's run carries key bit
+// i == 0, so the holder keeps the half matching its own bit and sends the
+// other — a midpoint split, no value moves.
+func (sk *scatterKernel[T]) splitRole(k, u, local, seed int) (machine.DirectRole, machine.Extent) {
 	i := sk.sch.Steps[k].Dim
-	local := sk.d.LocalID(u)
 	maskAbove := ^((1 << (i + 1)) - 1)
 	if local&maskAbove != seed&maskAbove {
 		return machine.DirectIdle, machine.Extent{} // this subtree receives its share in a later round
@@ -114,25 +128,18 @@ func (sk *scatterKernel[T]) splitRole(k, u, seed int) (machine.DirectRole, machi
 }
 
 func (sk *scatterKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, machine.Extent) {
-	d := sk.d
 	pl := sk.pl
-	class, cluster, local := d.Class(u), d.ClusterID(u), d.LocalID(u)
+	nd := sk.node[u]
+	class, cluster, local := int(nd.Class), int(nd.Cluster), int(nd.Local)
 	inRootCluster := class == sk.rootClass && cluster == sk.rootCluster
 	inMirrorCluster := class != sk.rootClass && cluster == sk.rootLocal
 	switch {
 	case k == 0:
-		// Phase 1: root keeps the opposite class, exports its own class. The
-		// arena's class halves are exactly those two sets.
+		// Phase 1: root keeps the opposite class, exports its own class.
 		switch u {
 		case sk.root:
-			keep := machine.Extent{Off: 0, Len: sk.half}
-			send := machine.Extent{Off: sk.half, Len: sk.half}
-			if sk.rootClass == 0 {
-				keep, send = send, keep
-			}
-			pl.Off[u], pl.Len[u] = keep.Off, keep.Len
-			return machine.DirectSend, send
-		case d.CrossNeighbor(sk.root):
+			return machine.DirectSend, sk.rootSend
+		case sk.rootCross:
 			return machine.DirectRecv, machine.Extent{}
 		}
 		return machine.DirectIdle, machine.Extent{}
@@ -141,10 +148,10 @@ func (sk *scatterKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Di
 		// the mirror cluster (seed locals rootLocal and rootCluster; the
 		// responsible member for destination cluster x has local x).
 		if inRootCluster {
-			return sk.splitRole(k, u, sk.rootLocal)
+			return sk.splitRole(k, u, local, sk.rootLocal)
 		}
 		if inMirrorCluster {
-			return sk.splitRole(k, u, sk.rootCluster)
+			return sk.splitRole(k, u, local, sk.rootCluster)
 		}
 		return machine.DirectIdle, machine.Extent{}
 	case k == sk.mdim+1:
@@ -172,7 +179,7 @@ func (sk *scatterKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Di
 		if class != sk.rootClass {
 			seed = sk.rootCluster
 		}
-		return sk.splitRole(k, u, seed)
+		return sk.splitRole(k, u, local, seed)
 	}
 }
 

@@ -68,22 +68,6 @@ func (p *Plan) Spec() *machine.FaultSpec {
 	return p.spec
 }
 
-// Validate checks the plan against a topology: every failed link must be an
-// edge of t. The executors re-check links when arming; Validate exists so
-// commands can reject bad plans before spending a run.
-func (p *Plan) Validate(t topology.Topology) error {
-	if p == nil {
-		return nil
-	}
-	n := t.Nodes()
-	for _, l := range p.Links {
-		if l.U < 0 || l.U >= n || l.V < 0 || l.V >= n || !t.HasEdge(l.U, l.V) {
-			return fmt.Errorf("fault: plan fails link %v, which is not a link of %s", l, t.Name())
-		}
-	}
-	return nil
-}
-
 // RandomLinks picks f distinct links of t uniformly at random, deterministic
 // in seed: the canonical edge list is partially Fisher-Yates shuffled by a
 // seeded PRNG. Callers wanting the paper-grade guarantee keep f below the

@@ -79,24 +79,6 @@ func TestSpecCachedAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestValidate checks plan screening against a topology.
-func TestValidate(t *testing.T) {
-	d := topology.MustDualCube(2)
-	good := &Plan{Links: []Link{{0, d.CrossNeighbor(0)}}}
-	if err := good.Validate(d); err != nil {
-		t.Errorf("valid plan rejected: %v", err)
-	}
-	for _, bad := range []*Plan{
-		{Links: []Link{{0, 3}}},
-		{Links: []Link{{-1, 0}}},
-		{Links: []Link{{0, 99}}},
-	} {
-		if bad.Validate(d) == nil {
-			t.Errorf("plan %+v passed validation", bad)
-		}
-	}
-}
-
 // TestViewBasics checks the fault predicate and the canonical down-link
 // enumeration.
 func TestViewBasics(t *testing.T) {

@@ -34,10 +34,6 @@ func DPrefixDegraded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	if err := plan.Validate(d); err != nil {
-		return nil, machine.Stats{}, err
-	}
-
 	base, err := dcomm.Compiled(d, dcomm.OpPrefix)
 	if err != nil {
 		return nil, machine.Stats{}, err

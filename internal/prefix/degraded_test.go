@@ -1,6 +1,7 @@
 package prefix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -143,6 +144,26 @@ func TestDPrefixDegradedRejects(t *testing.T) {
 	} {
 		if _, _, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan); err == nil {
 			t.Errorf("%s: accepted, want error", name)
+		}
+	}
+}
+
+// TestDPrefixDegradedRejectsNonLink checks that a plan naming a non-link
+// fails the run with the executors' one fault-spec error, on the direct
+// executor and on the worker pool alike: the fault view matches the non-link
+// to no schedule pair, so the rewrite leaves it alone and arming the plan
+// rejects it.
+func TestDPrefixDegradedRejectsNonLink(t *testing.T) {
+	const n = 3
+	in := randInts(rand.New(rand.NewSource(3)), 1<<(2*n-1))
+	for _, l := range []fault.Link{{U: 99, V: 0}, {U: -1, V: 0}, {U: 0, V: 3}} {
+		want := fmt.Sprintf("machine: fault plan fails link %d-%d, which is not a link", l.U, l.V)
+		for _, sched := range []machine.Sched{machine.SchedDefault, machine.SchedWorkerPool} {
+			plan := &fault.Plan{Links: []fault.Link{l}}
+			_, _, err := DPrefixDegraded(machine.Config{Sched: sched}, n, in, monoid.Sum[int](), true, plan)
+			if err == nil || err.Error() != want {
+				t.Errorf("link %v on %v: err = %v, want %q", l, sched, err, want)
+			}
 		}
 	}
 }

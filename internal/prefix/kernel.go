@@ -24,9 +24,11 @@ import (
 // variable s lives directly in out[idx] (written progressively, final on
 // completion); t carries the block total and, after the first cross hop,
 // the received totals t'; s2 is the diminished prefix of those totals s'.
-// snap is the Figure 3 phase-snapshot hook of DPrefix's tracing mode.
+// snap is the Figure 3 phase-snapshot hook of DPrefix's tracing mode. node
+// is the order's node table (topology.Tables): the kernel body reads every
+// node's data index, local ID and class from it.
 type prefixKernel[T any] struct {
-	d         topology.Comm
+	node      []topology.NodeRole
 	m         monoid.Monoid[T]
 	mdim      int
 	inclusive bool
@@ -44,7 +46,7 @@ func newPrefixKernel[T any](d topology.Comm, m monoid.Monoid[T], inclusive bool,
 	n := d.Nodes()
 	state := make([]T, 2*n)
 	return &prefixKernel[T]{
-		d: d, m: m, mdim: d.ClusterDim(), inclusive: inclusive,
+		node: d.Tables().Node, m: m, mdim: d.ClusterDim(), inclusive: inclusive,
 		in: in, out: out,
 		t:    state[:n:n],
 		s2:   state[n:],
@@ -53,7 +55,7 @@ func newPrefixKernel[T any](d topology.Comm, m monoid.Monoid[T], inclusive bool,
 }
 
 func (pk *prefixKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, T) {
-	idx := pk.d.DataIndex(u)
+	idx := int(pk.node[u].Data)
 	if k == 0 {
 		v := pk.in[idx]
 		pk.t[u] = v
@@ -78,8 +80,8 @@ func (pk *prefixKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dir
 
 func (pk *prefixKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 	m := pk.m
-	idx := pk.d.DataIndex(u)
-	local := pk.d.LocalID(u)
+	nd := pk.node[u]
+	idx, local := int(nd.Data), int(nd.Local)
 	switch {
 	case k < pk.mdim:
 		// Step 1 ascend: fold the received half into t and, in the upper
@@ -115,8 +117,9 @@ func (pk *prefixKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 }
 
 func (pk *prefixKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
-	idx := pk.d.DataIndex(u)
-	if pk.d.Class(u) == 1 {
+	nd := pk.node[u]
+	idx := int(nd.Data)
+	if nd.Class == 1 {
 		// Step 5: class-1 blocks come after all class-0 blocks, so prepend
 		// the class-0 grand total (this node's t').
 		pk.out[idx] = pk.m.Combine(pk.t[u], pk.out[idx])
@@ -130,7 +133,7 @@ func (pk *prefixKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
 // first Produce, offset-folded in Local), the schedule walk is the same
 // diminished Algorithm 2 over the chunk totals with s kept per node.
 type largeKernel[T any] struct {
-	d         topology.Comm
+	node      []topology.NodeRole
 	m         monoid.Monoid[T]
 	mdim      int
 	chunk     int
@@ -145,7 +148,7 @@ type largeKernel[T any] struct {
 func newLargeKernel[T any](d topology.Comm, m monoid.Monoid[T], chunk int, inclusive bool, in, out []T) *largeKernel[T] {
 	n := d.Nodes()
 	return &largeKernel[T]{
-		d: d, m: m, mdim: d.ClusterDim(), chunk: chunk, inclusive: inclusive,
+		node: d.Tables().Node, m: m, mdim: d.ClusterDim(), chunk: chunk, inclusive: inclusive,
 		in: in, out: out,
 		t: make([]T, n), s: make([]T, n), s2: make([]T, n),
 	}
@@ -153,7 +156,7 @@ func newLargeKernel[T any](d topology.Comm, m monoid.Monoid[T], chunk int, inclu
 
 func (lk *largeKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, T) {
 	if k == 0 {
-		idx := lk.d.DataIndex(u)
+		idx := int(lk.node[u].Data)
 		cin := lk.in[idx*lk.chunk : (idx+1)*lk.chunk]
 		scan := lk.out[idx*lk.chunk:][:len(cin)]
 		acc := lk.m.Identity()
@@ -178,7 +181,7 @@ func (lk *largeKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dire
 
 func (lk *largeKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 	m := lk.m
-	local := lk.d.LocalID(u)
+	local := int(lk.node[u].Local)
 	switch {
 	case k < lk.mdim:
 		if local&(1<<k) != 0 {
@@ -206,13 +209,14 @@ func (lk *largeKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 }
 
 func (lk *largeKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
-	if lk.d.Class(u) == 1 {
+	nd := lk.node[u]
+	if nd.Class == 1 {
 		lk.s[u] = lk.m.Combine(lk.t[u], lk.s[u])
 		dc.Ops(1)
 	}
 	// Fold the global offset into the local scan. The offset load is
 	// hoisted so the loop body carries no bounds check.
-	idx := lk.d.DataIndex(u)
+	idx := int(nd.Data)
 	off := lk.s[u]
 	res := lk.out[idx*lk.chunk : (idx+1)*lk.chunk]
 	for i := range res {

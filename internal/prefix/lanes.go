@@ -25,7 +25,7 @@ import (
 // Local — keeping the Absorb inner loops on flat k-wide rows the compiler
 // can bounds-check-eliminate (the escgate budget pins them at zero).
 type lanePrefixKernel[E any] struct {
-	d         *topology.DualCube
+	node      []topology.NodeRole
 	m         monoid.Monoid[E]
 	mdim      int
 	k         int
@@ -46,7 +46,7 @@ func NewLaneKernel[E any](d *topology.DualCube, m monoid.Monoid[E], inclusive bo
 	k := len(in)
 	state := make([]E, 3*n*k)
 	return &lanePrefixKernel[E]{
-		d: d, m: m, mdim: d.ClusterDim(), k: k, inclusive: inclusive,
+		node: d.Tables().Node, m: m, mdim: d.ClusterDim(), k: k, inclusive: inclusive,
 		lanes: lanes, in: in, out: out,
 		s:  state[: n*k : n*k],
 		t:  state[n*k : 2*n*k : 2*n*k],
@@ -56,10 +56,10 @@ func NewLaneKernel[E any](d *topology.DualCube, m monoid.Monoid[E], inclusive bo
 
 func (pk *lanePrefixKernel[E]) Produce(dc *machine.DirectCtx, step, u int) (machine.DirectRole, []E) {
 	k := pk.k
-	idx := pk.d.DataIndex(u)
-	t := pk.t[u*k:][:k]
+	t := pk.t[u*k : (u+1)*k]
 	if step == 0 {
-		s := pk.s[u*k:][:k]
+		idx := int(pk.node[u].Data)
+		s := pk.s[u*k : (u+1)*k]
 		for l := 0; l < k; l++ {
 			v := pk.in[l][idx]
 			t[l] = v
@@ -82,7 +82,7 @@ func (pk *lanePrefixKernel[E]) Produce(dc *machine.DirectCtx, step, u int) (mach
 func (pk *lanePrefixKernel[E]) Absorb(dc *machine.DirectCtx, step, u int, v []E) {
 	m := pk.m
 	k := pk.k
-	local := pk.d.LocalID(u)
+	local := int(pk.node[u].Local)
 	t := pk.t[u*k:][:k]
 	v = v[:k]
 	switch {
@@ -134,12 +134,13 @@ func (pk *lanePrefixKernel[E]) Absorb(dc *machine.DirectCtx, step, u int, v []E)
 
 func (pk *lanePrefixKernel[E]) Local(dc *machine.DirectCtx, step, u int) {
 	k := pk.k
-	idx := pk.d.DataIndex(u)
-	s := pk.s[u*k:][:k]
-	if pk.d.Class(u) == 1 {
+	nd := pk.node[u]
+	idx := int(nd.Data)
+	s := pk.s[u*k : (u+1)*k]
+	if nd.Class == 1 {
 		// Step 5: class-1 blocks come after all class-0 blocks, so prepend
 		// the class-0 grand total (this node's t').
-		t := pk.t[u*k:][:k]
+		t := pk.t[u*k : (u+1)*k]
 		for l := 0; l < k; l++ {
 			s[l] = pk.m.Combine(t[l], s[l])
 		}

@@ -55,6 +55,10 @@ type Comm interface {
 	DataIndex(u NodeID) int
 	// NodeAtDataIndex returns the node holding element idx.
 	NodeAtDataIndex(idx int) NodeID
+	// Tables returns the order's node table set: the methods above,
+	// precomputed per node, for kernels to index in their hot loops. All
+	// three families return the same set at a given order.
+	Tables() *Tables
 	// Connectivity returns the family's known connectivity figures at this
 	// order — the numbers behind the max-tolerable-fault claims.
 	Connectivity() Connectivity

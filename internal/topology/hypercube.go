@@ -172,6 +172,9 @@ func (h *Hypercube) DataIndex(u NodeID) int { return h.dual().DataIndex(u) }
 // NodeAtDataIndex returns the node holding element idx.
 func (h *Hypercube) NodeAtDataIndex(idx int) NodeID { return h.dual().NodeAtDataIndex(idx) }
 
+// Tables returns the embedded dual-cube's node table set (odd q).
+func (h *Hypercube) Tables() *Tables { return h.dual().Tables() }
+
 // RecDims returns the number of recursive dimensions, 2n-1 = q.
 func (h *Hypercube) RecDims() int { return h.dual().RecDims() }
 

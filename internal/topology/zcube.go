@@ -189,6 +189,9 @@ func (z *ZCube) DataIndex(u NodeID) int { return z.sk.DataIndex(u) }
 // NodeAtDataIndex returns the node holding element idx.
 func (z *ZCube) NodeAtDataIndex(idx int) NodeID { return z.sk.NodeAtDataIndex(idx) }
 
+// Tables returns the skeleton's node table set.
+func (z *ZCube) Tables() *Tables { return z.sk.Tables() }
+
 // RecDims returns the number of recursive dimensions, 2n-1.
 func (z *ZCube) RecDims() int { return z.sk.RecDims() }
 

@@ -147,17 +147,19 @@ func (rt *Runtime) recursive(op string) (topology.Recursive, error) {
 }
 
 // Warm pre-compiles the cluster-technique schedules of every collective
-// operation for this order. Engines are typed by element, so they warm on
-// the first run of each (operation, element type) pair; Warm only removes
-// the schedule-compilation cost from that first run. The returned error is
-// nil for every operation in the Op enum; it exists so compilation failures
-// surface to callers instead of panicking.
+// operation for this order and builds the order's node tables. Engines are
+// typed by element, so they warm on the first run of each (operation,
+// element type) pair; Warm only removes the schedule-compilation and
+// table-building cost from that first run. The returned error is nil for
+// every operation in the Op enum; it exists so compilation failures surface
+// to callers instead of panicking.
 func (rt *Runtime) Warm() error {
 	for op := dcomm.OpPrefix; op < dcomm.OpEnd; op++ {
 		if _, err := dcomm.Compiled(rt.c, op); err != nil {
 			return err
 		}
 	}
+	rt.c.Tables()
 	if rt.d != nil {
 		// Pre-build the arena layout table the payload-plane collectives
 		// index by; like the schedules it is cached per order and shared.
