@@ -249,68 +249,6 @@ func BenchmarkE22SortSchedulers(b *testing.B) {
 	}
 }
 
-// BenchmarkStepKinds isolates the simulator's per-cycle cost for the two
-// kinds of dimension step D_sort uses: the 1-cycle cross-edge exchange and
-// the 3-cycle routed exchange (the ablation behind Theorem 2's constant).
-func BenchmarkStepKinds(b *testing.B) {
-	d := topology.MustDualCube(4)
-	b.Run("cross-exchange-1cycle", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := machine.MustNew[int](d, machine.Config{})
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(func(c *machine.Ctx[int]) {
-				c.Exchange(d.CrossNeighbor(c.ID()), c.ID())
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("routed-exchange-3cycles", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := machine.MustNew[int](d, machine.Config{})
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(func(c *machine.Ctx[int]) {
-				// dimension 1 is routed for half the nodes.
-				r := d.ToRecursive(c.ID())
-				if d.RecDirect(r, 1) {
-					jp := d.FromRecursive(r ^ 2)
-					cr := d.CrossNeighbor(c.ID())
-					_, f := c.SendRecv2(jp, c.ID(), jp, cr)
-					rel := c.SendRecv(jp, f, jp)
-					c.Send(cr, rel)
-				} else {
-					cr := d.CrossNeighbor(c.ID())
-					c.Send(cr, c.ID())
-					c.Idle()
-					c.Recv(cr)
-				}
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkMachineBarrier measures the raw lockstep cost: 100 idle cycles.
-func BenchmarkMachineBarrier(b *testing.B) {
-	for _, n := range []int{2, 3, 4, 5} {
-		d := topology.MustDualCube(n)
-		eng := machine.MustNew[int](d, machine.Config{})
-		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, d.Nodes()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(func(c *machine.Ctx[int]) {
-					for k := 0; k < 100; k++ {
-						c.Exchange(d.CrossNeighbor(c.ID()), k)
-					}
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPermute: oblivious permutation routing (one sort's cost).
 func BenchmarkPermute(b *testing.B) {
 	for _, n := range []int{2, 3, 4} {

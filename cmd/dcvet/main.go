@@ -1,8 +1,9 @@
 // Command dcvet is the repository's static checker: the repo-specific
-// analyzers registered in internal/analysis (nodebody, statsadd, abortpanic,
+// analyzers registered in internal/analysis (statsadd, abortpanic,
 // kernelpure, laneparity, schedtopo) plus the schedule-IR verifier
 // (internal/schedcheck), which proves every schedule dcomm.Compiled can
-// produce for D_2..D_7 well-formed without running the simulator, and the
+// produce for D_2..D_7, and the normal-algorithm sweeps, well-formed
+// without running the simulator, and the
 // compiler-diagnostics escape/BCE gate (internal/analysis/escgate).
 //
 // Three modes:

@@ -8,9 +8,9 @@
 //
 //   - the topology itself (addressing, clusters, cross-edges, distance,
 //     routing, and the recursive presentation) via New;
-//   - a shared Runtime layer (NewRuntime) binding the cached topology,
-//     the compiled cluster-technique schedules, and the engine recycling
-//     pool, so repeated operations run with zero per-call construction;
+//   - a shared Runtime layer (NewRuntime) binding the cached topology, its
+//     node tables and the compiled schedules, so repeated operations run
+//     with no per-call topology or schedule construction;
 //   - parallel prefix computation (Algorithm 2 of the paper): 2n
 //     communication steps on a simulated synchronous multicomputer —
 //     Prefix, PrefixFunc, PrefixLarge;
@@ -24,7 +24,9 @@
 //     number-theoretic transform with exact polynomial multiplication, and
 //     a verified Hamiltonian-cycle (ring) embedding.
 //
-// Every operation executes on the message-passing simulator and returns a
+// Every operation is a compiled communication schedule plus a kernel, run
+// on a direct kernel executor that reports exactly what the synchronous
+// message-passing simulator, its reference oracle, measures: each returns a
 // Stats value with the communication and computation costs in the paper's
 // measures, so the theorems can be checked empirically (see EXPERIMENTS.md).
 //

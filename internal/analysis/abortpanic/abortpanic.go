@@ -1,12 +1,12 @@
 // Package abortpanic enforces the error discipline around panics. The
 // simulator has exactly one sanctioned panic path: internal/machine's
-// abortPanic protocol, where Ctx.failf records the failure on the engine and
-// panics an abortPanic value that the scheduler recovers into Run's returned
-// error. Any other panic in library code either crashes the process from a
-// node coroutine (bypassing the engine's recovery and watchdog) or turns a
-// validatable input problem into an unrecoverable crash for the caller —
-// conditions that must instead surface as returned errors in the repository's
-// unified validation wording.
+// abortPanic protocol, where the engine's per-node failf records the failure
+// and panics an abortPanic value that the scheduler recovers into Run's
+// returned error. Any other panic in library code either crashes the
+// process from a node coroutine (bypassing the engine's recovery and
+// watchdog) or turns a validatable input problem into an unrecoverable
+// crash for the caller — conditions that must instead surface as returned
+// errors in the repository's unified validation wording.
 //
 // Two escapes remain legal without annotation:
 //
@@ -71,7 +71,7 @@ func checkFunc(pass *driver.Pass, fd *ast.FuncDecl) {
 		if driver.IsNamed(pass.TypesInfo.TypeOf(call.Args[0]), "internal/machine", "abortPanic") {
 			return true // the sanctioned protocol
 		}
-		pass.Reportf(call.Pos(), "raw panic outside the abortPanic protocol; return an error (or route through Ctx.failf inside node programs)")
+		pass.Reportf(call.Pos(), "raw panic outside the abortPanic protocol; return an error")
 		return true
 	})
 }

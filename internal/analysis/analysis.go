@@ -9,7 +9,6 @@ import (
 	"dualcube/internal/analysis/driver"
 	"dualcube/internal/analysis/kernelpure"
 	"dualcube/internal/analysis/laneparity"
-	"dualcube/internal/analysis/nodebody"
 	"dualcube/internal/analysis/schedtopo"
 	"dualcube/internal/analysis/statsadd"
 )
@@ -20,7 +19,6 @@ func All() []*driver.Analyzer {
 		abortpanic.Analyzer,
 		kernelpure.Analyzer,
 		laneparity.Analyzer,
-		nodebody.Analyzer,
 		schedtopo.Analyzer,
 		statsadd.Analyzer,
 	}

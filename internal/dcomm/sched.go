@@ -16,8 +16,9 @@ import (
 // compiles its 3-cycle recursive-dimension rounds to oriented StepRecDim
 // steps (OpDSort), the one ladder both sort kernels — compare-exchange for
 // one key per node, merge-split for SortLarge's chunks — run over. The
-// node programs still outside the IR (emulate's ascend/descend framework
-// and the link-fault relay DimExchangeFT) call machine.RecDimExchange.
+// normal-algorithm sweeps of internal/emulate are not Ops: CompiledSweep
+// and CompiledCubeSweep build them on demand, so Runtime.Warm, which
+// compiles every Op, does not pay for schedules no Runtime method runs.
 type Op uint8
 
 const (
@@ -82,14 +83,16 @@ func (op Op) String() string {
 }
 
 // schedKey identifies one compiled schedule: a topology family at a
-// dual-cube order, and an operation — or, for the bitonic baseline, the
-// network's name at order -1. Keying by (family, order) instead of a
-// concrete topology pointer lets every Comm implementation share the cache
-// machinery, and the small struct key makes the lookup allocation-free.
+// dual-cube order, and an operation or the normal sweep — or, for the
+// hypercube baselines, the network's name at order -1. Keying by (family,
+// order) instead of a concrete topology pointer lets every Comm
+// implementation share the cache machinery, and the small struct key makes
+// the lookup allocation-free.
 type schedKey struct {
 	family string
 	order  int
 	op     Op
+	sweep  bool // the normal-algorithm sweep rather than op
 }
 
 // schedCache holds the compiled fault-free schedule per (topology, op).
@@ -258,8 +261,41 @@ func buildSchedule(c topology.Comm, op Op) (*machine.Schedule, error) {
 // returns an error for networks such as the dual-cube or Z-cube whose edge
 // set does not contain all bit flips.
 func CompiledCubeSort(t topology.Topology) (*machine.Schedule, error) {
-	name := t.Name()
-	key := schedKey{family: name, order: -1}
+	return compiledCube(t, "cubesort", false, func(q int) []machine.Step {
+		var steps []machine.Step
+		for k := 1; k <= q; k++ {
+			orient := machine.OrientBit(k)
+			if k == q {
+				orient = machine.OrientByOrder
+			}
+			for j := k - 1; j >= 0; j-- {
+				steps = append(steps, machine.Step{Kind: machine.StepBitDim, Dim: j, Pattern: j, Orient: orient})
+			}
+		}
+		return steps
+	})
+}
+
+// CompiledCubeSweep returns the cached normal-algorithm sweep on t, the
+// hypercube baseline of CompiledSweep: one unoriented StepBitDim per
+// dimension 0..q-1 in ascending order, one cycle each, so step k pairs
+// every node u with u^2^k. It accepts and refuses the networks
+// CompiledCubeSort does.
+func CompiledCubeSweep(t topology.Topology) (*machine.Schedule, error) {
+	return compiledCube(t, "cubesweep", true, func(q int) []machine.Step {
+		steps := make([]machine.Step, q)
+		for j := range steps {
+			steps[j] = machine.Step{Kind: machine.StepBitDim, Dim: j, Pattern: j}
+		}
+		return steps
+	})
+}
+
+// compiledCube returns the cached bit-dimension schedule name/t, laying out
+// its steps for q = log2(t.Nodes()) on first use once every bit-dimension
+// matching of t is verified to be links.
+func compiledCube(t topology.Topology, name string, sweep bool, steps func(q int) []machine.Step) (*machine.Schedule, error) {
+	key := schedKey{family: t.Name(), order: -1, sweep: sweep}
 	if sch := cached(key); sch != nil {
 		return sch, nil
 	}
@@ -269,27 +305,41 @@ func CompiledCubeSort(t topology.Topology) (*machine.Schedule, error) {
 		q++
 	}
 	if 1<<q != N {
-		return nil, fmt.Errorf("dcomm: cubesort needs a power-of-two node count, %s has %d", name, N)
+		return nil, fmt.Errorf("dcomm: %s needs a power-of-two node count, %s has %d", name, t.Name(), N)
 	}
 	for j := 0; j < q; j++ {
 		for u := 0; u < N; u++ {
 			if w := u ^ 1<<j; u < w && !t.HasEdge(u, w) {
-				return nil, fmt.Errorf("dcomm: cubesort needs every bit-dimension matching to be links, but %d-%d (dimension %d) is not a link of %s", u, w, j, name)
+				return nil, fmt.Errorf("dcomm: %s needs every bit-dimension matching to be links, but %d-%d (dimension %d) is not a link of %s", name, u, w, j, t.Name())
 			}
 		}
 	}
-	sch := &machine.Schedule{Name: fmt.Sprintf("cubesort/%s", name), Topo: t}
-	for k := 1; k <= q; k++ {
-		orient := machine.OrientBit(k)
-		if k == q {
-			orient = machine.OrientByOrder
-		}
-		for j := k - 1; j >= 0; j-- {
-			sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepBitDim, Dim: j, Pattern: j, Orient: orient})
-		}
-	}
+	sch := &machine.Schedule{Name: name + "/" + t.Name(), Topo: t, Steps: steps(q)}
 	sch.Finalize()
 	return publish(key, sch), nil
+}
+
+// CompiledSweep returns the cached normal-algorithm sweep on r, the
+// schedule of Section 7's claim that any normal ascend algorithm for
+// Q_{2n-1} runs on D_n: a cross hop on recursive dimension 0, then one
+// unoriented StepRecDim per recursive dimension 1..2n-2, so step k pairs
+// every node with its recursive-dimension-k partner. That is 2n-1 steps in
+// 6n-5 communication cycles, against the hypercube's 2n-1
+// (CompiledCubeSweep). RewriteFT refuses it, as it refuses every
+// recursive-technique schedule.
+func CompiledSweep(r topology.Recursive) *machine.Schedule {
+	key := schedKey{family: r.Family(), order: r.Order(), sweep: true}
+	if sch := cached(key); sch != nil {
+		return sch
+	}
+	m := r.ClusterDim()
+	sch := &machine.Schedule{Name: "sweep/" + r.Name(), D: r}
+	sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepCrossHop, Dim: 0, Pattern: m})
+	for j := 1; j < r.RecDims(); j++ {
+		sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepRecDim, Dim: j, Pattern: m + j})
+	}
+	sch.Finalize()
+	return publish(key, sch)
 }
 
 // RewriteFT derives the degraded-mode variant of a compiled schedule under a
@@ -369,6 +419,14 @@ func anyBroken(broken []bool) bool {
 		}
 	}
 	return false
+}
+
+// Detour is one broken pair's repair assignment: the pair and the alive relay
+// path joining its endpoints (Path[0] = Pair.U, Path[len-1] = Pair.V).
+type Detour struct {
+	Pair fault.Link
+	Path []int
+	back []int // Path reversed, precomputed for machine.Detour.Back
 }
 
 // planMatching computes the broken-pair mask and the canonical detour list

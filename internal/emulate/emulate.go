@@ -1,20 +1,24 @@
 // Package emulate is the paper's recursive technique as a reusable
-// framework: it runs arbitrary "normal" hypercube algorithms — ascend
-// (dimensions low to high) and descend (high to low) algorithms in
-// Leighton's sense — on the dual-cube through the recursive presentation of
-// Section 4. Every dimension step is a full pairwise exchange, direct for
-// matching-parity nodes and routed in 3 cycles otherwise, so any normal
-// algorithm for Q_{2n-1} runs on D_n with worst-case communication overhead
-// 3 (Section 7's concluding remark).
+// framework: it runs arbitrary "normal" ascend algorithms in Leighton's
+// sense (dimensions low to high) on the dual-cube through the recursive
+// presentation of Section 4. Every dimension step is a full pairwise
+// exchange, direct for matching-parity nodes and routed in 3 cycles
+// otherwise, so any normal algorithm for Q_{2n-1} runs on D_n with
+// worst-case communication overhead 3 (Section 7's concluding remark).
 //
-// The paper's own D_sort is one instance of this pattern; the package also
+// An algorithm is a StepFunc run by one kernel over a compiled sweep —
+// dcomm.CompiledSweep on D_n, dcomm.CompiledCubeSweep on the hypercube
+// baseline — through dcomm.Execute, like every other operation. The
+// paper's own D_sort is one instance of this pattern; the package also
 // powers the hypercube-prefix ablation and the distributed NTT in
 // internal/ntt.
 package emulate
 
 import (
 	"fmt"
+	"slices"
 
+	"dualcube/internal/dcomm"
 	"dualcube/internal/machine"
 	"dualcube/internal/topology"
 )
@@ -25,57 +29,58 @@ import (
 // once per node per dimension, concurrently across nodes.
 type StepFunc[T any] func(dim, id int, mine, theirs T) T
 
-// dims enumerates q dimensions in ascend or descend order.
-func dims(q int, descend bool) []int {
-	out := make([]int, q)
-	for i := range out {
-		if descend {
-			out[i] = q - 1 - i
-		} else {
-			out[i] = i
-		}
-	}
-	return out
+// sweepKernel runs a normal algorithm over a sweep schedule, whose step k
+// pairs every node along dimension k: each node exchanges its value and
+// applies the StepFunc to the partner's, one computation round per step.
+// vals is indexed by address, and addr maps a node to its address (nil
+// means the node ID itself).
+type sweepKernel[T any] struct {
+	addr []int32
+	vals []T
+	step StepFunc[T]
 }
 
-// run executes a normal algorithm on D_n. init and the result are indexed
-// by recursive ID.
-func run[T any](cfg machine.Config, n int, init []T, step StepFunc[T], descend bool) ([]T, machine.Stats, error) {
+func (k *sweepKernel[T]) id(u int) int {
+	if k.addr == nil {
+		return u
+	}
+	return int(k.addr[u])
+}
+
+func (k *sweepKernel[T]) Produce(dc *machine.DirectCtx, s, u int) (machine.DirectRole, T) {
+	return machine.DirectExchange, k.vals[k.id(u)]
+}
+
+func (k *sweepKernel[T]) Absorb(dc *machine.DirectCtx, s, u int, v T) {
+	r := k.id(u)
+	k.vals[r] = k.step(s, r, k.vals[r], v)
+	dc.Ops(1)
+}
+
+func (k *sweepKernel[T]) Local(dc *machine.DirectCtx, s, u int) {}
+
+// run executes step over sch from init, indexed by address like the result.
+func run[T any](cfg machine.Config, sch *machine.Schedule, addr []int32, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
+	k := &sweepKernel[T]{addr: addr, vals: slices.Clone(init), step: step}
+	st, err := dcomm.Execute(sch, cfg, k)
+	if err != nil {
+		return nil, st, err
+	}
+	return k.vals, st, nil
+}
+
+// Ascend runs a normal ascend algorithm (dimensions 0 .. 2n-2) on D_n. init
+// and the result are indexed by recursive ID.
+func Ascend[T any](cfg machine.Config, n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
 	d, err := topology.Validated(n, len(init))
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	order := dims(d.RecDims(), descend)
-	out := make([]T, len(init))
-	eng, err := machine.New[T](d, cfg)
-	if err != nil {
-		return nil, machine.Stats{}, err
+	addr := make([]int32, d.Nodes())
+	for u := range addr {
+		addr[u] = int32(d.ToRecursive(u))
 	}
-	defer eng.Release()
-	st, err := eng.Run(func(c *machine.Ctx[T]) {
-		r := d.ToRecursive(c.ID())
-		v := init[r]
-		for _, j := range order {
-			theirs := machine.RecDimExchange(c, d, j, v)
-			v = step(j, r, v, theirs)
-			c.Ops(1)
-		}
-		out[r] = v
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
-}
-
-// Ascend runs a normal ascend algorithm (dimensions 0 .. 2n-2) on D_n.
-func Ascend[T any](cfg machine.Config, n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return run(cfg, n, init, step, false)
-}
-
-// Descend runs a normal descend algorithm (dimensions 2n-2 .. 0) on D_n.
-func Descend[T any](cfg machine.Config, n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return run(cfg, n, init, step, true)
+	return run(cfg, dcomm.CompiledSweep(d), addr, init, step)
 }
 
 // CommSteps returns the communication cycles of one full normal sweep on
@@ -83,9 +88,9 @@ func Descend[T any](cfg machine.Config, n int, init []T, step StepFunc[T]) ([]T,
 // dimensions, i.e. 6n-5.
 func CommSteps(n int) int { return 6*n - 5 }
 
-// cubeRun executes a normal algorithm on the hypercube Q_q (the baseline:
-// one cycle per dimension).
-func cubeRun[T any](cfg machine.Config, q int, init []T, step StepFunc[T], descend bool) ([]T, machine.Stats, error) {
+// CubeAscend runs a normal ascend algorithm on the hypercube Q_q (the
+// baseline: one cycle per dimension).
+func CubeAscend[T any](cfg machine.Config, q int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
 	h, err := topology.NewHypercube(q)
 	if err != nil {
 		return nil, machine.Stats{}, err
@@ -93,35 +98,9 @@ func cubeRun[T any](cfg machine.Config, q int, init []T, step StepFunc[T], desce
 	if len(init) != h.Nodes() {
 		return nil, machine.Stats{}, fmt.Errorf("emulate: %d values for %d nodes of %s", len(init), h.Nodes(), h.Name())
 	}
-	order := dims(q, descend)
-	out := make([]T, len(init))
-	eng, err := machine.New[T](h, cfg)
+	sch, err := dcomm.CompiledCubeSweep(h)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	defer eng.Release()
-	st, err := eng.Run(func(c *machine.Ctx[T]) {
-		u := c.ID()
-		v := init[u]
-		for _, j := range order {
-			theirs := c.Exchange(u^1<<j, v)
-			v = step(j, u, v, theirs)
-			c.Ops(1)
-		}
-		out[u] = v
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
-}
-
-// CubeAscend runs a normal ascend algorithm on Q_q.
-func CubeAscend[T any](cfg machine.Config, q int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return cubeRun(cfg, q, init, step, false)
-}
-
-// CubeDescend runs a normal descend algorithm on Q_q.
-func CubeDescend[T any](cfg machine.Config, q int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	return cubeRun(cfg, q, init, step, true)
+	return run(cfg, sch, nil, init, step)
 }

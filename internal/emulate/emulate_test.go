@@ -40,29 +40,6 @@ func TestAscendAllReduce(t *testing.T) {
 	}
 }
 
-func TestDescendAllReduce(t *testing.T) {
-	n := 3
-	N := 1 << (2*n - 1)
-	in := make([]int, N)
-	total := 0
-	for i := range in {
-		in[i] = i
-		total += i
-	}
-	out, st, err := Descend(machine.Config{}, n, in, sumStep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out {
-		if v != total {
-			t.Fatalf("descend allreduce wrong: %d != %d", v, total)
-		}
-	}
-	if st.Cycles != CommSteps(n) {
-		t.Errorf("comm %d", st.Cycles)
-	}
-}
-
 // prefixStep implements Algorithm 1's ascend prefix via the framework,
 // carrying (total, prefix) pairs.
 type ts struct{ t, s int }
@@ -113,6 +90,42 @@ func TestAscendPrefix(t *testing.T) {
 	}
 }
 
+// TestAscendSharded runs the prefix sweep on D_7 and on Q_13 (8192 nodes),
+// past the direct executor's sharding threshold, over three workers.
+func TestAscendSharded(t *testing.T) {
+	const n, q = 7, 13
+	rng := rand.New(rand.NewSource(7))
+	in := make([]int, 1<<q)
+	init := make([]ts, len(in))
+	for i := range in {
+		in[i] = rng.Intn(100)
+		init[i] = ts{t: in[i], s: in[i]}
+	}
+	want := seq.ScanInclusive(in, monoid.Sum[int]())
+	cfg := machine.Config{Workers: 3}
+	for _, tc := range []struct {
+		name   string
+		cycles int
+		run    func() ([]ts, machine.Stats, error)
+	}{
+		{"D_7", CommSteps(n), func() ([]ts, machine.Stats, error) { return Ascend(cfg, n, init, prefixStep) }},
+		{"Q_13", q, func() ([]ts, machine.Stats, error) { return CubeAscend(cfg, q, init, prefixStep) }},
+	} {
+		out, st, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range want {
+			if out[i].s != want[i] {
+				t.Fatalf("%s: prefix wrong at %d", tc.name, i)
+			}
+		}
+		if st.Cycles != tc.cycles || st.MaxOps != q {
+			t.Errorf("%s: %d cycles and %d rounds, want %d and %d", tc.name, st.Cycles, st.MaxOps, tc.cycles, q)
+		}
+	}
+}
+
 func TestEmulationOverheadRatio(t *testing.T) {
 	// The Section 7 claim: emulated comm / hypercube comm -> 3.
 	for n := 2; n <= 8; n++ {
@@ -137,7 +150,7 @@ func TestBadInputs(t *testing.T) {
 	if _, _, err := CubeAscend(machine.Config{}, -1, nil, sumStep); err == nil {
 		t.Error("negative q should fail")
 	}
-	if _, _, err := CubeDescend(machine.Config{}, 2, make([]int, 3), sumStep); err == nil {
+	if _, _, err := CubeAscend(machine.Config{}, 2, make([]int, 3), sumStep); err == nil {
 		t.Error("cube length mismatch should fail")
 	}
 }

@@ -151,18 +151,34 @@ func TestViewPath(t *testing.T) {
 	}
 }
 
-// TestPlanEngineRoundTrip runs a plan through a real engine and checks the
-// static fault figures surface in Stats exactly as the plan describes.
+// idleKernel idles every node through every step of a schedule.
+type idleKernel struct{}
+
+func (idleKernel) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, int) {
+	return machine.DirectIdle, 0
+}
+func (idleKernel) Absorb(dc *machine.DirectCtx, k, u, v int) {}
+func (idleKernel) Local(dc *machine.DirectCtx, k, u int)     {}
+
+// TestPlanEngineRoundTrip runs a plan through a real engine, and through
+// the direct executor, and checks the static fault figures surface in Stats
+// exactly as the plan describes.
 func TestPlanEngineRoundTrip(t *testing.T) {
 	d := topology.MustDualCube(3)
 	plan := Random(d, 2, 5)
-	eng := machine.MustNew[int](d, machine.Config{Faults: plan.Spec()})
+	sch := &machine.Schedule{Name: "idle", D: d, Steps: []machine.Step{{Kind: machine.StepCrossHop, Dim: -1, Pattern: d.ClusterDim()}}}
+	sch.Finalize()
+	cfg := machine.Config{Faults: plan.Spec()}
+	eng := machine.MustNew[int](d, cfg)
 	defer eng.Release()
-	st, err := eng.Run(func(c *machine.Ctx[int]) { c.Idle() })
+	st, err := eng.Run(sch, idleKernel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Faults.DownLinks != 2*len(plan.Links) {
 		t.Errorf("Stats.Faults = %+v, want %d directed down links", st.Faults, 2*len(plan.Links))
+	}
+	if direct, err := machine.RunDirect(sch, cfg, machine.DirectKernel[int](idleKernel{})); err != nil || direct != st {
+		t.Errorf("direct executor: err = %v, stats %+v, want the engine's %+v", err, direct, st)
 	}
 }

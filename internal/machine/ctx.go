@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// Ctx is a node's handle onto the machine: its identity, its links and the
-// global clock. Every public method that communicates advances the clock by
+// ctx is a node's handle onto the engine: its identity, its links and the
+// global clock. Every method that communicates advances the clock by
 // exactly one cycle on this node; the SPMD discipline is that all nodes
 // advance together, so a node with nothing to do in a cycle calls Idle.
-type Ctx[T any] struct {
+type ctx[T any] struct {
 	engine *engineState[T]
 	id     int
 	ops    int
@@ -24,58 +24,55 @@ type Ctx[T any] struct {
 	yield  func(bool) bool
 	worker *poolWorker
 
-	// dctx is the node's DirectCtx under the KernelProgram adapter. Keeping
-	// it inside the (pooled) node context lets the adapter hand kernels a
+	// dctx is the node's DirectCtx under kernelProgram. Keeping it inside
+	// the (pooled) node context lets the interpreter hand kernels a
 	// *DirectCtx without a per-node heap allocation per run.
 	dctx DirectCtx
 }
 
 // ID returns this node's ID.
-func (c *Ctx[T]) ID() int { return c.id }
-
-// Nodes returns the machine size.
-func (c *Ctx[T]) Nodes() int { return c.engine.n }
+func (c *ctx[T]) ID() int { return c.id }
 
 // Ops adds k computation rounds to this node's account. The paper counts
 // one computation step per parallel round of ⊕ / comparison work; programs
 // call Ops(1) once per such round.
-func (c *Ctx[T]) Ops(k int) { c.ops += k }
+func (c *ctx[T]) Ops(k int) { c.ops += k }
 
 // Cycle returns this node's local clock: the number of completed cycles,
 // which equals the global clock under the SPMD lockstep discipline.
-func (c *Ctx[T]) Cycle() int { return c.cycle }
+func (c *ctx[T]) Cycle() int { return c.cycle }
 
 // Idle spends one clock cycle without communicating.
-func (c *Ctx[T]) Idle() {
+func (c *ctx[T]) Idle() {
 	var zero T
-	c.step(NoNode, zero, NoNode, NoNode)
+	c.step(noNode, zero, noNode, noNode)
 }
 
 // Exchange sends v to partner and receives partner's message of the same
 // cycle — the paper's elementary bidirectional-link exchange. partner must
 // be a neighbor that performs the mirror Exchange.
-func (c *Ctx[T]) Exchange(partner int, v T) T {
-	r, _ := c.step(partner, v, partner, NoNode)
+func (c *ctx[T]) Exchange(partner int, v T) T {
+	r, _ := c.step(partner, v, partner, noNode)
 	return r
 }
 
 // Send transmits v to neighbor `to` and spends the cycle (no receive).
-func (c *Ctx[T]) Send(to int, v T) {
-	c.step(to, v, NoNode, NoNode)
+func (c *ctx[T]) Send(to int, v T) {
+	c.step(to, v, noNode, noNode)
 }
 
 // Recv spends one cycle receiving the pending message from neighbor `from`.
 // The message may have been sent this cycle or buffered from an earlier one.
-func (c *Ctx[T]) Recv(from int) T {
-	r, _ := c.step(NoNode, *new(T), from, NoNode)
+func (c *ctx[T]) Recv(from int) T {
+	r, _ := c.step(noNode, *new(T), from, noNode)
 	return r
 }
 
 // SendRecv sends v to neighbor `to` and receives from neighbor `from` in
 // the same cycle (the two may be different links, or the same link — in
 // which case it degenerates to Exchange).
-func (c *Ctx[T]) SendRecv(to int, v T, from int) T {
-	r, _ := c.step(to, v, from, NoNode)
+func (c *ctx[T]) SendRecv(to int, v T, from int) T {
+	r, _ := c.step(to, v, from, noNode)
 	return r
 }
 
@@ -83,7 +80,7 @@ func (c *Ctx[T]) SendRecv(to int, v T, from int) T {
 // links `from1` and `from2` in the same cycle. This is the full-duplex
 // bidirectional-channel allowance the three-time-unit compare-and-exchange
 // step of Section 6 relies on.
-func (c *Ctx[T]) SendRecv2(to int, v T, from1, from2 int) (T, T) {
+func (c *ctx[T]) SendRecv2(to int, v T, from1, from2 int) (T, T) {
 	return c.step(to, v, from1, from2)
 }
 
@@ -91,28 +88,28 @@ func (c *Ctx[T]) SendRecv2(to int, v T, from1, from2 int) (T, T) {
 // receives, one clock boundary. All other methods delegate here. The
 // Exchange shape (send and first receive on the same link) resolves the
 // neighbor's CSR index once and reuses it on both sides of the boundary.
-func (c *Ctx[T]) step(sendTo int, v T, recv1, recv2 int) (T, T) {
+func (c *ctx[T]) step(sendTo int, v T, recv1, recv2 int) (T, T) {
 	ex := -1
-	if sendTo != NoNode {
+	if sendTo != noNode {
 		i := c.linkIdx(sendTo)
 		c.sendAt(i, sendTo, v)
 		if sendTo == recv1 {
 			ex = i
 		}
 	}
-	if recv1 != NoNode && recv1 == recv2 {
+	if recv1 != noNode && recv1 == recv2 {
 		c.failf("node %d: duplicate receive from %d in one cycle", c.id, recv1)
 	}
 	c.boundary()
 	var r1, r2 T
-	if recv1 != NoNode {
+	if recv1 != noNode {
 		if ex >= 0 {
 			r1 = c.recvAt(ex, recv1)
 		} else {
 			r1 = c.recvFrom(recv1)
 		}
 	}
-	if recv2 != NoNode {
+	if recv2 != noNode {
 		r2 = c.recvFrom(recv2)
 	}
 	return r1, r2
@@ -125,7 +122,7 @@ func (c *Ctx[T]) step(sendTo int, v T, recv1, recv2 int) (T, T) {
 // into one body so the fault, atomics and hook branches of sendAt/recvAt are
 // tested once instead of per side; counters, clock and failure messages are
 // identical to the general path.
-func (c *Ctx[T]) exchangeAt(i, partner int, v T) T {
+func (c *ctx[T]) exchangeAt(i, partner int, v T) T {
 	e := c.engine
 	if e.fx == nil && !e.atomicLinks && e.onSend == nil {
 		s := int(e.offs[c.id]) + i
@@ -157,7 +154,7 @@ func (c *Ctx[T]) exchangeAt(i, partner int, v T) T {
 
 // linkIdx resolves neighbor peer to its position in this node's CSR row,
 // aborting the run if peer is not adjacent.
-func (c *Ctx[T]) linkIdx(peer int) int {
+func (c *ctx[T]) linkIdx(peer int) int {
 	i := c.engine.idxOf(c.id, peer)
 	if i < 0 {
 		c.failf("node %d: send to %d, which is not a neighbor", c.id, peer)
@@ -168,7 +165,7 @@ func (c *Ctx[T]) linkIdx(peer int) int {
 // sendAt posts v on the directed link to neighbor `to`, the i-th entry of
 // this node's CSR row. A send on a link the armed fault plan failed aborts
 // the run; with no fault spec armed that check is a single nil test.
-func (c *Ctx[T]) sendAt(i, to int, v T) {
+func (c *ctx[T]) sendAt(i, to int, v T) {
 	e := c.engine
 	s := int(e.offs[c.id]) + i
 	if fx := e.fx; fx != nil && fx.down[s] {
@@ -199,12 +196,12 @@ func (c *Ctx[T]) sendAt(i, to int, v T) {
 }
 
 // boundary is the clock edge: park until every node has finished the cycle.
-func (c *Ctx[T]) boundary() {
+func (c *ctx[T]) boundary() {
 	if !c.yield(false) || c.engine.state == roundAbort {
 		// A false return means the engine is being torn down with this
 		// program still live; roundAbort is the barrier leader routing
 		// every worker into the drain pass after a recorded failure.
-		panic(abortPanic{ErrAborted})
+		panic(abortPanic{errAborted})
 	}
 	c.cycle++
 }
@@ -214,7 +211,7 @@ func (c *Ctx[T]) boundary() {
 // the current cycle has been posted, so an empty link is a protocol error.
 // The incoming slot is read from the precomputed inSlot table; no adjacency
 // scan happens here.
-func (c *Ctx[T]) recvFrom(from int) T {
+func (c *ctx[T]) recvFrom(from int) T {
 	i := c.engine.idxOf(c.id, from)
 	if i < 0 {
 		c.failf("node %d: receive from %d, which is not a neighbor", c.id, from)
@@ -223,7 +220,7 @@ func (c *Ctx[T]) recvFrom(from int) T {
 }
 
 // recvAt is recvFrom with the neighbor's CSR index already resolved.
-func (c *Ctx[T]) recvAt(i, from int) T {
+func (c *ctx[T]) recvAt(i, from int) T {
 	e := c.engine
 	s := int(e.inSlot[int(e.offs[c.id])+i])
 	head := e.heads[s] // consumer-owned cursor: plain read is always safe
@@ -250,7 +247,7 @@ func (c *Ctx[T]) recvAt(i, from int) T {
 
 // failf aborts the whole run with a formatted protocol error and unwinds
 // this node's program.
-func (c *Ctx[T]) failf(format string, args ...any) {
+func (c *ctx[T]) failf(format string, args ...any) {
 	err := fmt.Errorf("machine: "+format, args...)
 	c.engine.fail(err)
 	panic(abortPanic{err})

@@ -22,27 +22,27 @@ import (
 // The executor is NOT a second semantics. The algorithm is supplied as a
 // DirectKernel — produce a payload + role per step, absorb the partner's
 // payload, run the local combine — and the same kernel value runs unchanged
-// on the simulator engine through the KernelProgram adapter. Stats are
-// reproduced exactly: cycles = communication steps (+ detour relay cycles),
-// CommCycles counts steps that carried at least one message, Messages sums
-// the per-step sender counts, MaxOps/TotalOps aggregate the per-node
-// DirectCtx.Ops accounts, and Stats.Faults reports the armed plan's
-// DownLinks from the same compiled down set (downSet). TestIRGoldenStats and
-// the differential suite hold the executor to byte-identical Stats and
-// outputs against the schedule interpreter.
+// on the simulator engine, whose node program (kernelProgram) interprets
+// the schedule. Stats are reproduced exactly: cycles = communication steps
+// (+ detour relay cycles), CommCycles counts steps that carried at least one
+// message, Messages sums the per-step sender counts, MaxOps/TotalOps
+// aggregate the per-node DirectCtx.Ops accounts, and Stats.Faults reports
+// the armed plan's DownLinks from the same compiled down set (downSet).
+// TestIRGoldenStats and the differential suite hold the executor to
+// byte-identical Stats and outputs against the schedule interpreter.
 //
 // Fault-rewritten schedules run too: a step's Broken mask suppresses the
-// severed pairs' matched sends (they idle, exactly like Exec.Exchange), the
+// severed pairs' matched sends (they idle, exactly as on the engine), the
 // partner's payload is delivered anyway — that is precisely what the detour
 // relays compute — and the Detours are replayed as a serial accounting +
 // validation epilogue per step: 2·(len(Path)−1) cycles each, one message per
 // relay hop, every hop checked against the armed fault plan's down set.
 
 // DirectRole is the communication role a kernel assigns to one node for one
-// schedule step: the direct-executor analogue of choosing between
-// Exec.Exchange, Send, Recv and Idle. SendRecv needs no role of its own — on
-// a finalized schedule both sides of a matched pair use the same link, so a
-// node that both sends and receives is simply DirectExchange.
+// schedule step: whether it exchanges, sends, receives or idles on the
+// step's link. SendRecv needs no role of its own — on a finalized schedule
+// both sides of a matched pair use the same link, so a node that both sends
+// and receives is simply DirectExchange.
 type DirectRole uint8
 
 const (
@@ -57,25 +57,19 @@ const (
 	DirectRecv
 )
 
-// opsSink abstracts Ctx.Ops so DirectCtx can forward computation accounting
-// to a node context when a kernel runs on the simulator engine.
-type opsSink interface{ Ops(k int) }
-
-// DirectCtx is a kernel's accounting handle: the direct-executor stand-in
-// for the parts of Ctx a kernel may touch. Kernels record computation
-// rounds through Ops exactly as node programs do; under the KernelProgram
-// adapter the calls forward to the node's Ctx, so both execution paths
-// account identically.
+// DirectCtx is a kernel's accounting handle. Kernels record computation
+// rounds through Ops; on the engine the calls land in the node's own
+// account (its ctx), so both execution paths account identically.
 type DirectCtx struct {
 	u    int
 	ops  []int64 // per-node computation rounds (direct executor)
-	sink opsSink // forwarding target (engine adapter); nil on the direct path
+	node *int    // the node's account on the engine; nil on the direct path
 }
 
 // Ops adds k computation rounds to the current node's account.
 func (dc *DirectCtx) Ops(k int) {
-	if dc.sink != nil {
-		dc.sink.Ops(k)
+	if dc.node != nil {
+		*dc.node += k
 		return
 	}
 	dc.ops[dc.u] += int64(k)
@@ -84,7 +78,7 @@ func (dc *DirectCtx) Ops(k int) {
 // DirectKernel is one schedule-driven operation expressed as array kernels.
 // The executor drives it per (step, node); the contract is that each call
 // touches only node u's state (its own slots of the kernel's per-node
-// arrays), because the adapter interleaves nodes arbitrarily and the direct
+// arrays), because the engine interleaves nodes arbitrarily and the direct
 // executor shards them across workers.
 //
 // For a communication step k, Produce(dc, k, u) returns node u's role and
@@ -98,37 +92,6 @@ type DirectKernel[T any] interface {
 	Produce(dc *DirectCtx, k, u int) (DirectRole, T)
 	Absorb(dc *DirectCtx, k, u int, v T)
 	Local(dc *DirectCtx, k, u int)
-}
-
-// KernelProgram adapts a direct kernel to a simulator node program walking
-// the same schedule through the interpreter — the reference semantics. The
-// differential and golden tests run each kernel through both paths and
-// require identical outputs and Stats.
-func KernelProgram[T any](sch *Schedule, kern DirectKernel[T]) func(c *Ctx[T]) {
-	return func(c *Ctx[T]) {
-		u := c.ID()
-		c.dctx = DirectCtx{u: u, sink: c}
-		dc := &c.dctx
-		x := Interpret(c, sch)
-		for k := range sch.Steps {
-			if sch.Steps[k].Kind == StepLocalCombine {
-				kern.Local(dc, k, u)
-				x.LocalOps(0) // rounds were recorded through dc; advance only
-				continue
-			}
-			role, v := kern.Produce(dc, k, u)
-			switch role {
-			case DirectExchange:
-				kern.Absorb(dc, k, u, x.Exchange(v))
-			case DirectSend:
-				x.Send(v)
-			case DirectRecv:
-				kern.Absorb(dc, k, u, x.Recv())
-			default:
-				x.Idle()
-			}
-		}
-	}
 }
 
 // DirectEligible reports whether a schedule-driven operation under cfg runs
@@ -145,7 +108,7 @@ var directParallelMin = 4096
 
 // RunDirect executes a finalized schedule as array kernels and returns the
 // run's cost statistics, identical to what the simulator engine reports for
-// KernelProgram(sch, kern). cfg contributes Workers (sharding) and Faults
+// kernelProgram(sch, kern). cfg contributes Workers (sharding) and Faults
 // (compiled by downSet, as the engine compiles its armed spec, and checked
 // against the schedule's annotations); LinkCapacity and Timeout have no
 // meaning here — there are no buffers to overflow and no coroutines to
@@ -155,10 +118,8 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 	n := topo.Nodes()
 	st := Stats{Nodes: n}
 	steps := sch.Steps
-	for i := range steps {
-		if steps[i].Kind != StepLocalCombine && steps[i].partners == nil {
-			return st, fmt.Errorf("machine: direct executor requires a finalized schedule (%s step %d has no partner table)", sch.Name, i)
-		}
+	if err := sch.checkFinalized(); err != nil {
+		return st, err
 	}
 
 	var down map[int]bool
@@ -220,7 +181,7 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 		if p < len(steps) {
 			if s := &steps[p]; s.Kind == StepRecDim {
 				// A recursive-dimension exchange is the 3-cycle cross-routed
-				// choreography of RecDimExchange: half the pairs are direct
+				// choreography of recDimExchange: half the pairs are direct
 				// j-links, the other half route through two cross-edges, so
 				// the parallel step is 3 cycles and 2N messages (N/2 direct
 				// nodes send 3 each, N/2 routed nodes send 1). Every cross

@@ -68,7 +68,7 @@ func sumKernel(n int) (fnKernel, []int) {
 }
 
 // TestRunDirectMatchesEngine drives the same kernel through RunDirect and
-// through a simulator engine via the KernelProgram adapter and requires
+// through a simulator engine via the kernelProgram adapter and requires
 // identical outputs and identical Stats.
 func TestRunDirectMatchesEngine(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
@@ -83,7 +83,7 @@ func TestRunDirectMatchesEngine(t *testing.T) {
 
 		ke, engineVals := sumKernel(N)
 		eng := MustNew[int](sch.D, Config{})
-		engineStats, err := eng.Run(KernelProgram(sch, DirectKernel[int](ke)))
+		engineStats, err := eng.Run(sch, DirectKernel[int](ke))
 		eng.Release()
 		if err != nil {
 			t.Fatalf("D_%d engine: %v", n, err)
@@ -188,14 +188,43 @@ func TestRunDirectContainsKernelPanics(t *testing.T) {
 }
 
 // TestRunDirectRequiresFinalizedSchedule: a schedule without partner tables
-// cannot run on the direct executor.
+// runs on neither executor.
 func TestRunDirectRequiresFinalizedSchedule(t *testing.T) {
 	d := topology.MustDualCube(2)
 	sch := &Schedule{Name: "unfinalized", D: d, Steps: []Step{{Kind: StepCrossHop, Dim: -1, Pattern: 1}}}
 	k, _ := sumKernel(d.Nodes())
 	_, err := RunDirect(sch, Config{}, DirectKernel[int](k))
 	if err == nil || !strings.Contains(err.Error(), "finalized schedule") {
-		t.Fatalf("err = %v, want finalized-schedule rejection", err)
+		t.Fatalf("direct: err = %v, want finalized-schedule rejection", err)
+	}
+	eng := MustNew[int](d, Config{})
+	defer eng.Release()
+	if _, err := eng.Run(sch, DirectKernel[int](k)); err == nil || !strings.Contains(err.Error(), "finalized schedule") {
+		t.Fatalf("engine: err = %v, want finalized-schedule rejection", err)
+	}
+}
+
+// TestRecDimRequiresExchange: a one-sided role on a recursive-dimension
+// step is the same error on both executors, since the 3-cycle choreography
+// has no one-sided variant.
+func TestRecDimRequiresExchange(t *testing.T) {
+	d := topology.MustDualCube(2)
+	sch := &Schedule{Name: "recdim", D: d, Steps: []Step{{Kind: StepRecDim, Dim: 1, Pattern: 2}}}
+	sch.Finalize()
+	k := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+		if u == 3 {
+			return DirectSend, u
+		}
+		return DirectExchange, u
+	}}
+	const want = "machine: node 3: recursive-dimension step 0 requires a matched exchange, got role 2"
+	if _, err := RunDirect(sch, Config{}, DirectKernel[int](k)); err == nil || err.Error() != want {
+		t.Errorf("direct: err = %v, want %q", err, want)
+	}
+	eng := MustNew[int](d, Config{})
+	defer eng.Release()
+	if _, err := eng.Run(sch, DirectKernel[int](k)); err == nil || err.Error() != want {
+		t.Errorf("engine: err = %v, want %q", err, want)
 	}
 }
 
@@ -214,7 +243,7 @@ func TestRunDirectFaultPlanValidation(t *testing.T) {
 	}
 	eng := MustNew[int](d, Config{Faults: spec})
 	defer eng.Release()
-	est, err := eng.Run(KernelProgram(sch, DirectKernel[int](k)))
+	est, err := eng.Run(sch, DirectKernel[int](k))
 	if err != nil || est != st {
 		t.Fatalf("engine: err = %v, stats %+v, want the direct run's %+v", err, est, st)
 	}

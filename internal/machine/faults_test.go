@@ -31,9 +31,9 @@ func TestFaultDownLinkPlainSendFails(t *testing.T) {
 		cfg.Faults = spec
 		eng := MustNew[int](d, cfg)
 		defer eng.Release()
-		_, err := eng.Run(func(c *Ctx[int]) {
+		_, err := eng.run(func(c *ctx[int]) {
 			c.Exchange(d.CrossNeighbor(c.ID()), c.ID())
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "failed link") {
 			t.Fatalf("err = %v, want failed-link protocol error", err)
 		}
@@ -56,14 +56,14 @@ func TestFaultStatsReproducible(t *testing.T) {
 		}
 		return false
 	}
-	exchangeOrIdle := func(c *Ctx[int], v int) {
+	exchangeOrIdle := func(c *ctx[int], v int) {
 		if isDead(c.ID(), v) {
 			c.Idle()
 		} else {
 			c.Exchange(v, c.ID())
 		}
 	}
-	program := func(c *Ctx[int]) {
+	program := func(c *ctx[int]) {
 		for i := 0; i < d.ClusterDim(); i++ {
 			exchangeOrIdle(c, d.ClusterNeighbor(c.ID(), i))
 		}
@@ -74,7 +74,7 @@ func TestFaultStatsReproducible(t *testing.T) {
 		cfg.Faults = spec
 		for run := 0; run < 2; run++ {
 			eng := MustNew[int](d, cfg)
-			st, err := eng.Run(program)
+			st, err := eng.run(program, nil)
 			eng.Release()
 			if err != nil {
 				t.Fatal(err)
@@ -110,7 +110,7 @@ func TestFaultSpecInvalid(t *testing.T) {
 		want := fmt.Sprintf("machine: fault plan fails link %d-%d, which is not a link", l[0], l[1])
 
 		eng := MustNew[int](d, Config{Faults: spec})
-		_, err := eng.Run(func(c *Ctx[int]) { c.Idle() })
+		_, err := eng.run(func(c *ctx[int]) { c.Idle() }, nil)
 		eng.Release()
 		if err == nil || err.Error() != want {
 			t.Errorf("engine, link %v: err = %v, want %q", l, err, want)

@@ -1,8 +1,11 @@
-// Package machine implements the synchronous message-passing multicomputer
-// that the paper's cost model assumes: one process per node of an
-// interconnection network, links as bidirectional FIFO channels, and a
-// global clock. Every node runs the same SPMD program; a barrier advances
-// the global clock.
+// Package machine runs compiled communication schedules (schedule.go): an
+// operation is a finalized Schedule plus a DirectKernel, executed either by
+// the direct kernel executor (direct.go), the default, or by the engine,
+// the synchronous message-passing multicomputer that the paper's cost
+// model assumes: one process per node of an interconnection network, links
+// as bidirectional FIFO channels, and a global clock. On the engine every
+// node walks the same schedule, calling the kernel at each step; a barrier
+// advances the global clock.
 //
 // # Communication model
 //
@@ -26,8 +29,8 @@
 //
 // The engine is a stepped worker-pool scheduler: W ≈ GOMAXPROCS workers
 // each own a contiguous shard of nodes and advance them cycle-by-cycle for
-// the whole run. Each node program runs as a coroutine (iter.Pull) that
-// parks at every clock boundary, so resuming a node is a direct stack switch
+// the whole run. Each node's walk of the schedule runs as a coroutine
+// (iter.Pull) that parks at every clock boundary, so resuming a node is a direct stack switch
 // with no Go-scheduler involvement, no per-node goroutine wakeup, and no
 // N-party lock contention. Node coroutines are created once and persist
 // across runs of the same engine (parking between runs), so repeated runs
@@ -41,27 +44,25 @@
 //
 // Because the leader sees every broken lockstep, the watchdog
 // (Config.Timeout) only has runaway lockstep programs left to end: nodes
-// that keep stepping together forever. A program that blocks outside the
+// that keep stepping together forever. A node that blocked outside the
 // machine's primitives would wedge its shard, since a shard runs its nodes'
-// cycle segments one after another; node programs communicate only through
-// links, and the nodebody analyzer rejects raw channel operations,
-// goroutine spawns and sleeps in them statically.
+// cycle segments one after another; Engine.Run accepts only a schedule and
+// a kernel, so the one program a node coroutine runs is the package's own
+// interpreter.
 //
-// Schedule-driven operations have a second path that is not a simulator at
-// all: the direct kernel executor (direct.go) runs a finalized Schedule as
-// array kernels over flat per-node state — no coroutines, no per-cycle
-// barrier, one worker join per schedule step — and reproduces the engine's
-// Stats exactly. Operations expressed as a DirectKernel use it by default
-// (see DirectEligible); the engine remains the reference semantics, the
-// oracle the direct executor is tested against, via the KernelProgram
-// adapter.
+// The direct kernel executor (direct.go) is the second path, and not a
+// simulator at all: it runs a finalized Schedule as array kernels over flat
+// per-node state — no coroutines, no per-cycle barrier, one worker join per
+// schedule step — and reproduces the engine's Stats exactly. Operations use
+// it by default (see DirectEligible); the engine remains the reference
+// semantics, the oracle the direct executor is tested against.
 //
 // # Cost-model invariants
 //
 // The engine counts clock cycles (communication time), cycles in which at
 // least one message was sent, total messages (= hops, since every send
 // traverses one link), and per-node computation rounds reported by the
-// programs through Ctx.Ops. The maximum per-node operation count is the
+// kernels through DirectCtx.Ops. The maximum per-node operation count is the
 // parallel computation time the paper's theorems bound. The engine keeps
 // these measures exactly: Cycles is the number of barrier rounds,
 // CommCycles counts rounds whose preceding send phase carried at least one
@@ -93,25 +94,24 @@ import (
 	"dualcube/internal/topology"
 )
 
-// NoNode marks an absent peer in the low-level step call.
-const NoNode = -1
+// noNode marks an absent peer in the low-level step call.
+const noNode = -1
 
-// ErrAborted is the error a node program unwinds with when the run was
+// errAborted is the error a node program unwinds with when the run was
 // failed elsewhere (another node's protocol error, a desynchronized program
 // or the watchdog); Engine.Run reports the failure that caused it.
-var ErrAborted = errors.New("machine: run aborted")
+var errAborted = errors.New("machine: run aborted")
 
 // Sched selects the execution backend of a run.
 type Sched uint8
 
 const (
-	// SchedDefault is the zero Config's choice: the direct executor for
-	// schedule-driven operations (DirectEligible), the worker-pool engine
-	// for everything else.
+	// SchedDefault is the zero Config's choice: every operation runs on the
+	// direct executor (DirectEligible).
 	SchedDefault Sched = iota
-	// SchedWorkerPool forces every run onto the worker-pool engine,
-	// schedule-driven ones included through the KernelProgram adapter: the
-	// reference oracle the direct executor is tested against.
+	// SchedWorkerPool runs every operation on the worker-pool engine, which
+	// interprets the same schedule with the same kernel: the reference
+	// oracle the direct executor is tested against.
 	SchedWorkerPool
 )
 
@@ -141,9 +141,8 @@ type Config struct {
 	// leader already catches every desynchronized one). Zero means 60s plus
 	// 30ms per node.
 	Timeout time.Duration
-	// Sched selects the execution backend. SchedDefault runs compiled
-	// schedules on the direct executor and everything else on the worker
-	// pool; SchedWorkerPool forces schedule-driven runs onto the engine too.
+	// Sched selects the execution backend: SchedDefault runs every
+	// operation on the direct executor, SchedWorkerPool on the engine.
 	Sched Sched
 	// Workers is the worker-pool size W, and the shard count of the direct
 	// executor's passes. Zero means GOMAXPROCS; both clamp W to the node
@@ -227,7 +226,7 @@ const (
 )
 
 // engineState is the part of an engine that node programs (through their
-// Ctx) and pool workers touch. It is deliberately separate from the
+// ctx) and pool workers touch. It is deliberately separate from the
 // user-facing Engine handle: persistent node coroutines keep engineState
 // reachable from their parked stacks, and keeping the handle out of that
 // reference chain lets the runtime collect a dropped handle and run its
@@ -261,7 +260,7 @@ type engineState[T any] struct {
 	// plain loads/stores.
 	atomicLinks bool
 
-	nodes []Ctx[T] // per-node contexts, reused across runs
+	nodes []ctx[T] // per-node contexts, reused across runs
 
 	// fx is the compiled form of the armed fault spec, nil when the run is
 	// fault-free — the send and receive paths check only this one pointer.
@@ -269,8 +268,8 @@ type engineState[T any] struct {
 
 	cycles     int                      // barrier rounds completed (leader-written)
 	commCycles int                      // rounds whose send phase carried traffic
-	onSend     func(c *Ctx[T], dst int) // optional per-run send hook (recording)
-	prog       func(c *Ctx[T])          // current run's program; nil between runs
+	onSend     func(c *ctx[T], dst int) // optional per-run send hook (recording)
+	prog       func(c *ctx[T])          // current run's program; nil between runs
 
 	// Worker-pool scheduler state.
 	workers []poolWorker
@@ -402,7 +401,7 @@ func New[T any](t topology.Topology, cfg Config) (*Engine[T], error) {
 	s.heads = make([]uint32, edges)
 	s.tails = make([]uint32, edges)
 
-	s.nodes = make([]Ctx[T], n)
+	s.nodes = make([]ctx[T], n)
 	for u := range s.nodes {
 		s.nodes[u].engine = s
 		s.nodes[u].id = u
@@ -493,12 +492,6 @@ func teardownRunners(h *runnerSet) {
 	h.rs = nil
 }
 
-// Topology returns the network the engine runs on.
-func (e *Engine[T]) Topology() topology.Topology { return e.topo }
-
-// Nodes returns the number of nodes.
-func (e *Engine[T]) Nodes() int { return e.n }
-
 // idxOf returns the position of v in u's sorted neighbor row, or -1. Binary
 // search over the CSR row: O(log degree), no allocation.
 func (s *engineState[T]) idxOf(u, v int) int {
@@ -521,17 +514,22 @@ func (s *engineState[T]) idxOf(u, v int) int {
 // abortPanic unwinds a node program after the run has been failed.
 type abortPanic struct{ err error }
 
-// Run executes program on every node in lockstep and returns the cost
-// statistics. The program must perform the same number of clock cycles on
-// every node (the usual SPMD discipline); the barrier leader reports a
-// desynchronized program as an error deterministically, and the watchdog
-// ends one that keeps stepping past Config.Timeout.
-func (e *Engine[T]) Run(program func(c *Ctx[T])) (Stats, error) {
-	return e.run(program, nil)
+// Run executes kern over the schedule sch on every node in lockstep, each
+// node walking the schedule through the interpreter, and returns the cost
+// statistics: the reference semantics RunDirect is held to.
+func (e *Engine[T]) Run(sch *Schedule, kern DirectKernel[T]) (Stats, error) {
+	if err := sch.checkFinalized(); err != nil {
+		return Stats{Nodes: e.n}, err
+	}
+	return e.run(kernelProgram(sch, kern), nil)
 }
 
-// run is the engine core shared by Run and RunRecorded.
-func (e *Engine[T]) run(program func(c *Ctx[T]), onSend func(c *Ctx[T], dst int)) (Stats, error) {
+// run is the engine core shared by Run and RunRecorded: it executes program
+// on every node in lockstep. The program must perform the same number of
+// clock cycles on every node (the usual SPMD discipline); the barrier leader
+// reports a desynchronized program as an error deterministically, and the
+// watchdog ends one that keeps stepping past Config.Timeout.
+func (e *Engine[T]) run(program func(c *ctx[T]), onSend func(c *ctx[T], dst int)) (Stats, error) {
 	if e.released {
 		//dcvet:allow abortpanic -- use-after-Release is a caller bug with no error path by design
 		panic("machine: Engine used after Release")

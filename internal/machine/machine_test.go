@@ -36,9 +36,9 @@ func TestExchangeOnK2(t *testing.T) {
 		d := topology.MustDualCube(1) // K_2
 		e := MustNew[int](d, cfg)
 		got := make([]int, 2)
-		st, err := e.Run(func(c *Ctx[int]) {
+		st, err := e.run(func(c *ctx[int]) {
 			got[c.ID()] = c.Exchange(1-c.ID(), c.ID()*10)
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestHypercubeAllDimExchange(t *testing.T) {
 		h := topology.MustHypercube(q)
 		e := MustNew[int](h, cfg)
 		acc := make([]int, h.Nodes())
-		st, err := e.Run(func(c *Ctx[int]) {
+		st, err := e.run(func(c *ctx[int]) {
 			sum := 0
 			for i := 0; i < q; i++ {
 				p := c.ID() ^ 1<<i
@@ -67,7 +67,7 @@ func TestHypercubeAllDimExchange(t *testing.T) {
 				c.Ops(1)
 			}
 			acc[c.ID()] = sum
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,13 +97,13 @@ func TestSendRecvHalfDuplex(t *testing.T) {
 		h := topology.MustHypercube(1)
 		e := MustNew[string](h, cfg)
 		var got string
-		_, err := e.Run(func(c *Ctx[string]) {
+		_, err := e.run(func(c *ctx[string]) {
 			if c.ID() == 0 {
 				c.Send(1, "ping")
 			} else {
 				got = c.Recv(0)
 			}
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestDeferredReceiveFIFO(t *testing.T) {
 		h := topology.MustHypercube(1)
 		e := MustNew[int](h, cfg)
 		var first, second int
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Send(1, 11)
 				c.Send(1, 22)
@@ -130,7 +130,7 @@ func TestDeferredReceiveFIFO(t *testing.T) {
 				first = c.Recv(0)
 				second = c.Recv(0)
 			}
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSendRecv2(t *testing.T) {
 		d := topology.MustDualCube(2)
 		e := MustNew[int](d, cfg)
 		var a, b int
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			switch c.ID() {
 			case 0:
 				a, b = c.SendRecv2(1, 100, 1, 4)
@@ -158,7 +158,7 @@ func TestSendRecv2(t *testing.T) {
 			default:
 				c.Idle()
 			}
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +172,11 @@ func TestIdleCyclesNotCommCycles(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
 		e := MustNew[int](h, cfg)
-		st, err := e.Run(func(c *Ctx[int]) {
+		st, err := e.run(func(c *ctx[int]) {
 			c.Idle()
 			c.Exchange(c.ID()^1, 0)
 			c.Idle()
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +190,13 @@ func TestSendToNonNeighborFails(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(3)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Send(7, 1) // 0 and 7 differ in 3 bits: not a link
 			} else {
 				c.Idle()
 			}
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "not a neighbor") {
 			t.Errorf("want non-neighbor error, got %v", err)
 		}
@@ -207,13 +207,13 @@ func TestRecvEmptyLinkFails(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Recv(1) // nothing was sent
 			} else {
 				c.Idle()
 			}
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "empty link") {
 			t.Errorf("want empty-link error, got %v", err)
 		}
@@ -224,13 +224,13 @@ func TestDuplicateRecvFails(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.SendRecv2(1, 0, 1, 1)
 			} else {
 				c.Exchange(0, 1)
 			}
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "duplicate receive") {
 			t.Errorf("want duplicate-receive error, got %v", err)
 		}
@@ -241,13 +241,13 @@ func TestUnconsumedMessageDetected(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Send(1, 9)
 			} else {
 				c.Idle()
 			}
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "unconsumed") {
 			t.Errorf("want unconsumed-message error, got %v", err)
 		}
@@ -258,7 +258,7 @@ func TestLinkOverflowDetected(t *testing.T) {
 	forEachSched(t, Config{LinkCapacity: 2}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			for i := 0; i < 3; i++ {
 				if c.ID() == 0 {
 					c.Send(1, i)
@@ -266,7 +266,7 @@ func TestLinkOverflowDetected(t *testing.T) {
 					c.Idle()
 				}
 			}
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "overflow") {
 			t.Errorf("want overflow error, got %v", err)
 		}
@@ -277,12 +277,12 @@ func TestNodePanicPropagates(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 2 {
 				panic("boom")
 			}
 			c.Exchange(c.ID()^1, 0)
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Errorf("want node panic error, got %v", err)
 		}
@@ -290,7 +290,7 @@ func TestNodePanicPropagates(t *testing.T) {
 }
 
 // desyncProgram has node 0 step one cycle more than everyone else.
-func desyncProgram(c *Ctx[int]) {
+func desyncProgram(c *ctx[int]) {
 	if c.ID() == 0 {
 		c.Idle()
 		c.Idle() // the other nodes never join this cycle
@@ -307,15 +307,15 @@ func TestWatchdogCatchesDesync(t *testing.T) {
 	forEachSched(t, Config{Timeout: 50 * time.Millisecond}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			for {
 				c.Idle()
 			}
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "exceeded") {
 			t.Fatalf("want watchdog error, got %v", err)
 		}
-		st, err := e.Run(func(c *Ctx[int]) { c.Exchange(c.ID()^1, c.ID()) })
+		st, err := e.run(func(c *ctx[int]) { c.Exchange(c.ID()^1, c.ID()) }, nil)
 		if err != nil || st.Cycles != 1 {
 			t.Fatalf("engine not reusable after the watchdog: err = %v, stats = %+v", err, st)
 		}
@@ -330,7 +330,7 @@ func TestPoolDetectsDesyncDeterministically(t *testing.T) {
 		h := topology.MustHypercube(1)
 		e := MustNew[int](h, Config{Sched: SchedWorkerPool, Workers: workers, Timeout: time.Hour})
 		start := time.Now()
-		_, err := e.Run(desyncProgram)
+		_, err := e.run(desyncProgram, nil)
 		if err == nil || !strings.Contains(err.Error(), "desynchronized") {
 			t.Errorf("W=%d: want desync error, got %v", workers, err)
 		}
@@ -344,24 +344,24 @@ func TestEngineReusableAfterFailure(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Send(1, 9) // left unconsumed -> failure
 			} else {
 				c.Idle()
 			}
-		})
+		}, nil)
 		if err == nil {
 			t.Fatal("expected failure on first run")
 		}
 		var got int
-		_, err = e.Run(func(c *Ctx[int]) {
+		_, err = e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Send(1, 42)
 			} else {
 				got = c.Recv(0)
 			}
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("engine not reusable: %v", err)
 		}
@@ -379,21 +379,21 @@ func TestEngineReusableAfterProtocolAbort(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
 		e := MustNew[int](h, cfg)
-		_, err := e.Run(func(c *Ctx[int]) {
+		_, err := e.run(func(c *ctx[int]) {
 			c.Exchange(c.ID()^1, c.ID())
 			if c.ID() == 3 {
 				c.Recv(0) // non-neighbor: aborts the run in cycle 2
 			} else {
 				c.Idle()
 			}
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "not a neighbor") {
 			t.Fatalf("want non-neighbor error, got %v", err)
 		}
 		out := make([]int, h.Nodes())
-		st, err := e.Run(func(c *Ctx[int]) {
+		st, err := e.run(func(c *ctx[int]) {
 			out[c.ID()] = c.Exchange(c.ID()^1, c.ID())
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("engine not reusable after abort: %v", err)
 		}
@@ -412,15 +412,15 @@ func TestEngineReusableStatsReset(t *testing.T) {
 	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
 		e := MustNew[int](h, cfg)
-		prog := func(c *Ctx[int]) {
+		prog := func(c *ctx[int]) {
 			c.Exchange(c.ID()^1, c.ID())
 			c.Ops(1)
 		}
-		st1, err := e.Run(prog)
+		st1, err := e.run(prog, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st2, err := e.Run(prog)
+		st2, err := e.run(prog, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +437,7 @@ func TestDeterminism(t *testing.T) {
 		e := MustNew[int](d, cfg)
 		run := func() ([]int, Stats) {
 			out := make([]int, d.Nodes())
-			st, err := e.Run(func(c *Ctx[int]) {
+			st, err := e.run(func(c *ctx[int]) {
 				v := c.ID()
 				for i := 0; i < d.ClusterDim(); i++ {
 					v += c.Exchange(d.ClusterNeighbor(c.ID(), i), v)
@@ -446,7 +446,7 @@ func TestDeterminism(t *testing.T) {
 				v += c.Exchange(d.CrossNeighbor(c.ID()), v)
 				c.Ops(1)
 				out[c.ID()] = v
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -561,9 +561,9 @@ func TestLargeMachineSmoke(t *testing.T) {
 	// 2048-node dual-cube: a full cross-edge exchange round.
 	d := topology.MustDualCube(6)
 	e := MustNew[int](d, Config{})
-	st, err := e.Run(func(c *Ctx[int]) {
+	st, err := e.run(func(c *ctx[int]) {
 		c.Exchange(d.CrossNeighbor(c.ID()), c.ID())
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,10 +93,18 @@ func (r *Recording) RenderSpaceTime(w io.Writer, nodes int) error {
 // RunRecorded is Engine.Run with message recording enabled: every send is
 // logged as an Event. Recording costs one slice append per message on the
 // sending node; the log is assembled deterministically after the run.
-func (e *Engine[T]) RunRecorded(program func(c *Ctx[T])) (Stats, *Recording, error) {
+func (e *Engine[T]) RunRecorded(sch *Schedule, kern DirectKernel[T]) (Stats, *Recording, error) {
+	if err := sch.checkFinalized(); err != nil {
+		return Stats{Nodes: e.n}, nil, err
+	}
+	return e.runRecorded(kernelProgram(sch, kern))
+}
+
+// runRecorded runs program with the recording send hook.
+func (e *Engine[T]) runRecorded(program func(c *ctx[T])) (Stats, *Recording, error) {
 	perNode := make([][]Event, e.n)
-	st, err := e.run(program, func(ctx *Ctx[T], dst int) {
-		perNode[ctx.id] = append(perNode[ctx.id], Event{Cycle: ctx.cycle, Src: ctx.id, Dst: dst})
+	st, err := e.run(program, func(c *ctx[T], dst int) {
+		perNode[c.id] = append(perNode[c.id], Event{Cycle: c.cycle, Src: c.id, Dst: dst})
 	})
 	if err != nil {
 		return st, nil, err

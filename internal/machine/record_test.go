@@ -10,7 +10,7 @@ import (
 func TestRunRecordedEvents(t *testing.T) {
 	d := topology.MustDualCube(2)
 	e := MustNew[int](d, Config{})
-	st, rec, err := e.RunRecorded(func(c *Ctx[int]) {
+	st, rec, err := e.runRecorded(func(c *ctx[int]) {
 		c.Exchange(d.CrossNeighbor(c.ID()), 1)      // cycle 0: 8 messages on cross-edges
 		c.Idle()                                    // cycle 1: nothing
 		c.Exchange(d.ClusterNeighbor(c.ID(), 0), 2) // cycle 2: 8 messages on cluster edges
@@ -47,7 +47,7 @@ func TestRunRecordedEvents(t *testing.T) {
 func TestRecordingLinkLoads(t *testing.T) {
 	d := topology.MustDualCube(2)
 	e := MustNew[int](d, Config{})
-	_, rec, err := e.RunRecorded(func(c *Ctx[int]) {
+	_, rec, err := e.runRecorded(func(c *ctx[int]) {
 		for k := 0; k < 3; k++ {
 			c.Exchange(d.CrossNeighbor(c.ID()), k)
 		}
@@ -73,7 +73,7 @@ func TestRecordingLinkLoads(t *testing.T) {
 func TestRenderSpaceTime(t *testing.T) {
 	h := topology.MustHypercube(1)
 	e := MustNew[int](h, Config{})
-	_, rec, err := e.RunRecorded(func(c *Ctx[int]) {
+	_, rec, err := e.runRecorded(func(c *ctx[int]) {
 		if c.ID() == 0 {
 			c.Send(1, 7)
 			c.Idle()
@@ -106,7 +106,7 @@ func TestCtxCycleCounter(t *testing.T) {
 	h := topology.MustHypercube(1)
 	e := MustNew[int](h, Config{})
 	var last int
-	_, err := e.Run(func(c *Ctx[int]) {
+	_, err := e.run(func(c *ctx[int]) {
 		if c.Cycle() != 0 {
 			t.Error("cycle should start at 0")
 		}
@@ -115,7 +115,7 @@ func TestCtxCycleCounter(t *testing.T) {
 		if c.ID() == 0 {
 			last = c.Cycle()
 		}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCtxCycleCounter(t *testing.T) {
 func TestRecordingExchangeBothMarked(t *testing.T) {
 	h := topology.MustHypercube(1)
 	e := MustNew[int](h, Config{})
-	_, rec, err := e.RunRecorded(func(c *Ctx[int]) {
+	_, rec, err := e.runRecorded(func(c *ctx[int]) {
 		c.Exchange(1-c.ID(), c.ID())
 	})
 	if err != nil {

@@ -35,7 +35,7 @@ type nodeRunner struct {
 }
 
 // runWorkers executes program under the stepped worker-pool scheduler.
-func (e *Engine[T]) runWorkers(program func(c *Ctx[T])) {
+func (e *Engine[T]) runWorkers(program func(c *ctx[T])) {
 	s := e.engineState
 	w := s.cfg.Workers
 	s.state = roundRun
@@ -87,7 +87,7 @@ func (e *Engine[T]) runWorkers(program func(c *Ctx[T])) {
 // Finished runners are compacted out of the pass list so completed nodes
 // cost nothing in later cycles. After an abnormal end (failure or desync)
 // one extra drain pass resumes each still-live program, whose next clock
-// boundary observes roundAbort and unwinds with ErrAborted, leaving every
+// boundary observes roundAbort and unwinds with errAborted, leaving every
 // coroutine parked between runs again.
 func (s *engineState[T]) workerMain(wi int, rs []nodeRunner) {
 	w := &s.workers[wi]
@@ -141,7 +141,7 @@ func (s *engineState[T]) workerMain(wi int, rs []nodeRunner) {
 // panics are recovered per run in runNode and recorded as the run's error;
 // the coroutine itself survives to serve the next run. It only returns when
 // a teardown stop makes the between-runs yield report false.
-func (s *engineState[T]) nodeLoop(c *Ctx[T]) iter.Seq[bool] {
+func (s *engineState[T]) nodeLoop(c *ctx[T]) iter.Seq[bool] {
 	return func(yield func(bool) bool) {
 		for {
 			c.yield = yield
@@ -156,7 +156,7 @@ func (s *engineState[T]) nodeLoop(c *Ctx[T]) iter.Seq[bool] {
 
 // runNode executes the current program on one node, converting panics into
 // the run's recorded failure.
-func (s *engineState[T]) runNode(c *Ctx[T]) {
+func (s *engineState[T]) runNode(c *ctx[T]) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ap, ok := r.(abortPanic); ok {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 
@@ -15,10 +16,11 @@ import (
 // partners and fault detours inline, the skeleton is compiled once per
 // (order, operation) into a Schedule: a flat list of steps, each naming an
 // exchange pattern (a cluster dimension or the cross-edge matching) plus
-// optional fault annotations. Node programs walk the schedule through an
-// Exec cursor, which resolves partners, executes the communication cycle,
-// and runs the detour repairs of a fault-rewritten schedule — one
-// interpreter for the fault-free and the degraded case alike.
+// optional fault annotations. On the engine every node walks the schedule
+// through the interpreter (kernelProgram), which looks partners up in the
+// finalized tables, executes the communication cycle, and runs the detour
+// repairs of a fault-rewritten schedule — one interpreter for the
+// fault-free and the degraded case alike.
 
 // StepKind classifies one step of a compiled schedule.
 type StepKind uint8
@@ -140,10 +142,10 @@ type Step struct {
 
 	// partners[u] is u's partner in this step's matching and links[u] that
 	// partner's position in u's ascending neighbor row — precomputed by
-	// Schedule.Finalize and shared across steps with equal Pattern, so the
-	// interpreter resolves both by table lookup instead of per-cycle
+	// Schedule.Finalize and shared across steps with equal Pattern, so both
+	// executors resolve them by table lookup instead of per-cycle
 	// arithmetic and binary search. nil on a schedule that was never
-	// finalized; Exec falls back to computing partners per step.
+	// finalized, which neither executor runs.
 	partners []int32
 	links    []int32
 }
@@ -206,7 +208,8 @@ func (s *Schedule) Topology() topology.Topology {
 // schedule with oriented steps. The cost is paid once per cached schedule;
 // it requires the topology's neighbor rows to be ascending (the Topology
 // contract, and the order the engine's CSR rows use), and leaves the tables
-// nil — interpreting stays correct, just unaccelerated — if a row is not.
+// nil, so that both executors refuse the schedule, if a row is not or a
+// partner is not adjacent.
 func (s *Schedule) Finalize() {
 	type tables struct{ partners, links []int32 }
 	byPattern := make(map[int]tables)
@@ -239,7 +242,7 @@ func (s *Schedule) Finalize() {
 			// executors run the 3-cycle choreography instead of a link write.
 			d, ok := s.D.(topology.Recursive)
 			if !ok {
-				return // no recursive presentation: leave unaccelerated
+				return // no recursive presentation: leave unfinalized
 			}
 			for u := 0; u < n; u++ {
 				partners[u] = int32(d.FromRecursive(d.ToRecursive(u) ^ 1<<st.Dim))
@@ -264,7 +267,7 @@ func (s *Schedule) Finalize() {
 			prev := -1
 			for j, w := range topo.Neighbors(u) {
 				if w <= prev {
-					return // row not ascending: leave this schedule unaccelerated
+					return // row not ascending: leave this schedule unfinalized
 				}
 				prev = w
 				if w == p {
@@ -272,7 +275,7 @@ func (s *Schedule) Finalize() {
 				}
 			}
 			if idx < 0 {
-				return // partner not adjacent: let the interpreter's checks report it
+				return // partner not adjacent: leave this schedule unfinalized
 			}
 			links[u] = int32(idx)
 		}
@@ -311,161 +314,104 @@ func (s *Schedule) CommCycles() int {
 	return k
 }
 
-// Exec is a node program's cursor over a compiled schedule: it tracks the
-// current step and executes each one on this node. It is a small value —
-// keep it on the program's stack (Interpret returns a value, not a pointer)
-// so interpreting a schedule allocates nothing per node.
-type Exec[T any] struct {
-	c   *Ctx[T]
-	sch *Schedule
-	pos int
-}
-
-// Interpret starts executing sch on this node. The program must consume
-// every step in order (Exchange/Send/Recv/Idle for communication
-// steps, LocalOps for local-combine steps) — the SPMD discipline extended to
-// the schedule: all nodes walk the same steps together.
-func Interpret[T any](c *Ctx[T], sch *Schedule) Exec[T] {
-	return Exec[T]{c: c, sch: sch}
-}
-
-func (x *Exec[T]) step() *Step {
-	if x.pos >= len(x.sch.Steps) {
-		x.c.failf("schedule %s over-run at step %d", x.sch.Name, x.pos)
+// checkFinalized reports the first communication step of s without a
+// partner table: both executors run finalized schedules only.
+func (s *Schedule) checkFinalized() error {
+	for i := range s.Steps {
+		if s.Steps[i].Kind != StepLocalCombine && s.Steps[i].partners == nil {
+			return fmt.Errorf("machine: executors require a finalized schedule (%s step %d has no partner table)", s.Name, i)
+		}
 	}
-	return &x.sch.Steps[x.pos]
+	return nil
 }
 
-// partner resolves this node's partner in the current step's matching.
-func (x *Exec[T]) partner(s *Step) int {
-	if s.partners != nil {
-		return int(s.partners[x.c.id])
-	}
-	switch s.Kind {
-	case StepClusterDim:
-		return x.sch.D.ClusterNeighbor(x.c.ID(), s.Dim)
-	case StepCrossHop:
-		return x.sch.D.CrossNeighbor(x.c.ID())
-	case StepRecDim:
-		d := x.sch.D.(topology.Recursive)
-		return d.FromRecursive(d.ToRecursive(x.c.ID()) ^ 1<<s.Dim)
-	case StepBitDim:
-		return x.c.ID() ^ 1<<s.Dim
-	default:
-		x.c.failf("schedule %s step %d (%s) has no partner", x.sch.Name, x.pos, s.Kind)
-		return -1 // unreachable: failf aborts the run
+// kernelProgram is the engine's one node program, the schedule interpreter:
+// the node walks the finalized sch, calling kern at every step exactly as
+// RunDirect does, and carries out each step's communication on its links —
+// the reference semantics.
+func kernelProgram[T any](sch *Schedule, kern DirectKernel[T]) func(c *ctx[T]) {
+	return func(c *ctx[T]) {
+		u := c.id
+		c.dctx = DirectCtx{u: u, node: &c.ops}
+		dc := &c.dctx
+		for k := range sch.Steps {
+			s := &sch.Steps[k]
+			if s.Kind == StepLocalCombine {
+				kern.Local(dc, k, u)
+				continue
+			}
+			role, v := kern.Produce(dc, k, u)
+			if s.Kind == StepRecDim && role != DirectExchange {
+				// The 3-cycle choreography has no one-sided variant; the
+				// direct executor rejects the same roles.
+				c.failf("node %d: recursive-dimension step %d requires a matched exchange, got role %d", u, k, role)
+			}
+			switch role {
+			case DirectExchange:
+				kern.Absorb(dc, k, u, c.exchange(sch, s, v))
+			case DirectSend:
+				c.sendAt(int(s.links[u]), int(s.partners[u]), v)
+				c.boundary()
+			case DirectRecv:
+				c.boundary()
+				kern.Absorb(dc, k, u, c.recvAt(int(s.links[u]), int(s.partners[u])))
+			default:
+				c.Idle()
+			}
+		}
 	}
 }
 
-// Exchange executes the current step as a full matched exchange: send v to
-// the step's partner and receive the partner's value, honoring the step's
-// fault annotations — a severed pair idles through the matched cycle and is
-// served by the serial detour repairs instead. This is the only step form
-// that supports fault annotations.
-func (x *Exec[T]) Exchange(v T) T {
-	s := x.step()
+// exchange carries out this node's matched exchange of v in step s of sch:
+// the 3-cycle routed choreography on a StepRecDim, otherwise one cycle on
+// the step's link, honoring the step's fault annotations — a severed pair
+// idles through the matched cycle and is served by the serial detour
+// repairs instead. Send and receive steps carry no fault annotations.
+func (c *ctx[T]) exchange(sch *Schedule, s *Step, v T) T {
 	if s.Kind == StepRecDim {
-		// The routed compare-exchange has its own 3-cycle choreography;
-		// fault annotations never reach this kind (RewriteFT rejects them).
-		r := RecDimExchange(x.c, x.sch.D.(topology.Recursive), s.Dim, v)
-		x.pos++
-		return r
+		// RewriteFT never annotates this kind.
+		return recDimExchange(c, sch.D.(topology.Recursive), s.Dim, v)
 	}
+	u := c.id
 	var r T
-	if s.Broken != nil && s.Broken[x.c.ID()] {
-		x.c.Idle()
-	} else if s.links != nil {
-		u := x.c.id
-		r = x.c.exchangeAt(int(s.links[u]), int(s.partners[u]), v)
+	if s.Broken != nil && s.Broken[u] {
+		c.Idle()
 	} else {
-		r = x.c.Exchange(x.partner(s), v)
+		r = c.exchangeAt(int(s.links[u]), int(s.partners[u]), v)
 	}
 	if s.Detours != nil {
-		if got, ok := RunDetours(x.c, s.Detours, v); ok {
+		if got, ok := runDetours(c, s.Detours, v); ok {
 			r = got
 		}
 	}
-	x.pos++
 	return r
 }
 
-// Send executes the current step as a one-way send to the step's partner
-// (role-based collectives: the holder side of a flood or split round).
-// Fault-annotated steps must use Exchange.
-func (x *Exec[T]) Send(v T) {
-	s := x.step()
-	if s.links != nil {
-		u := x.c.id
-		x.c.sendAt(int(s.links[u]), int(s.partners[u]), v)
-		x.c.boundary()
-	} else {
-		x.c.Send(x.partner(s), v)
-	}
-	x.pos++
-}
-
-// Recv executes the current step as a one-way receive from the step's
-// partner (the receiving side of a flood or split round).
-func (x *Exec[T]) Recv() T {
-	s := x.step()
-	var r T
-	if s.links != nil {
-		u := x.c.id
-		x.c.boundary()
-		r = x.c.recvAt(int(s.links[u]), int(s.partners[u]))
-	} else {
-		r = x.c.Recv(x.partner(s))
-	}
-	x.pos++
-	return r
-}
-
-// Idle spends the current communication step without communicating (a node
-// outside the step's active role set).
-func (x *Exec[T]) Idle() {
-	x.step()
-	x.c.Idle()
-	x.pos++
-}
-
-// LocalOps consumes the current StepLocalCombine, recording k computation
-// rounds on this node (k may be zero for nodes the combine does not touch).
-func (x *Exec[T]) LocalOps(k int) {
-	s := x.step()
-	if s.Kind != StepLocalCombine {
-		x.c.failf("schedule %s step %d is %s, not localCombine", x.sch.Name, x.pos, s.Kind)
-	}
-	if k > 0 {
-		x.c.Ops(k)
-	}
-	x.pos++
-}
-
-// RunDetours walks a step's repair schedule: for each severed pair, relay
+// runDetours walks a step's repair schedule: for each severed pair, relay
 // the first endpoint's value to the second and then the second's value back,
 // along the alive path, one hop per cycle. Every node executes the same
 // cycle count; ok reports whether this node is an endpoint of some pair (at
 // most one — matchings are disjoint) and received its partner's value.
-func RunDetours[T any](c *Ctx[T], detours []Detour, v T) (T, bool) {
+func runDetours[T any](c *ctx[T], detours []Detour, v T) (T, bool) {
 	var out T
 	var have bool
 	for i := range detours {
 		dt := &detours[i]
-		if got, ok := RelayOneWay(c, dt.Path, v); ok {
+		if got, ok := relayOneWay(c, dt.Path, v); ok {
 			out, have = got, true
 		}
-		if got, ok := RelayOneWay(c, dt.Back, v); ok {
+		if got, ok := relayOneWay(c, dt.Back, v); ok {
 			out, have = got, true
 		}
 	}
 	return out, have
 }
 
-// RelayOneWay moves the source's value along path, one hop per cycle
+// relayOneWay moves the source's value along path, one hop per cycle
 // (len(path)-1 cycles). Nodes off the path idle every cycle; relay nodes
 // receive on one cycle and forward on the next; ok reports whether this node
 // is the destination.
-func RelayOneWay[T any](c *Ctx[T], path []int, v T) (T, bool) {
+func relayOneWay[T any](c *ctx[T], path []int, v T) (T, bool) {
 	u := c.ID()
 	pos := -1
 	for i, x := range path {
@@ -489,7 +435,7 @@ func RelayOneWay[T any](c *Ctx[T], path []int, v T) (T, bool) {
 	return cur, pos == last
 }
 
-// RecDimExchange performs the parallel recursive-dimension-j exchange of the
+// recDimExchange performs the parallel recursive-dimension-j exchange of the
 // dual-cube's recursive presentation: every node sends v to its dimension-j
 // partner (in recursive-ID space) and receives the partner's value. All
 // nodes of the machine must call it with the same j in the same cycle.
@@ -511,9 +457,9 @@ func RelayOneWay[T any](c *Ctx[T], path []int, v T) (T, bool) {
 // Every directed link carries at most one message per cycle and every node
 // sends at most once per cycle; relay nodes receive on two links in cycle 1
 // (the bidirectional-channel allowance). This is the choreography behind
-// StepRecDim: Exec.Exchange runs it on the engine, and RunDirect reproduces
+// StepRecDim: the interpreter runs it on the engine, and RunDirect reproduces
 // its accounting (3 cycles, 2N messages) without executing the relays.
-func RecDimExchange[T any](c *Ctx[T], d topology.Recursive, j int, v T) T {
+func recDimExchange[T any](c *ctx[T], d topology.Recursive, j int, v T) T {
 	u := c.ID()
 	cross := d.CrossNeighbor(u)
 	if j == 0 {

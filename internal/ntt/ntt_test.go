@@ -2,6 +2,7 @@ package ntt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +84,37 @@ func TestInverseRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: round trip broke coefficient %d", n, i)
 			}
 		}
+	}
+}
+
+// TestShardedTransform runs the transform on D_7 (8192 nodes), past the
+// direct executor's sharding threshold, over three workers: it must match
+// the Q_13 baseline and invert back to its input.
+func TestShardedTransform(t *testing.T) {
+	const n = 7
+	rng := rand.New(rand.NewSource(7))
+	in := make([]uint64, 1<<(2*n-1))
+	for i := range in {
+		in[i] = rng.Uint64() % Mod
+	}
+	cfg := machine.Config{Workers: 3}
+	fwd, _, err := Transform(cfg, n, in, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube, _, err := CubeTransform(cfg, n, in, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fwd, cube) {
+		t.Fatal("D_7 transform differs from the Q_13 baseline")
+	}
+	back, _, err := Transform(cfg, n, fwd, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back, in) {
+		t.Fatal("D_7 round trip did not return the input")
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // This file expresses Algorithm 2 as a machine.DirectKernel, the form both
 // execution paths share: the direct executor runs it as array kernels over
-// the flat per-node state below, and the simulator engines run the very
-// same kernel value through machine.KernelProgram — so DPrefix, the
+// the flat per-node state below, and the simulator engine runs the very
+// same kernel value through its schedule interpreter — so DPrefix, the
 // degraded variant and the recorded variant are one algorithm with three
 // run modes, and the Stats/output parity between them is structural rather
 // than re-implemented.
@@ -24,7 +24,8 @@ import (
 // variable s lives directly in out[idx] (written progressively, final on
 // completion); t carries the block total and, after the first cross hop,
 // the received totals t'; s2 is the diminished prefix of those totals s'.
-// snap is the Figure 3 phase-snapshot hook of DPrefix's tracing mode. node
+// snap is the Figure 3 phase-snapshot hook of DPrefix's tracing mode, nil
+// when untraced, so an untraced run makes no call through it. node
 // is the order's node table (topology.Tables): the kernel body reads every
 // node's data index, local ID and class from it.
 type prefixKernel[T any] struct {
@@ -40,9 +41,6 @@ type prefixKernel[T any] struct {
 }
 
 func newPrefixKernel[T any](d topology.Comm, m monoid.Monoid[T], inclusive bool, in, out []T, snap func(i, idx int, s, t T)) *prefixKernel[T] {
-	if snap == nil {
-		snap = func(int, int, T, T) {}
-	}
 	n := d.Nodes()
 	state := make([]T, 2*n)
 	return &prefixKernel[T]{
@@ -64,14 +62,20 @@ func (pk *prefixKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dir
 		} else {
 			pk.out[idx] = pk.m.Identity()
 		}
-		pk.snap(0, idx, v, v)
+		if pk.snap != nil {
+			pk.snap(0, idx, v, v)
+		}
 	}
 	switch {
 	case k == pk.mdim: // step 2: exchange the block total t
-		pk.snap(1, idx, pk.out[idx], pk.t[u])
+		if pk.snap != nil {
+			pk.snap(1, idx, pk.out[idx], pk.t[u])
+		}
 		return machine.DirectExchange, pk.t[u]
 	case k == 2*pk.mdim+1: // step 4: exchange the prefixed totals s'
-		pk.snap(3, idx, pk.s2[u], pk.t[u])
+		if pk.snap != nil {
+			pk.snap(3, idx, pk.s2[u], pk.t[u])
+		}
 		return machine.DirectExchange, pk.s2[u]
 	default: // ascend rounds exchange the running total
 		return machine.DirectExchange, pk.t[u]
@@ -95,7 +99,9 @@ func (pk *prefixKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 		dc.Ops(1)
 	case k == pk.mdim:
 		// Step 2: the received block total becomes t', s' starts empty.
-		pk.snap(2, idx, pk.out[idx], v)
+		if pk.snap != nil {
+			pk.snap(2, idx, pk.out[idx], v)
+		}
 		pk.t[u] = v
 		pk.s2[u] = m.Identity()
 	case k <= 2*pk.mdim:
@@ -112,7 +118,9 @@ func (pk *prefixKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
 		// of this node's own class half — into the prefix.
 		pk.out[idx] = m.Combine(v, pk.out[idx])
 		dc.Ops(1)
-		pk.snap(4, idx, pk.out[idx], pk.t[u])
+		if pk.snap != nil {
+			pk.snap(4, idx, pk.out[idx], pk.t[u])
+		}
 	}
 }
 
@@ -125,7 +133,9 @@ func (pk *prefixKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
 		pk.out[idx] = pk.m.Combine(pk.t[u], pk.out[idx])
 		dc.Ops(1)
 	}
-	pk.snap(5, idx, pk.out[idx], pk.t[u])
+	if pk.snap != nil {
+		pk.snap(5, idx, pk.out[idx], pk.t[u])
+	}
 }
 
 // largeKernel is DPrefixLarge's variant: chunks of `chunk` elements per

@@ -30,27 +30,11 @@ import (
 	"dualcube/internal/topology"
 )
 
-// ascendStep performs one dimension step of Algorithm 1 at a single node:
-// exchange the running subcube total t with the dimension-i partner and
-// fold the received half into t and, when this node is in the upper half
-// (local bit i set), into the prefix s. Combine order is kept strictly
-// lower-half-first so non-commutative monoids work.
-func ascendStep[T any](c *machine.Ctx[T], m monoid.Monoid[T], partner int, upper bool, t, s T) (T, T) {
-	temp := c.Exchange(partner, t)
-	if upper {
-		s = m.Combine(temp, s)
-		t = m.Combine(temp, t)
-	} else {
-		t = m.Combine(t, temp)
-	}
-	c.Ops(1)
-	return t, s
-}
-
 // CubePrefix runs Algorithm 1 on the hypercube Q_q: node u starts with
 // in[u] and finishes with the prefix in[0] ⊕ ... ⊕ in[u] (inclusive) or
 // in[0] ⊕ ... ⊕ in[u-1] (diminished, the paper's tag = 0). It takes q
-// communication steps and q computation rounds.
+// communication steps and q computation rounds: the ascend prefix as a
+// normal algorithm over the hypercube sweep (emulate.CubeAscend).
 func CubePrefix[T any](cfg machine.Config, q int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
 	h, err := topology.NewHypercube(q)
 	if err != nil {
@@ -59,28 +43,7 @@ func CubePrefix[T any](cfg machine.Config, q int, in []T, m monoid.Monoid[T], in
 	if len(in) != h.Nodes() {
 		return nil, machine.Stats{}, fmt.Errorf("prefix: input length %d != %d nodes of %s", len(in), h.Nodes(), h.Name())
 	}
-	out := make([]T, len(in))
-	eng, err := machine.New[T](h, cfg)
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
-	defer eng.Release()
-	st, err := eng.Run(func(c *machine.Ctx[T]) {
-		u := c.ID()
-		t := in[u]
-		s := in[u]
-		if !inclusive {
-			s = m.Identity()
-		}
-		for i := 0; i < q; i++ {
-			t, s = ascendStep(c, m, u^1<<i, u&(1<<i) != 0, t, s)
-		}
-		out[u] = s
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
+	return ascendPrefix(cfg, true, q, in, m, inclusive)
 }
 
 // Trace captures the per-phase snapshots of one D_prefix run, indexed by
@@ -97,7 +60,7 @@ type Phase[T any] struct {
 	T     []T
 }
 
-// addPhase allocates a snapshot to be filled in by the node programs.
+// addPhase allocates a snapshot to be filled in by the kernel.
 func (tr *Trace[T]) addPhase(label string, n int) *Phase[T] {
 	tr.Phases = append(tr.Phases, Phase[T]{Label: label, S: make([]T, n), T: make([]T, n)})
 	return &tr.Phases[len(tr.Phases)-1]
@@ -197,7 +160,7 @@ func DPrefixRecorded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T
 		return nil, machine.Stats{}, nil, err
 	}
 	defer eng.Release()
-	st, rec, err := eng.RunRecorded(machine.KernelProgram(sch, newPrefixKernel(d, m, inclusive, in, out, nil)))
+	st, rec, err := eng.RunRecorded(sch, newPrefixKernel(d, m, inclusive, in, out, nil))
 	if err != nil {
 		return nil, st, nil, err
 	}
@@ -212,6 +175,16 @@ func DPrefixRecorded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T
 // communication steps versus D_prefix's 2n, demonstrating why the cluster
 // technique matters.
 func EmulatedCubePrefix[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
+	return ascendPrefix(cfg, false, n, in, m, inclusive)
+}
+
+// ascendPrefix runs Algorithm 1 as a normal ascend algorithm: on Q_order
+// (emulate.CubeAscend) when cube is set, emulated on D_order
+// (emulate.Ascend) otherwise. Every node carries its (subcube total,
+// subcube prefix) pair; at each dimension the upper node folds the lower
+// half's total into both, the lower node into its total — strictly
+// lower-half-first, so non-commutative monoids work.
+func ascendPrefix[T any](cfg machine.Config, cube bool, order int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
 	init := make([]totalPrefix[T], len(in))
 	for i, v := range in {
 		init[i] = totalPrefix[T]{t: v, s: v}
@@ -219,7 +192,11 @@ func EmulatedCubePrefix[T any](cfg machine.Config, n int, in []T, m monoid.Monoi
 			init[i].s = m.Identity()
 		}
 	}
-	pairs, st, err := emulate.Ascend(cfg, n, init, func(dim, id int, mine, theirs totalPrefix[T]) totalPrefix[T] {
+	ascend := emulate.Ascend[totalPrefix[T]]
+	if cube {
+		ascend = emulate.CubeAscend[totalPrefix[T]]
+	}
+	pairs, st, err := ascend(cfg, order, init, func(dim, id int, mine, theirs totalPrefix[T]) totalPrefix[T] {
 		if id>>dim&1 == 1 {
 			return totalPrefix[T]{t: m.Combine(theirs.t, mine.t), s: m.Combine(theirs.t, mine.s)}
 		}

@@ -1,7 +1,9 @@
 package prefix
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -309,6 +311,51 @@ func TestEmulatedCubePrefix(t *testing.T) {
 	}
 	if _, _, err := EmulatedCubePrefix(machine.Config{}, 0, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("order 0 should fail")
+	}
+}
+
+// TestNormalPrefixStatsPinned pins Algorithm 1 on Q_q (q = 0..11) and its
+// emulation on D_n (n = 1..6) to the Stats the engine-only node programs
+// reported, on both backends, with identical outputs: Q_q takes q cycles,
+// q·2^q messages and q rounds per node; the emulated sweep on D_n takes
+// 6n-5 cycles, N(4n-3) messages (N for the cross hop, 2N per routed
+// dimension) and 2n-1 rounds per node.
+func TestNormalPrefixStatsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pinned := func(name string, want machine.Stats, run func(machine.Config) ([]int, machine.Stats, error)) {
+		t.Helper()
+		var ref []int
+		for _, s := range []machine.Sched{machine.SchedWorkerPool, machine.SchedDefault} {
+			got, st, err := run(machine.Config{Sched: s})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, s, err)
+			}
+			if st != want {
+				t.Errorf("%s %v: stats %+v, want %+v", name, s, st, want)
+			}
+			if ref == nil {
+				ref = got
+			} else if !slices.Equal(got, ref) {
+				t.Errorf("%s: outputs diverge between backends", name)
+			}
+		}
+	}
+	for q := 0; q <= 11; q++ {
+		N := 1 << q
+		in := randInts(rng, N)
+		pinned(fmt.Sprintf("Q_%d", q), machine.Stats{Nodes: N, Cycles: q, CommCycles: q, Messages: int64(q * N), MaxOps: q, TotalOps: int64(q * N)},
+			func(cfg machine.Config) ([]int, machine.Stats, error) {
+				return CubePrefix(cfg, q, in, monoid.Sum[int](), q%2 == 0)
+			})
+	}
+	for n := 1; n <= 6; n++ {
+		N := 1 << (2*n - 1)
+		in := randInts(rng, N)
+		c := 6*n - 5
+		pinned(fmt.Sprintf("emulated D_%d", n), machine.Stats{Nodes: N, Cycles: c, CommCycles: c, Messages: int64(N * (4*n - 3)), MaxOps: 2*n - 1, TotalOps: int64((2*n - 1) * N)},
+			func(cfg machine.Config) ([]int, machine.Stats, error) {
+				return EmulatedCubePrefix(cfg, n, in, monoid.Sum[int](), n%2 == 1)
+			})
 	}
 }
 

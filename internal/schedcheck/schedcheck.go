@@ -21,11 +21,14 @@
 //     matching the involution r ↔ r^(1<<j) and every step oriented as its
 //     merge requires; the hypercube baseline fits q(q+1)/2 single-cycle
 //     steps;
+//   - the normal-algorithm sweeps fit Section 7: on D_n 2n-1 unoriented
+//     steps, the cross hop then StepRecDim over dimensions 1..2n-2, in
+//     exactly 6n-5 cycles; on Q_q q single-cycle StepBitDim steps;
 //   - fault rewrites (dcomm.RewriteFT) annotate exactly the severed pairs of
 //     each matching, repair them over alive simple detours of at most 7 hops
 //     (for f <= n-1 faults), and account RepairCycles exactly — and refuse
-//     the recursive-technique sort schedules, whose 3-cycle choreography has
-//     no static detour form.
+//     the recursive-technique sort and sweep schedules, whose 3-cycle
+//     choreography has no static detour form.
 //
 // cmd/dcvet runs Verify over n = 2..7 alongside the source analyzers, making
 // "every schedule the runtime can compile is well-formed" part of vetting.
@@ -35,6 +38,7 @@ import (
 	"fmt"
 
 	"dualcube/internal/dcomm"
+	"dualcube/internal/emulate"
 	"dualcube/internal/fault"
 	"dualcube/internal/machine"
 	"dualcube/internal/sortnet"
@@ -247,16 +251,10 @@ func CheckSchedule(sch *machine.Schedule, c topology.Comm, op dcomm.Op) error {
 // bit 2l-2, the final merge bit 2l-1 (the enclosing quarter's
 // alternation), the final merge of level n the requested Order — and the
 // sort-ID table must be the recursive IDs the orientation bits are read
-// from. Each recursive dimension's matching must be the involution
-// r ↔ r^(1<<j) in recursive-ID space, finalized partner-only (routed pairs
-// are not adjacent, so there is no link table), and the fault-free
-// schedule must carry no annotations. Generic over any topology carrying
-// the recursive presentation.
+// from. The steps themselves are checkLadder's. Generic over any topology
+// carrying the recursive presentation.
 func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
-	n, m, N := c.Order(), c.ClusterDim(), c.Nodes()
-	if sch.D != topology.Comm(c) {
-		return fmt.Errorf("schedcheck: %s: schedule bound to %s, want %s", sch.Name, sch.D.Name(), c.Name())
-	}
+	n, m := c.Order(), c.ClusterDim()
 
 	// The expected ladder of Algorithm 3, level by level. Dimension 0 is
 	// the cross matching, every higher dimension a routed StepRecDim.
@@ -280,7 +278,7 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 		}
 		sweep(2*l-2, final)
 	}
-	if err := checkSortIDs(sch, N, c.ToRecursive); err != nil {
+	if err := checkSortIDs(sch, c.Nodes(), c.ToRecursive); err != nil {
 		return err
 	}
 	if len(want) != sortnet.DSortCompSteps(n) {
@@ -289,26 +287,59 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 	if len(sch.Steps) != len(want) {
 		return fmt.Errorf("schedcheck: %s: %d steps, want 2n²-n = %d", sch.Name, len(sch.Steps), len(want))
 	}
-	if got := sch.CommSteps(); got != len(want) {
-		return fmt.Errorf("schedcheck: %s: %d communication steps, want %d (every step exchanges)", sch.Name, got, len(want))
-	}
 	if got, want := sch.CommCycles(), sortnet.DSortCommSteps(n); got != want {
 		return fmt.Errorf("schedcheck: %s: %d communication cycles, want 6n²-7n+2 = %d (Theorem 2)", sch.Name, got, want)
+	}
+	return checkLadder(sch, c, want)
+}
+
+// CheckSweepSchedule verifies the normal-algorithm sweep of Section 7
+// (dcomm.CompiledSweep) on D_n: 2n-1 steps, a cross hop on recursive
+// dimension 0 and then one StepRecDim per dimension 1..2n-2 in ascending
+// order, none of them oriented and no sort-ID table, costing exactly
+// emulate.CommSteps(n) = 6n-5 communication cycles. The steps themselves
+// are checkLadder's.
+func CheckSweepSchedule(sch *machine.Schedule, c topology.Recursive) error {
+	m := c.ClusterDim()
+	want := []machine.Step{{Kind: machine.StepCrossHop, Dim: 0, Pattern: m}}
+	for j := 1; j < c.RecDims(); j++ {
+		want = append(want, machine.Step{Kind: machine.StepRecDim, Dim: j, Pattern: m + j})
+	}
+	if len(sch.Steps) != len(want) {
+		return fmt.Errorf("schedcheck: %s: %d steps, want 2n-1 = %d", sch.Name, len(sch.Steps), len(want))
+	}
+	if sch.SortIDs() != nil {
+		return fmt.Errorf("schedcheck: %s: unoriented sweep carries a sort-ID table", sch.Name)
+	}
+	if got, want := sch.CommCycles(), emulate.CommSteps(c.Order()); got != want {
+		return fmt.Errorf("schedcheck: %s: %d communication cycles, want 6n-5 = %d", sch.Name, got, want)
+	}
+	return checkLadder(sch, c, want)
+}
+
+// checkLadder verifies a recursive-technique schedule bound to c step by
+// step against want, the expected steps (sch has as many): every step's
+// kind, dimension, pattern and orientation; no fault annotations; partner
+// tables finalized and shared per pattern; every recursive dimension's
+// matching the involution r ↔ r^(1<<j) in recursive-ID space; dimension 0
+// the cross matching over a link table, and every higher dimension
+// partner-only, since its routed pairs are not adjacent.
+func checkLadder(sch *machine.Schedule, c topology.Recursive, want []machine.Step) error {
+	N := c.Nodes()
+	if sch.D != topology.Comm(c) {
+		return fmt.Errorf("schedcheck: %s: schedule bound to %s, want %s", sch.Name, sch.D.Name(), c.Name())
 	}
 	if sch.RepairCycles != 0 {
 		return fmt.Errorf("schedcheck: %s: fault-free schedule has RepairCycles %d", sch.Name, sch.RepairCycles)
 	}
-
-	firstByPattern := make(map[int]*machine.Step, 2*n-1)
+	firstByPattern := make(map[int]*machine.Step, c.RecDims())
 	for i := range sch.Steps {
-		s := &sch.Steps[i]
+		s, w := &sch.Steps[i], &want[i]
 		if s.Broken != nil || s.Detours != nil {
 			return fmt.Errorf("schedcheck: %s step %d: fault-free schedule carries fault annotations", sch.Name, i)
 		}
-		w := &want[i]
-		if s.Kind != w.Kind || s.Dim != w.Dim || s.Pattern != w.Pattern || s.Orient != w.Orient {
-			return fmt.Errorf("schedcheck: %s step %d: got (%s dim %d pattern %d oriented by %s), want (%s dim %d pattern %d oriented by %s)",
-				sch.Name, i, s.Kind, s.Dim, s.Pattern, s.Orient, w.Kind, w.Dim, w.Pattern, w.Orient)
+		if err := checkShape(sch, i, w); err != nil {
+			return err
 		}
 		j := w.Dim
 
@@ -348,14 +379,8 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 				if p != c.CrossNeighbor(u) {
 					return fmt.Errorf("schedcheck: %s step %d: node %d cross partner %d, want %d", sch.Name, i, u, p, c.CrossNeighbor(u))
 				}
-				links := s.LinkIndexes()
-				if links == nil {
-					return fmt.Errorf("schedcheck: %s step %d: cross step has no link table", sch.Name, i)
-				}
-				row := c.Neighbors(u)
-				li := int(links[u])
-				if li < 0 || li >= len(row) || row[li] != p {
-					return fmt.Errorf("schedcheck: %s step %d: node %d link index %d does not select partner %d", sch.Name, i, u, li, p)
+				if err := checkLink(sch, i, c, u); err != nil {
+					return err
 				}
 			} else if s.LinkIndexes() != nil {
 				return fmt.Errorf("schedcheck: %s step %d: recursive-dimension step carries a link table (routed pairs are not adjacent)", sch.Name, i)
@@ -367,15 +392,12 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 
 // CheckCubeSortSchedule verifies the compiled hypercube bitonic-sort
 // schedule: stages k = 1..q sweeping StepBitDim exchanges over dimensions
-// k-1..0 — q(q+1)/2 steps of one cycle each — with every matching the
-// hypercube involution u ↔ u^(1<<j) over an adjacent link, stage k
-// oriented by node bit k (the 2^k-block alternation) and stage q by the
-// requested Order, and the node IDs as sort IDs.
+// k-1..0 — q(q+1)/2 steps of one cycle each — with stage k oriented by node
+// bit k (the 2^k-block alternation) and stage q by the requested Order,
+// and the node IDs as sort IDs. The steps themselves are
+// checkCubeLadder's.
 func CheckCubeSortSchedule(sch *machine.Schedule, h *topology.Hypercube) error {
-	q, N := h.Dim(), h.Nodes()
-	if sch.Topology() != topology.Topology(h) {
-		return fmt.Errorf("schedcheck: %s: schedule bound to the wrong topology", sch.Name)
-	}
+	q := h.Dim()
 	var want []machine.Step
 	for k := 1; k <= q; k++ {
 		stage := machine.OrientBit(k)
@@ -387,26 +409,54 @@ func CheckCubeSortSchedule(sch *machine.Schedule, h *topology.Hypercube) error {
 		}
 	}
 	if q > 0 {
-		if err := checkSortIDs(sch, N, func(u int) int { return u }); err != nil {
+		if err := checkSortIDs(sch, h.Nodes(), func(u int) int { return u }); err != nil {
 			return err
 		}
 	}
 	if len(sch.Steps) != len(want) || len(want) != sortnet.CubeSortSteps(q) {
 		return fmt.Errorf("schedcheck: %s: %d steps, want q(q+1)/2 = %d", sch.Name, len(sch.Steps), sortnet.CubeSortSteps(q))
 	}
+	return checkCubeLadder(sch, h, want)
+}
+
+// CheckCubeSweepSchedule verifies the hypercube baseline's normal sweep
+// (dcomm.CompiledCubeSweep) on Q_q: q unoriented StepBitDim steps over
+// dimensions 0..q-1 in ascending order, one cycle each, and no sort-ID
+// table. The steps themselves are checkCubeLadder's.
+func CheckCubeSweepSchedule(sch *machine.Schedule, h *topology.Hypercube) error {
+	want := make([]machine.Step, h.Dim())
+	for j := range want {
+		want[j] = machine.Step{Kind: machine.StepBitDim, Dim: j, Pattern: j}
+	}
+	if len(sch.Steps) != len(want) {
+		return fmt.Errorf("schedcheck: %s: %d steps, want q = %d", sch.Name, len(sch.Steps), len(want))
+	}
+	if sch.SortIDs() != nil {
+		return fmt.Errorf("schedcheck: %s: unoriented sweep carries a sort-ID table", sch.Name)
+	}
+	return checkCubeLadder(sch, h, want)
+}
+
+// checkCubeLadder verifies a bit-dimension schedule bound to h step by step
+// against want, the expected steps (sch has as many): one cycle per step,
+// every step's kind, dimension, pattern and orientation, exchange tables
+// finalized and shared per pattern, and every matching the hypercube
+// involution u ↔ u^(1<<j) over an adjacent link.
+func checkCubeLadder(sch *machine.Schedule, h *topology.Hypercube, want []machine.Step) error {
+	if sch.Topology() != topology.Topology(h) {
+		return fmt.Errorf("schedcheck: %s: schedule bound to the wrong topology", sch.Name)
+	}
 	if got := sch.CommCycles(); got != len(want) {
 		return fmt.Errorf("schedcheck: %s: %d communication cycles, want %d", sch.Name, got, len(want))
 	}
-	firstByPattern := make(map[int]*machine.Step, q)
+	firstByPattern := make(map[int]*machine.Step, h.Dim())
 	for i := range sch.Steps {
-		s := &sch.Steps[i]
-		w := &want[i]
-		if s.Kind != w.Kind || s.Dim != w.Dim || s.Pattern != w.Pattern || s.Orient != w.Orient {
-			return fmt.Errorf("schedcheck: %s step %d: got (%s dim %d pattern %d oriented by %s), want (%s dim %d pattern %d oriented by %s)",
-				sch.Name, i, s.Kind, s.Dim, s.Pattern, s.Orient, w.Kind, w.Dim, w.Pattern, w.Orient)
+		s, w := &sch.Steps[i], &want[i]
+		if err := checkShape(sch, i, w); err != nil {
+			return err
 		}
-		partners, links := s.Partners(), s.LinkIndexes()
-		if partners == nil || links == nil {
+		partners := s.Partners()
+		if partners == nil || s.LinkIndexes() == nil {
 			return fmt.Errorf("schedcheck: %s step %d: schedule not finalized (nil exchange tables)", sch.Name, i)
 		}
 		if first, ok := firstByPattern[s.Pattern]; ok {
@@ -416,17 +466,38 @@ func CheckCubeSortSchedule(sch *machine.Schedule, h *topology.Hypercube) error {
 			continue
 		}
 		firstByPattern[s.Pattern] = s
-		for u := 0; u < N; u++ {
-			p := int(partners[u])
-			if p != u^1<<w.Dim {
+		for u := 0; u < h.Nodes(); u++ {
+			if p := int(partners[u]); p != u^1<<w.Dim {
 				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d, want %d", sch.Name, i, u, p, u^1<<w.Dim)
 			}
-			row := h.Neighbors(u)
-			li := int(links[u])
-			if li < 0 || li >= len(row) || row[li] != p {
-				return fmt.Errorf("schedcheck: %s step %d: node %d link index %d does not select partner %d", sch.Name, i, u, li, p)
+			if err := checkLink(sch, i, h, u); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkShape compares step i of sch with its expected shape w.
+func checkShape(sch *machine.Schedule, i int, w *machine.Step) error {
+	if s := &sch.Steps[i]; s.Kind != w.Kind || s.Dim != w.Dim || s.Pattern != w.Pattern || s.Orient != w.Orient {
+		return fmt.Errorf("schedcheck: %s step %d: got (%s dim %d pattern %d oriented by %s), want (%s dim %d pattern %d oriented by %s)",
+			sch.Name, i, s.Kind, s.Dim, s.Pattern, s.Orient, w.Kind, w.Dim, w.Pattern, w.Orient)
+	}
+	return nil
+}
+
+// checkLink verifies that node u's link index in step i of sch selects its
+// partner in u's ascending neighbor row of t.
+func checkLink(sch *machine.Schedule, i int, t topology.Topology, u int) error {
+	s := &sch.Steps[i]
+	links := s.LinkIndexes()
+	if links == nil {
+		return fmt.Errorf("schedcheck: %s step %d: %s step has no link table", sch.Name, i, s.Kind)
+	}
+	row, li, p := t.Neighbors(u), int(links[u]), int(s.Partners()[u])
+	if li < 0 || li >= len(row) || row[li] != p {
+		return fmt.Errorf("schedcheck: %s step %d: node %d link index %d does not select partner %d", sch.Name, i, u, li, p)
 	}
 	return nil
 }
@@ -594,10 +665,11 @@ var ftSeeds = []int64{2008, 42}
 // (dual-cube, hypercube, Z-cube) at every order in [minOrder, maxOrder]:
 // all cluster-technique operations' fault-free schedules plus RewriteFT
 // variants under f = 1 and f = n-1 random link faults per seed; the D_sort
-// schedule against Theorem 2's exact step and cycle counts, with the
-// assertion that RewriteFT refuses to annotate it; and the hypercube
-// bitonic-sort baseline for every q up to 2·maxOrder-1 (the dimension whose
-// node count matches D_maxOrder). The f = n-1 fault budget is sound on all
+// schedule against Theorem 2's exact step and cycle counts and the normal
+// sweep against Section 7's 6n-5 cycles, with the assertion that RewriteFT
+// refuses to annotate either; and the hypercube bitonic-sort and sweep
+// baselines for every q up to 2·maxOrder-1 (the dimension whose node count
+// matches D_maxOrder). The f = n-1 fault budget is sound on all
 // three families because each contains D_n as a spanning subgraph, so its
 // link connectivity is at least n (λ(D_n) = n per Zhao/Hao/Cheng).
 func Verify(minOrder, maxOrder int) error {
@@ -624,13 +696,20 @@ func Verify(minOrder, maxOrder int) error {
 		if err := CheckCubeSortSchedule(sch, h); err != nil {
 			return err
 		}
+		if sch, err = dcomm.CompiledCubeSweep(h); err != nil {
+			return err
+		}
+		if err := CheckCubeSweepSchedule(sch, h); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // VerifyComm runs the per-topology battery on one communication topology:
-// every operation's fault-free schedule, the Theorem 2 sort ladder, and the
-// fault-rewrite checks under the standard seeds and budgets.
+// every operation's fault-free schedule, the Theorem 2 sort ladder, the
+// normal sweep, and the fault-rewrite checks under the standard seeds and
+// budgets.
 func VerifyComm(c topology.Comm) error {
 	n := c.Order()
 	for op := dcomm.OpPrefix; op < dcomm.OpEnd; op++ {
@@ -646,11 +725,17 @@ func VerifyComm(c topology.Comm) error {
 			if err := CheckSortSchedule(base, r); err != nil {
 				return err
 			}
+			sweep := dcomm.CompiledSweep(r)
+			if err := CheckSweepSchedule(sweep, r); err != nil {
+				return err
+			}
 			// The recursive-technique choreography has no static detour
-			// form; the rewrite must refuse, never mis-annotate.
+			// form; the rewrite must refuse both ladders, never mis-annotate.
 			view := fault.NewView(c, fault.Random(c, 1, ftSeeds[0]))
-			if _, err := dcomm.RewriteFT(base, view); err == nil {
-				return fmt.Errorf("schedcheck: %s: RewriteFT accepted a recursive-technique schedule", base.Name)
+			for _, sch := range []*machine.Schedule{base, sweep} {
+				if _, err := dcomm.RewriteFT(sch, view); err == nil {
+					return fmt.Errorf("schedcheck: %s: RewriteFT accepted a recursive-technique schedule", sch.Name)
+				}
 			}
 			continue
 		}

@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -378,5 +379,54 @@ func TestCheckFTCleanView(t *testing.T) {
 	}
 	if CheckFT(base, buildPrefixSchedule(d), clean, 0) == nil {
 		t.Error("clean view with a copied schedule passed; must be the identical pointer")
+	}
+}
+
+// TestCheckSweepCatchesDrift drops one dimension from an otherwise pristine
+// normal sweep, or sweeps its neighbor twice instead, on D_n and on the
+// hypercube baseline, and expects the checkers to reject every drift: a
+// sweep that skips a dimension computes a different algorithm.
+func TestCheckSweepCatchesDrift(t *testing.T) {
+	// The cached sweeps are bound to whichever instances compiled them
+	// first, so the checks run against those.
+	sweep := dcomm.CompiledSweep(topology.MustDualCube(4))
+	d := sweep.D.(topology.Recursive)
+	cube, err := dcomm.CompiledCubeSweep(topology.MustHypercube(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cube.Topo.(*topology.Hypercube)
+	if err := CheckSweepSchedule(sweep, d); err != nil {
+		t.Fatalf("pristine D_4 sweep rejected: %v", err)
+	}
+	if err := CheckCubeSweepSchedule(cube, h); err != nil {
+		t.Fatalf("pristine Q_7 sweep rejected: %v", err)
+	}
+	// drifts returns the two drifts of sch that skip dimension j: without
+	// its step, and with its step replaced by the next dimension's.
+	drifts := func(sch *machine.Schedule, j int) []*machine.Schedule {
+		dropped, repeated := *sch, *sch
+		dropped.Steps = slices.Delete(slices.Clone(sch.Steps), j, j+1)
+		repeated.Steps = slices.Clone(sch.Steps)
+		repeated.Steps[j] = sch.Steps[(j+1)%len(sch.Steps)]
+		return []*machine.Schedule{&dropped, &repeated}
+	}
+	for j := 0; j < d.RecDims(); j++ {
+		for _, drift := range drifts(sweep, j) {
+			if CheckSweepSchedule(drift, d) == nil {
+				t.Errorf("D_4 sweep skipping dimension %d (%d steps) passed verification", j, len(drift.Steps))
+			}
+		}
+	}
+	for j := 0; j < h.Dim(); j++ {
+		for _, drift := range drifts(cube, j) {
+			if CheckCubeSweepSchedule(drift, h) == nil {
+				t.Errorf("Q_7 sweep skipping dimension %d (%d steps) passed verification", j, len(drift.Steps))
+			}
+		}
+	}
+	// A sort ladder is not a sweep, even over the same matchings.
+	if CheckSweepSchedule(buildSortSchedule(d), d) == nil {
+		t.Error("the D_sort ladder passed as a sweep")
 	}
 }

@@ -213,7 +213,7 @@ func DSortRecorded[K any](cfg machine.Config, n int, keys []K, less func(a, b K)
 		return nil, machine.Stats{}, nil, err
 	}
 	defer eng.Release()
-	st, rec, err := eng.RunRecorded(machine.KernelProgram(sch, kern))
+	st, rec, err := eng.RunRecorded(sch, kern)
 	if err != nil {
 		return nil, st, nil, err
 	}

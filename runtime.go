@@ -18,16 +18,15 @@ import (
 
 // Runtime is a reusable execution handle for one D_n. It binds the
 // process-wide cached topology (one immutable *DualCube per order, shared by
-// every caller) and fronts the simulator's engine recycling pool, so a warm
-// Runtime executes operations with zero topology or engine construction:
-// the first run of an operation at a given element type builds its engine
-// and compiles its cluster-technique schedule; every later run checks both
-// out of their caches.
+// every caller). Every operation is a compiled schedule plus a kernel, run
+// on the direct kernel executor: the first run of an operation compiles its
+// schedule and builds the order's node tables, both cached per order, and
+// every later run only looks them up (Warm does both ahead of time).
 //
-// A Runtime is safe for concurrent use: the topology and the compiled
-// schedules are immutable, and checked-out engines are exclusive to one run
-// (the pool hands each engine to at most one caller at a time), so
-// concurrent operations on the same Runtime never share mutable state.
+// A Runtime is safe for concurrent use: the topology, the node tables and
+// the compiled schedules are immutable, and every run keeps its payloads in
+// state of its own, so concurrent operations on the same Runtime never
+// share mutable state.
 //
 // Because Go does not allow type parameters on methods, the generic
 // operations are free functions taking the Runtime first — PrefixOn(rt, in),
@@ -44,10 +43,10 @@ type Runtime struct {
 	// require it and reject other families with a clear error.
 	d *topology.DualCube
 	// cfg is the execution configuration every operation passes down. It
-	// is zero on every Runtime this package hands out: compiled schedules
-	// run on the direct executor, other runs on the worker pool, with no
-	// faults. Only the package's tests set it, to pin a backend per
-	// Runtime; every backend gives identical outputs and Stats.
+	// is zero on every Runtime this package hands out: every operation runs
+	// on the direct executor, with no faults. Only the package's tests set
+	// it, to pin a backend per Runtime; every backend gives identical
+	// outputs and Stats.
 	cfg machine.Config
 }
 
@@ -146,13 +145,13 @@ func (rt *Runtime) recursive(op string) (topology.Recursive, error) {
 	return nil, fmt.Errorf("dualcube: %s needs a recursive presentation, which %s does not carry", op, rt.c.Name())
 }
 
-// Warm pre-compiles the cluster-technique schedules of every collective
-// operation for this order and builds the order's node tables. Engines are
-// typed by element, so they warm on the first run of each (operation,
-// element type) pair; Warm only removes the schedule-compilation and
-// table-building cost from that first run. The returned error is nil for
-// every operation in the Op enum; it exists so compilation failures surface
-// to callers instead of panicking.
+// Warm pre-compiles the schedule of every operation in the dcomm.Op enum
+// for this order and builds the order's node tables, removing the
+// schedule-compilation and table-building cost from each operation's first
+// run. The normal-algorithm sweeps behind NTTOn and PolyMulModOn are not
+// Ops and compile on their first run. The returned error is nil for every
+// operation in the Op enum; it exists so compilation failures surface to
+// callers instead of panicking.
 func (rt *Runtime) Warm() error {
 	for op := dcomm.OpPrefix; op < dcomm.OpEnd; op++ {
 		if _, err := dcomm.Compiled(rt.c, op); err != nil {

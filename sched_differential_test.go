@@ -117,6 +117,29 @@ var differentialWorkloads = []struct {
 		out, st, err := PermuteOn(rt, rng.Perm(rt.Nodes()), diffInput(rt.Order()))
 		return out, st, err
 	}},
+	{"NTT", false, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := NTTOn(rt, diffCoeffs(rt.Order()), false)
+		return out, st, err
+	}},
+	{"NTTInverse", false, func(rt *Runtime) (any, Stats, error) {
+		out, st, err := NTTOn(rt, diffCoeffs(rt.Order()), true)
+		return out, st, err
+	}},
+	{"PolyMulMod", false, func(rt *Runtime) (any, Stats, error) {
+		c := diffCoeffs(rt.Order())
+		out, st, err := PolyMulModOn(rt, c[:len(c)/2], c[len(c)/2:])
+		return out, st, err
+	}},
+}
+
+// diffCoeffs is diffInput as NTT coefficients.
+func diffCoeffs(n int) []uint64 {
+	in := diffInput(n)
+	out := make([]uint64, len(in))
+	for i, v := range in {
+		out[i] = uint64(v)
+	}
+	return out
 }
 
 // diffLargeInput is k keys per node drawn from a small range, so every
