@@ -358,42 +358,6 @@ func BenchmarkNTT(b *testing.B) {
 	}
 }
 
-// BenchmarkE20PrefixColdVsWarm isolates what the Runtime layer caches. The
-// cold case drops every pooled engine before each run, so each call rebuilds
-// the full D_6 machine (2048 node contexts, mailboxes, coroutine stacks); the
-// warm case reuses the pooled engine and the compiled schedule, which is the
-// steady state of a long-lived Runtime.
-func BenchmarkE20PrefixColdVsWarm(b *testing.B) {
-	const n = 6
-	in := benchInput(n)
-	rt, err := NewRuntime(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run(fmt.Sprintf("cold/D_%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			machine.ResetEnginePool()
-			if _, _, err := PrefixOn(rt, in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("warm/D_%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		rt.Warm()
-		if _, _, err := PrefixOn(rt, in); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := PrefixOn(rt, in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkE17SampleSort: the collective-based sorting family vs bitonic.
 func BenchmarkE17SampleSort(b *testing.B) {
 	const k = 16

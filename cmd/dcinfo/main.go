@@ -56,7 +56,7 @@ func main() {
 	if *faulttol {
 		ran = true
 		fmt.Print("Maximum tolerable link faults per topology, derived from each family's\ngeneralized connectivity figures (λ-1 faults provably leave the network\nconnected); the source of every bound is cited below its table.\n\n")
-		printTable(experiments.E20TopologyFaultTolerance(6, 20, 2008))
+		printTable(experiments.E19TopologyFaultTolerance(6, 20, 2008))
 		fmt.Println()
 		printTable(experiments.E19FaultTolerance(6, 20, 2008))
 	}

@@ -8,9 +8,6 @@
 //	dcserve                          # serve D_4..D_6 on :8437
 //	dcserve -addr :9000 -orders 5,6 -shards 2 -maxbatch 32 -window 200us -queue 256
 //
-//	dcserve -load                    # E23 load generator: batch-width sweep
-//	dcserve -load -op prefix -n 5 -clients 64 -dur 2s -sweep 1,8,32 -json
-//
 // Serving endpoints:
 //
 //	POST /v1/prefix     {"n":5,"data":[...]}           → {"data":[...],"batch":k,...}
@@ -26,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -46,25 +42,7 @@ func main() {
 	maxBatch := flag.Int("maxbatch", 32, "max requests coalesced into one kernel pass")
 	window := flag.Duration("window", 200*time.Microsecond, "batch collection window")
 	queue := flag.Int("queue", 256, "pending-queue capacity per (op, order) line")
-
-	load := flag.Bool("load", false, "run the E23 load generator instead of serving")
-	op := flag.String("op", "prefix", "with -load: operation to drive")
-	n := flag.Int("n", 5, "with -load: dual-cube order")
-	clients := flag.Int("clients", 64, "with -load: concurrent closed-loop clients")
-	dur := flag.Duration("dur", 2*time.Second, "with -load: measurement window per point")
-	sweep := flag.String("sweep", "1,8,32", "with -load: max-batch widths to sweep")
-	jsonOut := flag.Bool("json", false, "with -load: emit points as JSON lines")
-	verify := flag.Bool("verify", false, "with -load: verify every response (skews throughput)")
-	seed := flag.Int64("seed", 2008, "with -load: payload seed")
 	flag.Parse()
-
-	if *load {
-		if err := runLoad(*op, *n, *clients, *dur, *window, *sweep, *seed, *verify, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "dcserve:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	ns, err := parseInts(*orders)
 	if err != nil {
@@ -85,49 +63,6 @@ func main() {
 	log.Printf("dcserve: serving orders %v (%d shard(s) each, max batch %d, window %v) on %s",
 		ns, *shards, *maxBatch, *window, *addr)
 	log.Fatal(http.ListenAndServe(*addr, serve.Handler(s)))
-}
-
-// runLoad is the E23 experiment body: sweep max-batch widths over one
-// (op, order) line and report requests/sec with p50/p99 latency.
-func runLoad(opName string, n, clients int, dur, window time.Duration, sweep string, seed int64, verify, jsonOut bool) error {
-	op, err := serve.ParseOp(opName)
-	if err != nil {
-		return err
-	}
-	widths, err := parseInts(sweep)
-	if err != nil {
-		return fmt.Errorf("bad -sweep: %w", err)
-	}
-	points, err := serve.SweepBatch(serve.LoadConfig{
-		Op:       op,
-		N:        n,
-		Clients:  clients,
-		Duration: dur,
-		Window:   window,
-		Seed:     seed,
-		Verify:   verify,
-	}, widths)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		for _, pt := range points {
-			if err := enc.Encode(pt); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	base := points[0].RPS
-	fmt.Printf("E23: %s on D_%d, %d clients, %v per point\n", op, n, points[0].Clients, dur)
-	fmt.Printf("%-9s %10s %9s %11s %11s %10s %8s\n",
-		"maxbatch", "reqs", "rps", "p50(us)", "p99(us)", "meanbatch", "speedup")
-	for _, pt := range points {
-		fmt.Printf("%-9d %10d %9.0f %11.0f %11.0f %10.2f %7.2fx\n",
-			pt.MaxBatch, pt.Requests, pt.RPS, pt.P50Micros, pt.P99Micros, pt.MeanBatch, pt.RPS/base)
-	}
-	return nil
 }
 
 func parseInts(csv string) ([]int, error) {

@@ -6,7 +6,7 @@
 // without running the simulator, and the
 // compiler-diagnostics escape/BCE gate (internal/analysis/escgate).
 //
-// Three modes:
+// Two modes:
 //
 //	dcvet [flags] [packages]
 //
@@ -21,27 +21,11 @@
 // (internal/analysis/escgate/testdata/escbudget.json). -json writes the
 // machine-readable report to stdout; -update re-baselines the budgeted
 // ceilings (never the zero list) to the measured actuals.
-//
-//	go vet -vettool=$(command -v dcvet) ./...
-//
-// Vet-tool: speaks the cmd/vet unitchecker protocol (-V=full version probe,
-// then one invocation per package with a .cfg file describing sources and
-// export data). Only the source analyzers run in this mode — the schedule
-// verifier is whole-repository, not per-package — and findings exit 2, the
-// convention go vet maps to "diagnostics reported".
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,48 +37,7 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	// The go vet driver probes the tool with -V=full before anything else
-	// and parses a buildID from the reply for its action cache; hashing our
-	// own executable gives an ID that changes exactly when the tool does.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		id, err := selfHash()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("dcvet version devel buildID=%s\n", id)
-		return
-	}
-	// The vet driver's second probe asks for the tool's flag definitions as
-	// a JSON array; dcvet takes no per-analyzer flags in vet-tool mode.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	// A single *.cfg positional argument is the unitchecker handshake.
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		os.Exit(unitcheck(args[len(args)-1]))
-	}
-	os.Exit(standalone(args))
-}
-
-// selfHash returns the hex digest of the running executable.
-func selfHash() (string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	os.Exit(standalone(os.Args[1:]))
 }
 
 // standalone runs dcvet over module packages plus the schedule verifier.
@@ -207,117 +150,4 @@ func modulePath(root string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("dcvet: no module line in %s/go.mod", root)
-}
-
-// vetCfg is the configuration file the go vet driver hands a unitchecker
-// tool: one package's sources plus everything needed to type-check them.
-type vetCfg struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one package under the go vet protocol. Returns the
-// process exit code: 0 clean, 1 operational failure, 2 diagnostics found.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetCfg
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "dcvet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The driver requires the facts file to exist even though these
-	// analyzers export none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0 // dependency pass: facts only, and we have none
-	}
-
-	fset := token.NewFileSet()
-	files, err := parseFiles(fset, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	pkg, err := typecheck(fset, files, cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	diags, err := driver.RunPackage(pkg, analysis.All())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-func parseFiles(fset *token.FileSet, cfg vetCfg) ([]*ast.File, error) {
-	var out []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// typecheck resolves imports through the cfg's ImportMap/PackageFile tables —
-// the export data the go command already compiled for the build.
-func typecheck(fset *token.FileSet, files []*ast.File, cfg vetCfg) (*driver.Package, error) {
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("dcvet: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, cfg.Compiler, lookup)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("dcvet: type-checking %s: %w", cfg.ImportPath, err)
-	}
-	return &driver.Package{PkgPath: cfg.ImportPath, Fset: fset, Syntax: files, Types: tpkg, TypesInfo: info}, nil
 }

@@ -1,8 +1,8 @@
 // Package abortpanic enforces the error discipline around panics. The
 // simulator has exactly one sanctioned panic path: internal/machine's
 // abortPanic protocol, where the engine's per-node failf records the failure
-// and panics an abortPanic value that the scheduler recovers into Run's
-// returned error. Any other panic in library code either crashes the
+// and panics an abortPanic value that the scheduler recovers into
+// RunEngine's returned error. Any other panic in library code either crashes the
 // process from a node coroutine (bypassing the engine's recovery and
 // watchdog) or turns a validatable input problem into an unrecoverable
 // crash for the caller — conditions that must instead surface as returned
@@ -16,7 +16,8 @@
 //
 // Anything else needs an explicit "//dcvet:allow abortpanic -- reason"
 // directive; the repository reserves those for API-misuse guards (e.g.
-// Engine.Release called twice) where no error channel exists by design.
+// Stats.Add combining phases of different machines) where no error channel
+// exists by design.
 package abortpanic
 
 import (

@@ -23,23 +23,3 @@ func All() []*driver.Analyzer {
 		statsadd.Analyzer,
 	}
 }
-
-// ByName returns the subset of All whose names appear in names (nil names
-// selects everything). Unknown names are ignored by the lookup and reported
-// by the caller, which has the flag context.
-func ByName(names []string) []*driver.Analyzer {
-	if names == nil {
-		return All()
-	}
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []*driver.Analyzer
-	for _, a := range All() {
-		if want[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out
-}

@@ -65,8 +65,6 @@ func Gather[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T
 		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
 		pl: pl,
 	}
-	// LinkCapacity only matters on the engine fallback path, where the
-	// bundle-bearing cross hops queue more than one message per link.
 	st, err := dcomm.Execute(sch, cfg, gk)
 	if err != nil {
 		return nil, st, err

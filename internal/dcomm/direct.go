@@ -15,17 +15,11 @@ import (
 //
 // This is the front every algorithm layer calls: prefix, the collectives,
 // the sort family and the normal-algorithm sweeps of internal/emulate build
-// their kernel, then Execute routes it. Engines are pooled — the oracle
-// path checks one out for the schedule's topology and releases it after
-// the run.
+// their kernel, then Execute routes it. The oracle path builds an engine
+// for the run and drops it afterwards.
 func Execute[T any](sch *machine.Schedule, cfg machine.Config, kern machine.DirectKernel[T]) (machine.Stats, error) {
 	if machine.DirectEligible(cfg) {
 		return machine.RunDirect(sch, cfg, kern)
 	}
-	eng, err := machine.New[T](sch.Topology(), cfg)
-	if err != nil {
-		return machine.Stats{}, err
-	}
-	defer eng.Release()
-	return eng.Run(sch, kern)
+	return machine.RunEngine(sch, cfg, kern)
 }

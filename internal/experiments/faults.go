@@ -170,7 +170,7 @@ func E19FaultTolerance(maxN, trials int, seed int64) (string, error) {
 	return t.String(), nil
 }
 
-// E20TopologyFaultTolerance tabulates, for every communication family
+// E19TopologyFaultTolerance tabulates, for every communication family
 // (dual-cube, hypercube Q_{2n-1}, Z-cube Z_n), the connectivity figures the
 // topology layer publishes — node connectivity κ, link connectivity λ, and
 // the generalized 3-(edge-)connectivities κ₃/λ₃ where established — and the
@@ -179,8 +179,8 @@ func E19FaultTolerance(maxN, trials int, seed int64) (string, error) {
 // the network connected in every trial. The source of each family's figures
 // is printed below the table so a bound is never separated from its
 // justification.
-func E20TopologyFaultTolerance(maxN, trials int, seed int64) (string, error) {
-	t := newTable("E20 — max tolerable link faults per topology (generalized connectivity)",
+func E19TopologyFaultTolerance(maxN, trials int, seed int64) (string, error) {
+	t := newTable("E19 — max tolerable link faults per topology (generalized connectivity)",
 		"family", "name", "nodes", "degree", "κ", "λ", "κ₃", "λ₃", "tolerates",
 		fmt.Sprintf("random f=λ-1 connected (%d trials)", trials))
 	var sources []string
@@ -189,7 +189,7 @@ func E20TopologyFaultTolerance(maxN, trials int, seed int64) (string, error) {
 		for n := 1; n <= maxN; n++ {
 			c, err := topology.CommByID(family, n)
 			if err != nil {
-				return "", fmt.Errorf("E20 %s n=%d: %w", family, n, err)
+				return "", fmt.Errorf("E19 %s n=%d: %w", family, n, err)
 			}
 			conn := c.Connectivity()
 			f := conn.MaxTolerableLinkFaults()

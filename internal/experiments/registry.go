@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // The experiment registry is the single source of truth for what
 // experiments exist and how to run them. cmd/dcbench derives its -exp
@@ -12,25 +9,19 @@ import (
 // while E21/E22 already existed); All() walks the same registry.
 
 // Options carries the tunables an experiment's Run may consume; dcbench
-// fills it from flags. Cold/Warm are the fresh-subprocess probes E20 needs
-// (only a main package can re-exec its own binary, so dcbench provides
-// them).
+// fills it from flags.
 type Options struct {
 	Seed int64
-	MaxN int
-	Runs int
-	Cold ColdProbe
-	Warm WarmProbe
 }
 
 // DefaultOptions are the values All() and plain `dcbench -exp En` use.
 func DefaultOptions() Options {
-	return Options{Seed: 2008, MaxN: 6, Runs: 20}
+	return Options{Seed: 2008}
 }
 
 // Experiment is one registry entry. Run is nil for experiments that live
-// outside dcbench (Go benchmarks, the serving load generator); HowTo then
-// says how to reproduce them.
+// outside dcbench (Go benchmarks, the repository benchmark's workloads);
+// HowTo then says how to reproduce them.
 type Experiment struct {
 	ID    string
 	Title string
@@ -73,24 +64,16 @@ var registry = []Experiment{
 	{ID: "E19", Title: "fault-tolerance success-rate trials", InAll: true,
 		Run: func(o Options) (string, error) { return E19FaultTolerance(6, 20, o.Seed) }},
 	{ID: "E20", Title: "cold-vs-warm per-call wall time",
-		Run: func(o Options) (string, error) {
-			if o.Cold == nil || o.Warm == nil {
-				return "", fmt.Errorf("experiments: E20 needs fresh-subprocess probes; run it through cmd/dcbench (-exp E20 or -warm)")
-			}
-			return E20ColdVsWarm(4, o.MaxN, o.Runs, o.Cold, o.Warm)
-		}},
+		HowTo: "bash bench/run.sh --workload lib-scan (setup_s: a fresh process's construction, Warm and first call; call_p10_us: the warm call)"},
 	{ID: "E21", Title: "direct kernel executor vs simulator engines",
 		HowTo: "go test -bench BenchmarkSchedulers -benchmem ."},
 	{ID: "E22", Title: "sort family on the direct executor",
 		HowTo: "go test -bench BenchmarkE22SortSchedulers -benchtime 20x ."},
 	{ID: "E23", Title: "batched serving throughput (request coalescing)",
-		HowTo: "go run ./cmd/dcserve -load -op prefix -n 5 -clients 64 -dur 2s -sweep 1,8,32"},
+		HowTo: "bash bench/run.sh --workload serve-mix (calls_per_s and sat_rps: batched throughput; batch_mean.{lo,hi,sat}: the coalescing)"},
 	{ID: "E24", Title: "arena payload plane for the v-collectives (before/after)",
 		HowTo: "bash bench/run.sh -record A.json at the parent and -record B.json at the change, then bash bench/run.sh -compare A.json B.json; go test -run TestWarmRuntimeAllocGuard -v ."},
 }
-
-// Registry returns the experiment list in EXPERIMENTS.md order.
-func Registry() []Experiment { return registry }
 
 // Find resolves an experiment by ID.
 func Find(id string) (Experiment, bool) {

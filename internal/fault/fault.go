@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"dualcube/internal/machine"
 	"dualcube/internal/topology"
@@ -41,31 +40,22 @@ func (l Link) Normalize() Link {
 func (l Link) String() string { return fmt.Sprintf("%d-%d", l.U, l.V) }
 
 // Plan is a reproducible fault scenario: a set of permanently failed links.
-// A Plan must not be mutated after its Spec has been taken; share one *Plan
-// across runs to reuse the engine's compiled fault mask.
 type Plan struct {
 	// Links are permanently failed undirected links.
 	Links []Link
-
-	once sync.Once
-	spec *machine.FaultSpec
 }
 
-// Spec compiles the plan into the executor-facing fault spec, caching the
-// result so repeated runs arm the identical pointer (which lets the engine
-// reuse its compiled per-link mask). A nil plan yields a nil spec — fault-free.
+// Spec compiles the plan into the executor-facing fault spec, a fresh value
+// on each call. A nil plan yields a nil spec — fault-free.
 func (p *Plan) Spec() *machine.FaultSpec {
 	if p == nil {
 		return nil
 	}
-	p.once.Do(func() {
-		s := &machine.FaultSpec{Links: make([][2]int, len(p.Links))}
-		for i, l := range p.Links {
-			s.Links[i] = [2]int{l.U, l.V}
-		}
-		p.spec = s
-	})
-	return p.spec
+	s := &machine.FaultSpec{Links: make([][2]int, len(p.Links))}
+	for i, l := range p.Links {
+		s.Links[i] = [2]int{l.U, l.V}
+	}
+	return s
 }
 
 // RandomLinks picks f distinct links of t uniformly at random, deterministic

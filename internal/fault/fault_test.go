@@ -54,16 +54,12 @@ func TestRandomLinksBounds(t *testing.T) {
 	}
 }
 
-// TestSpecCachedAndDeterministic checks that Spec returns the identical
-// pointer every call (the engine's compile-once contract) and that equal
-// plans compile to equal link lists.
+// TestSpecCachedAndDeterministic checks that equal plans compile to equal
+// link lists, in the plan's order.
 func TestSpecCachedAndDeterministic(t *testing.T) {
 	d := topology.MustDualCube(3)
 	p := Random(d, 2, 7)
 	s := p.Spec()
-	if s != p.Spec() {
-		t.Fatal("Spec not cached: distinct pointers across calls")
-	}
 	twin := Random(d, 2, 7).Spec()
 	if len(s.Links) != 2 || !reflect.DeepEqual(s.Links, twin.Links) {
 		t.Errorf("equal plans compiled to %v and %v", s.Links, twin.Links)
@@ -160,18 +156,17 @@ func (idleKernel) Produce(dc *machine.DirectCtx, k, u int) (machine.DirectRole, 
 func (idleKernel) Absorb(dc *machine.DirectCtx, k, u, v int) {}
 func (idleKernel) Local(dc *machine.DirectCtx, k, u int)     {}
 
-// TestPlanEngineRoundTrip runs a plan through a real engine, and through
-// the direct executor, and checks the static fault figures surface in Stats
-// exactly as the plan describes.
+// TestPlanEngineRoundTrip runs a plan through the engine, and through the
+// direct executor, and checks the static fault figures surface in Stats
+// exactly as the plan describes. It calls machine.RunEngine directly:
+// dcomm.Execute would be an import cycle.
 func TestPlanEngineRoundTrip(t *testing.T) {
 	d := topology.MustDualCube(3)
 	plan := Random(d, 2, 5)
 	sch := &machine.Schedule{Name: "idle", D: d, Steps: []machine.Step{{Kind: machine.StepCrossHop, Dim: -1, Pattern: d.ClusterDim()}}}
 	sch.Finalize()
 	cfg := machine.Config{Faults: plan.Spec()}
-	eng := machine.MustNew[int](d, cfg)
-	defer eng.Release()
-	st, err := eng.Run(sch, idleKernel{})
+	st, err := machine.RunEngine(sch, cfg, machine.DirectKernel[int](idleKernel{}))
 	if err != nil {
 		t.Fatal(err)
 	}

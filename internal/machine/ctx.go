@@ -10,23 +10,22 @@ import (
 // exactly one cycle on this node; the SPMD discipline is that all nodes
 // advance together, so a node with nothing to do in a cycle calls Idle.
 type ctx[T any] struct {
-	engine *engineState[T]
+	engine *engine[T]
 	id     int
 	ops    int
 	cycle  int   // this node's local clock (== global clock under lockstep)
 	msgs   int64 // messages sent by this node, merged into Stats at run end
 
-	// yield is the clock boundary: it parks this node's persistent coroutine
-	// until its worker reaches the next cycle (the false payload
-	// distinguishes a clock boundary from the coroutine's between-runs
-	// park). worker is the shard worker resuming the node; a send sets its
-	// sent flag for the barrier leader's comm-cycle count.
-	yield  func(bool) bool
+	// yield is the clock boundary: it parks this node's coroutine until its
+	// worker reaches the next cycle. worker is the shard worker resuming the
+	// node; a send sets its sent flag for the barrier leader's comm-cycle
+	// count.
+	yield  func(unit) bool
 	worker *poolWorker
 
 	// dctx is the node's DirectCtx under kernelProgram. Keeping it inside
-	// the (pooled) node context lets the interpreter hand kernels a
-	// *DirectCtx without a per-node heap allocation per run.
+	// the node context lets the interpreter hand kernels a *DirectCtx
+	// without a heap allocation per node.
 	dctx DirectCtx
 }
 
@@ -128,9 +127,9 @@ func (c *ctx[T]) exchangeAt(i, partner int, v T) T {
 		s := int(e.offs[c.id]) + i
 		tail, head := e.tails[s], e.heads[s]
 		if tail-head >= e.ringCap {
-			c.failf("node %d: link %d->%d buffer overflow (capacity %d)", c.id, c.id, partner, e.cfg.LinkCapacity)
+			c.failf("node %d: link %d->%d buffer overflow (capacity %d)", c.id, c.id, partner, e.ringCap)
 		}
-		e.buf[uint32(s)*e.ringSize+tail&e.ringMask] = v
+		e.buf[uint32(s)*linkCapacity+tail%linkCapacity] = v
 		e.tails[s] = tail + 1
 		c.msgs++
 		c.worker.sent = true
@@ -140,7 +139,7 @@ func (c *ctx[T]) exchangeAt(i, partner int, v T) T {
 		if rtail == rhead {
 			c.failf("node %d: receive from %d on an empty link", c.id, partner)
 		}
-		idx := uint32(rs)*e.ringSize + rhead&e.ringMask
+		idx := uint32(rs)*linkCapacity + rhead%linkCapacity
 		r := e.buf[idx]
 		var zero T
 		e.buf[idx] = zero
@@ -179,9 +178,9 @@ func (c *ctx[T]) sendAt(i, to int, v T) {
 		head = e.heads[s]
 	}
 	if tail-head >= e.ringCap {
-		c.failf("node %d: link %d->%d buffer overflow (capacity %d)", c.id, c.id, to, e.cfg.LinkCapacity)
+		c.failf("node %d: link %d->%d buffer overflow (capacity %d)", c.id, c.id, to, e.ringCap)
 	}
-	idx := uint32(s)*e.ringSize + tail&e.ringMask
+	idx := uint32(s)*linkCapacity + tail%linkCapacity
 	e.buf[idx] = v
 	if e.atomicLinks {
 		atomic.StoreUint32(&e.tails[s], tail+1)
@@ -197,10 +196,10 @@ func (c *ctx[T]) sendAt(i, to int, v T) {
 
 // boundary is the clock edge: park until every node has finished the cycle.
 func (c *ctx[T]) boundary() {
-	if !c.yield(false) || c.engine.state == roundAbort {
-		// A false return means the engine is being torn down with this
-		// program still live; roundAbort is the barrier leader routing
-		// every worker into the drain pass after a recorded failure.
+	c.yield(unit{})
+	if c.engine.state == roundAbort {
+		// The barrier leader routes every worker into the drain pass after
+		// a recorded failure.
 		panic(abortPanic{errAborted})
 	}
 	c.cycle++
@@ -233,7 +232,7 @@ func (c *ctx[T]) recvAt(i, from int) T {
 	if tail == head {
 		c.failf("node %d: receive from %d on an empty link", c.id, from)
 	}
-	idx := uint32(s)*e.ringSize + head&e.ringMask
+	idx := uint32(s)*linkCapacity + head%linkCapacity
 	v := e.buf[idx]
 	var zero T
 	e.buf[idx] = zero // release references held by the buffered element

@@ -107,12 +107,10 @@ func DirectEligible(cfg Config) bool { return cfg.Sched == SchedDefault }
 var directParallelMin = 4096
 
 // RunDirect executes a finalized schedule as array kernels and returns the
-// run's cost statistics, identical to what the simulator engine reports for
-// kernelProgram(sch, kern). cfg contributes Workers (sharding) and Faults
+// run's cost statistics, identical to what RunEngine reports for the same
+// schedule and kernel. cfg contributes Workers (sharding) and Faults
 // (compiled by downSet, as the engine compiles its armed spec, and checked
-// against the schedule's annotations); LinkCapacity and Timeout have no
-// meaning here — there are no buffers to overflow and no coroutines to
-// wedge.
+// against the schedule's annotations).
 func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, error) {
 	topo := sch.Topology()
 	n := topo.Nodes()

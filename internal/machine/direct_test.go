@@ -82,9 +82,7 @@ func TestRunDirectMatchesEngine(t *testing.T) {
 		}
 
 		ke, engineVals := sumKernel(N)
-		eng := MustNew[int](sch.D, Config{})
-		engineStats, err := eng.Run(sch, DirectKernel[int](ke))
-		eng.Release()
+		engineStats, err := RunEngine(sch, Config{}, DirectKernel[int](ke))
 		if err != nil {
 			t.Fatalf("D_%d engine: %v", n, err)
 		}
@@ -197,9 +195,7 @@ func TestRunDirectRequiresFinalizedSchedule(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "finalized schedule") {
 		t.Fatalf("direct: err = %v, want finalized-schedule rejection", err)
 	}
-	eng := MustNew[int](d, Config{})
-	defer eng.Release()
-	if _, err := eng.Run(sch, DirectKernel[int](k)); err == nil || !strings.Contains(err.Error(), "finalized schedule") {
+	if _, err := RunEngine(sch, Config{}, DirectKernel[int](k)); err == nil || !strings.Contains(err.Error(), "finalized schedule") {
 		t.Fatalf("engine: err = %v, want finalized-schedule rejection", err)
 	}
 }
@@ -221,9 +217,7 @@ func TestRecDimRequiresExchange(t *testing.T) {
 	if _, err := RunDirect(sch, Config{}, DirectKernel[int](k)); err == nil || err.Error() != want {
 		t.Errorf("direct: err = %v, want %q", err, want)
 	}
-	eng := MustNew[int](d, Config{})
-	defer eng.Release()
-	if _, err := eng.Run(sch, DirectKernel[int](k)); err == nil || err.Error() != want {
+	if _, err := RunEngine(sch, Config{}, DirectKernel[int](k)); err == nil || err.Error() != want {
 		t.Errorf("engine: err = %v, want %q", err, want)
 	}
 }
@@ -241,9 +235,7 @@ func TestRunDirectFaultPlanValidation(t *testing.T) {
 	if err != nil || st.Faults.DownLinks != 2 {
 		t.Fatalf("direct: err = %v, Faults = %+v, want 2 directed down links", err, st.Faults)
 	}
-	eng := MustNew[int](d, Config{Faults: spec})
-	defer eng.Release()
-	est, err := eng.Run(sch, DirectKernel[int](k))
+	est, err := RunEngine(sch, Config{Faults: spec}, DirectKernel[int](k))
 	if err != nil || est != st {
 		t.Fatalf("engine: err = %v, stats %+v, want the direct run's %+v", err, est, st)
 	}

@@ -15,10 +15,8 @@ import (
 // (via Config.Faults). User-level fault plans live in internal/fault, which
 // produces FaultSpec values.
 //
-// A FaultSpec must not be mutated after it has been armed. Specs are compared
-// by pointer identity when the engine decides whether its compiled mask is
-// still valid, so reuse the same *FaultSpec across runs to amortize the
-// compile.
+// Each run compiles its armed spec when it starts, so a spec must not be
+// mutated while a run that arms it is in flight.
 type FaultSpec struct {
 	// Links lists permanently failed undirected links {U, V}: both directed
 	// channels are down for the whole run.
@@ -67,37 +65,29 @@ func downSet(t topology.Topology, spec *FaultSpec) (map[int]bool, error) {
 	return down, nil
 }
 
-// armedFaults is a FaultSpec compiled against one engine's CSR link table:
-// the per-directed-edge-slot down mask the send path consults. It is rebuilt
-// only when the armed *FaultSpec changes (pointer identity), so repeated runs
-// under one plan pay the compile once.
+// armedFaults is the armed FaultSpec compiled against an engine's CSR link
+// table: the per-directed-edge-slot down mask the send path consults.
 type armedFaults struct {
-	spec      *FaultSpec
 	down      []bool // per directed edge slot: permanently failed
 	downLinks int
 }
 
-// armFaults compiles, if needed, the engine's fault spec for the coming run
-// on topology t. With no spec armed it clears s.fx, keeping the hot path
-// fault-free.
-func (s *engineState[T]) armFaults(t topology.Topology) error {
-	spec := s.cfg.Faults
+// armFaults compiles the engine's fault spec for its run. With no spec
+// armed it leaves e.fx nil, keeping the hot path fault-free.
+func (e *engine[T]) armFaults() error {
+	spec := e.cfg.Faults
 	if spec == nil {
-		s.fx = nil
 		return nil
 	}
-	if s.fx != nil && s.fx.spec == spec {
-		return nil
-	}
-	set, err := downSet(t, spec)
+	set, err := downSet(e.topo, spec)
 	if err != nil {
 		return err
 	}
-	fx := &armedFaults{spec: spec, down: make([]bool, len(s.nbrs)), downLinks: len(set)}
+	fx := &armedFaults{down: make([]bool, len(e.nbrs)), downLinks: len(set)}
 	for k := range set {
-		u, v := k/s.n, k%s.n
-		fx.down[int(s.offs[u])+s.idxOf(u, v)] = true
+		u, v := k/e.n, k%e.n
+		fx.down[int(e.offs[u])+e.idxOf(u, v)] = true
 	}
-	s.fx = fx
+	e.fx = fx
 	return nil
 }

@@ -29,11 +29,9 @@ func TestFaultDownLinkPlainSendFails(t *testing.T) {
 	spec := &FaultSpec{Links: [][2]int{{0, d.CrossNeighbor(0)}}}
 	faultSchedulers(t, func(t *testing.T, cfg Config) {
 		cfg.Faults = spec
-		eng := MustNew[int](d, cfg)
-		defer eng.Release()
-		_, err := eng.run(func(c *ctx[int]) {
+		_, err := mustEngine[int](t, d, cfg).run(func(c *ctx[int]) {
 			c.Exchange(d.CrossNeighbor(c.ID()), c.ID())
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "failed link") {
 			t.Fatalf("err = %v, want failed-link protocol error", err)
 		}
@@ -73,9 +71,7 @@ func TestFaultStatsReproducible(t *testing.T) {
 	faultSchedulers(t, func(t *testing.T, cfg Config) {
 		cfg.Faults = spec
 		for run := 0; run < 2; run++ {
-			eng := MustNew[int](d, cfg)
-			st, err := eng.run(program, nil)
-			eng.Release()
+			st, err := mustEngine[int](t, d, cfg).run(program)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,9 +105,7 @@ func TestFaultSpecInvalid(t *testing.T) {
 		spec := &FaultSpec{Links: [][2]int{l}}
 		want := fmt.Sprintf("machine: fault plan fails link %d-%d, which is not a link", l[0], l[1])
 
-		eng := MustNew[int](d, Config{Faults: spec})
-		_, err := eng.run(func(c *ctx[int]) { c.Idle() }, nil)
-		eng.Release()
+		_, err := mustEngine[int](t, d, Config{Faults: spec}).run(func(c *ctx[int]) { c.Idle() })
 		if err == nil || err.Error() != want {
 			t.Errorf("engine, link %v: err = %v, want %q", l, err, want)
 		}

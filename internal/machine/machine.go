@@ -30,25 +30,25 @@
 // The engine is a stepped worker-pool scheduler: W ≈ GOMAXPROCS workers
 // each own a contiguous shard of nodes and advance them cycle-by-cycle for
 // the whole run. Each node's walk of the schedule runs as a coroutine
-// (iter.Pull) that parks at every clock boundary, so resuming a node is a direct stack switch
-// with no Go-scheduler involvement, no per-node goroutine wakeup, and no
-// N-party lock contention. Node coroutines are created once and persist
-// across runs of the same engine (parking between runs), so repeated runs
-// pay no per-node setup. Workers synchronize once per cycle through a
-// sense-reversing barrier over W parties (not N), whose leader performs the
-// per-cycle accounting and detects desynchronized programs
-// deterministically. Message and operation counters are kept
-// per-node/per-worker and merged once at run end — there are no shared
-// atomics on the hot path, and with a single worker the whole simulation is
-// lock-free straight-line code.
+// (iter.Pull) that parks at every clock boundary, so resuming a node is a
+// direct stack switch with no Go-scheduler involvement, no per-node
+// goroutine wakeup, and no N-party lock contention. An engine serves one
+// run: RunEngine and RunRecorded build it, each node coroutine runs the
+// program once and returns, and the engine is dropped. Workers synchronize
+// once per cycle through a sense-reversing barrier over W parties (not N),
+// whose leader performs the per-cycle accounting and detects
+// desynchronized programs deterministically. Message and operation
+// counters are kept per-node/per-worker and merged once at run end — there
+// are no shared atomics on the hot path, and with a single worker the
+// whole simulation is lock-free straight-line code.
 //
-// Because the leader sees every broken lockstep, the watchdog
-// (Config.Timeout) only has runaway lockstep programs left to end: nodes
-// that keep stepping together forever. A node that blocked outside the
-// machine's primitives would wedge its shard, since a shard runs its nodes'
-// cycle segments one after another; Engine.Run accepts only a schedule and
-// a kernel, so the one program a node coroutine runs is the package's own
-// interpreter.
+// Because the leader sees every broken lockstep, the watchdog (one minute
+// plus 30ms per node) only has runaway lockstep programs left to end:
+// nodes that keep stepping together forever. A node that blocked outside
+// the machine's primitives would wedge its shard, since a shard runs its
+// nodes' cycle segments one after another; RunEngine accepts only a
+// schedule and a kernel, so the one program a node coroutine runs is the
+// package's own interpreter.
 //
 // The direct kernel executor (direct.go) is the second path, and not a
 // simulator at all: it runs a finalized Schedule as array kernels over flat
@@ -84,7 +84,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -99,7 +98,7 @@ const noNode = -1
 
 // errAborted is the error a node program unwinds with when the run was
 // failed elsewhere (another node's protocol error, a desynchronized program
-// or the watchdog); Engine.Run reports the failure that caused it.
+// or the watchdog); RunEngine reports the failure that caused it.
 var errAborted = errors.New("machine: run aborted")
 
 // Sched selects the execution backend of a run.
@@ -122,25 +121,22 @@ func (s Sched) String() string {
 	return "default"
 }
 
-// scaledTimeout is the built-in watchdog default: a base of one minute plus
-// 30ms per node, so the ceiling grows with the machine instead of starving
-// large-n runs (the original fixed 60s default could be exceeded spuriously
-// by big bitonic sorts under instrumentation).
+// scaledTimeout is the engine's watchdog: a base of one minute plus 30ms
+// per node, so the ceiling grows with the machine instead of starving
+// large-n runs (a fixed 60s could be exceeded spuriously by big bitonic
+// sorts under instrumentation).
 func scaledTimeout(n int) time.Duration {
 	return 60*time.Second + time.Duration(n)*30*time.Millisecond
 }
 
-// Config tunes an Engine.
+// linkCapacity is the per-directed-link buffer depth of the engine. The
+// paper's algorithms need at most 2 in-flight messages per link; 4 leaves
+// headroom while still catching runaway protocols, and as a power of two
+// it makes a ring index a mask.
+const linkCapacity = 4
+
+// Config selects how a run executes.
 type Config struct {
-	// LinkCapacity is the per-directed-link buffer depth. The paper's
-	// algorithms need at most 2 in-flight messages per link; the default of
-	// 4 leaves headroom while still catching runaway protocols.
-	LinkCapacity int
-	// Timeout is the engine's watchdog: it aborts a run still stepping
-	// after this long, a lockstep program that never ends (the barrier
-	// leader already catches every desynchronized one). Zero means 60s plus
-	// 30ms per node.
-	Timeout time.Duration
 	// Sched selects the execution backend: SchedDefault runs every
 	// operation on the direct executor, SchedWorkerPool on the engine.
 	Sched Sched
@@ -149,25 +145,8 @@ type Config struct {
 	// count.
 	Workers int
 	// Faults arms a fault specification for every run: the listed links are
-	// permanently down (see FaultSpec). nil means a fault-free run. The spec
-	// is compared by pointer when engines are recycled, so reuse one
-	// *FaultSpec value per plan.
+	// permanently down (see FaultSpec). nil means a fault-free run.
 	Faults *FaultSpec
-}
-
-// withDefaults resolves zero Config fields for a machine of n nodes. The
-// engine has one scheduler, so Sched normalizes to SchedWorkerPool, which
-// also keeps the engine free list keyed on one value.
-func (c Config) withDefaults(n int) Config {
-	if c.LinkCapacity <= 0 {
-		c.LinkCapacity = 4
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = scaledTimeout(n)
-	}
-	c.Sched = SchedWorkerPool
-	c.Workers = workerCount(c.Workers, n)
-	return c
 }
 
 // workerCount resolves a Config's Workers for n nodes: zero means
@@ -225,16 +204,18 @@ const (
 	roundAbort                   // failure recorded or desync detected: drain
 )
 
-// engineState is the part of an engine that node programs (through their
-// ctx) and pool workers touch. It is deliberately separate from the
-// user-facing Engine handle: persistent node coroutines keep engineState
-// reachable from their parked stacks, and keeping the handle out of that
-// reference chain lets the runtime collect a dropped handle and run its
-// teardown (which unwinds those coroutines). Nothing in engineState may
-// ever point back at the Engine.
-type engineState[T any] struct {
-	cfg Config
-	n   int
+// engine is a synchronous multicomputer over a fixed topology, built for
+// one run (RunEngine, RunRecorded) and dropped after it.
+type engine[T any] struct {
+	topo topology.Topology
+	cfg  Config // Workers resolved to 1..n
+	n    int
+
+	// timeout is the watchdog: it aborts a run still stepping after this
+	// long, a lockstep program that never ends (the barrier leader already
+	// catches every desynchronized one). scaledTimeout(n); machine's tests
+	// shorten it.
+	timeout time.Duration
 
 	// Precomputed CSR adjacency and per-edge index tables. Directed edge
 	// slot s = offs[u]+i carries messages u -> nbrs[s]; inSlot[s] is the
@@ -246,13 +227,11 @@ type engineState[T any] struct {
 
 	// SPSC ring buffers, one per directed edge slot, in a single flat
 	// allocation. Cursors grow monotonically (uint32 wraparound is fine);
-	// slot s occupies buf[s*ringSize : (s+1)*ringSize].
-	ringCap  uint32 // logical capacity (cfg.LinkCapacity)
-	ringSize uint32 // physical size: LinkCapacity rounded up to a power of 2
-	ringMask uint32
-	buf      []T
-	heads    []uint32 // consumer cursors, written by the receiving node only
-	tails    []uint32 // producer cursors, written by the sending node only
+	// slot s occupies buf[s*linkCapacity : (s+1)*linkCapacity].
+	ringCap uint32 // messages a link may hold: linkCapacity; machine's tests lower it
+	buf     []T
+	heads   []uint32 // consumer cursors, written by the receiving node only
+	tails   []uint32 // producer cursors, written by the sending node only
 
 	// atomicLinks selects atomic ring-cursor access. Required whenever link
 	// endpoints can run on different OS threads (a worker pool with W > 1);
@@ -260,7 +239,7 @@ type engineState[T any] struct {
 	// plain loads/stores.
 	atomicLinks bool
 
-	nodes []ctx[T] // per-node contexts, reused across runs
+	nodes []ctx[T] // per-node contexts
 
 	// fx is the compiled form of the armed fault spec, nil when the run is
 	// fault-free — the send and receive paths check only this one pointer.
@@ -268,8 +247,7 @@ type engineState[T any] struct {
 
 	cycles     int                      // barrier rounds completed (leader-written)
 	commCycles int                      // rounds whose send phase carried traffic
-	onSend     func(c *ctx[T], dst int) // optional per-run send hook (recording)
-	prog       func(c *ctx[T])          // current run's program; nil between runs
+	onSend     func(c *ctx[T], dst int) // optional send hook (recording)
 
 	// Worker-pool scheduler state.
 	workers []poolWorker
@@ -281,95 +259,22 @@ type engineState[T any] struct {
 	firstErr error
 }
 
-// engineKey identifies a reusable engine in the free list: element type,
-// topology identity (name, node and edge counts — the repo's topologies are
-// canonical by name), and the fully resolved configuration.
-type engineKey struct {
-	typ   reflect.Type
-	name  string
-	nodes int
-	edges int
-	cfg   Config
-}
-
-// freeEngines holds released engines for reuse by New, keyed by engineKey.
-// Values are *engineStack. Constructing an engine costs O(N · degree)
-// allocation (adjacency tables, link rings, node contexts, and on the pool
-// scheduler one coroutine per node) — significant relative to a short run,
-// so the algorithm layers return their engines here instead of discarding
-// them.
-var freeEngines sync.Map
-
-type engineStack struct {
-	mu sync.Mutex
-	s  []any
-}
-
-// maxFreeEngines bounds each free-list stack so pathological churn over
-// many distinct machines cannot pin unbounded memory.
-const maxFreeEngines = 4
-
-// Engine is a synchronous multicomputer over a fixed topology. An Engine is
-// reusable (Run may be called repeatedly) but not concurrently.
-type Engine[T any] struct {
-	*engineState[T]
-
-	topo     topology.Topology
-	key      engineKey
-	released bool
-
-	// runners holds the persistent per-node coroutines of the worker-pool
-	// scheduler, created lazily on the first run and parked between runs.
-	// The holder never references the Engine, so the teardown finalizer
-	// (which stops any parked coroutines of a dropped engine) does not keep
-	// the handle alive.
-	runners *runnerSet
-}
-
-// runnerSet is the indirection the teardown finalizer captures.
-type runnerSet struct {
-	rs []nodeRunner
-}
-
-// New builds an engine over t, or reports an error if t is not a symmetric
-// simple graph (every directed edge must have a reverse edge so links can be
-// full-duplex). Table construction is O(N · degree · log degree).
-//
-// If a previously Released engine matches (same element type, topology
-// identity and configuration), it is recycled instead of rebuilt.
-func New[T any](t topology.Topology, cfg Config) (*Engine[T], error) {
+// newEngine builds an engine over t, or reports an error if t is not a
+// symmetric simple graph (every directed edge must have a reverse edge so
+// links can be full-duplex). Table construction is O(N · degree · log
+// degree).
+func newEngine[T any](t topology.Topology, cfg Config) (*engine[T], error) {
 	n := t.Nodes()
-	cfg = cfg.withDefaults(n)
-
-	edges := 0
+	cfg.Workers = workerCount(cfg.Workers, n)
+	e := &engine[T]{topo: t, cfg: cfg, n: n, timeout: scaledTimeout(n), ringCap: linkCapacity, atomicLinks: cfg.Workers > 1}
+	e.offs = make([]int32, n+1)
 	for u := 0; u < n; u++ {
-		edges += t.Degree(u)
+		e.offs[u+1] = e.offs[u] + int32(t.Degree(u))
 	}
-	key := engineKey{typ: reflect.TypeFor[T](), name: t.Name(), nodes: n, edges: edges, cfg: cfg}
-	if v, ok := freeEngines.Load(key); ok {
-		st := v.(*engineStack)
-		st.mu.Lock()
-		var recycled *Engine[T]
-		if k := len(st.s); k > 0 {
-			recycled = st.s[k-1].(*Engine[T])
-			st.s = st.s[:k-1]
-		}
-		st.mu.Unlock()
-		if recycled != nil {
-			recycled.topo = t
-			recycled.released = false
-			return recycled, nil
-		}
-	}
-
-	s := &engineState[T]{cfg: cfg, n: n}
-	s.offs = make([]int32, n+1)
+	edges := int(e.offs[n])
+	e.nbrs = make([]int32, edges)
 	for u := 0; u < n; u++ {
-		s.offs[u+1] = s.offs[u] + int32(t.Degree(u))
-	}
-	s.nbrs = make([]int32, edges)
-	for u := 0; u < n; u++ {
-		row := s.nbrs[s.offs[u]:s.offs[u+1]]
+		row := e.nbrs[e.offs[u]:e.offs[u+1]]
 		for i, v := range t.Neighbors(u) {
 			row[i] = int32(v)
 		}
@@ -379,123 +284,34 @@ func New[T any](t topology.Topology, cfg Config) (*Engine[T], error) {
 			sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
 		}
 	}
-	s.inSlot = make([]int32, edges)
+	e.inSlot = make([]int32, edges)
 	for u := 0; u < n; u++ {
-		for sl := s.offs[u]; sl < s.offs[u+1]; sl++ {
-			v := int(s.nbrs[sl])
-			j := s.idxOf(v, u)
+		for sl := e.offs[u]; sl < e.offs[u+1]; sl++ {
+			v := int(e.nbrs[sl])
+			j := e.idxOf(v, u)
 			if j < 0 {
 				return nil, fmt.Errorf("machine: topology %s is asymmetric at edge (%d,%d)", t.Name(), u, v)
 			}
-			s.inSlot[sl] = s.offs[v] + int32(j)
+			e.inSlot[sl] = e.offs[v] + int32(j)
 		}
 	}
 
-	s.ringCap = uint32(cfg.LinkCapacity)
-	s.ringSize = 1
-	for s.ringSize < s.ringCap {
-		s.ringSize <<= 1
-	}
-	s.ringMask = s.ringSize - 1
-	s.buf = make([]T, edges*int(s.ringSize))
-	s.heads = make([]uint32, edges)
-	s.tails = make([]uint32, edges)
+	e.buf = make([]T, edges*linkCapacity)
+	e.heads = make([]uint32, edges)
+	e.tails = make([]uint32, edges)
 
-	s.nodes = make([]ctx[T], n)
-	for u := range s.nodes {
-		s.nodes[u].engine = s
-		s.nodes[u].id = u
+	e.nodes = make([]ctx[T], n)
+	for u := range e.nodes {
+		e.nodes[u].engine = e
+		e.nodes[u].id = u
 	}
-
-	e := &Engine[T]{engineState: s, topo: t, key: key, runners: &runnerSet{}}
 	return e, nil
-}
-
-// MustNew is New, panicking on error. Intended for tests, benchmarks and
-// examples running on topologies that are symmetric by construction.
-func MustNew[T any](t topology.Topology, cfg Config) *Engine[T] {
-	e, err := New[T](t, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Release returns the engine to the package free list for reuse by a later
-// New call with the same element type, topology identity and configuration.
-// The caller must not use the engine afterwards. Releasing is optional —
-// an engine that is simply dropped is collected as usual (a finalizer
-// unwinds its parked node coroutines), it just cannot be recycled.
-func (e *Engine[T]) Release() {
-	if e.released {
-		//dcvet:allow abortpanic -- double-Release is a caller bug with no error path by design
-		panic("machine: Engine.Release called twice")
-	}
-	// Never recycle an engine whose links may hold residue: a failed run
-	// already drained them, but an engine that never ran an errored program
-	// since is indistinguishable here, so drain again — it is O(edges) on
-	// empty rings.
-	e.drainLinks()
-	e.released = true
-	e.onSend = nil
-	v, _ := freeEngines.LoadOrStore(e.key, &engineStack{})
-	st := v.(*engineStack)
-	st.mu.Lock()
-	if len(st.s) < maxFreeEngines {
-		st.s = append(st.s, e)
-		e = nil
-	}
-	st.mu.Unlock()
-	if e != nil {
-		// Free list full: tear the engine down now instead of waiting for
-		// the finalizer, unwinding its parked coroutines deterministically.
-		teardownRunners(e.runners)
-	}
-}
-
-// pooled is the non-generic view of a free-listed engine, so the pool can
-// tear down recycled engines without knowing their element type.
-type pooled interface{ teardown() }
-
-func (e *Engine[T]) teardown() { teardownRunners(e.runners) }
-
-// ResetEnginePool discards every recycled engine, unwinding their parked
-// node coroutines. Steady-state callers never need this — the pool is the
-// point — but cold-start measurements (the E20 warm-versus-cold sweep and
-// the cold benchmark variants) call it to force full engine construction on
-// the next New. Engines currently checked out are unaffected: the pool only
-// ever holds released, idle engines.
-func ResetEnginePool() {
-	freeEngines.Range(func(k, v any) bool {
-		st := v.(*engineStack)
-		st.mu.Lock()
-		engines := st.s
-		st.s = nil
-		st.mu.Unlock()
-		for _, e := range engines {
-			e.(pooled).teardown()
-		}
-		freeEngines.Delete(k)
-		return true
-	})
-}
-
-// teardownRunners unwinds every parked node coroutine. Runs either
-// explicitly (free-list eviction) or as the finalizer of a dropped Engine;
-// iter.Pull's stop is idempotent, so the two cannot conflict.
-func teardownRunners(h *runnerSet) {
-	for i := range h.rs {
-		if h.rs[i].stop != nil {
-			h.rs[i].stop()
-		}
-	}
-	h.rs = nil
 }
 
 // idxOf returns the position of v in u's sorted neighbor row, or -1. Binary
 // search over the CSR row: O(log degree), no allocation.
-func (s *engineState[T]) idxOf(u, v int) int {
-	row := s.nbrs[s.offs[u]:s.offs[u+1]]
+func (e *engine[T]) idxOf(u, v int) int {
+	row := e.nbrs[e.offs[u]:e.offs[u+1]]
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -514,66 +330,52 @@ func (s *engineState[T]) idxOf(u, v int) int {
 // abortPanic unwinds a node program after the run has been failed.
 type abortPanic struct{ err error }
 
-// Run executes kern over the schedule sch on every node in lockstep, each
-// node walking the schedule through the interpreter, and returns the cost
-// statistics: the reference semantics RunDirect is held to.
-func (e *Engine[T]) Run(sch *Schedule, kern DirectKernel[T]) (Stats, error) {
-	if err := sch.checkFinalized(); err != nil {
-		return Stats{Nodes: e.n}, err
+// RunEngine executes kern over the finalized schedule sch on the
+// worker-pool engine, each node walking the schedule through the
+// interpreter in lockstep, and returns the cost statistics: the reference
+// semantics RunDirect is held to. The engine is built for this run and
+// dropped after it.
+func RunEngine[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, error) {
+	e, err := engineFor[T](sch, cfg)
+	if err != nil {
+		return Stats{Nodes: sch.Topology().Nodes()}, err
 	}
-	return e.run(kernelProgram(sch, kern), nil)
+	return e.run(kernelProgram(sch, kern))
 }
 
-// run is the engine core shared by Run and RunRecorded: it executes program
-// on every node in lockstep. The program must perform the same number of
-// clock cycles on every node (the usual SPMD discipline); the barrier leader
-// reports a desynchronized program as an error deterministically, and the
-// watchdog ends one that keeps stepping past Config.Timeout.
-func (e *Engine[T]) run(program func(c *ctx[T]), onSend func(c *ctx[T], dst int)) (Stats, error) {
-	if e.released {
-		//dcvet:allow abortpanic -- use-after-Release is a caller bug with no error path by design
-		panic("machine: Engine used after Release")
+// engineFor builds the engine of one run of sch, which must be finalized.
+func engineFor[T any](sch *Schedule, cfg Config) (*engine[T], error) {
+	if err := sch.checkFinalized(); err != nil {
+		return nil, err
 	}
-	// The body below only touches the inner engineState, so without this
-	// pin the Engine handle can become unreachable mid-run and its
-	// finalizer (sched_pool.go) would unwind coroutines that are still
-	// stepping.
-	defer runtime.KeepAlive(e)
-	s := e.engineState
-	s.onSend = onSend
-	s.cycles = 0
-	s.commCycles = 0
-	s.failed.Store(false)
-	s.failMu.Lock()
-	s.firstErr = nil
-	s.failMu.Unlock()
-	if err := s.armFaults(e.topo); err != nil {
-		return Stats{Nodes: s.n}, err
-	}
-	for u := range s.nodes {
-		c := &s.nodes[u]
-		c.ops, c.cycle, c.msgs = 0, 0, 0
-	}
+	return newEngine[T](sch.Topology(), cfg)
+}
 
-	watchdog := time.AfterFunc(s.cfg.Timeout, func() {
-		s.fail(fmt.Errorf("machine: run exceeded %v (desynchronized program?)", s.cfg.Timeout))
+// run executes program on every node in lockstep, once. The program must
+// perform the same number of clock cycles on every node (the usual SPMD
+// discipline); the barrier leader reports a desynchronized program as an
+// error deterministically, and the watchdog ends one that keeps stepping
+// past e.timeout.
+func (e *engine[T]) run(program func(c *ctx[T])) (Stats, error) {
+	if err := e.armFaults(); err != nil {
+		return Stats{Nodes: e.n}, err
+	}
+	watchdog := time.AfterFunc(e.timeout, func() {
+		e.fail(fmt.Errorf("machine: run exceeded %v (desynchronized program?)", e.timeout))
 	})
-	defer watchdog.Stop()
-
-	s.atomicLinks = s.cfg.Workers > 1
 	e.runWorkers(program)
 	watchdog.Stop()
 
-	s.failMu.Lock()
-	err := s.firstErr
-	s.failMu.Unlock()
+	e.failMu.Lock()
+	err := e.firstErr
+	e.failMu.Unlock()
 	if err == nil {
 		// Protocol hygiene: every sent message must have been consumed.
 	hygiene:
-		for u := 0; u < s.n; u++ {
-			for sl := s.offs[u]; sl < s.offs[u+1]; sl++ {
-				if d := s.tails[sl] - s.heads[sl]; d != 0 {
-					err = fmt.Errorf("machine: %d unconsumed message(s) on link %d->%d", d, u, s.nbrs[sl])
+		for u := 0; u < e.n; u++ {
+			for sl := e.offs[u]; sl < e.offs[u+1]; sl++ {
+				if d := e.tails[sl] - e.heads[sl]; d != 0 {
+					err = fmt.Errorf("machine: %d unconsumed message(s) on link %d->%d", d, u, e.nbrs[sl])
 					break hygiene
 				}
 			}
@@ -581,48 +383,33 @@ func (e *Engine[T]) run(program func(c *ctx[T]), onSend func(c *ctx[T], dst int)
 	}
 
 	st := Stats{
-		Nodes:      s.n,
-		Cycles:     s.cycles,
-		CommCycles: s.commCycles,
+		Nodes:      e.n,
+		Cycles:     e.cycles,
+		CommCycles: e.commCycles,
 	}
-	if s.fx != nil {
-		st.Faults.DownLinks = s.fx.downLinks
+	if e.fx != nil {
+		st.Faults.DownLinks = e.fx.downLinks
 	}
-	for u := range s.nodes {
-		c := &s.nodes[u]
+	for u := range e.nodes {
+		c := &e.nodes[u]
 		st.Messages += c.msgs
 		if c.ops > st.MaxOps {
 			st.MaxOps = c.ops
 		}
 		st.TotalOps += int64(c.ops)
 	}
-	if err != nil {
-		s.drainLinks()
-	}
 	return st, err
-}
-
-// drainLinks discards any in-flight residue so the engine can be reused
-// after a failure, releasing references held by buffered elements.
-func (s *engineState[T]) drainLinks() {
-	var zero T
-	for sl := range s.tails {
-		for h := s.heads[sl]; h != s.tails[sl]; h++ {
-			s.buf[uint32(sl)*s.ringSize+h&s.ringMask] = zero
-		}
-		s.heads[sl] = s.tails[sl]
-	}
 }
 
 // fail records the first error and marks the run failed. No abort
 // broadcast is needed: the worker barrier always completes a round, and the
 // leader routes every worker into the drain path on the next cycle once the
 // failure flag is up.
-func (s *engineState[T]) fail(err error) {
-	s.failMu.Lock()
-	if s.firstErr == nil {
-		s.firstErr = err
+func (e *engine[T]) fail(err error) {
+	e.failMu.Lock()
+	if e.firstErr == nil {
+		e.firstErr = err
 	}
-	s.failMu.Unlock()
-	s.failed.Store(true)
+	e.failMu.Unlock()
+	e.failed.Store(true)
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,24 +22,32 @@ var schedConfigs = []struct {
 	{"pool-w4", Config{Sched: SchedWorkerPool, Workers: 4}},
 }
 
-func forEachSched(t *testing.T, base Config, f func(t *testing.T, cfg Config)) {
+func forEachSched(t *testing.T, f func(t *testing.T, cfg Config)) {
 	t.Helper()
 	for _, sc := range schedConfigs {
-		cfg := sc.cfg
-		cfg.LinkCapacity = base.LinkCapacity
-		cfg.Timeout = base.Timeout
-		t.Run(sc.name, func(t *testing.T) { f(t, cfg) })
+		t.Run(sc.name, func(t *testing.T) { f(t, sc.cfg) })
 	}
 }
 
+// mustEngine builds the engine of one run over topo. The engine's
+// unexported fields (ringCap, timeout) are the knobs the tests turn.
+func mustEngine[T any](tb testing.TB, topo topology.Topology, cfg Config) *engine[T] {
+	tb.Helper()
+	e, err := newEngine[T](topo, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 func TestExchangeOnK2(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		d := topology.MustDualCube(1) // K_2
-		e := MustNew[int](d, cfg)
+		e := mustEngine[int](t, d, cfg)
 		got := make([]int, 2)
 		st, err := e.run(func(c *ctx[int]) {
 			got[c.ID()] = c.Exchange(1-c.ID(), c.ID()*10)
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,12 +61,12 @@ func TestExchangeOnK2(t *testing.T) {
 }
 
 func TestHypercubeAllDimExchange(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		// Every node XORs together the IDs it sees along all dimensions; the
 		// result is deterministic and checkable.
 		q := 4
 		h := topology.MustHypercube(q)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		acc := make([]int, h.Nodes())
 		st, err := e.run(func(c *ctx[int]) {
 			sum := 0
@@ -67,7 +76,7 @@ func TestHypercubeAllDimExchange(t *testing.T) {
 				c.Ops(1)
 			}
 			acc[c.ID()] = sum
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,9 +102,9 @@ func TestHypercubeAllDimExchange(t *testing.T) {
 }
 
 func TestSendRecvHalfDuplex(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
-		e := MustNew[string](h, cfg)
+		e := mustEngine[string](t, h, cfg)
 		var got string
 		_, err := e.run(func(c *ctx[string]) {
 			if c.ID() == 0 {
@@ -103,7 +112,7 @@ func TestSendRecvHalfDuplex(t *testing.T) {
 			} else {
 				got = c.Recv(0)
 			}
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +123,11 @@ func TestSendRecvHalfDuplex(t *testing.T) {
 }
 
 func TestDeferredReceiveFIFO(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		// A message sent in cycle 1 may be received in cycle 3; messages on one
 		// link arrive in order.
 		h := topology.MustHypercube(1)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		var first, second int
 		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
@@ -130,7 +139,7 @@ func TestDeferredReceiveFIFO(t *testing.T) {
 				first = c.Recv(0)
 				second = c.Recv(0)
 			}
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,11 +150,11 @@ func TestDeferredReceiveFIFO(t *testing.T) {
 }
 
 func TestSendRecv2(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		// On D_2, node 0 has neighbors 1 (cluster) and 4 (cross). It receives
 		// from both in one cycle while sending to one of them.
 		d := topology.MustDualCube(2)
-		e := MustNew[int](d, cfg)
+		e := mustEngine[int](t, d, cfg)
 		var a, b int
 		_, err := e.run(func(c *ctx[int]) {
 			switch c.ID() {
@@ -158,7 +167,7 @@ func TestSendRecv2(t *testing.T) {
 			default:
 				c.Idle()
 			}
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,14 +178,14 @@ func TestSendRecv2(t *testing.T) {
 }
 
 func TestIdleCyclesNotCommCycles(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		st, err := e.run(func(c *ctx[int]) {
 			c.Idle()
 			c.Exchange(c.ID()^1, 0)
 			c.Idle()
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +196,16 @@ func TestIdleCyclesNotCommCycles(t *testing.T) {
 }
 
 func TestSendToNonNeighborFails(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(3)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Send(7, 1) // 0 and 7 differ in 3 bits: not a link
 			} else {
 				c.Idle()
 			}
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "not a neighbor") {
 			t.Errorf("want non-neighbor error, got %v", err)
 		}
@@ -204,16 +213,16 @@ func TestSendToNonNeighborFails(t *testing.T) {
 }
 
 func TestRecvEmptyLinkFails(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Recv(1) // nothing was sent
 			} else {
 				c.Idle()
 			}
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "empty link") {
 			t.Errorf("want empty-link error, got %v", err)
 		}
@@ -221,16 +230,16 @@ func TestRecvEmptyLinkFails(t *testing.T) {
 }
 
 func TestDuplicateRecvFails(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.SendRecv2(1, 0, 1, 1)
 			} else {
 				c.Exchange(0, 1)
 			}
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "duplicate receive") {
 			t.Errorf("want duplicate-receive error, got %v", err)
 		}
@@ -238,16 +247,16 @@ func TestDuplicateRecvFails(t *testing.T) {
 }
 
 func TestUnconsumedMessageDetected(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 0 {
 				c.Send(1, 9)
 			} else {
 				c.Idle()
 			}
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "unconsumed") {
 			t.Errorf("want unconsumed-message error, got %v", err)
 		}
@@ -255,9 +264,10 @@ func TestUnconsumedMessageDetected(t *testing.T) {
 }
 
 func TestLinkOverflowDetected(t *testing.T) {
-	forEachSched(t, Config{LinkCapacity: 2}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(1)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
+		e.ringCap = 2
 		_, err := e.run(func(c *ctx[int]) {
 			for i := 0; i < 3; i++ {
 				if c.ID() == 0 {
@@ -266,7 +276,7 @@ func TestLinkOverflowDetected(t *testing.T) {
 					c.Idle()
 				}
 			}
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "overflow") {
 			t.Errorf("want overflow error, got %v", err)
 		}
@@ -274,15 +284,15 @@ func TestLinkOverflowDetected(t *testing.T) {
 }
 
 func TestNodePanicPropagates(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
 		_, err := e.run(func(c *ctx[int]) {
 			if c.ID() == 2 {
 				panic("boom")
 			}
 			c.Exchange(c.ID()^1, 0)
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Errorf("want node panic error, got %v", err)
 		}
@@ -301,23 +311,23 @@ func desyncProgram(c *ctx[int]) {
 
 // TestWatchdogCatchesDesync runs a program whose nodes all idle forever.
 // The barrier leader sees perfect lockstep every cycle, so only the watchdog
-// (Config.Timeout) can end the run; afterwards the engine must serve the
-// next run cleanly.
+// can end the run; afterwards a fresh engine must run cleanly.
 func TestWatchdogCatchesDesync(t *testing.T) {
-	forEachSched(t, Config{Timeout: 50 * time.Millisecond}, func(t *testing.T, cfg Config) {
+	forEachSched(t, func(t *testing.T, cfg Config) {
 		h := topology.MustHypercube(2)
-		e := MustNew[int](h, cfg)
+		e := mustEngine[int](t, h, cfg)
+		e.timeout = 50 * time.Millisecond
 		_, err := e.run(func(c *ctx[int]) {
 			for {
 				c.Idle()
 			}
-		}, nil)
+		})
 		if err == nil || !strings.Contains(err.Error(), "exceeded") {
 			t.Fatalf("want watchdog error, got %v", err)
 		}
-		st, err := e.run(func(c *ctx[int]) { c.Exchange(c.ID()^1, c.ID()) }, nil)
+		st, err := mustEngine[int](t, h, cfg).run(func(c *ctx[int]) { c.Exchange(c.ID()^1, c.ID()) })
 		if err != nil || st.Cycles != 1 {
-			t.Fatalf("engine not reusable after the watchdog: err = %v, stats = %+v", err, st)
+			t.Fatalf("run after the watchdog: err = %v, stats = %+v", err, st)
 		}
 	})
 }
@@ -328,9 +338,10 @@ func TestWatchdogCatchesDesync(t *testing.T) {
 func TestPoolDetectsDesyncDeterministically(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		h := topology.MustHypercube(1)
-		e := MustNew[int](h, Config{Sched: SchedWorkerPool, Workers: workers, Timeout: time.Hour})
+		e := mustEngine[int](t, h, Config{Sched: SchedWorkerPool, Workers: workers})
+		e.timeout = time.Hour
 		start := time.Now()
-		_, err := e.run(desyncProgram, nil)
+		_, err := e.run(desyncProgram)
 		if err == nil || !strings.Contains(err.Error(), "desynchronized") {
 			t.Errorf("W=%d: want desync error, got %v", workers, err)
 		}
@@ -340,104 +351,14 @@ func TestPoolDetectsDesyncDeterministically(t *testing.T) {
 	}
 }
 
-func TestEngineReusableAfterFailure(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
-		h := topology.MustHypercube(1)
-		e := MustNew[int](h, cfg)
-		_, err := e.run(func(c *ctx[int]) {
-			if c.ID() == 0 {
-				c.Send(1, 9) // left unconsumed -> failure
-			} else {
-				c.Idle()
-			}
-		}, nil)
-		if err == nil {
-			t.Fatal("expected failure on first run")
-		}
-		var got int
-		_, err = e.run(func(c *ctx[int]) {
-			if c.ID() == 0 {
-				c.Send(1, 42)
-			} else {
-				got = c.Recv(0)
-			}
-		}, nil)
-		if err != nil {
-			t.Fatalf("engine not reusable: %v", err)
-		}
-		if got != 42 {
-			t.Errorf("stale message leaked across runs: got %d", got)
-		}
-	})
-}
-
-// TestEngineReusableAfterProtocolAbort exercises reuse after a mid-run
-// protocol failure that unwinds every node (not just an end-of-run hygiene
-// error): links must be drained and the next run must start from a clean
-// clock and fresh barrier state.
-func TestEngineReusableAfterProtocolAbort(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
-		h := topology.MustHypercube(2)
-		e := MustNew[int](h, cfg)
-		_, err := e.run(func(c *ctx[int]) {
-			c.Exchange(c.ID()^1, c.ID())
-			if c.ID() == 3 {
-				c.Recv(0) // non-neighbor: aborts the run in cycle 2
-			} else {
-				c.Idle()
-			}
-		}, nil)
-		if err == nil || !strings.Contains(err.Error(), "not a neighbor") {
-			t.Fatalf("want non-neighbor error, got %v", err)
-		}
-		out := make([]int, h.Nodes())
-		st, err := e.run(func(c *ctx[int]) {
-			out[c.ID()] = c.Exchange(c.ID()^1, c.ID())
-		}, nil)
-		if err != nil {
-			t.Fatalf("engine not reusable after abort: %v", err)
-		}
-		if st.Cycles != 1 || st.Messages != int64(h.Nodes()) {
-			t.Errorf("stats not reset after abort: %+v", st)
-		}
-		for u := range out {
-			if out[u] != u^1 {
-				t.Errorf("node %d: got %d want %d", u, out[u], u^1)
-			}
-		}
-	})
-}
-
-func TestEngineReusableStatsReset(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
-		h := topology.MustHypercube(2)
-		e := MustNew[int](h, cfg)
-		prog := func(c *ctx[int]) {
-			c.Exchange(c.ID()^1, c.ID())
-			c.Ops(1)
-		}
-		st1, err := e.run(prog, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2, err := e.run(prog, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st1 != st2 {
-			t.Errorf("stats not reset across runs: %+v vs %+v", st1, st2)
-		}
-	})
-}
-
 func TestDeterminism(t *testing.T) {
-	forEachSched(t, Config{}, func(t *testing.T, cfg Config) {
-		// Two identical runs over D_3 must produce identical values and stats.
+	forEachSched(t, func(t *testing.T, cfg Config) {
+		// Two identical runs over D_3, each on its own engine, must produce
+		// identical values and stats.
 		d := topology.MustDualCube(3)
-		e := MustNew[int](d, cfg)
 		run := func() ([]int, Stats) {
 			out := make([]int, d.Nodes())
-			st, err := e.run(func(c *ctx[int]) {
+			st, err := mustEngine[int](t, d, cfg).run(func(c *ctx[int]) {
 				v := c.ID()
 				for i := 0; i < d.ClusterDim(); i++ {
 					v += c.Exchange(d.ClusterNeighbor(c.ID(), i), v)
@@ -446,7 +367,7 @@ func TestDeterminism(t *testing.T) {
 				v += c.Exchange(d.CrossNeighbor(c.ID()), v)
 				c.Ops(1)
 				out[c.ID()] = v
-			}, nil)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,25 +406,16 @@ func (asymTopology) Neighbors(u int) []int {
 func (asymTopology) HasEdge(u, v int) bool { return u == 0 && v == 1 }
 
 // TestNewRejectsAsymmetricTopology is the regression test for the old
-// behavior of panicking inside New: an asymmetric adjacency must surface as
-// an error to the caller.
+// behavior of panicking inside engine construction: an asymmetric adjacency
+// must surface as an error to the caller.
 func TestNewRejectsAsymmetricTopology(t *testing.T) {
-	e, err := New[int](asymTopology{}, Config{})
+	e, err := newEngine[int](asymTopology{}, Config{})
 	if err == nil || !strings.Contains(err.Error(), "asymmetric") {
 		t.Fatalf("want asymmetric-topology error, got engine=%v err=%v", e, err)
 	}
 	if e != nil {
-		t.Error("New returned a non-nil engine alongside an error")
+		t.Error("newEngine returned a non-nil engine alongside an error")
 	}
-}
-
-func TestMustNewPanicsOnAsymmetry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic on an asymmetric topology")
-		}
-	}()
-	MustNew[int](asymTopology{}, Config{})
 }
 
 func TestStatsAdd(t *testing.T) {
@@ -560,10 +472,10 @@ func TestSenseBarrierRounds(t *testing.T) {
 func TestLargeMachineSmoke(t *testing.T) {
 	// 2048-node dual-cube: a full cross-edge exchange round.
 	d := topology.MustDualCube(6)
-	e := MustNew[int](d, Config{})
+	e := mustEngine[int](t, d, Config{})
 	st, err := e.run(func(c *ctx[int]) {
 		c.Exchange(d.CrossNeighbor(c.ID()), c.ID())
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,19 +484,71 @@ func TestLargeMachineSmoke(t *testing.T) {
 	}
 }
 
-// TestTimeoutScalesWithNodes checks the watchdog default grows with the
-// machine instead of staying pinned at the old fixed 60 seconds.
+// TestTimeoutScalesWithNodes checks the watchdog grows with the machine
+// instead of staying pinned at the old fixed 60 seconds, and that every
+// engine arms it.
 func TestTimeoutScalesWithNodes(t *testing.T) {
-	small := Config{}.withDefaults(2)
-	big := Config{}.withDefaults(1 << 13)
-	if small.Timeout < 60*time.Second {
-		t.Errorf("small-machine timeout %v below the 60s base", small.Timeout)
+	small, big := scaledTimeout(2), scaledTimeout(1<<13)
+	if small < 60*time.Second {
+		t.Errorf("small-machine timeout %v below the 60s base", small)
 	}
-	if big.Timeout <= small.Timeout {
-		t.Errorf("timeout does not scale: %v for 2 nodes vs %v for 8192", small.Timeout, big.Timeout)
+	if big <= small {
+		t.Errorf("timeout does not scale: %v for 2 nodes vs %v for 8192", small, big)
 	}
-	explicit := Config{Timeout: 5 * time.Second}.withDefaults(1 << 13)
-	if explicit.Timeout != 5*time.Second {
-		t.Errorf("explicit timeout overridden: %v", explicit.Timeout)
+	h := topology.MustHypercube(4)
+	if e := mustEngine[int](t, h, Config{}); e.timeout != scaledTimeout(h.Nodes()) {
+		t.Errorf("engine watchdog %v, want %v", e.timeout, scaledTimeout(h.Nodes()))
+	}
+}
+
+// TestEngineRunsLeaveNoGoroutines runs oracle schedules that end four ways
+// — normally, with a protocol error, with a kernel panic and by the
+// watchdog — on one worker and on four, and then requires the goroutine
+// count to return to its starting value: an engine serves one run, and
+// every node coroutine has returned by the time the run does.
+func TestEngineRunsLeaveNoGoroutines(t *testing.T) {
+	sch := directTestSchedule(t, 3)
+	start := runtime.NumGoroutine()
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 4}} {
+		sum, _ := sumKernel(sch.D.Nodes())
+		if _, err := RunEngine(sch, cfg, DirectKernel[int](sum)); err != nil {
+			t.Fatalf("W=%d normal run: %v", cfg.Workers, err)
+		}
+		recvOnly := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+			if u == 0 {
+				return DirectRecv, 0
+			}
+			return DirectIdle, 0
+		}}
+		if _, err := RunEngine(sch, cfg, DirectKernel[int](recvOnly)); err == nil || !strings.Contains(err.Error(), "empty link") {
+			t.Fatalf("W=%d protocol error: err = %v, want an empty-link error", cfg.Workers, err)
+		}
+		panicky := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+			if k == 1 && u == 5 {
+				panic("boom")
+			}
+			return DirectExchange, u
+		}}
+		if _, err := RunEngine(sch, cfg, DirectKernel[int](panicky)); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("W=%d kernel panic: err = %v, want the panic", cfg.Workers, err)
+		}
+		// Every node stalls in its first Produce until the run has failed, so
+		// only the watchdog can end it.
+		e := mustEngine[int](t, sch.D, cfg)
+		e.timeout = time.Millisecond
+		stall := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+			for !e.failed.Load() {
+				time.Sleep(100 * time.Microsecond)
+			}
+			return DirectExchange, u
+		}}
+		if _, err := e.run(kernelProgram(sch, DirectKernel[int](stall))); err == nil || !strings.Contains(err.Error(), "exceeded") {
+			t.Fatalf("W=%d watchdog: err = %v, want the watchdog error", cfg.Workers, err)
+		}
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before: node coroutines outlived their run", runtime.NumGoroutine(), start)
+		}
 	}
 }

@@ -16,12 +16,11 @@ func TestDimExchangeAllDims(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		d := topology.MustDualCube(n)
 		for j := 0; j < d.RecDims(); j++ {
-			eng := MustNew[int](d, Config{})
 			got := make([]int, d.Nodes())
-			st, err := eng.run(func(c *ctx[int]) {
+			st, err := mustEngine[int](t, d, Config{}).run(func(c *ctx[int]) {
 				r := d.ToRecursive(c.ID())
 				got[r] = recDimExchange(c, d, j, r*10+1)
-			}, nil)
+			})
 			if err != nil {
 				t.Fatalf("n=%d j=%d: %v", n, j, err)
 			}
@@ -47,16 +46,15 @@ func TestDimExchangeAllDims(t *testing.T) {
 // between steps.
 func TestDimExchangeSequence(t *testing.T) {
 	d := topology.MustDualCube(3)
-	eng := MustNew[int](d, Config{})
 	sum := make([]int, d.Nodes())
-	_, err := eng.run(func(c *ctx[int]) {
+	_, err := mustEngine[int](t, d, Config{}).run(func(c *ctx[int]) {
 		r := d.ToRecursive(c.ID())
 		acc := 0
 		for j := 0; j < d.RecDims(); j++ {
 			acc += recDimExchange(c, d, j, r)
 		}
 		sum[r] = acc
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +72,7 @@ func TestDimExchangeSequence(t *testing.T) {
 // BenchmarkStepKinds isolates the simulator's per-cycle cost for the two
 // kinds of dimension step D_sort uses: the 1-cycle cross-edge exchange and
 // the 3-cycle routed exchange (the ablation behind Theorem 2's constant).
+// Each iteration is one oracle run, engine construction included.
 func BenchmarkStepKinds(b *testing.B) {
 	d := topology.MustDualCube(4)
 	for _, bc := range []struct {
@@ -82,9 +81,8 @@ func BenchmarkStepKinds(b *testing.B) {
 	}{{"cross-exchange-1cycle", 0}, {"routed-exchange-3cycles", 1}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			eng := MustNew[int](d, Config{})
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.run(func(c *ctx[int]) { recDimExchange(c, d, bc.j, c.ID()) }, nil); err != nil {
+				if _, err := mustEngine[int](b, d, Config{}).run(func(c *ctx[int]) { recDimExchange(c, d, bc.j, c.ID()) }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,19 +91,18 @@ func BenchmarkStepKinds(b *testing.B) {
 }
 
 // BenchmarkMachineBarrier measures the raw lockstep cost: 100 exchange
-// cycles over the cross-edges.
+// cycles over the cross-edges, engine construction included.
 func BenchmarkMachineBarrier(b *testing.B) {
 	for _, n := range []int{2, 3, 4, 5} {
 		d := topology.MustDualCube(n)
-		eng := MustNew[int](d, Config{})
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, d.Nodes()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.run(func(c *ctx[int]) {
+				if _, err := mustEngine[int](b, d, Config{}).run(func(c *ctx[int]) {
 					for k := 0; k < 100; k++ {
 						c.Exchange(d.CrossNeighbor(c.ID()), k)
 					}
-				}, nil); err != nil {
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,8 +16,8 @@ type Event struct {
 }
 
 // Recording is the full message log of one run plus per-link totals. It is
-// produced by Engine.RunRecorded and consumed by the space-time renderer
-// and the link-load experiment (E14).
+// produced by RunRecorded and consumed by the space-time renderer and the
+// link-load experiment (E14).
 type Recording struct {
 	Events    []Event // all messages, ordered by (cycle, src)
 	Cycles    int
@@ -90,22 +90,24 @@ func (r *Recording) RenderSpaceTime(w io.Writer, nodes int) error {
 	return nil
 }
 
-// RunRecorded is Engine.Run with message recording enabled: every send is
+// RunRecorded is RunEngine with message recording enabled: every send is
 // logged as an Event. Recording costs one slice append per message on the
 // sending node; the log is assembled deterministically after the run.
-func (e *Engine[T]) RunRecorded(sch *Schedule, kern DirectKernel[T]) (Stats, *Recording, error) {
-	if err := sch.checkFinalized(); err != nil {
-		return Stats{Nodes: e.n}, nil, err
+func RunRecorded[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, *Recording, error) {
+	e, err := engineFor[T](sch, cfg)
+	if err != nil {
+		return Stats{Nodes: sch.Topology().Nodes()}, nil, err
 	}
 	return e.runRecorded(kernelProgram(sch, kern))
 }
 
 // runRecorded runs program with the recording send hook.
-func (e *Engine[T]) runRecorded(program func(c *ctx[T])) (Stats, *Recording, error) {
+func (e *engine[T]) runRecorded(program func(c *ctx[T])) (Stats, *Recording, error) {
 	perNode := make([][]Event, e.n)
-	st, err := e.run(program, func(c *ctx[T], dst int) {
+	e.onSend = func(c *ctx[T], dst int) {
 		perNode[c.id] = append(perNode[c.id], Event{Cycle: c.cycle, Src: c.id, Dst: dst})
-	})
+	}
+	st, err := e.run(program)
 	if err != nil {
 		return st, nil, err
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestRunRecordedEvents(t *testing.T) {
 	d := topology.MustDualCube(2)
-	e := MustNew[int](d, Config{})
+	e := mustEngine[int](t, d, Config{})
 	st, rec, err := e.runRecorded(func(c *ctx[int]) {
 		c.Exchange(d.CrossNeighbor(c.ID()), 1)      // cycle 0: 8 messages on cross-edges
 		c.Idle()                                    // cycle 1: nothing
@@ -46,7 +46,7 @@ func TestRunRecordedEvents(t *testing.T) {
 
 func TestRecordingLinkLoads(t *testing.T) {
 	d := topology.MustDualCube(2)
-	e := MustNew[int](d, Config{})
+	e := mustEngine[int](t, d, Config{})
 	_, rec, err := e.runRecorded(func(c *ctx[int]) {
 		for k := 0; k < 3; k++ {
 			c.Exchange(d.CrossNeighbor(c.ID()), k)
@@ -72,7 +72,7 @@ func TestRecordingLinkLoads(t *testing.T) {
 
 func TestRenderSpaceTime(t *testing.T) {
 	h := topology.MustHypercube(1)
-	e := MustNew[int](h, Config{})
+	e := mustEngine[int](t, h, Config{})
 	_, rec, err := e.runRecorded(func(c *ctx[int]) {
 		if c.ID() == 0 {
 			c.Send(1, 7)
@@ -104,7 +104,7 @@ func TestRenderSpaceTime(t *testing.T) {
 
 func TestCtxCycleCounter(t *testing.T) {
 	h := topology.MustHypercube(1)
-	e := MustNew[int](h, Config{})
+	e := mustEngine[int](t, h, Config{})
 	var last int
 	_, err := e.run(func(c *ctx[int]) {
 		if c.Cycle() != 0 {
@@ -115,7 +115,7 @@ func TestCtxCycleCounter(t *testing.T) {
 		if c.ID() == 0 {
 			last = c.Cycle()
 		}
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCtxCycleCounter(t *testing.T) {
 
 func TestRecordingExchangeBothMarked(t *testing.T) {
 	h := topology.MustHypercube(1)
-	e := MustNew[int](h, Config{})
+	e := mustEngine[int](t, h, Config{})
 	_, rec, err := e.runRecorded(func(c *ctx[int]) {
 		c.Exchange(1-c.ID(), c.ID())
 	})

@@ -3,13 +3,13 @@ package machine
 import (
 	"fmt"
 	"iter"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// unit is the sense barrier's channel element; release is signaled by close,
-// the value itself carries nothing.
+// unit is the sense barrier's channel element, where release is signaled by
+// close, and a node coroutine's yield value, where the yield is the clock
+// boundary: the value itself carries nothing.
 type unit = struct{}
 
 // poolWorker is one party of the stepped scheduler. A worker owns the
@@ -25,91 +25,62 @@ type poolWorker struct {
 	sent   bool   // did any node of this shard send since the last round?
 }
 
-// nodeRunner drives one node's persistent coroutine: next resumes it to its
-// next yield — the yielded value is false at a clock boundary, true when the
-// current run's program has returned and the coroutine parked between runs.
-// stop unwinds a parked coroutine for good (engine teardown).
-type nodeRunner struct {
-	next func() (bool, bool)
-	stop func()
-}
-
 // runWorkers executes program under the stepped worker-pool scheduler.
-func (e *Engine[T]) runWorkers(program func(c *ctx[T])) {
-	s := e.engineState
-	w := s.cfg.Workers
-	s.state = roundRun
-	s.prog = program
-	if cap(s.workers) >= w {
-		s.workers = s.workers[:w]
-	} else {
-		s.workers = make([]poolWorker, w)
-	}
-	per, rem := s.n/w, s.n%w
+func (e *engine[T]) runWorkers(program func(c *ctx[T])) {
+	w := e.cfg.Workers
+	e.state = roundRun
+	e.workers = make([]poolWorker, w)
+	per, rem := e.n/w, e.n%w
 	lo := 0
-	for i := 0; i < w; i++ {
+	for i := range e.workers {
 		hi := lo + per
 		if i < rem {
 			hi++
 		}
-		s.workers[i] = poolWorker{lo: lo, hi: hi}
+		e.workers[i] = poolWorker{lo: lo, hi: hi}
 		lo = hi
 	}
-	s.wbar = newSenseBarrier(w, s.poolLeader)
-
-	if e.runners.rs == nil {
-		e.runners.rs = make([]nodeRunner, s.n)
-		// The coroutines created below park between runs holding references
-		// to the engineState only, never to the Engine handle — so if the
-		// handle is dropped without Release, it becomes unreachable and this
-		// finalizer unwinds the parked coroutines instead of leaking them.
-		runtime.SetFinalizer(e, func(e *Engine[T]) { teardownRunners(e.runners) })
-	}
-	rs := e.runners.rs
+	e.wbar = newSenseBarrier(w, e.poolLeader)
 
 	var wg sync.WaitGroup
 	for i := 1; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.workerMain(i, rs)
+			e.workerMain(i, program)
 		}()
 	}
-	s.workerMain(0, rs) // the caller is worker 0
+	e.workerMain(0, program) // the caller is worker 0
 	wg.Wait()
-	s.prog = nil // release the program closure's captures between runs
 }
 
-// workerMain is one worker's life for one run: materialize any missing
-// coroutines of the shard (first run only — they persist across runs,
-// parked at their between-runs yield), then alternate full passes over the
-// live ones with barrier rounds until the leader declares the run over.
-// Finished runners are compacted out of the pass list so completed nodes
-// cost nothing in later cycles. After an abnormal end (failure or desync)
-// one extra drain pass resumes each still-live program, whose next clock
-// boundary observes roundAbort and unwinds with errAborted, leaving every
-// coroutine parked between runs again.
-func (s *engineState[T]) workerMain(wi int, rs []nodeRunner) {
-	w := &s.workers[wi]
+// workerMain is one worker's life for the run: start one coroutine per node
+// of its shard, then alternate full passes over the live ones with barrier
+// rounds until the leader declares the run over. Finished coroutines are
+// compacted out of the pass list so completed nodes cost nothing in later
+// cycles. After an abnormal end (failure or desync) one extra drain pass
+// resumes each still-live program, whose next clock boundary observes
+// roundAbort and unwinds with errAborted, so every coroutine of the shard
+// has returned when the worker does.
+func (e *engine[T]) workerMain(wi int, program func(c *ctx[T])) {
+	w := &e.workers[wi]
+	live := make([]func() (unit, bool), 0, w.hi-w.lo)
 	for u := w.lo; u < w.hi; u++ {
-		s.nodes[u].worker = w
-		if rs[u].next == nil {
-			next, stop := iter.Pull(s.nodeLoop(&s.nodes[u]))
-			rs[u] = nodeRunner{next: next, stop: stop}
-		}
-	}
-	live := make([]func() (bool, bool), 0, w.hi-w.lo)
-	for u := w.lo; u < w.hi; u++ {
-		live = append(live, rs[u].next)
+		c := &e.nodes[u]
+		c.worker = w
+		// No stop function is kept: every coroutine runs to its return
+		// before the worker does (the drain pass below), which ends it.
+		next, _ := iter.Pull(e.nodeSeq(c, program))
+		live = append(live, next)
 	}
 	for {
-		// Compaction of finished runners starts lazily: under the SPMD
+		// Compaction of finished coroutines starts lazily: under the SPMD
 		// discipline every node of the shard finishes in the same pass, so
 		// the common pass moves nothing and the loop body is one resume per
 		// live node.
 		k := -1
 		for i := range live {
-			if done, _ := live[i](); done {
+			if _, stepping := live[i](); !stepping {
 				if k < 0 {
 					k = i
 				}
@@ -122,51 +93,42 @@ func (s *engineState[T]) workerMain(wi int, rs []nodeRunner) {
 			live = live[:k]
 		}
 		w.active = len(live)
-		s.wbar.wait(&w.parity)
-		if s.state != roundRun {
+		e.wbar.wait(&w.parity)
+		if e.state != roundRun {
 			break
 		}
 	}
-	if s.state == roundAbort {
+	if e.state == roundAbort {
 		for i := range live {
-			live[i]() // resume into the abort check; parks as done
+			live[i]() // resume into the abort check; the program unwinds and returns
 		}
 	}
 }
 
-// nodeLoop is the body of one node's persistent coroutine: an endless
-// alternation of "run the engine's current program" and a between-runs park
-// (yield true). The yield function doubles as the node's clock boundary
-// while a program is running (yield false). Protocol failures and user
-// panics are recovered per run in runNode and recorded as the run's error;
-// the coroutine itself survives to serve the next run. It only returns when
-// a teardown stop makes the between-runs yield report false.
-func (s *engineState[T]) nodeLoop(c *ctx[T]) iter.Seq[bool] {
-	return func(yield func(bool) bool) {
-		for {
-			c.yield = yield
-			s.runNode(c)
-			c.yield = nil
-			if !yield(true) {
-				return
-			}
-		}
+// nodeSeq is the body of one node's coroutine: it runs program once, and
+// its yield function is the node's clock boundary. runNode records protocol
+// failures and user panics as the run's error, so the coroutine always
+// returns normally.
+func (e *engine[T]) nodeSeq(c *ctx[T], program func(c *ctx[T])) iter.Seq[unit] {
+	return func(yield func(unit) bool) {
+		c.yield = yield
+		e.runNode(c, program)
 	}
 }
 
-// runNode executes the current program on one node, converting panics into
-// the run's recorded failure.
-func (s *engineState[T]) runNode(c *ctx[T]) {
+// runNode executes program on one node, converting panics into the run's
+// recorded failure.
+func (e *engine[T]) runNode(c *ctx[T], program func(c *ctx[T])) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ap, ok := r.(abortPanic); ok {
-				s.fail(ap.err)
+				e.fail(ap.err)
 			} else {
-				s.fail(fmt.Errorf("machine: node %d panicked: %v", c.id, r))
+				e.fail(fmt.Errorf("machine: node %d panicked: %v", c.id, r))
 			}
 		}
 	}()
-	s.prog(c)
+	program(c)
 }
 
 // poolLeader is the per-cycle accounting, run exactly once per barrier
@@ -179,26 +141,26 @@ func (s *engineState[T]) runNode(c *ctx[T]) {
 //     epilogues only, so no cycle is counted;
 //   - a strict subset finished: the SPMD lockstep is broken, which the
 //     leader sees immediately and deterministically, with no timeout.
-func (s *engineState[T]) poolLeader() {
+func (e *engine[T]) poolLeader() {
 	total, any := 0, false
-	for i := range s.workers {
-		w := &s.workers[i]
+	for i := range e.workers {
+		w := &e.workers[i]
 		total += w.active
 		any = any || w.sent
 		w.sent = false
 	}
 	switch {
-	case s.failed.Load():
-		s.state = roundAbort
+	case e.failed.Load():
+		e.state = roundAbort
 	case total == 0:
-		s.state = roundDone
-	case total < s.n:
-		s.fail(fmt.Errorf("machine: desynchronized program: %d of %d nodes finished after cycle %d while the rest kept stepping", s.n-total, s.n, s.cycles))
-		s.state = roundAbort
+		e.state = roundDone
+	case total < e.n:
+		e.fail(fmt.Errorf("machine: desynchronized program: %d of %d nodes finished after cycle %d while the rest kept stepping", e.n-total, e.n, e.cycles))
+		e.state = roundAbort
 	default:
-		s.cycles++
+		e.cycles++
 		if any {
-			s.commCycles++
+			e.commCycles++
 		}
 	}
 }

@@ -155,12 +155,7 @@ func DPrefixRecorded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T
 		return nil, machine.Stats{}, nil, err
 	}
 	out := make([]T, len(in))
-	eng, err := machine.New[T](d, cfg)
-	if err != nil {
-		return nil, machine.Stats{}, nil, err
-	}
-	defer eng.Release()
-	st, rec, err := eng.RunRecorded(sch, newPrefixKernel(d, m, inclusive, in, out, nil))
+	st, rec, err := machine.RunRecorded(sch, cfg, newPrefixKernel(d, m, inclusive, in, out, nil))
 	if err != nil {
 		return nil, st, nil, err
 	}

@@ -154,17 +154,28 @@ func CheckSchedule(sch *machine.Schedule, c topology.Comm, op dcomm.Op) error {
 		return fmt.Errorf("schedcheck: %s: %d total steps exceed the Theorem 1 budget 2n+1 = %d", sch.Name, len(sch.Steps), 2*n+1)
 	}
 
-	// Steps sharing a pattern must share the finalized tables (one matching,
-	// one plan); remember the first occurrence to compare against.
+	// The skeleton's matchings keep to the Comm decomposition: a cluster
+	// dimension pairs inside the cluster, the cross matching across classes.
+	for u := 0; u < N; u++ {
+		if p := c.CrossNeighbor(u); c.Class(p) == c.Class(u) {
+			return fmt.Errorf("schedcheck: %s: cross matching pairs %d and %d of the same class", sch.Name, u, p)
+		}
+		for j := 0; j < m; j++ {
+			if p := c.ClusterNeighbor(u, j); c.Class(p) != c.Class(u) || !c.SameCluster(u, p) {
+				return fmt.Errorf("schedcheck: %s: cluster dimension %d pairs %d outside %d's cluster", sch.Name, j, p, u)
+			}
+		}
+	}
+
 	firstByPattern := make(map[int]*machine.Step, m+1)
 	patternUses := make(map[int]int, m+1)
-
 	for i := range sch.Steps {
 		s := &sch.Steps[i]
 		want := shape[i]
 		if s.Kind != want.kind {
 			return fmt.Errorf("schedcheck: %s step %d: kind %s, want %s", sch.Name, i, s.Kind, want.kind)
 		}
+		expect := c.CrossNeighbor
 		switch s.Kind {
 		case machine.StepLocalCombine:
 			continue
@@ -175,59 +186,15 @@ func CheckSchedule(sch *machine.Schedule, c topology.Comm, op dcomm.Op) error {
 			if s.Pattern != s.Dim {
 				return fmt.Errorf("schedcheck: %s step %d: pattern %d, want dimension %d", sch.Name, i, s.Pattern, s.Dim)
 			}
+			expect = func(u int) int { return c.ClusterNeighbor(u, s.Dim) }
 		case machine.StepCrossHop:
 			if s.Pattern != m {
 				return fmt.Errorf("schedcheck: %s step %d: cross pattern %d, want %d", sch.Name, i, s.Pattern, m)
 			}
 		}
 		patternUses[s.Pattern]++
-
-		partners, links := s.Partners(), s.LinkIndexes()
-		if partners == nil || links == nil {
-			return fmt.Errorf("schedcheck: %s step %d: schedule not finalized (nil exchange tables)", sch.Name, i)
-		}
-		if len(partners) != N || len(links) != N {
-			return fmt.Errorf("schedcheck: %s step %d: table length %d/%d, want %d", sch.Name, i, len(partners), len(links), N)
-		}
-		if first, ok := firstByPattern[s.Pattern]; ok {
-			if &first.Partners()[0] != &partners[0] || &first.LinkIndexes()[0] != &links[0] {
-				return fmt.Errorf("schedcheck: %s step %d: pattern %d tables not shared with earlier step", sch.Name, i, s.Pattern)
-			}
-			continue // shared tables were already verified node by node
-		}
-		firstByPattern[s.Pattern] = s
-
-		for u := 0; u < N; u++ {
-			p := int(partners[u])
-			if p < 0 || p >= N {
-				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d out of range", sch.Name, i, u, p)
-			}
-			if p == u {
-				return fmt.Errorf("schedcheck: %s step %d: node %d paired with itself", sch.Name, i, u)
-			}
-			if int(partners[p]) != u {
-				return fmt.Errorf("schedcheck: %s step %d: matching not an involution at %d: partner %d pairs back to %d", sch.Name, i, u, p, partners[p])
-			}
-			var expect int
-			if s.Kind == machine.StepClusterDim {
-				expect = c.ClusterNeighbor(u, s.Dim)
-				if c.Class(p) != c.Class(u) || !c.SameCluster(u, p) {
-					return fmt.Errorf("schedcheck: %s step %d: cluster step pairs %d outside %d's cluster", sch.Name, i, p, u)
-				}
-			} else {
-				expect = c.CrossNeighbor(u)
-				if c.Class(p) == c.Class(u) {
-					return fmt.Errorf("schedcheck: %s step %d: cross step pairs %d and %d of the same class", sch.Name, i, u, p)
-				}
-			}
-			if p != expect {
-				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d, want %d", sch.Name, i, u, p, expect)
-			}
-			row := c.Neighbors(u)
-			li := int(links[u])
-			if li < 0 || li >= len(row) || row[li] != p {
-				return fmt.Errorf("schedcheck: %s step %d: node %d link index %d does not select partner %d", sch.Name, i, u, li, p)
-			}
+		if err := checkTables(sch, i, c, firstByPattern, true, expect); err != nil {
+			return err
 		}
 	}
 
@@ -325,7 +292,6 @@ func CheckSweepSchedule(sch *machine.Schedule, c topology.Recursive) error {
 // the cross matching over a link table, and every higher dimension
 // partner-only, since its routed pairs are not adjacent.
 func checkLadder(sch *machine.Schedule, c topology.Recursive, want []machine.Step) error {
-	N := c.Nodes()
 	if sch.D != topology.Comm(c) {
 		return fmt.Errorf("schedcheck: %s: schedule bound to %s, want %s", sch.Name, sch.D.Name(), c.Name())
 	}
@@ -334,57 +300,18 @@ func checkLadder(sch *machine.Schedule, c topology.Recursive, want []machine.Ste
 	}
 	firstByPattern := make(map[int]*machine.Step, c.RecDims())
 	for i := range sch.Steps {
-		s, w := &sch.Steps[i], &want[i]
-		if s.Broken != nil || s.Detours != nil {
+		if s := &sch.Steps[i]; s.Broken != nil || s.Detours != nil {
 			return fmt.Errorf("schedcheck: %s step %d: fault-free schedule carries fault annotations", sch.Name, i)
 		}
-		if err := checkShape(sch, i, w); err != nil {
+		if err := checkShape(sch, i, &want[i]); err != nil {
 			return err
 		}
-		j := w.Dim
-
-		partners := s.Partners()
-		if partners == nil {
-			return fmt.Errorf("schedcheck: %s step %d: schedule not finalized (nil partner table)", sch.Name, i)
-		}
-		if len(partners) != N {
-			return fmt.Errorf("schedcheck: %s step %d: table length %d, want %d", sch.Name, i, len(partners), N)
-		}
-		if first, ok := firstByPattern[s.Pattern]; ok {
-			if &first.Partners()[0] != &partners[0] {
-				return fmt.Errorf("schedcheck: %s step %d: pattern %d tables not shared with earlier step", sch.Name, i, s.Pattern)
-			}
-			continue // shared tables were already verified node by node
-		}
-		firstByPattern[s.Pattern] = s
-
-		for u := 0; u < N; u++ {
-			p := int(partners[u])
-			if p < 0 || p >= N {
-				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d out of range", sch.Name, i, u, p)
-			}
-			if p == u {
-				return fmt.Errorf("schedcheck: %s step %d: node %d paired with itself", sch.Name, i, u)
-			}
-			if int(partners[p]) != u {
-				return fmt.Errorf("schedcheck: %s step %d: matching not an involution at %d: partner %d pairs back to %d", sch.Name, i, u, p, partners[p])
-			}
-			expect := c.FromRecursive(c.ToRecursive(u) ^ 1<<j)
-			if p != expect {
-				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d, want recursive-dimension-%d partner %d", sch.Name, i, u, p, j, expect)
-			}
-			if j == 0 {
-				// Dimension 0 is the cross matching: adjacent, with a link
-				// table the interpreter's fast path uses.
-				if p != c.CrossNeighbor(u) {
-					return fmt.Errorf("schedcheck: %s step %d: node %d cross partner %d, want %d", sch.Name, i, u, p, c.CrossNeighbor(u))
-				}
-				if err := checkLink(sch, i, c, u); err != nil {
-					return err
-				}
-			} else if s.LinkIndexes() != nil {
-				return fmt.Errorf("schedcheck: %s step %d: recursive-dimension step carries a link table (routed pairs are not adjacent)", sch.Name, i)
-			}
+		// Dimension 0 is the cross matching, over a link table; a higher
+		// dimension's routed pairs are not adjacent, so its step has none.
+		j := want[i].Dim
+		expect := func(u int) int { return c.FromRecursive(c.ToRecursive(u) ^ 1<<j) }
+		if err := checkTables(sch, i, c, firstByPattern, j == 0, expect); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -451,28 +378,13 @@ func checkCubeLadder(sch *machine.Schedule, h *topology.Hypercube, want []machin
 	}
 	firstByPattern := make(map[int]*machine.Step, h.Dim())
 	for i := range sch.Steps {
-		s, w := &sch.Steps[i], &want[i]
+		w := &want[i]
 		if err := checkShape(sch, i, w); err != nil {
 			return err
 		}
-		partners := s.Partners()
-		if partners == nil || s.LinkIndexes() == nil {
-			return fmt.Errorf("schedcheck: %s step %d: schedule not finalized (nil exchange tables)", sch.Name, i)
-		}
-		if first, ok := firstByPattern[s.Pattern]; ok {
-			if &first.Partners()[0] != &partners[0] {
-				return fmt.Errorf("schedcheck: %s step %d: pattern %d tables not shared with earlier step", sch.Name, i, s.Pattern)
-			}
-			continue
-		}
-		firstByPattern[s.Pattern] = s
-		for u := 0; u < h.Nodes(); u++ {
-			if p := int(partners[u]); p != u^1<<w.Dim {
-				return fmt.Errorf("schedcheck: %s step %d: node %d partner %d, want %d", sch.Name, i, u, p, u^1<<w.Dim)
-			}
-			if err := checkLink(sch, i, h, u); err != nil {
-				return err
-			}
+		expect := func(u int) int { return u ^ 1<<w.Dim }
+		if err := checkTables(sch, i, h, firstByPattern, true, expect); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -487,17 +399,50 @@ func checkShape(sch *machine.Schedule, i int, w *machine.Step) error {
 	return nil
 }
 
-// checkLink verifies that node u's link index in step i of sch selects its
-// partner in u's ascending neighbor row of t.
-func checkLink(sch *machine.Schedule, i int, t topology.Topology, u int) error {
+// checkTables verifies the finalized exchange tables of step i of sch, a
+// matching over the nodes of t. A step whose pattern an earlier step used
+// must share that step's tables, which first records and which were
+// verified with it. Otherwise, node by node, the partner lies in range,
+// differs from the node, pairs back (the matching is an involution) and is
+// expect(u); when linked, the link index selects the partner in u's
+// ascending neighbor row. A step that is not linked pairs nodes that need
+// not be adjacent, so it must carry no link table.
+func checkTables(sch *machine.Schedule, i int, t topology.Topology, first map[int]*machine.Step, linked bool, expect func(u int) int) error {
 	s := &sch.Steps[i]
-	links := s.LinkIndexes()
-	if links == nil {
-		return fmt.Errorf("schedcheck: %s step %d: %s step has no link table", sch.Name, i, s.Kind)
+	partners, links := s.Partners(), s.LinkIndexes()
+	N := t.Nodes()
+	switch {
+	case partners == nil || linked && links == nil:
+		return fmt.Errorf("schedcheck: %s step %d: schedule not finalized (nil exchange tables)", sch.Name, i)
+	case !linked && links != nil:
+		return fmt.Errorf("schedcheck: %s step %d: %s step carries a link table, but its pairs are not adjacent", sch.Name, i, s.Kind)
+	case len(partners) != N || linked && len(links) != N:
+		return fmt.Errorf("schedcheck: %s step %d: table lengths %d/%d, want %d", sch.Name, i, len(partners), len(links), N)
 	}
-	row, li, p := t.Neighbors(u), int(links[u]), int(s.Partners()[u])
-	if li < 0 || li >= len(row) || row[li] != p {
-		return fmt.Errorf("schedcheck: %s step %d: node %d link index %d does not select partner %d", sch.Name, i, u, li, p)
+	if f, ok := first[s.Pattern]; ok {
+		if &f.Partners()[0] != &partners[0] || linked && &f.LinkIndexes()[0] != &links[0] {
+			return fmt.Errorf("schedcheck: %s step %d: pattern %d tables not shared with earlier step", sch.Name, i, s.Pattern)
+		}
+		return nil
+	}
+	first[s.Pattern] = s
+	for u := 0; u < N; u++ {
+		p := int(partners[u])
+		switch {
+		case p < 0 || p >= N:
+			return fmt.Errorf("schedcheck: %s step %d: node %d partner %d out of range", sch.Name, i, u, p)
+		case p == u:
+			return fmt.Errorf("schedcheck: %s step %d: node %d paired with itself", sch.Name, i, u)
+		case int(partners[p]) != u:
+			return fmt.Errorf("schedcheck: %s step %d: matching not an involution at %d: partner %d pairs back to %d", sch.Name, i, u, p, partners[p])
+		case p != expect(u):
+			return fmt.Errorf("schedcheck: %s step %d: node %d partner %d, want %d", sch.Name, i, u, p, expect(u))
+		}
+		if linked {
+			if row, li := t.Neighbors(u), int(links[u]); li < 0 || li >= len(row) || row[li] != p {
+				return fmt.Errorf("schedcheck: %s step %d: node %d link index %d does not select partner %d", sch.Name, i, u, li, p)
+			}
+		}
 	}
 	return nil
 }

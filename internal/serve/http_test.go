@@ -126,30 +126,3 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadGenSmoke runs the E23 load generator briefly with verification
-// on, at two batch widths, and sanity-checks the points.
-func TestLoadGenSmoke(t *testing.T) {
-	pts, err := SweepBatch(LoadConfig{
-		Op:       OpPrefix,
-		N:        3,
-		Clients:  8,
-		Duration: 60 * time.Millisecond,
-		Seed:     1,
-		Verify:   true,
-	}, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range pts {
-		if pt.Requests <= 0 || pt.RPS <= 0 {
-			t.Fatalf("degenerate load point: %+v", pt)
-		}
-		if pt.MeanBatch < 1 || pt.MeanBatch > float64(pt.MaxBatch) {
-			t.Fatalf("mean batch %v outside [1, %d]", pt.MeanBatch, pt.MaxBatch)
-		}
-	}
-	if pts[0].MaxBatch != 1 || pts[1].MaxBatch != 8 {
-		t.Fatalf("sweep order wrong: %+v", pts)
-	}
-}

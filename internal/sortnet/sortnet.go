@@ -193,8 +193,8 @@ func DSortOn[K any](cfg machine.Config, d topology.Recursive, keys []K, less fun
 
 // DSortRecorded is DSort with full message recording (per-link loads and
 // the space-time event log) for the traffic analysis of experiment E14.
-// Recording is an engine facility, so this always runs the kernel through
-// the schedule interpreter regardless of the configured scheduler.
+// Recording is an engine facility, so this always runs the kernel on the
+// engine (machine.RunRecorded), whatever cfg.Sched says.
 func DSortRecorded[K any](cfg machine.Config, n int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, *machine.Recording, error) {
 	d, err := topology.Validated(n, len(keys))
 	if err != nil {
@@ -208,12 +208,7 @@ func DSortRecorded[K any](cfg machine.Config, n int, keys []K, less func(a, b K)
 		return nil, machine.Stats{}, nil, err
 	}
 	kern := newDSortKernel(sch, keys, less, ord, nil)
-	eng, err := machine.New[K](d, cfg)
-	if err != nil {
-		return nil, machine.Stats{}, nil, err
-	}
-	defer eng.Release()
-	st, rec, err := eng.RunRecorded(sch, kern)
+	st, rec, err := machine.RunRecorded(sch, cfg, kern)
 	if err != nil {
 		return nil, st, nil, err
 	}
