@@ -24,7 +24,7 @@ test-short:
 
 # The race steps of CI's test and serve-smoke jobs.
 race:
-	$(GO) test -race -short -count=1 . ./internal/machine/... ./internal/prefix/... ./internal/fault/... ./internal/dcomm/... ./internal/sortnet/... ./internal/collective/... ./internal/topology/... ./internal/emulate/... ./internal/ntt/...
+	$(GO) test -race -short -count=1 . ./internal/machine/... ./internal/prefix/... ./internal/fault/... ./internal/dcomm/... ./internal/sortnet/... ./internal/collective/... ./internal/topology/... ./internal/emulate/... ./internal/ntt/... ./internal/samplesort/...
 	$(GO) test -race -run TestRuntimeConcurrent -count=1 .
 	$(GO) test -race -count=1 ./internal/serve/...
 

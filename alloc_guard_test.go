@@ -202,6 +202,11 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 	one := machine.Config{Workers: 1}
 	rt := runtimeWith(t, "dualcube", n, one)
 	rt.Warm()
+	// The same order on the Z-cube: its operations share the dual-cube's
+	// schedule shapes, node tables, arena layout and plane stash, so the
+	// bundle collectives and Permute must stay as flat there.
+	zt := runtimeWith(t, "zcube", n, one)
+	zt.Warm()
 	in := make([]int, rt.Nodes())
 	rev := make([]int, rt.Nodes())
 	for i := range in {
@@ -292,6 +297,22 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 		}},
 		{"PermuteOn", 16, func() error {
 			_, _, err := PermuteOn(rt, rev, in)
+			return err
+		}},
+		{"GatherOn(Z_6)", 16, func() error {
+			_, _, err := GatherOn(zt, 1, in)
+			return err
+		}},
+		{"ScatterOn(Z_6)", 16, func() error {
+			_, _, err := ScatterOn(zt, 1, in)
+			return err
+		}},
+		{"AllGatherOn(Z_6)", 16, func() error {
+			_, _, err := AllGatherOn(zt, in)
+			return err
+		}},
+		{"PermuteOn(Z_6)", 16, func() error {
+			_, _, err := PermuteOn(zt, rev, in)
 			return err
 		}},
 		// SortLarge runs the merge-split kernel over chunk arenas

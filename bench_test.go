@@ -35,6 +35,13 @@ func benchInput(n int) []int {
 	return in
 }
 
+// sharedDualCube returns the process-wide D_n, the topology the facade's
+// one-shot calls run on.
+func sharedDualCube(n int) topology.Comm {
+	d, _ := topology.Shared(n)
+	return d
+}
+
 // BenchmarkE2Diameter measures the all-pairs BFS diameter check of the
 // structural experiment.
 func BenchmarkE2Diameter(b *testing.B) {
@@ -58,7 +65,7 @@ func BenchmarkE4DPrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, len(in)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prefix.DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil); err != nil {
+				if _, _, err := prefix.DPrefix(machine.Config{}, sharedDualCube(n), in, monoid.Sum[int](), true, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +80,7 @@ func BenchmarkE4EmulatedPrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prefix.EmulatedCubePrefix(machine.Config{}, n, in, monoid.Sum[int](), true); err != nil {
+				if _, _, err := prefix.EmulatedCubePrefix(machine.Config{}, sharedDualCube(n), in, monoid.Sum[int](), true); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -107,7 +114,7 @@ func BenchmarkE8DSort(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, len(in)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.DSort(machine.Config{}, n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil); err != nil {
+				if _, _, err := sortnet.DSort(machine.Config{}, sharedDualCube(n), in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -147,7 +154,7 @@ func BenchmarkE12PrefixLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prefix.DPrefixLarge(machine.Config{}, n, k, in, monoid.Sum[int](), true); err != nil {
+				if _, _, err := prefix.DPrefixLarge(machine.Config{}, sharedDualCube(n), k, in, monoid.Sum[int](), true); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -168,7 +175,7 @@ func BenchmarkE12SortLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.DSortLarge(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
+				if _, _, err := sortnet.DSortLarge(machine.Config{}, sharedDualCube(n), k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -183,7 +190,7 @@ func BenchmarkE13Collectives(b *testing.B) {
 		b.Run(fmt.Sprintf("Broadcast/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.Broadcast(machine.Config{}, n, 5, 1); err != nil {
+				if _, _, err := collective.Broadcast(machine.Config{}, sharedDualCube(n), 5, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,7 +198,7 @@ func BenchmarkE13Collectives(b *testing.B) {
 		b.Run(fmt.Sprintf("AllReduce/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.AllReduce(machine.Config{}, n, in, monoid.Sum[int]()); err != nil {
+				if _, _, err := collective.AllReduce(machine.Config{}, sharedDualCube(n), in, monoid.Sum[int]()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -199,7 +206,7 @@ func BenchmarkE13Collectives(b *testing.B) {
 		b.Run(fmt.Sprintf("Gather/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.Gather(machine.Config{}, n, 5, in); err != nil {
+				if _, _, err := collective.Gather(machine.Config{}, sharedDualCube(n), 5, in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -262,7 +269,7 @@ func BenchmarkPermute(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, N), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.Permute(machine.Config{}, n, dests, values); err != nil {
+				if _, _, err := sortnet.Permute(machine.Config{}, sharedDualCube(n), dests, values); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -284,7 +291,7 @@ func BenchmarkAllToAll(b *testing.B) {
 		b.Run(fmt.Sprintf("D_%d/nodes=%d", n, N), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := collective.AllToAll(machine.Config{}, n, in); err != nil {
+				if _, _, err := collective.AllToAll(machine.Config{}, sharedDualCube(n), in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -305,7 +312,7 @@ func BenchmarkSegmentedPrefix(b *testing.B) {
 	b.Run(fmt.Sprintf("D_%d", n), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := prefix.DPrefixSegmented(machine.Config{}, n, values, heads, monoid.Sum[int]()); err != nil {
+			if _, _, err := prefix.DPrefixSegmented(machine.Config{}, sharedDualCube(n), values, heads, monoid.Sum[int]()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -342,7 +349,7 @@ func BenchmarkNTT(b *testing.B) {
 		b.Run(fmt.Sprintf("dualcube/D_%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ntt.Transform(machine.Config{}, n, in, false); err != nil {
+				if _, _, err := ntt.Transform(machine.Config{}, sharedDualCube(n), in, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -350,7 +357,7 @@ func BenchmarkNTT(b *testing.B) {
 		b.Run(fmt.Sprintf("hypercube/Q_%d", 2*n-1), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ntt.CubeTransform(machine.Config{}, n, in, false); err != nil {
+				if _, _, err := ntt.CubeTransform(machine.Config{}, 2*n-1, in, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -371,7 +378,7 @@ func BenchmarkE17SampleSort(b *testing.B) {
 		b.Run(fmt.Sprintf("samplesort/D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := samplesort.Sort(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }); err != nil {
+				if _, _, err := samplesort.Sort(machine.Config{}, sharedDualCube(n), k, in, func(a, b int) bool { return a < b }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -379,7 +386,7 @@ func BenchmarkE17SampleSort(b *testing.B) {
 		b.Run(fmt.Sprintf("bitonic/D_%d/k=%d", n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sortnet.DSortLarge(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
+				if _, _, err := sortnet.DSortLarge(machine.Config{}, sharedDualCube(n), k, in, func(a, b int) bool { return a < b }, sortnet.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -29,7 +29,7 @@ func main() {
 	spacetime := flag.Bool("spacetime", false, "also print the message space-time diagram (n <= 3)")
 	flag.Parse()
 
-	d, err := topology.NewDualCube(*n)
+	d, err := topology.Shared(*n)
 	if err != nil {
 		fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 
 	fmt.Printf("parallel prefix (sum) on %s: %d nodes, input %s\n\n", d.Name(), d.Nodes(), *input)
 	var tr prefix.Trace[int]
-	out, st, err := prefix.DPrefix(machine.Config{}, *n, in, monoid.Sum[int](), !*diminished, &tr)
+	out, st, err := prefix.DPrefix(machine.Config{}, d, in, monoid.Sum[int](), !*diminished, &tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("messages: %d\n", st.Messages)
 
 	if *spacetime {
-		_, _, rec, err := prefix.DPrefixRecorded(machine.Config{}, *n, in, monoid.Sum[int](), !*diminished)
+		_, _, rec, err := prefix.DPrefixRecorded(machine.Config{}, d, in, monoid.Sum[int](), !*diminished)
 		if err != nil {
 			fatal(err)
 		}

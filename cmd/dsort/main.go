@@ -27,7 +27,7 @@ func main() {
 	spacetime := flag.Bool("spacetime", false, "also print the message space-time diagram (n <= 3)")
 	flag.Parse()
 
-	d, err := topology.NewDualCube(*n)
+	d, err := topology.Shared(*n)
 	if err != nil {
 		fatal(err)
 	}
@@ -39,7 +39,7 @@ func main() {
 
 	fmt.Printf("bitonic sort on %s (%d nodes, %s):\n\n", d.Name(), d.Nodes(), ord)
 	var tr sortnet.Trace[int]
-	out, st, err := sortnet.DSort(machine.Config{}, *n, in, func(a, b int) bool { return a < b }, ord, &tr)
+	out, st, err := sortnet.DSort(machine.Config{}, d, in, func(a, b int) bool { return a < b }, ord, &tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("messages: %d\n", st.Messages)
 
 	if *spacetime {
-		_, _, rec, err := sortnet.DSortRecorded(machine.Config{}, *n, in, func(a, b int) bool { return a < b }, ord)
+		_, _, rec, err := sortnet.DSortRecorded(machine.Config{}, d, in, func(a, b int) bool { return a < b }, ord)
 		if err != nil {
 			fatal(err)
 		}

@@ -10,7 +10,9 @@
 //     routing, and the recursive presentation) via New;
 //   - a shared Runtime layer (NewRuntime) binding the cached topology, its
 //     node tables and the compiled schedules, so repeated operations run
-//     with no per-call topology or schedule construction;
+//     with no per-call topology or schedule construction; NewRuntimeOn
+//     binds the odd hypercube Q_{2n-1} or the Z-cube Z_n instead, which
+//     contain D_n, and every operation runs on all three;
 //   - parallel prefix computation (Algorithm 2 of the paper): 2n
 //     communication steps on a simulated synchronous multicomputer —
 //     Prefix, PrefixFunc, PrefixLarge;
@@ -60,8 +62,9 @@ const (
 )
 
 // Network is a dual-cube D_n: the topology handle used for structural
-// queries. All algorithm entry points take the order n directly, so a
-// Network is only needed for inspecting the graph itself.
+// queries. The package-level operations take the order n and the ...On
+// operations a Runtime, so a Network is only needed for inspecting the
+// graph itself.
 type Network struct {
 	d *topology.DualCube
 }

@@ -1,19 +1,19 @@
 // Package schedtopo guards the topology-genericity of the schedule builder.
 // Package dcomm compiles communication schedules for every Comm family —
 // dual-cube, odd hypercube, Z-cube — so it must speak only the interfaces
-// (topology.Topology, topology.Comm, topology.Recursive). A reference to the
-// concrete *topology.DualCube inside the builder silently re-specializes the
-// pipeline to one family: the code still compiles, every dual-cube test still
-// passes, and the regression surfaces only when a Z-cube or hypercube
-// schedule is requested.
+// (topology.Topology, topology.Comm). A reference to the concrete
+// *topology.DualCube inside the builder silently re-specializes the pipeline
+// to one family: the code still compiles, every dual-cube test still passes,
+// and the regression surfaces only when a Z-cube or hypercube schedule is
+// requested.
 //
 // The analyzer inspects packages whose import path ends in "/dcomm" (the
 // schedule builder, and the analysistest fixture standing in for it) and
 // reports every use of an object from internal/topology that exposes the
 // concrete DualCube type: the type name itself (declarations, assertions,
 // conversions), functions whose signature mentions *DualCube (NewDualCube,
-// MustDualCube, Shared, Validated, ZCube.Skeleton, ...), and variables or
-// fields typed by it. Values obtained from such objects are transitively
+// MustDualCube, Shared, ZCube.Skeleton, ...), and variables or fields typed
+// by it. Values obtained from such objects are transitively
 // covered — a *DualCube-typed local can only be introduced through one of
 // the flagged forms.
 package schedtopo

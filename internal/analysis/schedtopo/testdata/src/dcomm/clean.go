@@ -24,7 +24,7 @@ func goodLookup() (topology.Comm, error) {
 	return topology.CommByID("dualcube", 3)
 }
 
-// goodRecursive uses the recursive presentation through its interface.
-func goodRecursive(d topology.Recursive) bool {
+// goodRecursive uses the recursive presentation through the Comm interface.
+func goodRecursive(d topology.Comm) bool {
 	return d.RecDirect(0, d.RecDims()-1)
 }

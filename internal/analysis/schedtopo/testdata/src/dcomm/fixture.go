@@ -26,8 +26,6 @@ func badConstructors() {
 	_ = m
 	s, _ := topology.Shared(3) // want `calls topology\.Shared, whose signature exposes the concrete \*topology\.DualCube`
 	_ = s
-	v, _ := topology.Validated(3, 32) // want `calls topology\.Validated, whose signature exposes the concrete \*topology\.DualCube`
-	_ = v
 }
 
 // badAssert re-specializes a generic Comm by asserting the concrete type.

@@ -20,22 +20,21 @@ import (
 // adjacent runs. The kernel moves only extents over one shared arena; the
 // host verifies every node assembled the full run and materializes the
 // per-node rows from one backing slab (two result allocations total).
-func AllGather[T any](cfg machine.Config, n int, in []T) ([][]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
+func AllGather[T any](cfg machine.Config, c topology.Comm, in []T) ([][]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
+		return nil, machine.Stats{}, err
+	}
+	m := c.ClusterDim()
+	sch, err := dcomm.Compiled(c, dcomm.OpAllGather)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	m := d.ClusterDim()
-	sch, err := dcomm.Compiled(d, dcomm.OpAllGather)
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
-	N := d.Nodes()
+	N := c.Nodes()
 	pl := extentPlane[T](N)
 	defer putExtentPlane(N, pl)
 	copy(pl.Vals, in) // the arena IS the element sequence
 	// Every node starts with the one-element extent of its own element.
-	for u, nd := range d.Tables().Node {
+	for u, nd := range c.Tables().Node {
 		pl.Off[u], pl.Len[u] = nd.Data, 1
 	}
 

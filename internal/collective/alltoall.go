@@ -32,18 +32,17 @@ import (
 // (src·N + dst) move by copy through fixed stride-N regions, double-
 // buffered send planes carrying each round's outgoing run — so a warm call
 // allocates only the result slab plus fixed run bookkeeping.
-func AllToAll[T any](cfg machine.Config, n int, in [][]T) ([][]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
-	if err != nil {
+func AllToAll[T any](cfg machine.Config, c topology.Comm, in [][]T) ([][]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	N := d.Nodes()
+	N := c.Nodes()
 	for i, row := range in {
 		if len(row) != N {
 			return nil, machine.Stats{}, fmt.Errorf("collective: in[%d] has %d entries, want %d", i, len(row), N)
 		}
 	}
-	rk, err := newRoute[T](d)
+	rk, err := newRoute[T](c)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -90,28 +89,28 @@ func AllToAll[T any](cfg machine.Config, n int, in [][]T) ([][]T, machine.Stats,
 	return out, st, nil
 }
 
-// newRoute builds the route kernel for one total exchange on d: it
+// newRoute builds the route kernel for one total exchange on c: it
 // compiles the schedule, checks the id plane can address N² items, and
 // checks a plane out of the stash. The caller fills the value arena (and
 // the CSR table for the variable-size exchange), then calls execute.
-func newRoute[T any](d *topology.DualCube) (*routeKernel[T], error) {
-	sch, err := dcomm.Compiled(d, dcomm.OpAllToAll)
+func newRoute[T any](c topology.Comm) (*routeKernel[T], error) {
+	sch, err := dcomm.Compiled(c, dcomm.OpAllToAll)
 	if err != nil {
 		return nil, err
 	}
-	n := d.Order()
+	n := c.Order()
 	if 2*(2*n-1) > 31 {
 		// id = src<<(2n-1) | dst must fit an int32; the excluded orders are
 		// far beyond what an N² exchange could materialize anyway.
 		return nil, fmt.Errorf("collective: all-to-all id plane overflows at order %d", n)
 	}
-	m := d.ClusterDim()
-	tab := d.Tables()
+	m := c.ClusterDim()
+	tab := c.Tables()
 	return &routeKernel[T]{
-		sch: sch, mdim: m, nodes: d.Nodes(),
-		logN: 2*n - 1, dstMask: int32(d.Nodes() - 1),
+		sch: sch, mdim: m, nodes: c.Nodes(),
+		logN: 2*n - 1, dstMask: int32(c.Nodes() - 1),
 		node: tab.Node, key: tab.Key, cross: sch.Steps[2*m+1].Partners(),
-		pl: routePlane[T](d.Nodes()),
+		pl: routePlane[T](c.Nodes()),
 	}, nil
 }
 
@@ -275,8 +274,8 @@ func (rk *routeKernel[T]) Local(dc *machine.DirectCtx, k, u int) {}
 // total exchange (2n rounds) followed by a local reduction round; on a
 // machine with wormhole combining one could fold en route, but the round
 // count — which is what the paper's model prices — is the same.
-func ReduceScatter[T any](cfg machine.Config, n int, in [][]T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
-	trans, st, err := AllToAll(cfg, n, in)
+func ReduceScatter[T any](cfg machine.Config, c topology.Comm, in [][]T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
+	trans, st, err := AllToAll(cfg, c, in)
 	if err != nil {
 		return nil, st, err
 	}

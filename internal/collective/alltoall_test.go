@@ -8,6 +8,7 @@ import (
 
 	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
+	"dualcube/internal/topology"
 )
 
 func TestAllToAllTranspose(t *testing.T) {
@@ -20,7 +21,7 @@ func TestAllToAllTranspose(t *testing.T) {
 				in[i][j] = i*N + j
 			}
 		}
-		out, st, err := AllToAll(machine.Config{}, n, in)
+		out, st, err := AllToAll(machine.Config{}, topology.MustDualCube(n), in)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -47,7 +48,7 @@ func TestAllToAllStrings(t *testing.T) {
 			in[i][j] = fmt.Sprintf("%d->%d", i, j)
 		}
 	}
-	out, _, err := AllToAll(machine.Config{}, n, in)
+	out, _, err := AllToAll(machine.Config{}, topology.MustDualCube(n), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,11 @@ func TestAllToAllInvolution(t *testing.T) {
 			in[i][j] = rng.Int()
 		}
 	}
-	once, _, err := AllToAll(machine.Config{}, n, in)
+	once, _, err := AllToAll(machine.Config{}, topology.MustDualCube(n), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, _, err := AllToAll(machine.Config{}, n, once)
+	twice, _, err := AllToAll(machine.Config{}, topology.MustDualCube(n), once)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestAllToAllInvolution(t *testing.T) {
 }
 
 func TestAllToAllBadArgs(t *testing.T) {
-	if _, _, err := AllToAll(machine.Config{}, 2, make([][]int, 3)); err == nil {
+	if _, _, err := AllToAll(machine.Config{}, topology.MustDualCube(2), make([][]int, 3)); err == nil {
 		t.Error("wrong row count should fail")
 	}
 	bad := make([][]int, 8)
@@ -94,11 +95,11 @@ func TestAllToAllBadArgs(t *testing.T) {
 		bad[i] = make([]int, 8)
 	}
 	bad[3] = make([]int, 5)
-	if _, _, err := AllToAll(machine.Config{}, 2, bad); err == nil {
+	if _, _, err := AllToAll(machine.Config{}, topology.MustDualCube(2), bad); err == nil {
 		t.Error("ragged matrix should fail")
 	}
-	if _, _, err := AllToAll[int](machine.Config{}, 0, nil); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := AllToAll[int](machine.Config{}, topology.MustDualCube(2), nil); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -114,7 +115,7 @@ func TestAllToAllQuick(t *testing.T) {
 				in[i][j] = rng.Intn(1 << 20)
 			}
 		}
-		out, _, err := AllToAll(machine.Config{}, n, in)
+		out, _, err := AllToAll(machine.Config{}, topology.MustDualCube(n), in)
 		if err != nil {
 			return false
 		}
@@ -142,7 +143,7 @@ func TestReduceScatter(t *testing.T) {
 				in[i][j] = i + j*100
 			}
 		}
-		out, st, err := ReduceScatter(machine.Config{}, n, in, monoid.Sum[int]())
+		out, st, err := ReduceScatter(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int]())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -168,7 +169,7 @@ func TestReduceScatterNonCommutative(t *testing.T) {
 			in[i][j] = string(rune('a' + i)) // contribution tagged by source
 		}
 	}
-	out, _, err := ReduceScatter(machine.Config{}, n, in, monoid.Concat())
+	out, _, err := ReduceScatter(machine.Config{}, topology.MustDualCube(n), in, monoid.Concat())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestReduceScatterNonCommutative(t *testing.T) {
 }
 
 func TestReduceScatterBadArgs(t *testing.T) {
-	if _, _, err := ReduceScatter(machine.Config{}, 0, nil, monoid.Sum[int]()); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := ReduceScatter(machine.Config{}, topology.MustDualCube(2), nil, monoid.Sum[int]()); err == nil {
+		t.Error("empty input should fail")
 	}
 }

@@ -19,18 +19,17 @@ import (
 // concatenated values sit still in the flat arena behind a CSR offset
 // table indexed by id, and only the int32 ids route. The host carves each
 // delivered bundle out of one result slab; empty bundles come back nil.
-func AllToAllV[T any](cfg machine.Config, n int, in [][][]T) ([][][]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
-	if err != nil {
+func AllToAllV[T any](cfg machine.Config, c topology.Comm, in [][][]T) ([][][]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	N := d.Nodes()
+	N := c.Nodes()
 	for i, row := range in {
 		if len(row) != N {
 			return nil, machine.Stats{}, fmt.Errorf("collective: in[%d] has %d entries, want %d", i, len(row), N)
 		}
 	}
-	rk, err := newRoute[T](d)
+	rk, err := newRoute[T](c)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dualcube/internal/machine"
+	"dualcube/internal/topology"
 )
 
 func TestAllToAllVTranspose(t *testing.T) {
@@ -21,7 +22,7 @@ func TestAllToAllVTranspose(t *testing.T) {
 				}
 			}
 		}
-		out, st, err := AllToAllV(machine.Config{}, n, in)
+		out, st, err := AllToAllV(machine.Config{}, topology.MustDualCube(n), in)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -54,7 +55,7 @@ func TestAllToAllVHeavySkew(t *testing.T) {
 	for j := 0; j < N; j++ {
 		in[3][j] = []int{j * 7, j*7 + 1}
 	}
-	out, _, err := AllToAllV(machine.Config{}, n, in)
+	out, _, err := AllToAllV(machine.Config{}, topology.MustDualCube(n), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestAllToAllVHeavySkew(t *testing.T) {
 }
 
 func TestAllToAllVBadArgs(t *testing.T) {
-	if _, _, err := AllToAllV(machine.Config{}, 2, make([][][]int, 3)); err == nil {
+	if _, _, err := AllToAllV(machine.Config{}, topology.MustDualCube(2), make([][][]int, 3)); err == nil {
 		t.Error("wrong row count should fail")
 	}
 	bad := make([][][]int, 8)
@@ -79,10 +80,10 @@ func TestAllToAllVBadArgs(t *testing.T) {
 		bad[i] = make([][]int, 8)
 	}
 	bad[2] = make([][]int, 4)
-	if _, _, err := AllToAllV(machine.Config{}, 2, bad); err == nil {
+	if _, _, err := AllToAllV(machine.Config{}, topology.MustDualCube(2), bad); err == nil {
 		t.Error("ragged matrix should fail")
 	}
-	if _, _, err := AllToAllV[int](machine.Config{}, 0, nil); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := AllToAllV[int](machine.Config{}, topology.MustDualCube(2), nil); err == nil {
+		t.Error("empty input should fail")
 	}
 }

@@ -17,7 +17,8 @@
 // default, or through a simulator engine running the identical kernel when
 // the caller's machine.Config (every entry point's first argument) names an
 // engine scheduler — so both execution paths are one algorithm per
-// operation.
+// operation. The second argument is the topology.Comm the operation runs
+// on: D_n, or the odd hypercube or Z-cube that contains it.
 package collective
 
 import (
@@ -29,7 +30,7 @@ import (
 	"dualcube/internal/topology"
 )
 
-// Broadcast distributes value from node root to every node of D_n in 2n
+// Broadcast distributes value from node root to every node of c in 2n
 // communication steps:
 //
 //  1. binomial-tree flood inside root's cluster (n-1 steps);
@@ -41,35 +42,25 @@ import (
 //  4. one more cross-edge hop — the cross neighbors of the other class
 //     cover every node of root's class — delivering the value everywhere.
 //
-// The returned slice is indexed by node ID.
-func Broadcast[T any](cfg machine.Config, n int, root topology.NodeID, value T) ([]T, machine.Stats, error) {
-	d, err := topology.Shared(n)
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
-	return BroadcastOn(cfg, d, root, value)
-}
-
-// BroadcastOn is Broadcast over an explicit communication topology: the
-// binomial flood uses only the cluster decomposition, so it runs unchanged
-// on any Comm (dual-cube, odd hypercube, Z-cube).
-func BroadcastOn[T any](cfg machine.Config, d topology.Comm, root topology.NodeID, value T) ([]T, machine.Stats, error) {
-	if root < 0 || root >= d.Nodes() {
+// The flood uses only the cluster decomposition, so it runs unchanged on
+// every Comm family. The returned slice is indexed by node ID.
+func Broadcast[T any](cfg machine.Config, c topology.Comm, root topology.NodeID, value T) ([]T, machine.Stats, error) {
+	if root < 0 || root >= c.Nodes() {
 		return nil, machine.Stats{}, fmt.Errorf("collective: root %d out of range", root)
 	}
-	m := d.ClusterDim()
-	sch, err := dcomm.Compiled(d, dcomm.OpBroadcast)
+	m := c.ClusterDim()
+	sch, err := dcomm.Compiled(c, dcomm.OpBroadcast)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	node := d.Tables().Node
+	node := c.Tables().Node
 	r := node[root]
 
-	out := make([]T, d.Nodes())
+	out := make([]T, c.Nodes())
 	bk := &broadcastKernel[T]{
 		node: node, mdim: m, root: root,
 		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
-		out: out, have: make([]bool, d.Nodes()),
+		out: out, have: make([]bool, c.Nodes()),
 	}
 	bk.have[root] = true
 	out[root] = value
@@ -174,28 +165,18 @@ func (bk *broadcastKernel[T]) Local(dc *machine.DirectCtx, k, u int) {}
 // Values are combined in deterministic element order (class-0 elements
 // before class-1, clusters in index order), so non-commutative monoids
 // receive the in-order reduction of the block data layout.
-func AllReduce[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
+func AllReduce[T any](cfg machine.Config, c topology.Comm, in []T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
+		return nil, machine.Stats{}, err
+	}
+	mdim := c.ClusterDim()
+	sch, err := dcomm.Compiled(c, dcomm.OpAllReduce)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	return AllReduceOn(cfg, d, in, m)
-}
-
-// AllReduceOn is AllReduce over an explicit communication topology — the
-// double recursive-doubling reduction runs unchanged on any Comm.
-func AllReduceOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
-	if err := topology.ValidLen(d, len(in)); err != nil {
-		return nil, machine.Stats{}, err
-	}
-	mdim := d.ClusterDim()
-	sch, err := dcomm.Compiled(d, dcomm.OpAllReduce)
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
-	node := d.Tables().Node
-	out := make([]T, d.Nodes())
-	t := make([]T, d.Nodes())
+	node := c.Tables().Node
+	out := make([]T, c.Nodes())
+	t := make([]T, c.Nodes())
 	// Ordered all-reduce within the cluster (order = local index, which is
 	// element order within the block): each running total starts as the
 	// node's own element.
@@ -266,40 +247,12 @@ func (ak *allReduceKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
 	dc.Ops(1)
 }
 
-// Reduce combines every node's value in element order and returns the
-// result as seen by root. It runs AllReduce and projects — the dual-cube
-// communication cost is the same 2n steps either way, matching the
-// network's diameter.
-func Reduce[T any](cfg machine.Config, n int, root topology.NodeID, in []T, m monoid.Monoid[T]) (T, machine.Stats, error) {
-	var zero T
-	d, err := topology.Shared(n)
-	if err != nil {
-		return zero, machine.Stats{}, err
-	}
-	if root < 0 || root >= d.Nodes() {
-		return zero, machine.Stats{}, fmt.Errorf("collective: root %d out of range", root)
-	}
-	all, st, err := AllReduce(cfg, n, in, m)
-	if err != nil {
-		return zero, st, err
-	}
-	return all[root], st, nil
-}
-
 // Barrier synchronizes all nodes: it completes only after every node has
 // entered it. Implemented as an all-reduce of units; returns the machine
 // statistics (2n communication steps).
-func Barrier(cfg machine.Config, n int) (machine.Stats, error) {
-	N := nodesOf(n)
-	in := make([]struct{}, N)
-	_, st, err := AllReduce(cfg, n, in, unitMonoid())
-	return st, err
-}
-
-// BarrierOn is Barrier over an explicit communication topology.
-func BarrierOn(cfg machine.Config, c topology.Comm) (machine.Stats, error) {
+func Barrier(cfg machine.Config, c topology.Comm) (machine.Stats, error) {
 	in := make([]struct{}, c.Nodes())
-	_, st, err := AllReduceOn(cfg, c, in, unitMonoid())
+	_, st, err := AllReduce(cfg, c, in, unitMonoid())
 	return st, err
 }
 
@@ -310,13 +263,4 @@ func unitMonoid() monoid.Monoid[struct{}] {
 		Identity: func() struct{} { return struct{}{} },
 		Combine:  func(a, b struct{}) struct{} { return struct{}{} },
 	}
-}
-
-// nodesOf returns 2^(2n-1) without constructing the topology (callers
-// validate n separately).
-func nodesOf(n int) int {
-	if n < 1 || n > topology.MaxDualCubeOrder {
-		return -1
-	}
-	return 1 << (2*n - 1)
 }

@@ -15,7 +15,7 @@ func TestBroadcastAllRoots(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		N := 1 << (2*n - 1)
 		for root := 0; root < N; root++ {
-			got, st, err := Broadcast(machine.Config{}, n, root, 1000+root)
+			got, st, err := Broadcast(machine.Config{}, topology.MustDualCube(n), root, 1000+root)
 			if err != nil {
 				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
@@ -37,7 +37,7 @@ func TestBroadcastLargerNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {
 		root := rng.Intn(N)
-		got, st, err := Broadcast(machine.Config{}, n, root, "payload")
+		got, st, err := Broadcast(machine.Config{}, topology.MustDualCube(n), root, "payload")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,13 +53,10 @@ func TestBroadcastLargerNetwork(t *testing.T) {
 }
 
 func TestBroadcastBadArgs(t *testing.T) {
-	if _, _, err := Broadcast(machine.Config{}, 0, 0, 1); err == nil {
-		t.Error("order 0 should fail")
-	}
-	if _, _, err := Broadcast(machine.Config{}, 2, -1, 1); err == nil {
+	if _, _, err := Broadcast(machine.Config{}, topology.MustDualCube(2), -1, 1); err == nil {
 		t.Error("negative root should fail")
 	}
-	if _, _, err := Broadcast(machine.Config{}, 2, 8, 1); err == nil {
+	if _, _, err := Broadcast(machine.Config{}, topology.MustDualCube(2), 8, 1); err == nil {
 		t.Error("out-of-range root should fail")
 	}
 }
@@ -74,7 +71,7 @@ func TestAllReduceSum(t *testing.T) {
 			in[i] = rng.Intn(100) - 50
 			total += in[i]
 		}
-		got, st, err := AllReduce(machine.Config{}, n, in, monoid.Sum[int]())
+		got, st, err := AllReduce(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int]())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -99,7 +96,7 @@ func TestAllReduceNonCommutativeOrder(t *testing.T) {
 			in[i] = string(rune('a' + i%26))
 		}
 		want := seq.Reduce(in, monoid.Concat())
-		got, _, err := AllReduce(machine.Config{}, n, in, monoid.Concat())
+		got, _, err := AllReduce(machine.Config{}, topology.MustDualCube(n), in, monoid.Concat())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +115,7 @@ func TestAllReduceMax(t *testing.T) {
 	for i := range in {
 		in[i] = (i * 7) % N
 	}
-	got, _, err := AllReduce(machine.Config{}, n, in, monoid.MaxInt())
+	got, _, err := AllReduce(machine.Config{}, topology.MustDualCube(n), in, monoid.MaxInt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,42 +128,17 @@ func TestAllReduceMax(t *testing.T) {
 }
 
 func TestAllReduceBadArgs(t *testing.T) {
-	if _, _, err := AllReduce(machine.Config{}, 2, make([]int, 3), monoid.Sum[int]()); err == nil {
+	if _, _, err := AllReduce(machine.Config{}, topology.MustDualCube(2), make([]int, 3), monoid.Sum[int]()); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := AllReduce(machine.Config{}, 0, nil, monoid.Sum[int]()); err == nil {
-		t.Error("order 0 should fail")
-	}
-}
-
-func TestReduce(t *testing.T) {
-	n := 2
-	N := 1 << (2*n - 1)
-	in := make([]int, N)
-	for i := range in {
-		in[i] = i * i
-	}
-	want := seq.Reduce(in, monoid.Sum[int]())
-	for root := 0; root < N; root++ {
-		got, _, err := Reduce(machine.Config{}, n, root, in, monoid.Sum[int]())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("root %d: %d, want %d", root, got, want)
-		}
-	}
-	if _, _, err := Reduce(machine.Config{}, 2, 99, in, monoid.Sum[int]()); err == nil {
-		t.Error("bad root should fail")
-	}
-	if _, _, err := Reduce(machine.Config{}, 0, 0, nil, monoid.Sum[int]()); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := AllReduce(machine.Config{}, topology.MustDualCube(2), nil, monoid.Sum[int]()); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
 func TestBarrier(t *testing.T) {
 	for n := 1; n <= 4; n++ {
-		st, err := Barrier(machine.Config{}, n)
+		st, err := Barrier(machine.Config{}, topology.MustDualCube(n))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -184,7 +156,7 @@ func TestGatherAllRoots(t *testing.T) {
 			in[i] = i*10 + 7
 		}
 		for root := 0; root < N; root++ {
-			got, st, err := Gather(machine.Config{}, n, root, in)
+			got, st, err := Gather(machine.Config{}, topology.MustDualCube(n), root, in)
 			if err != nil {
 				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
@@ -208,7 +180,7 @@ func TestGatherLarger(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Int()
 	}
-	got, st, err := Gather(machine.Config{}, n, 13, in)
+	got, st, err := Gather(machine.Config{}, topology.MustDualCube(n), 13, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +195,14 @@ func TestGatherLarger(t *testing.T) {
 }
 
 func TestGatherBadArgs(t *testing.T) {
-	if _, _, err := Gather(machine.Config{}, 2, 0, make([]int, 3)); err == nil {
+	if _, _, err := Gather(machine.Config{}, topology.MustDualCube(2), 0, make([]int, 3)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := Gather(machine.Config{}, 2, -2, make([]int, 8)); err == nil {
+	if _, _, err := Gather(machine.Config{}, topology.MustDualCube(2), -2, make([]int, 8)); err == nil {
 		t.Error("bad root should fail")
 	}
-	if _, _, err := Gather[int](machine.Config{}, 0, 0, nil); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := Gather[int](machine.Config{}, topology.MustDualCube(2), 0, nil); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -241,7 +213,7 @@ func TestPlaneLayout(t *testing.T) {
 	// (merges) the arena exactly at that boundary.
 	for n := 1; n <= 4; n++ {
 		N := 1 << (2*n - 1)
-		d, err := topology.Validated(n, N)
+		d, err := topology.Shared(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +242,7 @@ func TestCollectiveQuick(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		all, _, err := AllReduce(machine.Config{}, n, in, monoid.Sum[int]())
+		all, _, err := AllReduce(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int]())
 		if err != nil {
 			return false
 		}
@@ -278,7 +250,7 @@ func TestCollectiveQuick(t *testing.T) {
 		if all[root] != want {
 			return false
 		}
-		g, _, err := Gather(machine.Config{}, n, root, in)
+		g, _, err := Gather(machine.Config{}, topology.MustDualCube(n), root, in)
 		if err != nil {
 			return false
 		}

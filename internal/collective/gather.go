@@ -31,22 +31,21 @@ import (
 // under that order — and the host reads the single full-arena extent back
 // out at root. A warm call reuses the stashed plane and allocates only the
 // result slice plus fixed run bookkeeping.
-func Gather[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
-	if err != nil {
+func Gather[T any](cfg machine.Config, c topology.Comm, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	if root < 0 || root >= d.Nodes() {
+	if root < 0 || root >= c.Nodes() {
 		return nil, machine.Stats{}, fmt.Errorf("collective: root %d out of range", root)
 	}
-	m := d.ClusterDim()
-	sch, err := dcomm.Compiled(d, dcomm.OpGather)
+	m := c.ClusterDim()
+	sch, err := dcomm.Compiled(c, dcomm.OpGather)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	N := d.Nodes()
-	tab := d.Tables()
-	lay := layoutFor(d)
+	N := c.Nodes()
+	tab := c.Tables()
+	lay := layoutFor(c)
 	pl := extentPlane[T](N)
 	defer putExtentPlane(N, pl)
 	// Element i belongs to node NodeAtDataIndex(i); place it at that node's
@@ -61,7 +60,7 @@ func Gather[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T
 
 	r := tab.Node[root]
 	gk := &gatherKernel[T]{
-		node: tab.Node, sch: sch, mdim: m, root: root, rootCross: d.CrossNeighbor(root),
+		node: tab.Node, sch: sch, mdim: m, root: root, rootCross: c.CrossNeighbor(root),
 		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
 		pl: pl,
 	}

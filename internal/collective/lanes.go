@@ -32,10 +32,10 @@ type laneAllReduceKernel[E any] struct {
 // NewLaneAllReduceKernel builds the batched all-reduce kernel: lane l
 // combines in[l] in element order and delivers the total to every slot of
 // res[l]. lanes must be at least len(in) wide.
-func NewLaneAllReduceKernel[E any](d *topology.DualCube, m monoid.Monoid[E], lanes *machine.Lanes[E], in, res [][]E) machine.DirectKernel[[]E] {
-	n := d.Nodes()
+func NewLaneAllReduceKernel[E any](c topology.Comm, m monoid.Monoid[E], lanes *machine.Lanes[E], in, res [][]E) machine.DirectKernel[[]E] {
+	n := c.Nodes()
 	k := len(in)
-	node := d.Tables().Node
+	node := c.Tables().Node
 	state := make([]E, 2*n*k)
 	t := state[n*k:]
 	// Each lane's running total starts as the node's own element.
@@ -45,7 +45,7 @@ func NewLaneAllReduceKernel[E any](d *topology.DualCube, m monoid.Monoid[E], lan
 		}
 	}
 	return &laneAllReduceKernel[E]{
-		node: node, m: m, mdim: d.ClusterDim(), k: k,
+		node: node, m: m, mdim: c.ClusterDim(), k: k,
 		lanes: lanes, res: res,
 		out: state[: n*k : n*k],
 		t:   t,
@@ -137,13 +137,13 @@ type LaneBroadcastKernel[E any] struct {
 // NewLaneBroadcastKernel builds the batched broadcast kernel delivering
 // values[l] from root to every node on lane l. The caller has validated
 // root; lanes must be at least len(values) wide.
-func NewLaneBroadcastKernel[E any](d *topology.DualCube, root topology.NodeID, lanes *machine.Lanes[E], values []E) *LaneBroadcastKernel[E] {
-	n := d.Nodes()
+func NewLaneBroadcastKernel[E any](c topology.Comm, root topology.NodeID, lanes *machine.Lanes[E], values []E) *LaneBroadcastKernel[E] {
+	n := c.Nodes()
 	k := len(values)
-	node := d.Tables().Node
+	node := c.Tables().Node
 	r := node[root]
 	bk := &LaneBroadcastKernel[E]{
-		node: node, mdim: d.ClusterDim(), k: k, root: root,
+		node: node, mdim: c.ClusterDim(), k: k, root: root,
 		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
 		lanes: lanes,
 		val:   make([]E, n*k),

@@ -38,7 +38,7 @@ func TestLaneAllReduceMatchesUnbatched(t *testing.T) {
 				t.Fatal(err)
 			}
 			for l := 0; l < k; l++ {
-				want, _, err := AllReduce(machine.Config{}, n, in[l], monoid.Sum[int64]())
+				want, _, err := AllReduce(machine.Config{}, topology.MustDualCube(n), in[l], monoid.Sum[int64]())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -40,20 +40,21 @@ var (
 )
 
 // layoutFor returns (building once per order) the bit-reversed arena order
-// for d's gather/scatter plane.
-func layoutFor(d *topology.DualCube) *planeLayout {
+// for c's gather/scatter plane. The order is the key: every Comm family of
+// one order shares the class/cluster/local addressing the layout reads.
+func layoutFor(c topology.Comm) *planeLayout {
 	layoutMu.Lock()
 	defer layoutMu.Unlock()
-	if lay, ok := layouts[d.Order()]; ok {
+	if lay, ok := layouts[c.Order()]; ok {
 		return lay
 	}
-	m := d.ClusterDim()
-	pos := make([]int32, d.Nodes())
+	m := c.ClusterDim()
+	pos := make([]int32, c.Nodes())
 	for u := range pos {
-		pos[u] = int32(d.Class(u)<<(2*m) | revBits(d.ClusterID(u), m)<<m | revBits(d.LocalID(u), m))
+		pos[u] = int32(c.Class(u)<<(2*m) | revBits(c.ClusterID(u), m)<<m | revBits(c.LocalID(u), m))
 	}
 	lay := &planeLayout{posOf: pos}
-	layouts[d.Order()] = lay
+	layouts[c.Order()] = lay
 	return lay
 }
 
@@ -66,9 +67,9 @@ func revBits(v, m int) int {
 	return r
 }
 
-// WarmLayout precomputes the arena order for d so a Runtime's Warm removes
+// WarmLayout precomputes the arena order for c so a Runtime's Warm removes
 // the one-time table build from the first gather/scatter call.
-func WarmLayout(d *topology.DualCube) { layoutFor(d) }
+func WarmLayout(c topology.Comm) { layoutFor(c) }
 
 // planeKey identifies one stashed plane: its kind, the node count it was
 // sized for, and the element type it carries.

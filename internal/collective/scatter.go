@@ -28,22 +28,21 @@ import (
 // varying position), so the kernel only narrows extents and never moves a
 // value. The returned slice is indexed by node ID with each node's own
 // element.
-func Scatter[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
-	if err != nil {
+func Scatter[T any](cfg machine.Config, c topology.Comm, root topology.NodeID, in []T) ([]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	if root < 0 || root >= d.Nodes() {
+	if root < 0 || root >= c.Nodes() {
 		return nil, machine.Stats{}, fmt.Errorf("collective: root %d out of range", root)
 	}
-	m := d.ClusterDim()
-	sch, err := dcomm.Compiled(d, dcomm.OpScatter)
+	m := c.ClusterDim()
+	sch, err := dcomm.Compiled(c, dcomm.OpScatter)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	N := d.Nodes()
-	tab := d.Tables()
-	lay := layoutFor(d)
+	N := c.Nodes()
+	tab := c.Tables()
+	lay := layoutFor(c)
 	pl := extentPlane[T](N)
 	defer putExtentPlane(N, pl)
 	// Element i is destined for node NodeAtDataIndex(i); place it at the
@@ -63,7 +62,7 @@ func Scatter[T any](cfg machine.Config, n int, root topology.NodeID, in []T) ([]
 	}
 	pl.Off[root], pl.Len[root] = keep.Off, keep.Len
 	sk := &scatterKernel[T]{
-		node: tab.Node, sch: sch, mdim: m, root: root, rootCross: d.CrossNeighbor(root),
+		node: tab.Node, sch: sch, mdim: m, root: root, rootCross: c.CrossNeighbor(root),
 		rootClass: int(r.Class), rootCluster: int(r.Cluster), rootLocal: int(r.Local),
 		rootSend: send, pl: pl,
 	}

@@ -12,13 +12,13 @@ import (
 func TestScatterAllRoots(t *testing.T) {
 	for n := 1; n <= 3; n++ {
 		N := 1 << (2*n - 1)
-		d, _ := topology.Validated(n, N)
+		d, _ := topology.Shared(n)
 		in := make([]int, N)
 		for i := range in {
 			in[i] = i*100 + 1
 		}
 		for root := 0; root < N; root++ {
-			got, st, err := Scatter(machine.Config{}, n, root, in)
+			got, st, err := Scatter(machine.Config{}, topology.MustDualCube(n), root, in)
 			if err != nil {
 				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
@@ -37,13 +37,13 @@ func TestScatterAllRoots(t *testing.T) {
 func TestScatterLarger(t *testing.T) {
 	n := 5
 	N := 1 << (2*n - 1)
-	d, _ := topology.Validated(n, N)
+	d, _ := topology.Shared(n)
 	rng := rand.New(rand.NewSource(1))
 	in := make([]int, N)
 	for i := range in {
 		in[i] = rng.Int()
 	}
-	got, st, err := Scatter(machine.Config{}, n, 77, in)
+	got, st, err := Scatter(machine.Config{}, topology.MustDualCube(n), 77, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	n := 2
 	N := 1 << (2*n - 1)
 	in := []int{10, 20, 30, 40, 50, 60, 70, 80}
-	d, _ := topology.Validated(n, N)
-	scattered, _, err := Scatter(machine.Config{}, n, 3, in)
+	d, _ := topology.Shared(n)
+	scattered, _, err := Scatter(machine.Config{}, topology.MustDualCube(n), 3, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	for u := 0; u < N; u++ {
 		elem[d.DataIndex(u)] = scattered[u]
 	}
-	back, _, err := Gather(machine.Config{}, n, 6, elem)
+	back, _, err := Gather(machine.Config{}, topology.MustDualCube(n), 6, elem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 }
 
 func TestScatterBadArgs(t *testing.T) {
-	if _, _, err := Scatter(machine.Config{}, 2, 0, make([]int, 3)); err == nil {
+	if _, _, err := Scatter(machine.Config{}, topology.MustDualCube(2), 0, make([]int, 3)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := Scatter(machine.Config{}, 2, 64, make([]int, 8)); err == nil {
+	if _, _, err := Scatter(machine.Config{}, topology.MustDualCube(2), 64, make([]int, 8)); err == nil {
 		t.Error("bad root should fail")
 	}
-	if _, _, err := Scatter[int](machine.Config{}, 0, 0, nil); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := Scatter[int](machine.Config{}, topology.MustDualCube(2), 0, nil); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -103,7 +103,7 @@ func TestAllGather(t *testing.T) {
 		for i := range in {
 			in[i] = i + 1000
 		}
-		got, st, err := AllGather(machine.Config{}, n, in)
+		got, st, err := AllGather(machine.Config{}, topology.MustDualCube(n), in)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -124,11 +124,11 @@ func TestAllGather(t *testing.T) {
 }
 
 func TestAllGatherBadArgs(t *testing.T) {
-	if _, _, err := AllGather(machine.Config{}, 2, make([]int, 5)); err == nil {
+	if _, _, err := AllGather(machine.Config{}, topology.MustDualCube(2), make([]int, 5)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := AllGather[int](machine.Config{}, 0, nil); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := AllGather[int](machine.Config{}, topology.MustDualCube(2), nil); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -141,7 +141,7 @@ func TestScatterSplitIsRevContiguous(t *testing.T) {
 	// second half.
 	for n := 2; n <= 3; n++ {
 		N := 1 << (2*n - 1)
-		d, _ := topology.Validated(n, N)
+		d, _ := topology.Shared(n)
 		m := d.ClusterDim()
 		pos := layoutFor(d).posOf
 		for u := 0; u < N; u++ {
@@ -186,13 +186,13 @@ func TestScatterQuick(t *testing.T) {
 		n := int(nSeed)%3 + 1
 		N := 1 << (2*n - 1)
 		root := int(rootSeed) % N
-		d, _ := topology.Validated(n, N)
+		d, _ := topology.Shared(n)
 		rng := rand.New(rand.NewSource(seed))
 		in := make([]int, N)
 		for i := range in {
 			in[i] = rng.Intn(1 << 20)
 		}
-		got, _, err := Scatter(machine.Config{}, n, root, in)
+		got, _, err := Scatter(machine.Config{}, topology.MustDualCube(n), root, in)
 		if err != nil {
 			return false
 		}

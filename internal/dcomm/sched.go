@@ -112,8 +112,8 @@ var (
 // first-store-wins keeping the published pointer stable under concurrent
 // warm-up. The returned Schedule is shared and must not be mutated; use
 // RewriteFT to derive a fault-annotated variant. An error means op names no
-// schedule-compiled operation (a value outside the Op enum) or the topology
-// lacks the structure op needs; nothing is cached in that case.
+// schedule-compiled operation (a value outside the Op enum); nothing is
+// cached in that case.
 func Compiled(c topology.Comm, op Op) (*machine.Schedule, error) {
 	if op >= opCount {
 		return nil, fmt.Errorf("dcomm: no schedule builder for %s", op)
@@ -219,9 +219,6 @@ func buildSchedule(c topology.Comm, op Op) (*machine.Schedule, error) {
 		// hop; every higher dimension is a 3-cycle recursive-dimension
 		// exchange. Patterns offset by m so RecDim matchings never collide
 		// with the cross hop.
-		if _, ok := c.(topology.Recursive); !ok {
-			return nil, fmt.Errorf("dcomm: %s has no recursive presentation; dsort needs a topology.Recursive", c.Name())
-		}
 		n := c.Order()
 		merge := func(top int) {
 			orient := machine.OrientBit(top + 1)
@@ -319,7 +316,7 @@ func compiledCube(t topology.Topology, name string, sweep bool, steps func(q int
 	return publish(key, sch), nil
 }
 
-// CompiledSweep returns the cached normal-algorithm sweep on r, the
+// CompiledSweep returns the cached normal-algorithm sweep on c, the
 // schedule of Section 7's claim that any normal ascend algorithm for
 // Q_{2n-1} runs on D_n: a cross hop on recursive dimension 0, then one
 // unoriented StepRecDim per recursive dimension 1..2n-2, so step k pairs
@@ -327,15 +324,15 @@ func compiledCube(t topology.Topology, name string, sweep bool, steps func(q int
 // 6n-5 communication cycles, against the hypercube's 2n-1
 // (CompiledCubeSweep). RewriteFT refuses it, as it refuses every
 // recursive-technique schedule.
-func CompiledSweep(r topology.Recursive) *machine.Schedule {
-	key := schedKey{family: r.Family(), order: r.Order(), sweep: true}
+func CompiledSweep(c topology.Comm) *machine.Schedule {
+	key := schedKey{family: c.Family(), order: c.Order(), sweep: true}
 	if sch := cached(key); sch != nil {
 		return sch
 	}
-	m := r.ClusterDim()
-	sch := &machine.Schedule{Name: "sweep/" + r.Name(), D: r}
+	m := c.ClusterDim()
+	sch := &machine.Schedule{Name: "sweep/" + c.Name(), D: c}
 	sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepCrossHop, Dim: 0, Pattern: m})
-	for j := 1; j < r.RecDims(); j++ {
+	for j := 1; j < c.RecDims(); j++ {
 		sch.Steps = append(sch.Steps, machine.Step{Kind: machine.StepRecDim, Dim: j, Pattern: m + j})
 	}
 	sch.Finalize()

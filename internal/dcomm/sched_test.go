@@ -243,7 +243,7 @@ func (k *recValueKernel) Local(dc *machine.DirectCtx, s, u int) {}
 
 // runRecValues runs recValueKernel over sch on both backends, requires
 // identical sums and Stats, and returns them.
-func runRecValues(t *testing.T, sch *machine.Schedule, d topology.Recursive) ([]int, machine.Stats) {
+func runRecValues(t *testing.T, sch *machine.Schedule, d topology.Comm) ([]int, machine.Stats) {
 	t.Helper()
 	var ref []int
 	var refStats machine.Stats

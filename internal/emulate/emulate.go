@@ -69,18 +69,18 @@ func run[T any](cfg machine.Config, sch *machine.Schedule, addr []int32, init []
 	return k.vals, st, nil
 }
 
-// Ascend runs a normal ascend algorithm (dimensions 0 .. 2n-2) on D_n. init
-// and the result are indexed by recursive ID.
-func Ascend[T any](cfg machine.Config, n int, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(init))
-	if err != nil {
+// Ascend runs a normal ascend algorithm (dimensions 0 .. 2n-2) on c through
+// its recursive presentation. init and the result are indexed by recursive
+// ID.
+func Ascend[T any](cfg machine.Config, c topology.Comm, init []T, step StepFunc[T]) ([]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(init)); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	addr := make([]int32, d.Nodes())
+	addr := make([]int32, c.Nodes())
 	for u := range addr {
-		addr[u] = int32(d.ToRecursive(u))
+		addr[u] = int32(c.ToRecursive(u))
 	}
-	return run(cfg, dcomm.CompiledSweep(d), addr, init, step)
+	return run(cfg, dcomm.CompiledSweep(c), addr, init, step)
 }
 
 // CommSteps returns the communication cycles of one full normal sweep on

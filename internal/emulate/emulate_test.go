@@ -7,6 +7,7 @@ import (
 	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
+	"dualcube/internal/topology"
 )
 
 // sumStep is the simplest normal algorithm: all-reduce by recursive
@@ -22,7 +23,7 @@ func TestAscendAllReduce(t *testing.T) {
 			in[i] = i*3 + 1
 			total += in[i]
 		}
-		out, st, err := Ascend(machine.Config{}, n, in, sumStep)
+		out, st, err := Ascend(machine.Config{}, topology.MustDualCube(n), in, sumStep)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -64,7 +65,7 @@ func TestAscendPrefix(t *testing.T) {
 		for i, v := range in {
 			init[i] = ts{t: v, s: v}
 		}
-		out, _, err := Ascend(machine.Config{}, n, init, prefixStep)
+		out, _, err := Ascend(machine.Config{}, topology.MustDualCube(n), init, prefixStep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestAscendSharded(t *testing.T) {
 		cycles int
 		run    func() ([]ts, machine.Stats, error)
 	}{
-		{"D_7", CommSteps(n), func() ([]ts, machine.Stats, error) { return Ascend(cfg, n, init, prefixStep) }},
+		{"D_7", CommSteps(n), func() ([]ts, machine.Stats, error) { return Ascend(cfg, topology.MustDualCube(n), init, prefixStep) }},
 		{"Q_13", q, func() ([]ts, machine.Stats, error) { return CubeAscend(cfg, q, init, prefixStep) }},
 	} {
 		out, st, err := tc.run()
@@ -141,10 +142,10 @@ func TestEmulationOverheadRatio(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	if _, _, err := Ascend(machine.Config{}, 0, nil, sumStep); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := Ascend(machine.Config{}, topology.MustDualCube(2), nil, sumStep); err == nil {
+		t.Error("empty input should fail")
 	}
-	if _, _, err := Ascend(machine.Config{}, 2, make([]int, 3), sumStep); err == nil {
+	if _, _, err := Ascend(machine.Config{}, topology.MustDualCube(2), make([]int, 3), sumStep); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	if _, _, err := CubeAscend(machine.Config{}, -1, nil, sumStep); err == nil {

@@ -7,6 +7,7 @@ import (
 	"dualcube/internal/emulate"
 	"dualcube/internal/machine"
 	"dualcube/internal/ntt"
+	"dualcube/internal/topology"
 )
 
 // E16Emulation exercises the recursive technique as a general-purpose
@@ -19,17 +20,21 @@ func E16Emulation(maxN int) (string, error) {
 	t := newTable("E16 — normal-algorithm emulation: distributed NTT",
 		"n", "points", "D_n comm (6n-5)", "Q_{2n-1} comm", "ratio", "transform correct", "poly-mul correct")
 	for n := 1; n <= maxN; n++ {
-		N := 1 << (2*n - 1)
+		d, err := topology.Shared(n)
+		if err != nil {
+			return "", fmt.Errorf("E16 n=%d: %w", n, err)
+		}
+		N := d.Nodes()
 		rng := rand.New(rand.NewSource(int64(n + 33)))
 		in := make([]uint64, N)
 		for i := range in {
 			in[i] = rng.Uint64() % ntt.Mod
 		}
-		dual, stD, err := ntt.Transform(machine.Config{}, n, in, false)
+		dual, stD, err := ntt.Transform(machine.Config{}, d, in, false)
 		if err != nil {
 			return "", fmt.Errorf("E16 n=%d: %w", n, err)
 		}
-		cube, stQ, err := ntt.CubeTransform(machine.Config{}, n, in, false)
+		cube, stQ, err := ntt.CubeTransform(machine.Config{}, 2*n-1, in, false)
 		if err != nil {
 			return "", fmt.Errorf("E16 cube n=%d: %w", n, err)
 		}
@@ -47,7 +52,7 @@ func E16Emulation(maxN int) (string, error) {
 			lb := N - la
 			a := in[:la]
 			b := in[la : la+lb]
-			prod, _, err := ntt.PolyMul(machine.Config{}, n, a, b)
+			prod, _, err := ntt.PolyMul(machine.Config{}, d, a, b)
 			if err != nil {
 				return "", fmt.Errorf("E16 polymul n=%d: %w", n, err)
 			}

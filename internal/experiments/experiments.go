@@ -89,13 +89,17 @@ func E4Prefix(maxN int) (string, error) {
 		"n", "nodes", "comm measured", "comm bound 2n+1", "comp measured", "comp bound 2n",
 		"messages", "emulated comm (ablation)")
 	for n := 1; n <= maxN; n++ {
-		N := 1 << (2*n - 1)
-		in := randInts(int64(n), N, -1000, 1000)
-		_, st, err := prefix.DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
+		d, err := topology.Shared(n)
 		if err != nil {
 			return "", fmt.Errorf("E4 n=%d: %w", n, err)
 		}
-		_, ste, err := prefix.EmulatedCubePrefix(machine.Config{}, n, in, monoid.Sum[int](), true)
+		N := d.Nodes()
+		in := randInts(int64(n), N, -1000, 1000)
+		_, st, err := prefix.DPrefix(machine.Config{}, d, in, monoid.Sum[int](), true, nil)
+		if err != nil {
+			return "", fmt.Errorf("E4 n=%d: %w", n, err)
+		}
+		_, ste, err := prefix.EmulatedCubePrefix(machine.Config{}, d, in, monoid.Sum[int](), true)
 		if err != nil {
 			return "", fmt.Errorf("E4 emulation n=%d: %w", n, err)
 		}
@@ -127,9 +131,13 @@ func E8Sort(maxN int) (string, error) {
 		"n", "nodes", "comm measured", "comm formula 6n²-7n+2", "comm bound 6n²",
 		"comparisons", "comp formula 2n²-n", "comp bound 2n²")
 	for n := 1; n <= maxN; n++ {
-		N := 1 << (2*n - 1)
+		d, err := topology.Shared(n)
+		if err != nil {
+			return "", fmt.Errorf("E8 n=%d: %w", n, err)
+		}
+		N := d.Nodes()
 		in := randInts(int64(n+7), N, 0, 1<<20)
-		_, st, err := sortnet.DSort(machine.Config{}, n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
+		_, st, err := sortnet.DSort(machine.Config{}, d, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
 		if err != nil {
 			return "", fmt.Errorf("E8 n=%d: %w", n, err)
 		}
@@ -147,13 +155,17 @@ func E9E10CubeSortAndOverhead(maxN int) (string, error) {
 	t := newTable("E9/E10 — hypercube bitonic baseline and emulation overhead",
 		"n", "q=2n-1", "Q_q comm (=q(q+1)/2)", "D_n comm", "overhead ratio", "comparisons equal")
 	for n := 1; n <= maxN; n++ {
+		d, err := topology.Shared(n)
+		if err != nil {
+			return "", fmt.Errorf("E9 n=%d: %w", n, err)
+		}
 		q := 2*n - 1
 		in := randInts(int64(n+21), 1<<q, 0, 1<<20)
 		_, stQ, err := sortnet.CubeSort(machine.Config{}, q, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
 		if err != nil {
 			return "", fmt.Errorf("E9 n=%d: %w", n, err)
 		}
-		_, stD, err := sortnet.DSort(machine.Config{}, n, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
+		_, stD, err := sortnet.DSort(machine.Config{}, d, in, func(a, b int) bool { return a < b }, sortnet.Ascending, nil)
 		if err != nil {
 			return "", fmt.Errorf("E9 D n=%d: %w", n, err)
 		}
@@ -210,10 +222,14 @@ func E11Compare() (string, error) {
 func E12Large(n int, ks []int) (string, error) {
 	t := newTable(fmt.Sprintf("E12 — inputs larger than the network (D_%d)", n),
 		"k (elems/node)", "total elems", "prefix comm", "prefix ok", "sort comm", "sort ok")
-	N := 1 << (2*n - 1)
+	d, err := topology.Shared(n)
+	if err != nil {
+		return "", fmt.Errorf("E12 n=%d: %w", n, err)
+	}
+	N := d.Nodes()
 	for _, k := range ks {
 		in := randInts(int64(k), k*N, -1000, 1000)
-		pre, stP, err := prefix.DPrefixLarge(machine.Config{}, n, k, in, monoid.Sum[int](), true)
+		pre, stP, err := prefix.DPrefixLarge(machine.Config{}, d, k, in, monoid.Sum[int](), true)
 		if err != nil {
 			return "", fmt.Errorf("E12 prefix k=%d: %w", k, err)
 		}
@@ -226,7 +242,7 @@ func E12Large(n int, ks []int) (string, error) {
 				break
 			}
 		}
-		sorted, stS, err := sortnet.DSortLarge(machine.Config{}, n, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
+		sorted, stS, err := sortnet.DSortLarge(machine.Config{}, d, k, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
 		if err != nil {
 			return "", fmt.Errorf("E12 sort k=%d: %w", k, err)
 		}
@@ -250,25 +266,29 @@ func E13Collectives(maxN int) (string, error) {
 	t := newTable("E13 — collective communications (future-work item 3)",
 		"n", "diameter 2n", "broadcast", "allreduce", "gather", "scatter", "allgather", "alltoall")
 	for n := 1; n <= maxN; n++ {
-		N := 1 << (2*n - 1)
-		_, stB, err := collective.Broadcast(machine.Config{}, n, N/3, 1)
+		d, err := topology.Shared(n)
+		if err != nil {
+			return "", fmt.Errorf("E13 n=%d: %w", n, err)
+		}
+		N := d.Nodes()
+		_, stB, err := collective.Broadcast(machine.Config{}, d, N/3, 1)
 		if err != nil {
 			return "", fmt.Errorf("E13 broadcast n=%d: %w", n, err)
 		}
 		in := randInts(int64(n+5), N, -100, 100)
-		_, stA, err := collective.AllReduce(machine.Config{}, n, in, monoid.Sum[int]())
+		_, stA, err := collective.AllReduce(machine.Config{}, d, in, monoid.Sum[int]())
 		if err != nil {
 			return "", fmt.Errorf("E13 allreduce n=%d: %w", n, err)
 		}
-		_, stG, err := collective.Gather(machine.Config{}, n, N/2, in)
+		_, stG, err := collective.Gather(machine.Config{}, d, N/2, in)
 		if err != nil {
 			return "", fmt.Errorf("E13 gather n=%d: %w", n, err)
 		}
-		_, stS, err := collective.Scatter(machine.Config{}, n, N/2, in)
+		_, stS, err := collective.Scatter(machine.Config{}, d, N/2, in)
 		if err != nil {
 			return "", fmt.Errorf("E13 scatter n=%d: %w", n, err)
 		}
-		_, stAG, err := collective.AllGather(machine.Config{}, n, in)
+		_, stAG, err := collective.AllGather(machine.Config{}, d, in)
 		if err != nil {
 			return "", fmt.Errorf("E13 allgather n=%d: %w", n, err)
 		}
@@ -281,7 +301,7 @@ func E13Collectives(maxN int) (string, error) {
 					mat[i][j] = i ^ j
 				}
 			}
-			_, st, err := collective.AllToAll(machine.Config{}, n, mat)
+			_, st, err := collective.AllToAll(machine.Config{}, d, mat)
 			if err != nil {
 				return "", fmt.Errorf("E13 alltoall n=%d: %w", n, err)
 			}

@@ -45,7 +45,7 @@ func FaultSweep(minN, maxN int, seed int64) ([]FaultSweepPoint, error) {
 		for f := 0; f < n; f++ {
 			planSeed := seed + int64(1000*n+f)
 			plan := fault.Random(d, f, planSeed)
-			got, st, err := prefix.DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
+			got, st, err := prefix.DPrefixDegraded(machine.Config{}, d, in, monoid.Sum[int](), true, plan)
 			if err != nil {
 				return nil, fmt.Errorf("E18 n=%d f=%d: %w", n, f, err)
 			}

@@ -34,7 +34,7 @@ func E14LinkLoads(maxN int) (string, error) {
 		}
 		in := randInts(int64(n+50), d.Nodes(), 0, 1<<20)
 
-		_, stP, recP, err := prefix.DPrefixRecorded(machine.Config{}, n, in, monoid.Sum[int](), true)
+		_, stP, recP, err := prefix.DPrefixRecorded(machine.Config{}, d, in, monoid.Sum[int](), true)
 		if err != nil {
 			return "", fmt.Errorf("E14 prefix n=%d: %w", n, err)
 		}
@@ -43,7 +43,7 @@ func E14LinkLoads(maxN int) (string, error) {
 		t.row("D_prefix", itoa(n), i64toa(stP.Messages), itoa(splitP["cross"]), itoa(splitP["cluster"]),
 			pct(splitP["cross"], int(stP.Messages)), itoa(maxP))
 
-		_, stS, recS, err := sortnet.DSortRecorded(machine.Config{}, n, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
+		_, stS, recS, err := sortnet.DSortRecorded(machine.Config{}, d, in, func(a, b int) bool { return a < b }, sortnet.Ascending)
 		if err != nil {
 			return "", fmt.Errorf("E14 sort n=%d: %w", n, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"dualcube/internal/samplesort"
 	"dualcube/internal/seq"
 	"dualcube/internal/sortnet"
+	"dualcube/internal/topology"
 )
 
 // E17SampleSort contrasts the two sorting families on large inputs
@@ -19,13 +20,17 @@ func E17SampleSort(maxN, k int) (string, error) {
 		"n", "keys", "bitonic comm (6n²-7n+2)", "sample-sort rounds (4n)", "speedup", "outputs agree")
 	intLess := func(a, b int) bool { return a < b }
 	for n := 1; n <= maxN; n++ {
-		N := 1 << (2*n - 1)
+		d, err := topology.Shared(n)
+		if err != nil {
+			return "", fmt.Errorf("E17 n=%d: %w", n, err)
+		}
+		N := d.Nodes()
 		in := randInts(int64(n+61), k*N, -1<<20, 1<<20)
-		bit, stB, err := sortnet.DSortLarge(machine.Config{}, n, k, in, intLess, sortnet.Ascending)
+		bit, stB, err := sortnet.DSortLarge(machine.Config{}, d, k, in, intLess, sortnet.Ascending)
 		if err != nil {
 			return "", fmt.Errorf("E17 bitonic n=%d: %w", n, err)
 		}
-		smp, stS, err := samplesort.Sort(machine.Config{}, n, k, in, intLess)
+		smp, stS, err := samplesort.Sort(machine.Config{}, d, k, in, intLess)
 		if err != nil {
 			return "", fmt.Errorf("E17 sample n=%d: %w", n, err)
 		}

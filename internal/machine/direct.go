@@ -187,7 +187,7 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 				// both directions, so an armed fault on any of them fails the
 				// step exactly as the engine choreography would.
 				if down != nil {
-					if err := checkRecDimLinks(sch.D.(topology.Recursive), s.Dim, down, n); err != nil {
+					if err := checkRecDimLinks(sch.D, s.Dim, down, n); err != nil {
 						return st, err
 					}
 				}
@@ -390,7 +390,7 @@ func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) (res passResult) {
 // traffic) and every dimension-j direct link, so any down link among them
 // fails the step; the reported (sender, receiver) pair is the first send of
 // the choreography that would traverse it.
-func checkRecDimLinks(d topology.Recursive, j int, down map[int]bool, n int) error {
+func checkRecDimLinks(d topology.Comm, j int, down map[int]bool, n int) error {
 	for u := 0; u < n; u++ {
 		cross := d.CrossNeighbor(u)
 		r := d.ToRecursive(u)

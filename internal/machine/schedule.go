@@ -183,9 +183,9 @@ type Schedule struct {
 
 	// sortIDs[u] is node u's sort ID, the address its oriented steps read
 	// their orientation bit from and the position of its key in a sorted
-	// sequence: the recursive ID on a Comm with a recursive presentation,
-	// the node ID otherwise (the hypercube). Built by Finalize when any step
-	// is oriented; nil on every other schedule.
+	// sequence: the recursive ID on a Comm schedule, the node ID on a
+	// schedule bound through Topo (the bitonic baseline). Built by Finalize
+	// when any step is oriented; nil on every other schedule.
 	sortIDs []int32
 }
 
@@ -216,12 +216,11 @@ func (s *Schedule) Finalize() {
 	topo := s.Topology()
 	n := topo.Nodes()
 	if slices.ContainsFunc(s.Steps, func(st Step) bool { return st.Orient != 0 }) {
-		rec, _ := s.D.(topology.Recursive)
 		s.sortIDs = make([]int32, n)
 		for u := range s.sortIDs {
 			s.sortIDs[u] = int32(u)
-			if rec != nil {
-				s.sortIDs[u] = int32(rec.ToRecursive(u))
+			if s.D != nil {
+				s.sortIDs[u] = int32(s.D.ToRecursive(u))
 			}
 		}
 	}
@@ -240,9 +239,9 @@ func (s *Schedule) Finalize() {
 			// physically adjacent (they relay through two cross-edges), so
 			// only the partner table exists; links stay nil and the
 			// executors run the 3-cycle choreography instead of a link write.
-			d, ok := s.D.(topology.Recursive)
-			if !ok {
-				return // no recursive presentation: leave unfinalized
+			d := s.D
+			if d == nil {
+				return // bound through Topo, no Comm: leave unfinalized
 			}
 			for u := 0; u < n; u++ {
 				partners[u] = int32(d.FromRecursive(d.ToRecursive(u) ^ 1<<st.Dim))
@@ -370,7 +369,7 @@ func kernelProgram[T any](sch *Schedule, kern DirectKernel[T]) func(c *ctx[T]) {
 func (c *ctx[T]) exchange(sch *Schedule, s *Step, v T) T {
 	if s.Kind == StepRecDim {
 		// RewriteFT never annotates this kind.
-		return recDimExchange(c, sch.D.(topology.Recursive), s.Dim, v)
+		return recDimExchange(c, sch.D, s.Dim, v)
 	}
 	u := c.id
 	var r T
@@ -459,7 +458,7 @@ func relayOneWay[T any](c *ctx[T], path []int, v T) (T, bool) {
 // (the bidirectional-channel allowance). This is the choreography behind
 // StepRecDim: the interpreter runs it on the engine, and RunDirect reproduces
 // its accounting (3 cycles, 2N messages) without executing the relays.
-func recDimExchange[T any](c *ctx[T], d topology.Recursive, j int, v T) T {
+func recDimExchange[T any](c *ctx[T], d topology.Comm, j int, v T) T {
 	u := c.ID()
 	cross := d.CrossNeighbor(u)
 	if j == 0 {

@@ -2,8 +2,9 @@
 // over a prime field) on the dual-cube, as an instance of the paper's
 // recursive technique: the radix-2 Cooley-Tukey butterfly is the canonical
 // "normal" ascend algorithm — stage s pairs nodes along dimension s-1 — so
-// it runs unchanged on D_n through internal/emulate, at the 3x worst-case
-// communication overhead the paper's Section 7 predicts.
+// it runs unchanged on D_n (and on every topology.Comm family) through
+// internal/emulate, at the 3x worst-case communication overhead the paper's
+// Section 7 predicts.
 //
 // The modulus is the NTT-friendly prime p = 119·2^23 + 1 = 998244353 with
 // primitive root 3, supporting transforms up to 2^23 points — far beyond
@@ -15,6 +16,7 @@ import (
 
 	"dualcube/internal/emulate"
 	"dualcube/internal/machine"
+	"dualcube/internal/topology"
 )
 
 // Mod is the NTT prime modulus.
@@ -75,47 +77,40 @@ func butterflyStep(invert bool) emulate.StepFunc[uint64] {
 	}
 }
 
-// validate checks the transform size for D_n and reduces the input.
-func validate(n int, in []uint64) (q int, data []uint64, err error) {
-	if n < 1 {
-		return 0, nil, fmt.Errorf("ntt: dual-cube order %d < 1", n)
+// load checks an N = 2^q point transform over the N nodes of name and
+// returns the input reduced mod p in decimation-in-time order: node r
+// starts with coefficient bitrev(r).
+func load(name string, q int, in []uint64) ([]uint64, error) {
+	if q < 0 || q > 23 {
+		return nil, fmt.Errorf("ntt: size 2^%d is outside the 2^23-point capability of the modulus", q)
 	}
-	q = 2*n - 1
 	N := 1 << q
 	if len(in) != N {
-		return 0, nil, fmt.Errorf("ntt: %d coefficients for %d nodes of D_%d", len(in), N, n)
+		return nil, fmt.Errorf("ntt: %d coefficients for %d nodes of %s", len(in), N, name)
 	}
-	if uint64(N) > 1<<23 {
-		return 0, nil, fmt.Errorf("ntt: size %d exceeds the 2^23-point capability of the modulus", N)
+	init := make([]uint64, N)
+	for r := range init {
+		init[r] = in[bitrev(r, q)] % Mod
 	}
-	data = make([]uint64, N)
-	for i, v := range in {
-		data[i] = v % Mod
-	}
-	return q, data, nil
+	return init, nil
 }
 
 // Transform computes the length-2^(2n-1) NTT of in (natural order in,
-// natural order out) on the dual-cube D_n, or the inverse transform when
-// invert is set (including the 1/N scaling). Communication time is
-// 6n-5 cycles — the emulated cost of the 2n-1 butterfly stages.
-func Transform(cfg machine.Config, n int, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
-	q, data, err := validate(n, in)
+// natural order out) on c through its recursive presentation, or the
+// inverse transform when invert is set (including the 1/N scaling).
+// Communication time is 6n-5 cycles — the emulated cost of the 2n-1
+// butterfly stages.
+func Transform(cfg machine.Config, c topology.Comm, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
+	init, err := load(c.Name(), c.RecDims(), in)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	N := 1 << q
-	// Decimation in time: node r starts with coefficient bitrev(r).
-	init := make([]uint64, N)
-	for r := 0; r < N; r++ {
-		init[r] = data[bitrev(r, q)]
-	}
-	out, st, err := emulate.Ascend(cfg, n, init, butterflyStep(invert))
+	out, st, err := emulate.Ascend(cfg, c, init, butterflyStep(invert))
 	if err != nil {
 		return nil, st, err
 	}
 	if invert {
-		nInv := inv(uint64(N))
+		nInv := inv(uint64(len(out)))
 		for i := range out {
 			out[i] = mulmod(out[i], nInv)
 		}
@@ -123,17 +118,12 @@ func Transform(cfg machine.Config, n int, in []uint64, invert bool) ([]uint64, m
 	return out, st, nil
 }
 
-// CubeTransform is the baseline: the same butterfly on the hypercube
-// Q_{2n-1} (one cycle per stage, 2n-1 cycles total).
-func CubeTransform(cfg machine.Config, n int, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
-	q, data, err := validate(n, in)
+// CubeTransform is the baseline: the same butterfly on the hypercube Q_q
+// (one cycle per stage, q cycles total).
+func CubeTransform(cfg machine.Config, q int, in []uint64, invert bool) ([]uint64, machine.Stats, error) {
+	init, err := load(fmt.Sprintf("Q_%d", q), q, in)
 	if err != nil {
 		return nil, machine.Stats{}, err
-	}
-	N := 1 << q
-	init := make([]uint64, N)
-	for r := 0; r < N; r++ {
-		init[r] = data[bitrev(r, q)]
 	}
 	return emulate.CubeAscend(cfg, q, init, butterflyStep(invert))
 }
@@ -166,11 +156,11 @@ func Sequential(in []uint64, invert bool) []uint64 {
 	return out
 }
 
-// PolyMul multiplies two polynomials with coefficients mod p on the
-// dual-cube D_n: three distributed transforms plus a local pointwise
-// product. len(a)+len(b)-1 must not exceed 2^(2n-1).
-func PolyMul(cfg machine.Config, n int, a, b []uint64) ([]uint64, machine.Stats, error) {
-	N := 1 << (2*n - 1)
+// PolyMul multiplies two polynomials with coefficients mod p on c: three
+// distributed transforms plus a local pointwise product. len(a)+len(b)-1
+// must not exceed 2^(2n-1).
+func PolyMul(cfg machine.Config, c topology.Comm, a, b []uint64) ([]uint64, machine.Stats, error) {
+	N := c.Nodes()
 	if len(a) == 0 || len(b) == 0 {
 		return nil, machine.Stats{}, fmt.Errorf("ntt: empty polynomial")
 	}
@@ -183,11 +173,11 @@ func PolyMul(cfg machine.Config, n int, a, b []uint64) ([]uint64, machine.Stats,
 	copy(pa, a)
 	copy(pb, b)
 
-	fa, st1, err := Transform(cfg, n, pa, false)
+	fa, st1, err := Transform(cfg, c, pa, false)
 	if err != nil {
 		return nil, st1, err
 	}
-	fb, st2, err := Transform(cfg, n, pb, false)
+	fb, st2, err := Transform(cfg, c, pb, false)
 	if err != nil {
 		return nil, st2, err
 	}
@@ -195,7 +185,7 @@ func PolyMul(cfg machine.Config, n int, a, b []uint64) ([]uint64, machine.Stats,
 	for i := range fa {
 		fa[i] = mulmod(fa[i], fb[i])
 	}
-	res, st3, err := Transform(cfg, n, fa, true)
+	res, st3, err := Transform(cfg, c, fa, true)
 	if err != nil {
 		return nil, st3, err
 	}

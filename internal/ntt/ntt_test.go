@@ -8,6 +8,7 @@ import (
 
 	"dualcube/internal/emulate"
 	"dualcube/internal/machine"
+	"dualcube/internal/topology"
 )
 
 func TestPowMod(t *testing.T) {
@@ -47,7 +48,7 @@ func TestTransformMatchesSequential(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Uint64() % Mod
 		}
-		got, st, err := Transform(machine.Config{}, n, in, false)
+		got, st, err := Transform(machine.Config{}, topology.MustDualCube(n), in, false)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -71,11 +72,11 @@ func TestInverseRoundTrip(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Uint64() % Mod
 		}
-		fwd, _, err := Transform(machine.Config{}, n, in, false)
+		fwd, _, err := Transform(machine.Config{}, topology.MustDualCube(n), in, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, _, err := Transform(machine.Config{}, n, fwd, true)
+		back, _, err := Transform(machine.Config{}, topology.MustDualCube(n), fwd, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,18 +99,18 @@ func TestShardedTransform(t *testing.T) {
 		in[i] = rng.Uint64() % Mod
 	}
 	cfg := machine.Config{Workers: 3}
-	fwd, _, err := Transform(cfg, n, in, false)
+	fwd, _, err := Transform(cfg, topology.MustDualCube(n), in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, _, err := CubeTransform(cfg, n, in, false)
+	cube, _, err := CubeTransform(cfg, 2*n-1, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(fwd, cube) {
 		t.Fatal("D_7 transform differs from the Q_13 baseline")
 	}
-	back, _, err := Transform(cfg, n, fwd, true)
+	back, _, err := Transform(cfg, topology.MustDualCube(n), fwd, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,11 @@ func TestCubeTransformMatches(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Uint64() % Mod
 	}
-	dual, stD, err := Transform(machine.Config{}, n, in, false)
+	dual, stD, err := Transform(machine.Config{}, topology.MustDualCube(n), in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, stQ, err := CubeTransform(machine.Config{}, n, in, false)
+	cube, stQ, err := CubeTransform(machine.Config{}, 2*n-1, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestCubeTransformMatches(t *testing.T) {
 
 func TestPolyMul(t *testing.T) {
 	// (1 + 2x + 3x^2) * (4 + 5x) = 4 + 13x + 22x^2 + 15x^3
-	got, _, err := PolyMul(machine.Config{}, 2, []uint64{1, 2, 3}, []uint64{4, 5})
+	got, _, err := PolyMul(machine.Config{}, topology.MustDualCube(2), []uint64{1, 2, 3}, []uint64{4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestPolyMulRandomAgainstNaive(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Uint64() % Mod
 		}
-		got, _, err := PolyMul(machine.Config{}, n, a, b)
+		got, _, err := PolyMul(machine.Config{}, topology.MustDualCube(n), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,19 +202,19 @@ func TestPolyMulRandomAgainstNaive(t *testing.T) {
 }
 
 func TestPolyMulBadInputs(t *testing.T) {
-	if _, _, err := PolyMul(machine.Config{}, 2, nil, []uint64{1}); err == nil {
+	if _, _, err := PolyMul(machine.Config{}, topology.MustDualCube(2), nil, []uint64{1}); err == nil {
 		t.Error("empty polynomial should fail")
 	}
-	if _, _, err := PolyMul(machine.Config{}, 2, make([]uint64, 8), make([]uint64, 8)); err == nil {
+	if _, _, err := PolyMul(machine.Config{}, topology.MustDualCube(2), make([]uint64, 8), make([]uint64, 8)); err == nil {
 		t.Error("overflowing degree should fail")
 	}
 }
 
 func TestTransformBadInputs(t *testing.T) {
-	if _, _, err := Transform(machine.Config{}, 0, nil, false); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := Transform(machine.Config{}, topology.MustDualCube(2), nil, false); err == nil {
+		t.Error("empty input should fail")
 	}
-	if _, _, err := Transform(machine.Config{}, 2, make([]uint64, 5), false); err == nil {
+	if _, _, err := Transform(machine.Config{}, topology.MustDualCube(2), make([]uint64, 5), false); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }

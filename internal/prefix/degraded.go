@@ -8,7 +8,7 @@ import (
 	"dualcube/internal/topology"
 )
 
-// DPrefixDegraded runs Algorithm 2 on a D_n with permanent link faults. It is
+// DPrefixDegraded runs Algorithm 2 on c with permanent link faults. It is
 // the same kernel as DPrefix — prefixKernel — executed over the
 // fault-rewritten schedule: dcomm.RewriteFT annotates every exchange pattern
 // severed by the fault view with its broken-pair mask and the canonical
@@ -20,7 +20,8 @@ import (
 // correctness of the detours is machine-checked, not assumed.
 //
 // The result is correct for any f <= n-1 permanent link faults (the link
-// connectivity of D_n is n, so every broken pair keeps an alive repair path);
+// connectivity of D_n is n, and Q_{2n-1} and Z_n contain D_n, so every
+// broken pair keeps an alive repair path);
 // larger f is accepted as long as the network stays connected, and rejected
 // with an error when it does not.
 //
@@ -29,23 +30,22 @@ import (
 // Each repaired pair adds 2·(detour length − 1) cycles per affected exchange;
 // the measured totals versus Theorem 1's fault-free 2n+1 bound are tabulated
 // in EXPERIMENTS.md.
-func DPrefixDegraded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool, plan *fault.Plan) ([]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
+func DPrefixDegraded[T any](cfg machine.Config, c topology.Comm, in []T, m monoid.Monoid[T], inclusive bool, plan *fault.Plan) ([]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
+		return nil, machine.Stats{}, err
+	}
+	base, err := dcomm.Compiled(c, dcomm.OpPrefix)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
-	base, err := dcomm.Compiled(d, dcomm.OpPrefix)
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
-	sch, err := dcomm.RewriteFT(base, fault.NewView(d, plan))
+	sch, err := dcomm.RewriteFT(base, fault.NewView(c, plan))
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
 
 	out := make([]T, len(in))
 	cfg.Faults = plan.Spec()
-	st, err := dcomm.Execute(sch, cfg, newPrefixKernel(d, m, inclusive, in, out, nil))
+	st, err := dcomm.Execute(sch, cfg, newPrefixKernel(c, m, inclusive, in, out, nil))
 	if err != nil {
 		return nil, st, err
 	}

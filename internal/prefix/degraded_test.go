@@ -25,7 +25,7 @@ func TestDPrefixDegradedSweep(t *testing.T) {
 		for f := 0; f < n; f++ {
 			plan := fault.Random(d, f, int64(1000*n+f))
 			for _, inclusive := range []bool{true, false} {
-				got, st, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), inclusive, plan)
+				got, st, err := DPrefixDegraded(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), inclusive, plan)
 				if err != nil {
 					t.Fatalf("n=%d f=%d: %v", n, f, err)
 				}
@@ -61,12 +61,12 @@ func TestDPrefixDegradedReproducible(t *testing.T) {
 	d := topology.MustDualCube(n)
 	in := randInts(rand.New(rand.NewSource(3)), d.Nodes())
 	plan := fault.Random(d, n-1, 77)
-	_, first, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
+	_, first, err := DPrefixDegraded(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		_, again, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
+		_, again, err := DPrefixDegraded(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDPrefixDegradedReproducible(t *testing.T) {
 		}
 	}
 	// A fresh but identically seeded plan must reproduce the same stats too.
-	_, fresh, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, fault.Random(d, n-1, 77))
+	_, fresh, err := DPrefixDegraded(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, fault.Random(d, n-1, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,12 @@ func TestDPrefixDegradedFaultFree(t *testing.T) {
 	const n = 4
 	d := topology.MustDualCube(n)
 	in := randInts(rand.New(rand.NewSource(9)), d.Nodes())
-	plainOut, plainStats, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
+	plainOut, plainStats, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*fault.Plan{nil, {}} {
-		out, st, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan)
+		out, st, err := DPrefixDegraded(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestDPrefixDegradedNonCommutative(t *testing.T) {
 		in[i] = string(rune('a' + i%26))
 	}
 	plan := fault.Random(d, n-1, 13)
-	got, _, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Concat(), true, plan)
+	got, _, err := DPrefixDegraded(machine.Config{}, topology.MustDualCube(n), in, monoid.Concat(), true, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDPrefixDegradedRejects(t *testing.T) {
 		"bogus link":    {Links: []fault.Link{{U: 0, V: 3}}},
 		"disconnection": {Links: disconnectNode0(d)},
 	} {
-		if _, _, err := DPrefixDegraded(machine.Config{}, n, in, monoid.Sum[int](), true, plan); err == nil {
+		if _, _, err := DPrefixDegraded(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, plan); err == nil {
 			t.Errorf("%s: accepted, want error", name)
 		}
 	}
@@ -160,7 +160,7 @@ func TestDPrefixDegradedRejectsNonLink(t *testing.T) {
 		want := fmt.Sprintf("machine: fault plan fails link %d-%d, which is not a link", l.U, l.V)
 		for _, sched := range []machine.Sched{machine.SchedDefault, machine.SchedWorkerPool} {
 			plan := &fault.Plan{Links: []fault.Link{l}}
-			_, _, err := DPrefixDegraded(machine.Config{Sched: sched}, n, in, monoid.Sum[int](), true, plan)
+			_, _, err := DPrefixDegraded(machine.Config{Sched: sched}, topology.MustDualCube(n), in, monoid.Sum[int](), true, plan)
 			if err == nil || err.Error() != want {
 				t.Errorf("link %v on %v: err = %v, want %q", l, sched, err, want)
 			}

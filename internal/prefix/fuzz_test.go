@@ -6,6 +6,7 @@ import (
 	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
+	"dualcube/internal/topology"
 )
 
 // FuzzDPrefixD3 fuzzes Algorithm 2 on D_3 against the sequential scan,
@@ -25,7 +26,7 @@ func FuzzDPrefixD3(f *testing.F) {
 				strs[i] = string(rune('a' + int(data[i])%26))
 			}
 		}
-		got, st, err := DPrefix(machine.Config{}, n, ints, monoid.Sum[int](), inclusive, nil)
+		got, st, err := DPrefix(machine.Config{}, topology.MustDualCube(n), ints, monoid.Sum[int](), inclusive, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func FuzzDPrefixD3(f *testing.F) {
 		if st.Cycles != MeasuredCommSteps(n) {
 			t.Fatalf("comm %d", st.Cycles)
 		}
-		gs, _, err := DPrefix(machine.Config{}, n, strs, monoid.Concat(), inclusive, nil)
+		gs, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), strs, monoid.Concat(), inclusive, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

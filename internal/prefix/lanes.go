@@ -40,13 +40,13 @@ type lanePrefixKernel[E any] struct {
 
 // NewLaneKernel builds the batched prefix kernel: lane l computes the
 // inclusive (or diminished) prefix of in[l] into out[l], each of which must
-// hold one element per node of d. lanes must be at least len(in) wide.
-func NewLaneKernel[E any](d *topology.DualCube, m monoid.Monoid[E], inclusive bool, lanes *machine.Lanes[E], in, out [][]E) machine.DirectKernel[[]E] {
-	n := d.Nodes()
+// hold one element per node of c. lanes must be at least len(in) wide.
+func NewLaneKernel[E any](c topology.Comm, m monoid.Monoid[E], inclusive bool, lanes *machine.Lanes[E], in, out [][]E) machine.DirectKernel[[]E] {
+	n := c.Nodes()
 	k := len(in)
 	state := make([]E, 3*n*k)
 	return &lanePrefixKernel[E]{
-		node: d.Tables().Node, m: m, mdim: d.ClusterDim(), k: k, inclusive: inclusive,
+		node: c.Tables().Node, m: m, mdim: c.ClusterDim(), k: k, inclusive: inclusive,
 		lanes: lanes, in: in, out: out,
 		s:  state[: n*k : n*k],
 		t:  state[n*k : 2*n*k : 2*n*k],

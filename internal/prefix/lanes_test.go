@@ -50,7 +50,7 @@ func TestLanePrefixMatchesUnbatched(t *testing.T) {
 				}
 				got := runLanePrefix(t, n, monoid.Sum[int64](), inclusive, in)
 				for l := 0; l < k; l++ {
-					want, _, err := DPrefix(machine.Config{}, n, in[l], monoid.Sum[int64](), inclusive, nil)
+					want, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in[l], monoid.Sum[int64](), inclusive, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -82,7 +82,7 @@ func TestLanePrefixNonCommutative(t *testing.T) {
 	}
 	got := runLanePrefix(t, n, monoid.Concat(), true, in)
 	for l := 0; l < k; l++ {
-		want, _, err := DPrefix(machine.Config{}, n, in[l], monoid.Concat(), true, nil)
+		want, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in[l], monoid.Concat(), true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,23 +17,19 @@ import (
 // prefix (2n communication steps), and the received offset is folded into
 // each local result (k more combines). Communication cost is independent
 // of k; only the payload work grows.
-func DPrefixLarge[T any](cfg machine.Config, n, k int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
-	d, err := topology.Shared(n)
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
+func DPrefixLarge[T any](cfg machine.Config, c topology.Comm, k int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
 	if k < 1 {
 		return nil, machine.Stats{}, fmt.Errorf("prefix: chunk size %d < 1", k)
 	}
-	if len(in) != k*d.Nodes() {
-		return nil, machine.Stats{}, fmt.Errorf("prefix: input length %d != k*N = %d", len(in), k*d.Nodes())
+	if len(in) != k*c.Nodes() {
+		return nil, machine.Stats{}, fmt.Errorf("prefix: input length %d != k*N = %d", len(in), k*c.Nodes())
 	}
-	sch, err := dcomm.Compiled(d, dcomm.OpPrefix)
+	sch, err := dcomm.Compiled(c, dcomm.OpPrefix)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
 	out := make([]T, len(in))
-	st, err := dcomm.Execute(sch, cfg, newLargeKernel(d, m, k, inclusive, in, out))
+	st, err := dcomm.Execute(sch, cfg, newLargeKernel(c, m, k, inclusive, in, out))
 	if err != nil {
 		return nil, st, err
 	}

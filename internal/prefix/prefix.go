@@ -17,7 +17,8 @@
 // the caller's machine.Config names an engine scheduler — so the fault-free
 // and degraded variants are the same kernel over different schedules and
 // both execution paths are one algorithm. Every entry point takes that
-// Config first and passes it down unchanged.
+// Config first and passes it down unchanged, and the topology.Comm it runs
+// on second.
 package prefix
 
 import (
@@ -43,7 +44,9 @@ func CubePrefix[T any](cfg machine.Config, q int, in []T, m monoid.Monoid[T], in
 	if len(in) != h.Nodes() {
 		return nil, machine.Stats{}, fmt.Errorf("prefix: input length %d != %d nodes of %s", len(in), h.Nodes(), h.Name())
 	}
-	return ascendPrefix(cfg, true, q, in, m, inclusive)
+	return ascendPrefix(in, m, inclusive, func(init []totalPrefix[T], step emulate.StepFunc[totalPrefix[T]]) ([]totalPrefix[T], machine.Stats, error) {
+		return emulate.CubeAscend(cfg, q, init, step)
+	})
 }
 
 // Trace captures the per-phase snapshots of one D_prefix run, indexed by
@@ -66,11 +69,13 @@ func (tr *Trace[T]) addPhase(label string, n int) *Phase[T] {
 	return &tr.Phases[len(tr.Phases)-1]
 }
 
-// DPrefix runs Algorithm 2 on the dual-cube D_n. The input is in element
-// order under the paper's block layout: element idx lives on node
-// NodeAtDataIndex(idx), so each cluster holds a consecutive block. The
-// result is the prefix of in (inclusive, or diminished when inclusive is
-// false), again in element order.
+// DPrefix runs Algorithm 2 on c: the dual-cube D_n, or the odd hypercube or
+// Z-cube that contains it, since every exchange uses only the cluster
+// decomposition every Comm carries. The input is in element order under the
+// paper's block layout: element idx lives on node NodeAtDataIndex(idx), so
+// each cluster holds a consecutive block. The result is the prefix of in
+// (inclusive, or diminished when inclusive is false), again in element
+// order.
 //
 // The five steps of Algorithm 2, executed by every node u with local
 // cluster index x and element block b:
@@ -92,21 +97,8 @@ func (tr *Trace[T]) addPhase(label string, n int) *Phase[T] {
 //     communication steps holds, ours measures exactly 2n).
 //
 // tr may be nil; when non-nil it receives the Figure 3 phase snapshots.
-func DPrefix[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace[T]) ([]T, machine.Stats, error) {
-	d, err := topology.Validated(n, len(in))
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
-	return DPrefixOn(cfg, d, in, m, inclusive, tr)
-}
-
-// DPrefixOn is DPrefix over an explicit communication topology: Algorithm 2
-// runs unchanged on any Comm — dual-cube, odd hypercube or Z-cube — because
-// every exchange uses only the cluster decomposition the interface
-// guarantees. The input is in element order under the topology's block
-// layout (DataIndex), exactly as for DPrefix.
-func DPrefixOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace[T]) ([]T, machine.Stats, error) {
-	if err := topology.ValidLen(d, len(in)); err != nil {
+func DPrefix[T any](cfg machine.Config, c topology.Comm, in []T, m monoid.Monoid[T], inclusive bool, tr *Trace[T]) ([]T, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
 		return nil, machine.Stats{}, err
 	}
 
@@ -122,7 +114,7 @@ func DPrefixOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Mono
 			"(e) get s' and prefix one more time",
 			"(f) final result (class 1 + t')",
 		} {
-			snaps = append(snaps, tr.addPhase(label, d.Nodes()))
+			snaps = append(snaps, tr.addPhase(label, c.Nodes()))
 		}
 		snap = func(i int, idx int, s, t T) {
 			snaps[i].S[idx] = s
@@ -130,12 +122,12 @@ func DPrefixOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Mono
 		}
 	}
 
-	sch, err := dcomm.Compiled(d, dcomm.OpPrefix)
+	sch, err := dcomm.Compiled(c, dcomm.OpPrefix)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
 	out := make([]T, len(in))
-	st, err := dcomm.Execute(sch, cfg, newPrefixKernel(d, m, inclusive, in, out, snap))
+	st, err := dcomm.Execute(sch, cfg, newPrefixKernel(c, m, inclusive, in, out, snap))
 	if err != nil {
 		return nil, st, err
 	}
@@ -145,17 +137,16 @@ func DPrefixOn[T any](cfg machine.Config, d topology.Comm, in []T, m monoid.Mono
 // DPrefixRecorded is DPrefix with full message recording (per-link loads
 // and the space-time event log) for the traffic analysis of experiment
 // E14. Tracing snapshots are not supported in this variant.
-func DPrefixRecorded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, *machine.Recording, error) {
-	d, err := topology.Validated(n, len(in))
-	if err != nil {
+func DPrefixRecorded[T any](cfg machine.Config, c topology.Comm, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, *machine.Recording, error) {
+	if err := topology.ValidLen(c, len(in)); err != nil {
 		return nil, machine.Stats{}, nil, err
 	}
-	sch, err := dcomm.Compiled(d, dcomm.OpPrefix)
+	sch, err := dcomm.Compiled(c, dcomm.OpPrefix)
 	if err != nil {
 		return nil, machine.Stats{}, nil, err
 	}
 	out := make([]T, len(in))
-	st, rec, err := machine.RunRecorded(sch, cfg, newPrefixKernel(d, m, inclusive, in, out, nil))
+	st, rec, err := machine.RunRecorded(sch, cfg, newPrefixKernel(c, m, inclusive, in, out, nil))
 	if err != nil {
 		return nil, st, nil, err
 	}
@@ -163,23 +154,24 @@ func DPrefixRecorded[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T
 }
 
 // EmulatedCubePrefix is the ablation of experiment E4: run Algorithm 1 for
-// the (2n-1)-cube directly on D_n via the recursive presentation — a
+// the (2n-1)-cube directly on c via the recursive presentation — a
 // "normal" ascend algorithm executed through internal/emulate — paying the
 // 3-cycle relay for every dimension above 0 instead of using the cluster
 // technique. Input and output are in recursive-ID order. It costs 6n-5
 // communication steps versus D_prefix's 2n, demonstrating why the cluster
 // technique matters.
-func EmulatedCubePrefix[T any](cfg machine.Config, n int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
-	return ascendPrefix(cfg, false, n, in, m, inclusive)
+func EmulatedCubePrefix[T any](cfg machine.Config, c topology.Comm, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
+	return ascendPrefix(in, m, inclusive, func(init []totalPrefix[T], step emulate.StepFunc[totalPrefix[T]]) ([]totalPrefix[T], machine.Stats, error) {
+		return emulate.Ascend(cfg, c, init, step)
+	})
 }
 
-// ascendPrefix runs Algorithm 1 as a normal ascend algorithm: on Q_order
-// (emulate.CubeAscend) when cube is set, emulated on D_order
-// (emulate.Ascend) otherwise. Every node carries its (subcube total,
-// subcube prefix) pair; at each dimension the upper node folds the lower
-// half's total into both, the lower node into its total — strictly
-// lower-half-first, so non-commutative monoids work.
-func ascendPrefix[T any](cfg machine.Config, cube bool, order int, in []T, m monoid.Monoid[T], inclusive bool) ([]T, machine.Stats, error) {
+// ascendPrefix runs Algorithm 1 as a normal ascend algorithm through
+// ascend: emulate.CubeAscend on Q_q, emulate.Ascend on a Comm. Every node
+// carries its (subcube total, subcube prefix) pair; at each dimension the
+// upper node folds the lower half's total into both, the lower node into
+// its total — strictly lower-half-first, so non-commutative monoids work.
+func ascendPrefix[T any](in []T, m monoid.Monoid[T], inclusive bool, ascend func([]totalPrefix[T], emulate.StepFunc[totalPrefix[T]]) ([]totalPrefix[T], machine.Stats, error)) ([]T, machine.Stats, error) {
 	init := make([]totalPrefix[T], len(in))
 	for i, v := range in {
 		init[i] = totalPrefix[T]{t: v, s: v}
@@ -187,11 +179,7 @@ func ascendPrefix[T any](cfg machine.Config, cube bool, order int, in []T, m mon
 			init[i].s = m.Identity()
 		}
 	}
-	ascend := emulate.Ascend[totalPrefix[T]]
-	if cube {
-		ascend = emulate.CubeAscend[totalPrefix[T]]
-	}
-	pairs, st, err := ascend(cfg, order, init, func(dim, id int, mine, theirs totalPrefix[T]) totalPrefix[T] {
+	pairs, st, err := ascend(init, func(dim, id int, mine, theirs totalPrefix[T]) totalPrefix[T] {
 		if id>>dim&1 == 1 {
 			return totalPrefix[T]{t: m.Combine(theirs.t, mine.t), s: m.Combine(theirs.t, mine.s)}
 		}
@@ -222,10 +210,3 @@ func PaperCommBound(n int) int { return 2*n + 1 }
 
 // PaperCompBound returns Theorem 1's computation bound for D_n: 2n.
 func PaperCompBound(n int) int { return 2 * n }
-
-// CubeCommSteps returns the communication steps of Algorithm 1 on Q_q: q.
-func CubeCommSteps(q int) int { return q }
-
-// EmulatedCommSteps returns the communication steps of the hypercube
-// emulation ablation on D_n: 1 + 3(2n-2) = 6n-5.
-func EmulatedCommSteps(n int) int { return 6*n - 5 }

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dualcube/internal/emulate"
 	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
+	"dualcube/internal/topology"
 )
 
 func randInts(rng *rand.Rand, n int) []int {
@@ -39,7 +41,7 @@ func TestCubePrefixSumAllSizes(t *testing.T) {
 					t.Fatalf("q=%d inclusive=%v: out[%d]=%d, want %d", q, inclusive, i, got[i], want[i])
 				}
 			}
-			if st.Cycles != CubeCommSteps(q) {
+			if st.Cycles != q {
 				t.Errorf("q=%d: comm steps %d, want %d", q, st.Cycles, q)
 			}
 			if st.MaxOps != q {
@@ -81,7 +83,7 @@ func TestDPrefixSumAllSizes(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		in := randInts(rng, 1<<(2*n-1))
 		for _, inclusive := range []bool{true, false} {
-			got, st, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), inclusive, nil)
+			got, st, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), inclusive, nil)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -120,7 +122,7 @@ func TestDPrefixNonCommutativeOrder(t *testing.T) {
 		for i := range in {
 			in[i] = string(rune('A'+i%26)) + string(rune('a'+(i/26)%26))
 		}
-		got, _, err := DPrefix(machine.Config{}, n, in, monoid.Concat(), true, nil)
+		got, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Concat(), true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +145,7 @@ func TestDPrefixMatrixMonoid(t *testing.T) {
 	for i := range in {
 		in[i] = monoid.Mat2{1, int64(i + 1), 0, 1}
 	}
-	got, _, err := DPrefix(machine.Config{}, n, in, monoid.Mat2Mul(), true, nil)
+	got, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Mat2Mul(), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestDPrefixMaxMinXor(t *testing.T) {
 	N := 1 << (2*n - 1)
 	ints := randInts(rng, N)
 	for _, m := range []monoid.Monoid[int]{monoid.MaxInt(), monoid.MinInt()} {
-		got, _, err := DPrefix(machine.Config{}, n, ints, m, true, nil)
+		got, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), ints, m, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +179,7 @@ func TestDPrefixMaxMinXor(t *testing.T) {
 	for i := range words {
 		words[i] = rng.Uint64()
 	}
-	got, _, err := DPrefix(machine.Config{}, n, words, monoid.Xor(), false, nil)
+	got, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), words, monoid.Xor(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,7 @@ func TestDPrefixQuickProperty(t *testing.T) {
 		n := int(nSeed)%4 + 1
 		rng := rand.New(rand.NewSource(seed))
 		in := randInts(rng, 1<<(2*n-1))
-		got, _, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
+		got, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, nil)
 		if err != nil {
 			return false
 		}
@@ -213,11 +215,11 @@ func TestDPrefixQuickProperty(t *testing.T) {
 }
 
 func TestDPrefixBadInput(t *testing.T) {
-	if _, _, err := DPrefix(machine.Config{}, 2, make([]int, 5), monoid.Sum[int](), true, nil); err == nil {
+	if _, _, err := DPrefix(machine.Config{}, topology.MustDualCube(2), make([]int, 5), monoid.Sum[int](), true, nil); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DPrefix(machine.Config{}, 0, nil, monoid.Sum[int](), true, nil); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := DPrefix(machine.Config{}, topology.MustDualCube(2), nil, monoid.Sum[int](), true, nil); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -233,7 +235,7 @@ func TestDPrefixCombineCount(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	_, st, err := DPrefix(machine.Config{}, n, in, m, true, nil)
+	_, st, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, m, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestDPrefixTrace(t *testing.T) {
 		in[i] = 1
 	}
 	var tr Trace[int]
-	got, _, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, &tr)
+	got, _, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestEmulatedCubePrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for n := 1; n <= 4; n++ {
 		in := randInts(rng, 1<<(2*n-1))
-		got, st, err := EmulatedCubePrefix(machine.Config{}, n, in, monoid.Sum[int](), true)
+		got, st, err := EmulatedCubePrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -297,8 +299,8 @@ func TestEmulatedCubePrefix(t *testing.T) {
 				t.Fatalf("n=%d: emulated prefix wrong at %d", n, i)
 			}
 		}
-		if st.Cycles != EmulatedCommSteps(n) {
-			t.Errorf("n=%d: emulated comm %d, want %d", n, st.Cycles, EmulatedCommSteps(n))
+		if st.Cycles != emulate.CommSteps(n) {
+			t.Errorf("n=%d: emulated comm %d, want %d", n, st.Cycles, emulate.CommSteps(n))
 		}
 		// The ablation: the cluster technique must beat naive emulation for
 		// every n >= 2.
@@ -306,11 +308,11 @@ func TestEmulatedCubePrefix(t *testing.T) {
 			t.Errorf("n=%d: emulation (%d) unexpectedly as cheap as D_prefix (%d)", n, st.Cycles, MeasuredCommSteps(n))
 		}
 	}
-	if _, _, err := EmulatedCubePrefix(machine.Config{}, 2, make([]int, 3), monoid.Sum[int](), true); err == nil {
+	if _, _, err := EmulatedCubePrefix(machine.Config{}, topology.MustDualCube(2), make([]int, 3), monoid.Sum[int](), true); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := EmulatedCubePrefix(machine.Config{}, 0, nil, monoid.Sum[int](), true); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := EmulatedCubePrefix(machine.Config{}, topology.MustDualCube(2), nil, monoid.Sum[int](), true); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -354,7 +356,7 @@ func TestNormalPrefixStatsPinned(t *testing.T) {
 		c := 6*n - 5
 		pinned(fmt.Sprintf("emulated D_%d", n), machine.Stats{Nodes: N, Cycles: c, CommCycles: c, Messages: int64(N * (4*n - 3)), MaxOps: 2*n - 1, TotalOps: int64((2*n - 1) * N)},
 			func(cfg machine.Config) ([]int, machine.Stats, error) {
-				return EmulatedCubePrefix(cfg, n, in, monoid.Sum[int](), n%2 == 1)
+				return EmulatedCubePrefix(cfg, topology.MustDualCube(n), in, monoid.Sum[int](), n%2 == 1)
 			})
 	}
 }
@@ -365,7 +367,7 @@ func TestDPrefixLarge(t *testing.T) {
 		N := 1 << (2*tc.n - 1)
 		in := randInts(rng, tc.k*N)
 		for _, inclusive := range []bool{true, false} {
-			got, st, err := DPrefixLarge(machine.Config{}, tc.n, tc.k, in, monoid.Sum[int](), inclusive)
+			got, st, err := DPrefixLarge(machine.Config{}, topology.MustDualCube(tc.n), tc.k, in, monoid.Sum[int](), inclusive)
 			if err != nil {
 				t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 			}
@@ -393,7 +395,7 @@ func TestDPrefixLargeNonCommutative(t *testing.T) {
 	for i := range in {
 		in[i] = string(rune('a' + i%26))
 	}
-	got, _, err := DPrefixLarge(machine.Config{}, n, k, in, monoid.Concat(), true)
+	got, _, err := DPrefixLarge(machine.Config{}, topology.MustDualCube(n), k, in, monoid.Concat(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,14 +408,14 @@ func TestDPrefixLargeNonCommutative(t *testing.T) {
 }
 
 func TestDPrefixLargeBadInput(t *testing.T) {
-	if _, _, err := DPrefixLarge(machine.Config{}, 2, 0, nil, monoid.Sum[int](), true); err == nil {
+	if _, _, err := DPrefixLarge(machine.Config{}, topology.MustDualCube(2), 0, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, _, err := DPrefixLarge(machine.Config{}, 2, 2, make([]int, 15), monoid.Sum[int](), true); err == nil {
+	if _, _, err := DPrefixLarge(machine.Config{}, topology.MustDualCube(2), 2, make([]int, 15), monoid.Sum[int](), true); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DPrefixLarge(machine.Config{}, 0, 1, nil, monoid.Sum[int](), true); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := DPrefixLarge(machine.Config{}, topology.MustDualCube(2), 1, nil, monoid.Sum[int](), true); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -421,11 +423,11 @@ func TestDPrefixRecordedMatchesDPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for n := 1; n <= 4; n++ {
 		in := randInts(rng, 1<<(2*n-1))
-		plain, stP, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
+		plain, stP, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, stR, recording, err := DPrefixRecorded(machine.Config{}, n, in, monoid.Sum[int](), true)
+		rec, stR, recording, err := DPrefixRecorded(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,10 +450,10 @@ func TestDPrefixRecordedMatchesDPrefix(t *testing.T) {
 			t.Errorf("n=%d: max link load %d, want 2", n, load)
 		}
 	}
-	if _, _, _, err := DPrefixRecorded(machine.Config{}, 0, nil, monoid.Sum[int](), true); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, _, err := DPrefixRecorded(machine.Config{}, topology.MustDualCube(2), nil, monoid.Sum[int](), true); err == nil {
+		t.Error("empty input should fail")
 	}
-	if _, _, _, err := DPrefixRecorded(machine.Config{}, 2, make([]int, 3), monoid.Sum[int](), true); err == nil {
+	if _, _, _, err := DPrefixRecorded(machine.Config{}, topology.MustDualCube(2), make([]int, 3), monoid.Sum[int](), true); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -467,7 +469,7 @@ func TestDPrefixD7Smoke(t *testing.T) {
 	for i := range in {
 		in[i] = 1
 	}
-	got, st, err := DPrefix(machine.Config{}, n, in, monoid.Sum[int](), true, nil)
+	got, st, err := DPrefix(machine.Config{}, topology.MustDualCube(n), in, monoid.Sum[int](), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

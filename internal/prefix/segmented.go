@@ -5,6 +5,7 @@ import (
 
 	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
+	"dualcube/internal/topology"
 )
 
 // seg is the element of the segmented-scan monoid: a value plus a flag
@@ -36,11 +37,11 @@ func segMonoid[T any](m monoid.Monoid[T]) monoid.Monoid[seg[T]] {
 }
 
 // DPrefixSegmented computes the inclusive segmented prefix of values on
-// D_n: heads[i] = true starts a new segment at i, and out[i] combines the
+// c: heads[i] = true starts a new segment at i, and out[i] combines the
 // values from its segment's start through i. Element 0 implicitly starts
 // the first segment. Costs exactly the same 2n communication steps as
 // DPrefix — segmentation is free.
-func DPrefixSegmented[T any](cfg machine.Config, n int, values []T, heads []bool, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
+func DPrefixSegmented[T any](cfg machine.Config, c topology.Comm, values []T, heads []bool, m monoid.Monoid[T]) ([]T, machine.Stats, error) {
 	if len(values) != len(heads) {
 		return nil, machine.Stats{}, fmt.Errorf("prefix: %d values but %d segment flags", len(values), len(heads))
 	}
@@ -48,7 +49,7 @@ func DPrefixSegmented[T any](cfg machine.Config, n int, values []T, heads []bool
 	for i := range values {
 		in[i] = seg[T]{head: heads[i], val: values[i]}
 	}
-	lifted, st, err := DPrefix(cfg, n, in, segMonoid(m), true, nil)
+	lifted, st, err := DPrefix(cfg, c, in, segMonoid(m), true, nil)
 	if err != nil {
 		return nil, st, err
 	}

@@ -8,6 +8,7 @@ import (
 	"dualcube/internal/machine"
 	"dualcube/internal/monoid"
 	"dualcube/internal/seq"
+	"dualcube/internal/topology"
 )
 
 func TestSegMonoidAssociative(t *testing.T) {
@@ -43,7 +44,7 @@ func TestDPrefixSegmentedSum(t *testing.T) {
 		values[i] = i + 1
 		heads[i] = i%5 == 0
 	}
-	got, st, err := DPrefixSegmented(machine.Config{}, n, values, heads, monoid.Sum[int]())
+	got, st, err := DPrefixSegmented(machine.Config{}, topology.MustDualCube(n), values, heads, monoid.Sum[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestDPrefixSegmentedEdgeCases(t *testing.T) {
 	values := []int{3, 1, 4, 1, 5, 9, 2, 6}
 
 	// No heads at all: equals the plain inclusive scan.
-	got, _, err := DPrefixSegmented(machine.Config{}, n, values, make([]bool, N), monoid.Sum[int]())
+	got, _, err := DPrefixSegmented(machine.Config{}, topology.MustDualCube(n), values, make([]bool, N), monoid.Sum[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestDPrefixSegmentedEdgeCases(t *testing.T) {
 	for i := range allHeads {
 		allHeads[i] = true
 	}
-	got, _, err = DPrefixSegmented(machine.Config{}, n, values, allHeads, monoid.Sum[int]())
+	got, _, err = DPrefixSegmented(machine.Config{}, topology.MustDualCube(n), values, allHeads, monoid.Sum[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestDPrefixSegmentedNonCommutative(t *testing.T) {
 		values[i] = string(rune('a' + i))
 		heads[i] = i == 3 || i == 6
 	}
-	got, _, err := DPrefixSegmented(machine.Config{}, n, values, heads, monoid.Concat())
+	got, _, err := DPrefixSegmented(machine.Config{}, topology.MustDualCube(n), values, heads, monoid.Concat())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestDPrefixSegmentedQuick(t *testing.T) {
 			values[i] = rng.Intn(100)
 			heads[i] = rng.Intn(3) == 0
 		}
-		got, _, err := DPrefixSegmented(machine.Config{}, n, values, heads, monoid.Sum[int]())
+		got, _, err := DPrefixSegmented(machine.Config{}, topology.MustDualCube(n), values, heads, monoid.Sum[int]())
 		if err != nil {
 			return false
 		}
@@ -142,10 +143,10 @@ func TestDPrefixSegmentedQuick(t *testing.T) {
 }
 
 func TestDPrefixSegmentedBadInput(t *testing.T) {
-	if _, _, err := DPrefixSegmented(machine.Config{}, 2, make([]int, 8), make([]bool, 7), monoid.Sum[int]()); err == nil {
+	if _, _, err := DPrefixSegmented(machine.Config{}, topology.MustDualCube(2), make([]int, 8), make([]bool, 7), monoid.Sum[int]()); err == nil {
 		t.Error("flag/value length mismatch should fail")
 	}
-	if _, _, err := DPrefixSegmented(machine.Config{}, 0, nil, nil, monoid.Sum[int]()); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := DPrefixSegmented(machine.Config{}, topology.MustDualCube(2), nil, nil, monoid.Sum[int]()); err == nil {
+		t.Error("empty input should fail")
 	}
 }

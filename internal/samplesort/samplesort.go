@@ -20,7 +20,7 @@ import (
 	"dualcube/internal/topology"
 )
 
-// Sort sorts k·2^(2n-1) keys (k per node in element order) on D_n by
+// Sort sorts k·2^(2n-1) keys (k per node in element order) on c by
 // parallel sample sort:
 //
 //  1. every node sorts its chunk locally and draws P-1 regular samples
@@ -34,15 +34,11 @@ import (
 // The result is the fully sorted sequence (bucket sizes vary with the key
 // distribution, so nodes end with unequal shares; the returned slice is
 // their in-order concatenation). Communication: exactly 4n rounds.
-func Sort[K any](cfg machine.Config, n, k int, keys []K, less func(a, b K) bool) ([]K, machine.Stats, error) {
-	d, err := topology.Shared(n)
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
+func Sort[K any](cfg machine.Config, c topology.Comm, k int, keys []K, less func(a, b K) bool) ([]K, machine.Stats, error) {
 	if k < 1 {
 		return nil, machine.Stats{}, fmt.Errorf("samplesort: chunk size %d < 1", k)
 	}
-	P := d.Nodes()
+	P := c.Nodes()
 	if len(keys) != k*P {
 		return nil, machine.Stats{}, fmt.Errorf("samplesort: %d keys != k*P = %d", len(keys), k*P)
 	}
@@ -65,7 +61,7 @@ func Sort[K any](cfg machine.Config, n, k int, keys []K, less func(a, b K) bool)
 
 	// Phase 2: all-gather the samples; every node derives the splitters.
 	// The collective carries each node's sample slice as one element.
-	gathered, stAG, err := collective.AllGather(cfg, n, samples)
+	gathered, stAG, err := collective.AllGather(cfg, c, samples)
 	if err != nil {
 		return nil, stAG, err
 	}
@@ -99,7 +95,7 @@ func Sort[K any](cfg machine.Config, n, k int, keys []K, less func(a, b K) bool)
 	}
 
 	// Phase 4: the variable-size total exchange.
-	recv, stA2A, err := collective.AllToAllV(cfg, n, buckets)
+	recv, stA2A, err := collective.AllToAllV(cfg, c, buckets)
 	if err != nil {
 		return nil, stA2A, err
 	}
@@ -117,7 +113,3 @@ func Sort[K any](cfg machine.Config, n, k int, keys []K, less func(a, b K) bool)
 	}
 	return out, stAG.Add(stA2A), nil
 }
-
-// CommRounds returns the communication rounds of sample sort on D_n: one
-// all-gather plus one all-to-all-v, 2n each.
-func CommRounds(n int) int { return 4 * n }

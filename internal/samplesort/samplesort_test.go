@@ -8,6 +8,7 @@ import (
 	"dualcube/internal/machine"
 	"dualcube/internal/seq"
 	"dualcube/internal/sortnet"
+	"dualcube/internal/topology"
 )
 
 func intLess(a, b int) bool { return a < b }
@@ -20,7 +21,7 @@ func TestSampleSortRandom(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(10000) - 5000
 		}
-		got, st, err := Sort(machine.Config{}, tc.n, tc.k, in, intLess)
+		got, st, err := Sort(machine.Config{}, topology.MustDualCube(tc.n), tc.k, in, intLess)
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
@@ -30,8 +31,8 @@ func TestSampleSortRandom(t *testing.T) {
 		if !seq.SameMultiset(in, got, intLess) {
 			t.Fatalf("n=%d k=%d: multiset changed", tc.n, tc.k)
 		}
-		if st.Cycles != CommRounds(tc.n) {
-			t.Errorf("n=%d k=%d: rounds %d, want %d", tc.n, tc.k, st.Cycles, CommRounds(tc.n))
+		if st.Cycles != 4*tc.n {
+			t.Errorf("n=%d k=%d: rounds %d, want %d", tc.n, tc.k, st.Cycles, 4*tc.n)
 		}
 	}
 }
@@ -51,7 +52,7 @@ func TestSampleSortAdversarial(t *testing.T) {
 		for i := range in {
 			in[i] = gen(i)
 		}
-		got, _, err := Sort(machine.Config{}, n, k, in, intLess)
+		got, _, err := Sort(machine.Config{}, topology.MustDualCube(n), k, in, intLess)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -70,7 +71,7 @@ func TestSampleSortSmallK(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Intn(100)
 	}
-	got, _, err := Sort(machine.Config{}, n, k, in, intLess)
+	got, _, err := Sort(machine.Config{}, topology.MustDualCube(n), k, in, intLess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +83,8 @@ func TestSampleSortSmallK(t *testing.T) {
 func TestSampleSortVsBitonicCost(t *testing.T) {
 	// The headline trade: 4n collective rounds vs 6n²-7n+2 steps.
 	for n := 2; n <= 6; n++ {
-		if CommRounds(n) >= sortnet.DSortCommSteps(n) {
-			t.Errorf("n=%d: sample sort rounds %d not below bitonic %d", n, CommRounds(n), sortnet.DSortCommSteps(n))
+		if 4*n >= sortnet.DSortCommSteps(n) {
+			t.Errorf("n=%d: sample sort rounds %d not below bitonic %d", n, 4*n, sortnet.DSortCommSteps(n))
 		}
 	}
 }
@@ -98,7 +99,7 @@ func TestSampleSortQuick(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(500)
 		}
-		got, _, err := Sort(machine.Config{}, n, k, in, intLess)
+		got, _, err := Sort(machine.Config{}, topology.MustDualCube(n), k, in, intLess)
 		if err != nil {
 			return false
 		}
@@ -110,13 +111,13 @@ func TestSampleSortQuick(t *testing.T) {
 }
 
 func TestSampleSortBadInputs(t *testing.T) {
-	if _, _, err := Sort(machine.Config{}, 0, 1, nil, intLess); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := Sort(machine.Config{}, topology.MustDualCube(2), 1, nil, intLess); err == nil {
+		t.Error("empty input should fail")
 	}
-	if _, _, err := Sort(machine.Config{}, 2, 0, nil, intLess); err == nil {
+	if _, _, err := Sort(machine.Config{}, topology.MustDualCube(2), 0, nil, intLess); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, _, err := Sort(machine.Config{}, 2, 2, make([]int, 5), intLess); err == nil {
+	if _, _, err := Sort(machine.Config{}, topology.MustDualCube(2), 2, make([]int, 5), intLess); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -133,7 +134,7 @@ func TestSampleSortRecords(t *testing.T) {
 	for i := range in {
 		in[i] = rec{key: rng.Intn(50), name: string(rune('a' + i%26))}
 	}
-	got, _, err := Sort(machine.Config{}, n, k, in, func(a, b rec) bool { return a.key < b.key })
+	got, _, err := Sort(machine.Config{}, topology.MustDualCube(n), k, in, func(a, b rec) bool { return a.key < b.key })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,9 +218,8 @@ func CheckSchedule(sch *machine.Schedule, c topology.Comm, op dcomm.Op) error {
 // bit 2l-2, the final merge bit 2l-1 (the enclosing quarter's
 // alternation), the final merge of level n the requested Order — and the
 // sort-ID table must be the recursive IDs the orientation bits are read
-// from. The steps themselves are checkLadder's. Generic over any topology
-// carrying the recursive presentation.
-func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
+// from. The steps themselves are checkLadder's. Generic over any Comm.
+func CheckSortSchedule(sch *machine.Schedule, c topology.Comm) error {
 	n, m := c.Order(), c.ClusterDim()
 
 	// The expected ladder of Algorithm 3, level by level. Dimension 0 is
@@ -249,7 +248,7 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 		return err
 	}
 	if len(want) != sortnet.DSortCompSteps(n) {
-		return fmt.Errorf("schedcheck: internal: D_%d ladder has %d steps, closed form says %d", n, len(want), sortnet.DSortCompSteps(n))
+		return fmt.Errorf("schedcheck: internal: %s ladder has %d steps, closed form says %d", c.Name(), len(want), sortnet.DSortCompSteps(n))
 	}
 	if len(sch.Steps) != len(want) {
 		return fmt.Errorf("schedcheck: %s: %d steps, want 2n²-n = %d", sch.Name, len(sch.Steps), len(want))
@@ -266,7 +265,7 @@ func CheckSortSchedule(sch *machine.Schedule, c topology.Recursive) error {
 // order, none of them oriented and no sort-ID table, costing exactly
 // emulate.CommSteps(n) = 6n-5 communication cycles. The steps themselves
 // are checkLadder's.
-func CheckSweepSchedule(sch *machine.Schedule, c topology.Recursive) error {
+func CheckSweepSchedule(sch *machine.Schedule, c topology.Comm) error {
 	m := c.ClusterDim()
 	want := []machine.Step{{Kind: machine.StepCrossHop, Dim: 0, Pattern: m}}
 	for j := 1; j < c.RecDims(); j++ {
@@ -291,8 +290,8 @@ func CheckSweepSchedule(sch *machine.Schedule, c topology.Recursive) error {
 // matching the involution r ↔ r^(1<<j) in recursive-ID space; dimension 0
 // the cross matching over a link table, and every higher dimension
 // partner-only, since its routed pairs are not adjacent.
-func checkLadder(sch *machine.Schedule, c topology.Recursive, want []machine.Step) error {
-	if sch.D != topology.Comm(c) {
+func checkLadder(sch *machine.Schedule, c topology.Comm, want []machine.Step) error {
+	if sch.D != c {
 		return fmt.Errorf("schedcheck: %s: schedule bound to %s, want %s", sch.Name, sch.D.Name(), c.Name())
 	}
 	if sch.RepairCycles != 0 {
@@ -663,15 +662,11 @@ func VerifyComm(c topology.Comm) error {
 			return err
 		}
 		if op == dcomm.OpDSort {
-			r, ok := c.(topology.Recursive)
-			if !ok {
-				return fmt.Errorf("schedcheck: %s compiled a sort schedule without a recursive presentation", c.Name())
-			}
-			if err := CheckSortSchedule(base, r); err != nil {
+			if err := CheckSortSchedule(base, c); err != nil {
 				return err
 			}
-			sweep := dcomm.CompiledSweep(r)
-			if err := CheckSweepSchedule(sweep, r); err != nil {
+			sweep := dcomm.CompiledSweep(c)
+			if err := CheckSweepSchedule(sweep, c); err != nil {
 				return err
 			}
 			// The recursive-technique choreography has no static detour

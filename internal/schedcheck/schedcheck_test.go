@@ -90,7 +90,7 @@ func TestSortScheduleCounts(t *testing.T) {
 // buildSortSchedule hand-builds the D_sort ladder on d, oriented and
 // finalized: a private schedule the negative tests may corrupt without
 // poisoning the shared dcomm cache.
-func buildSortSchedule(d topology.Recursive) *machine.Schedule {
+func buildSortSchedule(d topology.Comm) *machine.Schedule {
 	n, m := d.Order(), d.ClusterDim()
 	sch := &machine.Schedule{Name: "dsort/" + d.Name(), D: d}
 	merge := func(top int, orient machine.Orient) {
@@ -390,7 +390,7 @@ func TestCheckSweepCatchesDrift(t *testing.T) {
 	// The cached sweeps are bound to whichever instances compiled them
 	// first, so the checks run against those.
 	sweep := dcomm.CompiledSweep(topology.MustDualCube(4))
-	d := sweep.D.(topology.Recursive)
+	d := sweep.D
 	cube, err := dcomm.CompiledCubeSweep(topology.MustHypercube(7))
 	if err != nil {
 		t.Fatal(err)

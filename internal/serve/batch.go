@@ -128,7 +128,7 @@ func (l *line) runBatch(group []*pending) ([]*Response, error) {
 	k := len(group)
 	l.s.met.op(l.key.op).occupancy.observe(k)
 	cfg := machine.Config{Faults: lease.spec}
-	d := l.pool.d
+	c := l.pool.c
 
 	var out [][]int64
 	var st machine.Stats
@@ -138,18 +138,18 @@ func (l *line) runBatch(group []*pending) ([]*Response, error) {
 		out = make([][]int64, k)
 		for i, p := range group {
 			in[i] = p.req.Data
-			out[i] = make([]int64, d.Nodes())
+			out[i] = make([]int64, c.Nodes())
 		}
-		kern := prefix.NewLaneKernel(d, monoid.Sum[int64](), true, lease.sh.lanes, in, out)
+		kern := prefix.NewLaneKernel(c, monoid.Sum[int64](), true, lease.sh.lanes, in, out)
 		st, err = dcomm.Execute(lease.sched, cfg, kern)
 	case OpAllReduce:
 		in := make([][]int64, k)
 		out = make([][]int64, k)
 		for i, p := range group {
 			in[i] = p.req.Data
-			out[i] = make([]int64, d.Nodes())
+			out[i] = make([]int64, c.Nodes())
 		}
-		kern := collective.NewLaneAllReduceKernel(d, monoid.Sum[int64](), lease.sh.lanes, in, out)
+		kern := collective.NewLaneAllReduceKernel(c, monoid.Sum[int64](), lease.sh.lanes, in, out)
 		st, err = dcomm.Execute(lease.sched, cfg, kern)
 		if err == nil {
 			// Every node holds the same total; the response is that one value.
@@ -169,7 +169,7 @@ func (l *line) runBatch(group []*pending) ([]*Response, error) {
 			}
 		}
 		var kern *sortnet.LaneSortKernel[int64]
-		kern, err = sortnet.NewLaneSortKernel(d, lease.sh.lanes, keys,
+		kern, err = sortnet.NewLaneSortKernel(c, lease.sh.lanes, keys,
 			func(a, b int64) bool { return a < b }, ords)
 		if err != nil {
 			return nil, err
@@ -178,7 +178,7 @@ func (l *line) runBatch(group []*pending) ([]*Response, error) {
 		if err == nil {
 			out = make([][]int64, k)
 			for i := range out {
-				out[i] = kern.Unload(i, make([]int64, d.Nodes()))
+				out[i] = kern.Unload(i, make([]int64, c.Nodes()))
 			}
 		}
 	case OpBroadcast:
@@ -186,7 +186,7 @@ func (l *line) runBatch(group []*pending) ([]*Response, error) {
 		for i, p := range group {
 			values[i] = p.req.Value
 		}
-		kern := collective.NewLaneBroadcastKernel(d, group[0].req.Root, lease.sh.lanes, values)
+		kern := collective.NewLaneBroadcastKernel(c, group[0].req.Root, lease.sh.lanes, values)
 		st, err = dcomm.Execute(lease.sched, cfg, kern)
 		if err == nil {
 			err = kern.Verify()

@@ -34,8 +34,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"dualcube/internal/topology"
 )
 
 // Op names one operation the serving front-end accepts.
@@ -242,33 +240,33 @@ func (s *Server) Close() {
 }
 
 // validate rejects malformed requests before they reach a queue.
-func (s *Server) validate(req *Request) (*topology.DualCube, error) {
+func (s *Server) validate(req *Request) error {
 	if req.Op >= opCount {
-		return nil, fmt.Errorf("serve: unknown operation %s", req.Op)
+		return fmt.Errorf("serve: unknown operation %s", req.Op)
 	}
 	p, ok := s.pools[req.N]
 	if !ok {
-		return nil, fmt.Errorf("serve: order %d is not served (configured orders: %v)", req.N, s.cfg.Orders)
+		return fmt.Errorf("serve: order %d is not served (configured orders: %v)", req.N, s.cfg.Orders)
 	}
-	d := p.d
+	c := p.c
 	switch req.Op {
 	case OpBroadcast:
-		if req.Root < 0 || req.Root >= d.Nodes() {
-			return nil, fmt.Errorf("serve: broadcast root %d outside 0..%d", req.Root, d.Nodes()-1)
+		if req.Root < 0 || req.Root >= c.Nodes() {
+			return fmt.Errorf("serve: broadcast root %d outside 0..%d", req.Root, c.Nodes()-1)
 		}
 	default:
-		if len(req.Data) != d.Nodes() {
-			return nil, fmt.Errorf("serve: %s on D_%d wants %d elements, got %d", req.Op, req.N, d.Nodes(), len(req.Data))
+		if len(req.Data) != c.Nodes() {
+			return fmt.Errorf("serve: %s on %s wants %d elements, got %d", req.Op, c.Name(), c.Nodes(), len(req.Data))
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // Submit runs one request through the batching pipeline and blocks until
 // its pass completes. It is safe for arbitrary concurrent use; requests
 // sharing an (op, order) line coalesce into batched passes.
 func (s *Server) Submit(req *Request) (*Response, error) {
-	if _, err := s.validate(req); err != nil {
+	if err := s.validate(req); err != nil {
 		return nil, err
 	}
 	start := time.Now()

@@ -13,6 +13,7 @@ import (
 	"dualcube/internal/monoid"
 	"dualcube/internal/prefix"
 	"dualcube/internal/sortnet"
+	"dualcube/internal/topology"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -38,7 +39,7 @@ func randPayload(rng *rand.Rand, nodes int) []int64 {
 func checkAgainstUnbatched(req *Request, resp *Response) error {
 	switch req.Op {
 	case OpPrefix:
-		want, _, err := prefix.DPrefix(machine.Config{}, req.N, req.Data, monoid.Sum[int64](), true, nil)
+		want, _, err := prefix.DPrefix(machine.Config{}, topology.MustDualCube(req.N), req.Data, monoid.Sum[int64](), true, nil)
 		if err != nil {
 			return err
 		}
@@ -60,7 +61,7 @@ func checkAgainstUnbatched(req *Request, resp *Response) error {
 		if req.Desc {
 			ord = sortnet.Descending
 		}
-		want, _, err := sortnet.DSort(machine.Config{}, req.N, req.Data, func(a, b int64) bool { return a < b }, ord, nil)
+		want, _, err := sortnet.DSort(machine.Config{}, topology.MustDualCube(req.N), req.Data, func(a, b int64) bool { return a < b }, ord, nil)
 		if err != nil {
 			return err
 		}
@@ -101,7 +102,7 @@ func TestServeDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(id) + 100))
 			for i := 0; i < perClient; i++ {
 				n := 2 + (id+i)%2
-				nodes := s.pools[n].d.Nodes()
+				nodes := s.pools[n].c.Nodes()
 				var req *Request
 				switch Op((id + i) % int(opCount)) {
 				case OpPrefix:
@@ -161,7 +162,7 @@ func TestServeBackpressure(t *testing.T) {
 		s.lines[l.key] = l
 	}
 
-	nodes := p.d.Nodes()
+	nodes := p.c.Nodes()
 	var wg sync.WaitGroup
 	errs := make(chan error, cfg.QueueCap)
 	for i := 0; i < cfg.QueueCap; i++ {
@@ -211,7 +212,7 @@ func TestServeBackpressure(t *testing.T) {
 func TestServeDegraded(t *testing.T) {
 	s := newTestServer(t, Config{Orders: []int{3}, MaxBatch: 4, Window: time.Millisecond})
 	rng := rand.New(rand.NewSource(9))
-	nodes := s.pools[3].d.Nodes()
+	nodes := s.pools[3].c.Nodes()
 
 	if err := s.DegradeShard(3, 0, 2, 42); err != nil {
 		t.Fatal(err)
@@ -275,7 +276,7 @@ func TestServePoolStress(t *testing.T) {
 		Window:   500 * time.Microsecond,
 		QueueCap: 256,
 	})
-	nodes := s.pools[2].d.Nodes()
+	nodes := s.pools[2].c.Nodes()
 
 	stop := make(chan struct{})
 	var adminWG sync.WaitGroup
@@ -347,7 +348,7 @@ func TestClientHelpers(t *testing.T) {
 	s := newTestServer(t, Config{Orders: []int{2}, Window: time.Millisecond})
 	c := NewClient(s)
 	rng := rand.New(rand.NewSource(3))
-	nodes := s.pools[2].d.Nodes()
+	nodes := s.pools[2].c.Nodes()
 
 	in := randPayload(rng, nodes)
 	resp, err := c.Prefix(2, in)

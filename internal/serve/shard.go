@@ -26,13 +26,12 @@ const (
 // payload plane. The pool hands a shard to at most one dispatcher at a
 // time, so the plane needs no locking.
 //
-// All shard fields below d/idx/lanes are guarded by the owning pool's
+// All shard fields below idx/lanes are guarded by the owning pool's
 // mutex: state transitions and schedule swaps happen under it, and a
 // running pass copies sched/spec out at checkout time, so a degrade or
 // restore never mutates what an in-flight pass reads.
 type shard struct {
 	idx   int
-	d     *topology.DualCube
 	lanes *machine.Lanes[int64]
 
 	state shardState
@@ -52,10 +51,10 @@ var serveOps = map[Op]dcomm.Op{
 
 // cleanSchedules assembles (from the process-wide compile cache) the
 // fault-free schedule set a healthy shard serves with.
-func cleanSchedules(d *topology.DualCube) (map[dcomm.Op]*machine.Schedule, error) {
+func cleanSchedules(c topology.Comm) (map[dcomm.Op]*machine.Schedule, error) {
 	m := make(map[dcomm.Op]*machine.Schedule, len(serveOps))
 	for _, op := range serveOps {
-		sch, err := dcomm.Compiled(d, op)
+		sch, err := dcomm.Compiled(c, op)
 		if err != nil {
 			return nil, err
 		}
@@ -78,8 +77,7 @@ type lease struct {
 // batched pass, and release it; degrade/down/restore swap shard state
 // under the same mutex, so a state change never races a checkout.
 type pool struct {
-	n      int
-	d      *topology.DualCube
+	c      topology.Comm
 	mu     sync.Mutex
 	cond   *sync.Cond
 	shards []*shard
@@ -90,7 +88,7 @@ func newPool(n, shards, maxBatch int) (*pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pool{n: n, d: d}
+	p := &pool{c: d}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < shards; i++ {
 		sched, err := cleanSchedules(d)
@@ -99,7 +97,6 @@ func newPool(n, shards, maxBatch int) (*pool, error) {
 		}
 		p.shards = append(p.shards, &shard{
 			idx:   i,
-			d:     d,
 			lanes: machine.NewLanes[int64](d.Nodes(), maxBatch),
 			sched: sched,
 		})
@@ -185,11 +182,11 @@ func (p *pool) degrade(idx, f int, seed int64) error {
 	if err := p.checkIdx(idx); err != nil {
 		return err
 	}
-	plan := fault.Random(p.d, f, seed)
-	view := fault.NewView(p.d, plan)
+	plan := fault.Random(p.c, f, seed)
+	view := fault.NewView(p.c, plan)
 	sched := make(map[dcomm.Op]*machine.Schedule, len(serveOps))
 	for _, op := range serveOps {
-		clean, err := dcomm.Compiled(p.d, op)
+		clean, err := dcomm.Compiled(p.c, op)
 		if err != nil {
 			return err
 		}
@@ -230,7 +227,7 @@ func (p *pool) restore(idx int) error {
 	if err := p.checkIdx(idx); err != nil {
 		return err
 	}
-	sched, err := cleanSchedules(p.d)
+	sched, err := cleanSchedules(p.c)
 	if err != nil {
 		return err
 	}
@@ -246,7 +243,7 @@ func (p *pool) restore(idx int) error {
 
 func (p *pool) checkIdx(idx int) error {
 	if idx < 0 || idx >= len(p.shards) {
-		return fmt.Errorf("serve: D_%d has shards 0..%d, not %d", p.n, len(p.shards)-1, idx)
+		return fmt.Errorf("serve: %s has shards 0..%d, not %d", p.c.Name(), len(p.shards)-1, idx)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"dualcube/internal/machine"
 	"dualcube/internal/seq"
+	"dualcube/internal/topology"
 )
 
 // FuzzDSortD3 fuzzes D_sort on D_3 with arbitrary byte-derived keys,
@@ -26,7 +27,7 @@ func FuzzDSortD3(f *testing.F) {
 				in[i] = int(data[i])
 			}
 		}
-		got, st, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
+		got, st, err := DSort(machine.Config{}, topology.MustDualCube(n), in, intLess, Ascending, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 // node to its sort ID. The kernels only move data: exchKernel
 // compare-exchanges one key per node (DSort, CubeSort, and LaneSortKernel
 // at k lanes per node), mergeKernel merge-splits a sorted chunk of k keys
-// per node (DSortLarge, CubeSortLarge). Each keeps the low or the high half
+// per node (DSortLarge). Each keeps the low or the high half
 // as keepMinAt decides from the node's sort ID, the step's dimension and
 // its orientation.
 

@@ -18,7 +18,7 @@ import (
 // byte-identical to k unbatched DSort calls (the lanes differential tests
 // enforce it).
 
-// LaneSortKernel is exchKernel over k-wide rows on the dual-cube.
+// LaneSortKernel is exchKernel over k-wide rows.
 type LaneSortKernel[K any] struct {
 	less  func(a, b K) bool
 	ords  []Order // per-lane direction for the steps oriented by order
@@ -31,8 +31,8 @@ type LaneSortKernel[K any] struct {
 
 // NewLaneSortKernel builds the batched D_sort kernel: lane l sorts keys[l]
 // (given in recursive-ID order) in direction ords[l]. Every key vector must
-// hold one key per node of d; lanes must be at least len(keys) wide.
-func NewLaneSortKernel[K any](d *topology.DualCube, lanes *machine.Lanes[K], keys [][]K, less func(a, b K) bool, ords []Order) (*LaneSortKernel[K], error) {
+// hold one key per node of c; lanes must be at least len(keys) wide.
+func NewLaneSortKernel[K any](c topology.Comm, lanes *machine.Lanes[K], keys [][]K, less func(a, b K) bool, ords []Order) (*LaneSortKernel[K], error) {
 	if len(keys) != len(ords) {
 		return nil, fmt.Errorf("sortnet: %d key lanes with %d directions", len(keys), len(ords))
 	}
@@ -41,13 +41,13 @@ func NewLaneSortKernel[K any](d *topology.DualCube, lanes *machine.Lanes[K], key
 			return nil, err
 		}
 	}
-	sch, err := dcomm.Compiled(d, dcomm.OpDSort)
+	sch, err := dcomm.Compiled(c, dcomm.OpDSort)
 	if err != nil {
 		return nil, err
 	}
 	id := sch.SortIDs()
 	k := len(keys)
-	key := make([]K, d.Nodes()*k)
+	key := make([]K, c.Nodes()*k)
 	for u, r := range id {
 		for l := 0; l < k; l++ {
 			key[u*k+l] = keys[l][r]

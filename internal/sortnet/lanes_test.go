@@ -43,7 +43,7 @@ func TestLaneSortMatchesUnbatched(t *testing.T) {
 				t.Fatal(err)
 			}
 			for l := 0; l < k; l++ {
-				want, _, err := DSort(machine.Config{}, n, keys[l], less, ords[l], nil)
+				want, _, err := DSort(machine.Config{}, topology.MustDualCube(n), keys[l], less, ords[l], nil)
 				if err != nil {
 					t.Fatal(err)
 				}

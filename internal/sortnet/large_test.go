@@ -7,6 +7,7 @@ import (
 
 	"dualcube/internal/machine"
 	"dualcube/internal/seq"
+	"dualcube/internal/topology"
 )
 
 // mergeSplit returns the low or the high half of merge-splitting the
@@ -110,7 +111,7 @@ func TestDSortLarge(t *testing.T) {
 			for i := range in {
 				in[i] = rng.Intn(200) - 100
 			}
-			got, st, err := DSortLarge(machine.Config{}, tc.n, tc.k, in, intLess, ord)
+			got, st, err := DSortLarge(machine.Config{}, topology.MustDualCube(tc.n), tc.k, in, intLess, ord)
 			if err != nil {
 				t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 			}
@@ -132,11 +133,11 @@ func TestDSortLargeK1MatchesDSort(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Intn(1000)
 	}
-	a, _, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
+	a, _, err := DSort(machine.Config{}, topology.MustDualCube(n), in, intLess, Ascending, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := DSortLarge(machine.Config{}, n, 1, in, intLess, Ascending)
+	b, _, err := DSortLarge(machine.Config{}, topology.MustDualCube(n), 1, in, intLess, Ascending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +169,12 @@ func TestDSortLargeSharedArenas(t *testing.T) {
 			in[i] = rng.Intn(64)
 		}
 		serial := machine.Config{Workers: 1}
-		want, wantSt, err := DSortLarge(serial, tc.n, tc.k, in, intLess, Descending)
+		want, wantSt, err := DSortLarge(serial, topology.MustDualCube(tc.n), tc.k, in, intLess, Descending)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shared := machine.Config{Sched: tc.sched, Workers: tc.workers}
-		got, st, err := DSortLarge(shared, tc.n, tc.k, in, intLess, Descending)
+		got, st, err := DSortLarge(shared, topology.MustDualCube(tc.n), tc.k, in, intLess, Descending)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,44 +184,14 @@ func TestDSortLargeSharedArenas(t *testing.T) {
 	}
 }
 
-func TestCubeSortLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, tc := range []struct{ q, k int }{{0, 3}, {1, 2}, {3, 4}, {5, 3}} {
-		N := 1 << tc.q
-		for _, ord := range []Order{Ascending, Descending} {
-			in := make([]int, tc.k*N)
-			for i := range in {
-				in[i] = rng.Intn(100)
-			}
-			got, st, err := CubeSortLarge(machine.Config{}, tc.q, tc.k, in, intLess, ord)
-			if err != nil {
-				t.Fatalf("q=%d k=%d: %v", tc.q, tc.k, err)
-			}
-			checkSorted(t, "CubeSortLarge", in, got, ord)
-			if st.Cycles != CubeSortSteps(tc.q) {
-				t.Errorf("q=%d k=%d: comm %d, want %d", tc.q, tc.k, st.Cycles, CubeSortSteps(tc.q))
-			}
-		}
-	}
-}
-
 func TestLargeBadInput(t *testing.T) {
-	if _, _, err := DSortLarge(machine.Config{}, 2, 0, nil, intLess, Ascending); err == nil {
+	if _, _, err := DSortLarge(machine.Config{}, topology.MustDualCube(2), 0, nil, intLess, Ascending); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, _, err := DSortLarge(machine.Config{}, 2, 2, make([]int, 3), intLess, Ascending); err == nil {
+	if _, _, err := DSortLarge(machine.Config{}, topology.MustDualCube(2), 2, make([]int, 3), intLess, Ascending); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DSortLarge(machine.Config{}, 0, 1, nil, intLess, Ascending); err == nil {
-		t.Error("order 0 should fail")
-	}
-	if _, _, err := CubeSortLarge(machine.Config{}, 2, 0, nil, intLess, Ascending); err == nil {
-		t.Error("cube k=0 should fail")
-	}
-	if _, _, err := CubeSortLarge(machine.Config{}, 2, 2, make([]int, 3), intLess, Ascending); err == nil {
-		t.Error("cube length mismatch should fail")
-	}
-	if _, _, err := CubeSortLarge(machine.Config{}, -1, 1, nil, intLess, Ascending); err == nil {
-		t.Error("cube negative dim should fail")
+	if _, _, err := DSortLarge(machine.Config{}, topology.MustDualCube(2), 1, nil, intLess, Ascending); err == nil {
+		t.Error("empty input should fail")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dualcube/internal/machine"
+	"dualcube/internal/topology"
 )
 
 func TestPermuteIdentity(t *testing.T) {
@@ -17,7 +18,7 @@ func TestPermuteIdentity(t *testing.T) {
 		dests[i] = i
 		values[i] = string(rune('a' + i))
 	}
-	got, st, err := Permute(machine.Config{}, n, dests, values)
+	got, st, err := Permute(machine.Config{}, topology.MustDualCube(n), dests, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestPermuteReversal(t *testing.T) {
 		dests[i] = N - 1 - i
 		values[i] = i * 7
 	}
-	got, _, err := Permute(machine.Config{}, n, dests, values)
+	got, _, err := Permute(machine.Config{}, topology.MustDualCube(n), dests, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPermuteRandom(t *testing.T) {
 			for i := range values {
 				values[i] = rng.Int()
 			}
-			got, _, err := Permute(machine.Config{}, n, dests, values)
+			got, _, err := Permute(machine.Config{}, topology.MustDualCube(n), dests, values)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -84,7 +85,7 @@ func TestPermuteQuick(t *testing.T) {
 		for i := range values {
 			values[i] = rng.Int()
 		}
-		got, _, err := Permute(machine.Config{}, n, dests, values)
+		got, _, err := Permute(machine.Config{}, topology.MustDualCube(n), dests, values)
 		if err != nil {
 			return false
 		}
@@ -101,16 +102,16 @@ func TestPermuteQuick(t *testing.T) {
 }
 
 func TestPermuteRejectsNonPermutation(t *testing.T) {
-	if _, _, err := Permute(machine.Config{}, 2, []int{0, 1, 2, 3, 4, 5, 6, 6}, make([]int, 8)); err == nil {
+	if _, _, err := Permute(machine.Config{}, topology.MustDualCube(2), []int{0, 1, 2, 3, 4, 5, 6, 6}, make([]int, 8)); err == nil {
 		t.Error("duplicate destination should fail")
 	}
-	if _, _, err := Permute(machine.Config{}, 2, []int{0, 1, 2, 3, 4, 5, 6, 8}, make([]int, 8)); err == nil {
+	if _, _, err := Permute(machine.Config{}, topology.MustDualCube(2), []int{0, 1, 2, 3, 4, 5, 6, 8}, make([]int, 8)); err == nil {
 		t.Error("out-of-range destination should fail")
 	}
-	if _, _, err := Permute(machine.Config{}, 2, []int{0, 1}, make([]int, 8)); err == nil {
+	if _, _, err := Permute(machine.Config{}, topology.MustDualCube(2), []int{0, 1}, make([]int, 8)); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := Permute(machine.Config{}, 0, nil, []int{}); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := Permute(machine.Config{}, topology.MustDualCube(2), nil, []int{}); err == nil {
+		t.Error("empty input should fail")
 	}
 }

@@ -130,9 +130,11 @@ func traceStep[K any](st *machine.Step, n, nodes int) Step[K] {
 	return Step[K]{Label: label, Level: level, Dim: st.Dim, Keys: make([]K, nodes)}
 }
 
-// DSort runs Algorithm 3 on the dual-cube D_n: keys[r] is placed on the
-// node with recursive ID r and the result is the sorted permutation in
-// recursive-ID order (ascending or descending per ord, the paper's tag).
+// DSort runs Algorithm 3 on c: keys[r] is placed on the node with
+// recursive ID r and the result is the sorted permutation in recursive-ID
+// order (ascending or descending per ord, the paper's tag). The same merge
+// ladder runs on the dual-cube, the odd hypercube and the Z-cube, whose
+// recursive IDs all coincide with the embedded D_n's.
 //
 // The recursion runs iteratively as dcomm's compiled OpDSort ladder (see
 // OpDSort for its levels and orientations): every dimension-j step is a
@@ -141,27 +143,14 @@ func traceStep[K any](st *machine.Step, n, nodes int) Step[K] {
 // executor by default, or interpreted on a simulator engine when cfg names
 // one. tr may be nil; when non-nil it receives the Figure 5/6
 // snapshots.
-func DSort[K any](cfg machine.Config, n int, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
-	d, err := topology.Validated(n, len(keys))
-	if err != nil {
-		return nil, machine.Stats{}, err
-	}
-	return DSortOn(cfg, d, keys, less, ord, tr)
-}
-
-// DSortOn is DSort over an explicit communication topology carrying the
-// recursive presentation: the same merge ladder runs on the dual-cube, the
-// odd hypercube and the Z-cube, whose recursive IDs all coincide with the
-// embedded D_n's.
-func DSortOn[K any](cfg machine.Config, d topology.Recursive, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
-	n := d.Order()
-	if err := topology.ValidLen(d, len(keys)); err != nil {
+func DSort[K any](cfg machine.Config, c topology.Comm, keys []K, less func(a, b K) bool, ord Order, tr *Trace[K]) ([]K, machine.Stats, error) {
+	if err := topology.ValidLen(c, len(keys)); err != nil {
 		return nil, machine.Stats{}, err
 	}
 	if err := validOrder(ord); err != nil {
 		return nil, machine.Stats{}, err
 	}
-	sch, err := dcomm.Compiled(d, dcomm.OpDSort)
+	sch, err := dcomm.Compiled(c, dcomm.OpDSort)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
@@ -173,7 +162,7 @@ func DSortOn[K any](cfg machine.Config, d topology.Recursive, keys []K, less fun
 		tr0 = len(tr.Steps)
 		tr.Steps = append(tr.Steps, Step[K]{Label: "input", Level: 0, Dim: -1, Keys: append([]K(nil), keys...)})
 		for i := range sch.Steps {
-			tr.Steps = append(tr.Steps, traceStep[K](&sch.Steps[i], n, d.Nodes()))
+			tr.Steps = append(tr.Steps, traceStep[K](&sch.Steps[i], c.Order(), c.Nodes()))
 		}
 		snaps = tr.Steps[tr0+1:]
 	}
@@ -195,15 +184,14 @@ func DSortOn[K any](cfg machine.Config, d topology.Recursive, keys []K, less fun
 // the space-time event log) for the traffic analysis of experiment E14.
 // Recording is an engine facility, so this always runs the kernel on the
 // engine (machine.RunRecorded), whatever cfg.Sched says.
-func DSortRecorded[K any](cfg machine.Config, n int, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, *machine.Recording, error) {
-	d, err := topology.Validated(n, len(keys))
-	if err != nil {
+func DSortRecorded[K any](cfg machine.Config, c topology.Comm, keys []K, less func(a, b K) bool, ord Order) ([]K, machine.Stats, *machine.Recording, error) {
+	if err := topology.ValidLen(c, len(keys)); err != nil {
 		return nil, machine.Stats{}, nil, err
 	}
 	if err := validOrder(ord); err != nil {
 		return nil, machine.Stats{}, nil, err
 	}
-	sch, err := dcomm.Compiled(d, dcomm.OpDSort)
+	sch, err := dcomm.Compiled(c, dcomm.OpDSort)
 	if err != nil {
 		return nil, machine.Stats{}, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dualcube/internal/machine"
 	"dualcube/internal/seq"
+	"dualcube/internal/topology"
 )
 
 func intLess(a, b int) bool { return a < b }
@@ -88,7 +89,7 @@ func TestDSortD1(t *testing.T) {
 		{[]int{1, 2}, Descending, []int{2, 1}},
 		{[]int{5, 5}, Ascending, []int{5, 5}},
 	} {
-		got, st, err := DSort(machine.Config{}, 1, tc.in, intLess, tc.ord, nil)
+		got, st, err := DSort(machine.Config{}, topology.MustDualCube(1), tc.in, intLess, tc.ord, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestDSortD2Exhaustive(t *testing.T) {
 		if k == len(perm) {
 			count++
 			in := append([]int(nil), perm...)
-			got, _, err := DSort(machine.Config{}, 2, in, intLess, Ascending, nil)
+			got, _, err := DSort(machine.Config{}, topology.MustDualCube(2), in, intLess, Ascending, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +149,7 @@ func TestDSortD2ExhaustiveDescending(t *testing.T) {
 	rec = func(k int) {
 		if k == len(perm) {
 			in := append([]int(nil), perm...)
-			got, _, err := DSort(machine.Config{}, 2, in, intLess, Descending, nil)
+			got, _, err := DSort(machine.Config{}, topology.MustDualCube(2), in, intLess, Descending, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +185,7 @@ func TestDSortD3ZeroOnePrinciple(t *testing.T) {
 		for _, v := range in {
 			ones += v
 		}
-		got, _, err := DSort(machine.Config{}, 3, in, intLess, Ascending, nil)
+		got, _, err := DSort(machine.Config{}, topology.MustDualCube(3), in, intLess, Ascending, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestDSortRandom(t *testing.T) {
 				for i := range in {
 					in[i] = rng.Intn(50) - 25
 				}
-				got, st, err := DSort(machine.Config{}, n, in, intLess, ord, nil)
+				got, st, err := DSort(machine.Config{}, topology.MustDualCube(n), in, intLess, ord, nil)
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
@@ -279,7 +280,7 @@ func TestDSortAdversarialInputs(t *testing.T) {
 		cases["organ-pipe"] = organ
 		cases["heavy-duplicates"] = dup
 		for label, in := range cases {
-			got, _, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
+			got, _, err := DSort(machine.Config{}, topology.MustDualCube(n), in, intLess, Ascending, nil)
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, label, err)
 			}
@@ -300,7 +301,7 @@ func TestDSortQuick(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		got, _, err := DSort(machine.Config{}, n, in, intLess, ord, nil)
+		got, _, err := DSort(machine.Config{}, topology.MustDualCube(n), in, intLess, ord, nil)
 		if err != nil {
 			return false
 		}
@@ -329,7 +330,7 @@ func TestDSortStructKeys(t *testing.T) {
 	for i := range in {
 		in[i] = job{prio: (i*5 + 3) % N, name: string(rune('a' + i))}
 	}
-	got, _, err := DSort(machine.Config{}, n, in, func(a, b job) bool { return a.prio < b.prio }, Ascending, nil)
+	got, _, err := DSort(machine.Config{}, topology.MustDualCube(n), in, func(a, b job) bool { return a.prio < b.prio }, Ascending, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +342,11 @@ func TestDSortStructKeys(t *testing.T) {
 }
 
 func TestDSortBadInput(t *testing.T) {
-	if _, _, err := DSort(machine.Config{}, 2, make([]int, 3), intLess, Ascending, nil); err == nil {
+	if _, _, err := DSort(machine.Config{}, topology.MustDualCube(2), make([]int, 3), intLess, Ascending, nil); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, _, err := DSort(machine.Config{}, 0, nil, intLess, Ascending, nil); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, err := DSort(machine.Config{}, topology.MustDualCube(2), nil, intLess, Ascending, nil); err == nil {
+		t.Error("empty input should fail")
 	}
 }
 
@@ -354,24 +355,21 @@ func TestSortInvalidOrder(t *testing.T) {
 	// entry point now rejects it with the uniform validation wording.
 	const want = "sortnet: invalid Order(2): want Ascending or Descending"
 	bad := Order(2)
-	if _, _, err := DSort(machine.Config{}, 2, make([]int, 8), intLess, bad, nil); err == nil || err.Error() != want {
+	if _, _, err := DSort(machine.Config{}, topology.MustDualCube(2), make([]int, 8), intLess, bad, nil); err == nil || err.Error() != want {
 		t.Errorf("DSort: err = %v, want %q", err, want)
 	}
 	if _, _, err := CubeSort(machine.Config{}, 3, make([]int, 8), intLess, bad); err == nil || err.Error() != want {
 		t.Errorf("CubeSort: err = %v, want %q", err, want)
 	}
-	if _, _, _, err := DSortRecorded(machine.Config{}, 2, make([]int, 8), intLess, bad); err == nil || err.Error() != want {
+	if _, _, _, err := DSortRecorded(machine.Config{}, topology.MustDualCube(2), make([]int, 8), intLess, bad); err == nil || err.Error() != want {
 		t.Errorf("DSortRecorded: err = %v, want %q", err, want)
 	}
-	if _, _, err := DSortLarge(machine.Config{}, 2, 2, make([]int, 16), intLess, bad); err == nil || err.Error() != want {
+	if _, _, err := DSortLarge(machine.Config{}, topology.MustDualCube(2), 2, make([]int, 16), intLess, bad); err == nil || err.Error() != want {
 		t.Errorf("DSortLarge: err = %v, want %q", err, want)
-	}
-	if _, _, err := CubeSortLarge(machine.Config{}, 3, 2, make([]int, 16), intLess, bad); err == nil || err.Error() != want {
-		t.Errorf("CubeSortLarge: err = %v, want %q", err, want)
 	}
 	// The trace must stay untouched when validation rejects the call.
 	var tr Trace[int]
-	if _, _, err := DSort(machine.Config{}, 2, make([]int, 8), intLess, bad, &tr); err == nil {
+	if _, _, err := DSort(machine.Config{}, topology.MustDualCube(2), make([]int, 8), intLess, bad, &tr); err == nil {
 		t.Error("traced DSort with invalid Order should fail")
 	}
 	if len(tr.Steps) != 0 {
@@ -385,7 +383,7 @@ func TestDSortTraceResetOnError(t *testing.T) {
 	faulty := machine.Config{Faults: &machine.FaultSpec{Links: [][2]int{{0, 1}}}}
 	in := []int{5, 3, 7, 1, 6, 0, 4, 2}
 	var tr Trace[int]
-	if _, _, err := DSort(faulty, 2, in, intLess, Ascending, &tr); err == nil {
+	if _, _, err := DSort(faulty, topology.MustDualCube(2), in, intLess, Ascending, &tr); err == nil {
 		t.Fatal("DSort under a permanent link fault should fail")
 	}
 	if len(tr.Steps) != 0 {
@@ -394,7 +392,7 @@ func TestDSortTraceResetOnError(t *testing.T) {
 	// A pre-populated trace keeps its earlier entries and only drops the
 	// failed run's snapshots.
 	tr.Steps = append(tr.Steps, Step[int]{Label: "earlier"})
-	if _, _, err := DSort(faulty, 2, in, intLess, Ascending, &tr); err == nil {
+	if _, _, err := DSort(faulty, topology.MustDualCube(2), in, intLess, Ascending, &tr); err == nil {
 		t.Fatal("DSort under a permanent link fault should fail")
 	}
 	if len(tr.Steps) != 1 || tr.Steps[0].Label != "earlier" {
@@ -402,7 +400,7 @@ func TestDSortTraceResetOnError(t *testing.T) {
 	}
 	// And the same input succeeds with an intact trace without the faults.
 	tr = Trace[int]{}
-	if _, _, err := DSort(machine.Config{}, 2, in, intLess, Ascending, &tr); err != nil {
+	if _, _, err := DSort(machine.Config{}, topology.MustDualCube(2), in, intLess, Ascending, &tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Steps) != 1+DSortCompSteps(2) {
@@ -440,7 +438,7 @@ func TestDSortTraceFigures56(t *testing.T) {
 	// sequence after the final merge (Figure 6).
 	in := []int{5, 3, 7, 1, 6, 0, 4, 2}
 	var tr Trace[int]
-	got, _, err := DSort(machine.Config{}, 2, in, intLess, Ascending, &tr)
+	got, _, err := DSort(machine.Config{}, topology.MustDualCube(2), in, intLess, Ascending, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +486,7 @@ func TestDSortTraceLabels(t *testing.T) {
 	t.Parallel()
 	const n = 3
 	var tr Trace[int]
-	if _, _, err := DSort(machine.Config{}, n, make([]int, 1<<(2*n-1)), intLess, Ascending, &tr); err != nil {
+	if _, _, err := DSort(machine.Config{}, topology.MustDualCube(n), make([]int, 1<<(2*n-1)), intLess, Ascending, &tr); err != nil {
 		t.Fatal(err)
 	}
 	sched := tr.Steps[1:]
@@ -537,11 +535,11 @@ func TestDSortRecordedMatchesDSort(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		plain, stP, err := DSort(machine.Config{}, n, in, intLess, Ascending, nil)
+		plain, stP, err := DSort(machine.Config{}, topology.MustDualCube(n), in, intLess, Ascending, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, stR, recording, err := DSortRecorded(machine.Config{}, n, in, intLess, Ascending)
+		rec, stR, recording, err := DSortRecorded(machine.Config{}, topology.MustDualCube(n), in, intLess, Ascending)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,10 +555,10 @@ func TestDSortRecordedMatchesDSort(t *testing.T) {
 			t.Errorf("n=%d: event/message mismatch", n)
 		}
 	}
-	if _, _, _, err := DSortRecorded(machine.Config{}, 0, nil, intLess, Ascending); err == nil {
-		t.Error("order 0 should fail")
+	if _, _, _, err := DSortRecorded(machine.Config{}, topology.MustDualCube(2), nil, intLess, Ascending); err == nil {
+		t.Error("empty input should fail")
 	}
-	if _, _, _, err := DSortRecorded(machine.Config{}, 2, make([]int, 3), intLess, Ascending); err == nil {
+	if _, _, _, err := DSortRecorded(machine.Config{}, topology.MustDualCube(2), make([]int, 3), intLess, Ascending); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -576,7 +574,7 @@ func TestDSortScheduleLinkInvariants(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(1000)
 		}
-		_, _, rec, err := DSortRecorded(machine.Config{}, n, in, intLess, Ascending)
+		_, _, rec, err := DSortRecorded(machine.Config{}, topology.MustDualCube(n), in, intLess, Ascending)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,17 +35,3 @@ func Shared(n int) (*DualCube, error) {
 	}
 	return shared[n], nil
 }
-
-// Validated is the shared input check of every per-node operation on D_n: it
-// resolves the cached topology and requires exactly one input element per
-// node, with one uniform error wording across all algorithm packages.
-func Validated(n, lenIn int) (*DualCube, error) {
-	d, err := Shared(n)
-	if err != nil {
-		return nil, err
-	}
-	if lenIn != d.Nodes() {
-		return nil, fmt.Errorf("dualcube: input length %d != %d nodes of %s", lenIn, d.Nodes(), d.Name())
-	}
-	return d, nil
-}

@@ -3,21 +3,24 @@ package topology
 import "fmt"
 
 // Comm is the communication view of a cube-like network: everything the
-// schedule pipeline (internal/dcomm) needs to derive a cluster-technique
-// schedule, and everything the algorithm kernels need to address their data,
-// expressed without reference to a concrete topology type. A Comm decomposes
-// its nodes into two classes of 2^m-node clusters joined by a perfect
+// schedule pipeline (internal/dcomm) needs to derive a schedule, and
+// everything the algorithm kernels need to address their data, expressed
+// without reference to a concrete topology type. A Comm decomposes its
+// nodes into two classes of 2^m-node clusters joined by a perfect
 // cross-edge matching — the structure Algorithm 2 of the paper exploits —
-// and exposes the block data layout (DataIndex) the prefix family relies on.
+// exposes the block data layout (DataIndex) the prefix family relies on,
+// and carries the recursive presentation Algorithm 3 runs over. Every
+// operation of the algorithm packages takes a Comm.
 //
 // Three families implement it: the dual-cube D_n itself, the odd-dimensional
 // hypercube Q_{2n-1} (which contains D_n as a spanning subgraph under the
 // identity addressing, so the dual-cube decomposition is a valid
 // communication structure for it), and the Z-cube Z_n (a dual-cube
 // augmented with Möbius-twisted inter-cluster links; see zcube.go). Because
-// every schedule step uses only decomposition links — cluster dimensions and
-// the cross matching — one compiled schedule shape serves all three, and the
-// schedcheck proofs run generically over any Comm.
+// every schedule step uses only skeleton links — cluster dimensions, the
+// cross matching and the recursive dimensions routed over them — one
+// compiled schedule shape serves all three, and the schedcheck proofs run
+// generically over any Comm.
 type Comm interface {
 	Topology
 
@@ -62,13 +65,11 @@ type Comm interface {
 	// Connectivity returns the family's known connectivity figures at this
 	// order — the numbers behind the max-tolerable-fault claims.
 	Connectivity() Connectivity
-}
 
-// Recursive is a Comm that additionally carries the recursive presentation
-// of Section 4 — the dimension-oriented relabelling the sort family's
-// routed exchanges (StepRecDim) are built on.
-type Recursive interface {
-	Comm
+	// The recursive presentation of Section 4: the dimension-oriented
+	// relabelling the sort family's routed exchanges (StepRecDim) and the
+	// normal-algorithm sweep are built on.
+
 	// RecDims returns the number of recursive dimensions, 2n-1.
 	RecDims() int
 	// ToRecursive converts an original address to its interleaved ID.
@@ -79,13 +80,6 @@ type Recursive interface {
 	// link (as opposed to the three-hop cross-routed detour).
 	RecDirect(r NodeID, j int) bool
 }
-
-// All three families carry the full recursive presentation.
-var (
-	_ Recursive = (*DualCube)(nil)
-	_ Recursive = (*Hypercube)(nil)
-	_ Recursive = (*ZCube)(nil)
-)
 
 // Connectivity holds the connectivity figures of one topology at one order.
 // Node and Link are the classical connectivities κ and λ (so any
@@ -129,8 +123,9 @@ func CommByID(family string, n int) (Comm, error) {
 	return nil, fmt.Errorf("topology: unknown topology family %q (want dualcube, hypercube or zcube)", family)
 }
 
-// ValidLen requires exactly one input element per node of t, with the same
-// uniform error wording as Validated.
+// ValidLen is the shared input check of every per-node operation: it
+// requires exactly one input element per node of t, with one uniform error
+// wording across all algorithm packages.
 func ValidLen(t Topology, lenIn int) error {
 	if lenIn != t.Nodes() {
 		return fmt.Errorf("dualcube: input length %d != %d nodes of %s", lenIn, t.Nodes(), t.Name())

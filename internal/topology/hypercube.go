@@ -89,7 +89,7 @@ func (h *Hypercube) Route(u, v NodeID) []NodeID {
 
 func (h *Hypercube) valid(u NodeID) bool { return u >= 0 && u < h.Nodes() }
 
-// Communication view (Comm/Recursive): Q_{2n-1} contains D_n as a spanning
+// Communication view (Comm): Q_{2n-1} contains D_n as a spanning
 // subgraph under the identity addressing — every dual-cube link flips one
 // address bit, so it is a hypercube link too. The dual-cube's class/cluster
 // decomposition, cross matching, block data layout and recursive

@@ -27,7 +27,7 @@ import "fmt"
 // apart through the other class — the source of the diameter savings (the
 // structural tests pin small-order diameters by BFS).
 //
-// All Comm and Recursive structure — classes, clusters, the cross matching,
+// All Comm structure — classes, clusters, the cross matching,
 // the block data layout, the recursive presentation — is inherited from the
 // skeleton unchanged, so every compiled schedule runs on Z_n over skeleton
 // links with outputs and costs identical to D_n; the foreign links are
@@ -146,7 +146,7 @@ func (z *ZCube) Connectivity() Connectivity {
 	}
 }
 
-// Comm and Recursive structure: inherited from the skeleton unchanged.
+// Comm structure: inherited from the skeleton unchanged.
 
 // Order returns the skeleton order n.
 func (z *ZCube) Order() int { return z.sk.Order() }

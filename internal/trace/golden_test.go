@@ -65,7 +65,7 @@ func TestGoldenFigure3PrefixTrace(t *testing.T) {
 		in[i] = 1
 	}
 	var tr prefix.Trace[int]
-	if _, _, err := prefix.DPrefix(machine.Config{}, 3, in, monoid.Sum[int](), true, &tr); err != nil {
+	if _, _, err := prefix.DPrefix(machine.Config{}, topology.MustDualCube(3), in, monoid.Sum[int](), true, &tr); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -79,7 +79,7 @@ func TestGoldenFigures56SortTrace(t *testing.T) {
 	// The same workload cmd/dsort uses by default: seed-42 permutation of D_2.
 	in := rand.New(rand.NewSource(42)).Perm(8)
 	var tr sortnet.Trace[int]
-	if _, _, err := sortnet.DSort(machine.Config{}, 2, in, func(a, b int) bool { return a < b }, sortnet.Ascending, &tr); err != nil {
+	if _, _, err := sortnet.DSort(machine.Config{}, topology.MustDualCube(2), in, func(a, b int) bool { return a < b }, sortnet.Ascending, &tr); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

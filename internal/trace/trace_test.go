@@ -41,7 +41,7 @@ func TestRenderPrefixTraceFigure3(t *testing.T) {
 		in[i] = 1
 	}
 	var tr prefix.Trace[int]
-	if _, _, err := prefix.DPrefix(machine.Config{}, 3, in, monoid.Sum[int](), true, &tr); err != nil {
+	if _, _, err := prefix.DPrefix(machine.Config{}, topology.MustDualCube(3), in, monoid.Sum[int](), true, &tr); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -74,7 +74,7 @@ func TestRenderPrefixTraceFigure3(t *testing.T) {
 func TestRenderSortTraceFigures56(t *testing.T) {
 	in := []int{5, 3, 7, 1, 6, 0, 4, 2}
 	var tr sortnet.Trace[int]
-	if _, _, err := sortnet.DSort(machine.Config{}, 2, in, func(a, b int) bool { return a < b }, sortnet.Ascending, &tr); err != nil {
+	if _, _, err := sortnet.DSort(machine.Config{}, topology.MustDualCube(2), in, func(a, b int) bool { return a < b }, sortnet.Ascending, &tr); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

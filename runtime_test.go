@@ -2,59 +2,71 @@ package dualcube
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestRuntimeConcurrent drives one shared Runtime from many goroutines with
 // a mix of operations and requires every result — outputs and the full
-// Stats — to be byte-identical to the serial run. Checked-out engines are
-// exclusive to one run, the topology and compiled schedules are immutable,
-// so concurrent use must be race-free (the CI race step runs this under
-// -race) and deterministic.
+// Stats — to be byte-identical to the serial run. Every run keeps its
+// payloads in state of its own, and the topology and compiled schedules
+// are immutable, so concurrent use must be race-free (the CI race step runs
+// this under -race) and deterministic. The gather and all-to-all rows also
+// run on a Z-cube Runtime of the same order, which shares the dual-cube's
+// plane stash (keyed by node count) and arena layout (keyed by order), and
+// must reproduce the dual-cube's results.
 func TestRuntimeConcurrent(t *testing.T) {
 	const n = 3
 	rt, err := NewRuntime(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	zt, err := NewRuntimeOn("zcube", n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt.Warm()
+	zt.Warm()
 	N := rt.Nodes()
 	in := make([]int, N)
 	keys := make([]int, N)
+	mat := make([][]int, N)
 	for i := range in {
 		in[i] = i*37 + 5
 		keys[i] = N - i
+		mat[i] = make([]int, N)
+		for j := range mat[i] {
+			mat[i][j] = i*N + j
+		}
+	}
+
+	// Each Z-cube row follows the dual-cube row it must reproduce.
+	ops := []struct {
+		name string
+		run  func() (any, Stats, error)
+	}{
+		{"prefix", func() (any, Stats, error) { out, st, err := PrefixOn(rt, in); return out, st, err }},
+		{"sort", func() (any, Stats, error) { out, st, err := SortOn(rt, keys, Ascending); return out, st, err }},
+		{"allreduce", func() (any, Stats, error) { out, st, err := AllReduceSumOn(rt, in); return out, st, err }},
+		{"broadcast", func() (any, Stats, error) { out, st, err := BroadcastOn(rt, 5, 42); return out, st, err }},
+		{"gather", func() (any, Stats, error) { out, st, err := GatherOn(rt, 1, in); return out, st, err }},
+		{"gather/zcube", func() (any, Stats, error) { out, st, err := GatherOn(zt, 1, in); return out, st, err }},
+		{"alltoall", func() (any, Stats, error) { out, st, err := AllToAllOn(rt, mat); return out, st, err }},
+		{"alltoall/zcube", func() (any, Stats, error) { out, st, err := AllToAllOn(zt, mat); return out, st, err }},
 	}
 
 	// Serial references.
-	wantPrefix, stPrefix, err := PrefixOn(rt, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSort, stSort, err := SortOn(rt, keys, Ascending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantReduce, stReduce, err := AllReduceSumOn(rt, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBcast, stBcast, err := BroadcastOn(rt, 5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(op string, got []int, want []int, st, wantSt Stats) error {
-		if st != wantSt {
-			return fmt.Errorf("%s: stats diverge from serial run:\n  serial:     %+v\n  concurrent: %+v", op, wantSt, st)
+	want := make([]any, len(ops))
+	wantSt := make([]Stats, len(ops))
+	for i, op := range ops {
+		if want[i], wantSt[i], err = op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("%s: out[%d] = %d, want %d", op, i, got[i], want[i])
-			}
+		if strings.HasSuffix(op.name, "/zcube") && (wantSt[i] != wantSt[i-1] || !reflect.DeepEqual(want[i], want[i-1])) {
+			t.Fatalf("%s: serial run differs from the dual-cube's", op.name)
 		}
-		return nil
 	}
 
 	const workers = 8
@@ -66,36 +78,14 @@ func TestRuntimeConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				var err error
-				switch (w + it) % 4 {
-				case 0:
-					out, st, e := PrefixOn(rt, in)
-					if e != nil {
-						err = e
-						break
-					}
-					err = check("prefix", out, wantPrefix, st, stPrefix)
-				case 1:
-					out, st, e := SortOn(rt, keys, Ascending)
-					if e != nil {
-						err = e
-						break
-					}
-					err = check("sort", out, wantSort, st, stSort)
-				case 2:
-					out, st, e := AllReduceSumOn(rt, in)
-					if e != nil {
-						err = e
-						break
-					}
-					err = check("allreduce", out, wantReduce, st, stReduce)
-				case 3:
-					out, st, e := BroadcastOn(rt, 5, 42)
-					if e != nil {
-						err = e
-						break
-					}
-					err = check("broadcast", out, wantBcast, st, stBcast)
+				i := (w + it) % len(ops)
+				out, st, err := ops[i].run()
+				switch {
+				case err != nil:
+				case st != wantSt[i]:
+					err = fmt.Errorf("%s: stats diverge from serial run:\n  serial:     %+v\n  concurrent: %+v", ops[i].name, wantSt[i], st)
+				case !reflect.DeepEqual(out, want[i]):
+					err = fmt.Errorf("%s: outputs diverge from serial run", ops[i].name)
 				}
 				if err != nil {
 					errs <- err
@@ -123,14 +113,14 @@ func TestRuntimeSharesCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.d != b.d {
+	if a.c != b.c {
 		t.Error("two Runtimes of order 4 hold distinct topology instances")
 	}
 	def, err := defaultRuntime(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.d != a.d {
+	if def.c != a.c {
 		t.Error("package-default Runtime holds a distinct topology instance")
 	}
 }

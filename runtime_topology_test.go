@@ -57,46 +57,6 @@ func TestNewRuntimeOnUnknownFamily(t *testing.T) {
 	}
 }
 
-// TestRuntimeDualcubeOnlyOpsRejectOtherFamilies checks every operation that
-// has not been generalized fails fast on a non-dualcube Runtime with an
-// error naming both the operation's restriction and the bound topology —
-// not a panic, and not a silently wrong answer.
-func TestRuntimeDualcubeOnlyOpsRejectOtherFamilies(t *testing.T) {
-	rt, err := NewRuntimeOn("zcube", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Network() != nil {
-		t.Error("Network() on a zcube Runtime = non-nil, want nil")
-	}
-	in := make([]int, rt.Nodes())
-	perm := make([]int, rt.Nodes())
-	for i := range perm {
-		perm[i] = i
-	}
-	guarded := []struct {
-		name string
-		run  func() error
-	}{
-		{"GatherOn", func() error { _, _, err := GatherOn(rt, 1, in); return err }},
-		{"ScatterOn", func() error { _, _, err := ScatterOn(rt, 1, in); return err }},
-		{"AllGatherOn", func() error { _, _, err := AllGatherOn(rt, in); return err }},
-		{"PermuteOn", func() error { _, _, err := PermuteOn(rt, perm, in); return err }},
-		{"PrefixLargeOn", func() error { _, _, err := PrefixLargeOn(rt, 2, in); return err }},
-		{"SampleSortOn", func() error { _, _, err := SampleSortOn(rt, 2, in); return err }},
-	}
-	for _, g := range guarded {
-		err := g.run()
-		if err == nil {
-			t.Errorf("%s on zcube Runtime succeeded, want dualcube-only error", g.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "dualcube") || !strings.Contains(err.Error(), "Z_3") {
-			t.Errorf("%s error %q does not name the restriction and the topology", g.name, err)
-		}
-	}
-}
-
 // TestRuntimeSortOnAllFamilies runs the sort end to end on every family and
 // checks the result is the sorted permutation — the recursive presentation
 // all three families share.

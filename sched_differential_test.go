@@ -14,20 +14,17 @@ import (
 // returning its outputs and the run statistics on a given Runtime.
 var differentialWorkloads = []struct {
 	name string
-	// anyFamily marks the operations implemented over topology.Comm, which
-	// the harness also aims at every topology family.
-	anyFamily bool
-	run       func(rt *Runtime) (any, Stats, error)
+	run  func(rt *Runtime) (any, Stats, error)
 }{
-	{"Prefix", true, func(rt *Runtime) (any, Stats, error) {
+	{"Prefix", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := PrefixOn(rt, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"PrefixDiminished", true, func(rt *Runtime) (any, Stats, error) {
+	{"PrefixDiminished", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := PrefixFuncOn(rt, diffInput(rt.Order()), func() int { return 0 }, func(a, b int) int { return a + b }, false)
 		return out, st, err
 	}},
-	{"PrefixSegmented", false, func(rt *Runtime) (any, Stats, error) {
+	{"PrefixSegmented", func(rt *Runtime) (any, Stats, error) {
 		in := diffInput(rt.Order())
 		heads := make([]bool, len(in))
 		for i := range heads {
@@ -36,43 +33,43 @@ var differentialWorkloads = []struct {
 		out, st, err := PrefixSegmentedOn(rt, in, heads, func() int { return 0 }, func(a, b int) int { return a + b })
 		return out, st, err
 	}},
-	{"Sort", true, func(rt *Runtime) (any, Stats, error) {
+	{"Sort", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := SortOn(rt, diffInput(rt.Order()), Ascending)
 		return out, st, err
 	}},
-	{"SortDescending", true, func(rt *Runtime) (any, Stats, error) {
+	{"SortDescending", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := SortOn(rt, diffInput(rt.Order()), Descending)
 		return out, st, err
 	}},
-	{"SortLarge", true, func(rt *Runtime) (any, Stats, error) {
+	{"SortLarge", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Ascending)
 		return out, st, err
 	}},
-	{"SortLargeDescending", true, func(rt *Runtime) (any, Stats, error) {
+	{"SortLargeDescending", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := SortLargeOn(rt, 3, diffLargeInput(rt.Order(), 3), Descending)
 		return out, st, err
 	}},
-	{"Broadcast", true, func(rt *Runtime) (any, Stats, error) {
+	{"Broadcast", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := BroadcastOn(rt, 3, 42)
 		return out, st, err
 	}},
-	{"AllReduce", true, func(rt *Runtime) (any, Stats, error) {
+	{"AllReduce", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := AllReduceSumOn(rt, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"Gather", false, func(rt *Runtime) (any, Stats, error) {
+	{"Gather", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := GatherOn(rt, 1, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"Scatter", false, func(rt *Runtime) (any, Stats, error) {
+	{"Scatter", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := ScatterOn(rt, 1, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"AllGather", false, func(rt *Runtime) (any, Stats, error) {
+	{"AllGather", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := AllGatherOn(rt, diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"AllToAll", false, func(rt *Runtime) (any, Stats, error) {
+	{"AllToAll", func(rt *Runtime) (any, Stats, error) {
 		N := rt.Nodes()
 		in := make([][]int, N)
 		for i := range in {
@@ -84,7 +81,7 @@ var differentialWorkloads = []struct {
 		out, st, err := AllToAllOn(rt, in)
 		return out, st, err
 	}},
-	{"AllToAllV", false, func(rt *Runtime) (any, Stats, error) {
+	{"AllToAllV", func(rt *Runtime) (any, Stats, error) {
 		N := rt.Nodes()
 		rng := rand.New(rand.NewSource(int64(rt.Order())))
 		in := make([][][]int, N)
@@ -100,7 +97,7 @@ var differentialWorkloads = []struct {
 		out, st, err := AllToAllVOn(rt, in)
 		return out, st, err
 	}},
-	{"ReduceScatter", false, func(rt *Runtime) (any, Stats, error) {
+	{"ReduceScatter", func(rt *Runtime) (any, Stats, error) {
 		N := rt.Nodes()
 		in := make([][]int, N)
 		for i := range in {
@@ -112,20 +109,20 @@ var differentialWorkloads = []struct {
 		out, st, err := ReduceScatterOn(rt, in, func() int { return 0 }, func(a, b int) int { return a + b })
 		return out, st, err
 	}},
-	{"Permute", false, func(rt *Runtime) (any, Stats, error) {
+	{"Permute", func(rt *Runtime) (any, Stats, error) {
 		rng := rand.New(rand.NewSource(int64(rt.Order())))
 		out, st, err := PermuteOn(rt, rng.Perm(rt.Nodes()), diffInput(rt.Order()))
 		return out, st, err
 	}},
-	{"NTT", false, func(rt *Runtime) (any, Stats, error) {
+	{"NTT", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := NTTOn(rt, diffCoeffs(rt.Order()), false)
 		return out, st, err
 	}},
-	{"NTTInverse", false, func(rt *Runtime) (any, Stats, error) {
+	{"NTTInverse", func(rt *Runtime) (any, Stats, error) {
 		out, st, err := NTTOn(rt, diffCoeffs(rt.Order()), true)
 		return out, st, err
 	}},
-	{"PolyMulMod", false, func(rt *Runtime) (any, Stats, error) {
+	{"PolyMulMod", func(rt *Runtime) (any, Stats, error) {
 		c := diffCoeffs(rt.Order())
 		out, st, err := PolyMulModOn(rt, c[:len(c)/2], c[len(c)/2:])
 		return out, st, err
@@ -214,11 +211,12 @@ func sameOnEveryBackend(t *testing.T, family string, n int, run func(*Runtime) (
 // cost statistics (Cycles, CommCycles, Messages, MaxOps, TotalOps): the
 // backends must be observationally equivalent, not merely all correct.
 //
-// The generic workloads then sweep every topology family. Per family the
-// same two-backend equivalence must hold, and every family must reproduce
-// the dual-cube run bit-for-bit — outputs AND Stats — because hypercube and
+// Every workload then sweeps every topology family. Per family the same
+// two-backend equivalence must hold, and every family must reproduce the
+// dual-cube run bit-for-bit — outputs AND Stats — because hypercube and
 // Z-cube schedules execute over the embedded D_n skeleton, so the dual-cube
-// is their oracle.
+// is their oracle. The degraded workloads detour over each family's own
+// links, so only their outputs must match the dual-cube's.
 func TestSchedulerDifferential(t *testing.T) {
 	t.Parallel()
 	for _, w := range differentialWorkloads {
@@ -227,29 +225,38 @@ func TestSchedulerDifferential(t *testing.T) {
 				t.Parallel()
 				sameOnEveryBackend(t, "dualcube", n, w.run)
 			})
-			if !w.anyFamily {
-				continue
-			}
-			for _, fam := range Families() {
-				t.Run(fmt.Sprintf("%s/%s/D_%d", w.name, fam, n), func(t *testing.T) {
-					t.Parallel()
-					out, st := sameOnEveryBackend(t, fam, n, w.run)
-					if fam == "dualcube" {
-						return
-					}
-					oracleOut, oracleStats, err := w.run(runtimeWith(t, "dualcube", n, machine.Config{Sched: backends[0]}))
-					if err != nil {
-						t.Fatalf("dualcube oracle err = %v", err)
-					}
-					if st != oracleStats {
-						t.Errorf("stats diverge from the dual-cube oracle:\n  dualcube: %+v\n  %s: %+v", oracleStats, fam, st)
-					}
-					if !reflect.DeepEqual(out, oracleOut) {
-						t.Errorf("outputs diverge between dualcube and %s", fam)
-					}
-				})
-			}
+			familiesMatchOracle(t, w.name, n, w.run, true)
 		}
+	}
+	for _, w := range degradedWorkloads {
+		for n := 2; n <= 4; n++ {
+			familiesMatchOracle(t, w.name, n, w.run, false)
+		}
+	}
+}
+
+// familiesMatchOracle runs run at order n on every family, one subtest
+// each: both backends must agree, and the outputs (and the Stats, when
+// sameStats is set) must equal the dual-cube's.
+func familiesMatchOracle(t *testing.T, name string, n int, run func(*Runtime) (any, Stats, error), sameStats bool) {
+	for _, fam := range Families() {
+		t.Run(fmt.Sprintf("%s/%s/D_%d", name, fam, n), func(t *testing.T) {
+			t.Parallel()
+			out, st := sameOnEveryBackend(t, fam, n, run)
+			if fam == "dualcube" {
+				return
+			}
+			oracleOut, oracleStats, err := run(runtimeWith(t, "dualcube", n, machine.Config{Sched: backends[0]}))
+			if err != nil {
+				t.Fatalf("dualcube oracle err = %v", err)
+			}
+			if sameStats && st != oracleStats {
+				t.Errorf("stats diverge from the dual-cube oracle:\n  dualcube: %+v\n  %s: %+v", oracleStats, fam, st)
+			}
+			if !reflect.DeepEqual(out, oracleOut) {
+				t.Errorf("outputs diverge between dualcube and %s", fam)
+			}
+		})
 	}
 }
 
