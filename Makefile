@@ -26,7 +26,7 @@ test-short:
 race:
 	$(GO) test -race -short -count=1 . ./internal/machine/... ./internal/prefix/... ./internal/fault/... ./internal/dcomm/... ./internal/sortnet/... ./internal/collective/... ./internal/topology/... ./internal/emulate/... ./internal/ntt/... ./internal/samplesort/...
 	$(GO) test -race -run TestRuntimeConcurrent -count=1 .
-	$(GO) test -race -count=1 ./internal/serve/...
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -12,7 +12,7 @@ import (
 // no fault plan armed, the engine allocates nothing per message or per
 // cycle. Every oracle run builds its own engine, O(N) allocations of node
 // contexts, coroutines and link rings, so the check is marginal: one
-// trivial exchange kernel runs on one worker over two D_6 schedules, prefix
+// trivial exchange kernel runs over two D_6 schedules, prefix
 // (12 cycles, 24,576 messages) and sort (176 cycles, 247,808 messages), and
 // their allocation counts may differ by at most 8. One allocation per send
 // would set them about 223,000 apart.
@@ -25,9 +25,7 @@ func TestNoPlanPrefixAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker keeps the run on one goroutine, so no worker goroutine's
-	// stack growth is counted against it.
-	cfg := machine.Config{Sched: machine.SchedWorkerPool, Workers: 1}
+	cfg := machine.Config{Sched: machine.SchedWorkerPool}
 	allocs := func(op dcomm.Op) float64 {
 		sch, err := dcomm.Compiled(d, op)
 		if err != nil {
@@ -197,15 +195,12 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 		t.Skip("alloc guard skipped in -short mode")
 	}
 	const n = 6
-	// One worker keeps goroutine stack growth of a cold pool out of the
-	// counts.
-	one := machine.Config{Workers: 1}
-	rt := runtimeWith(t, "dualcube", n, one)
+	rt := runtimeWith(t, "dualcube", n, machine.Config{})
 	rt.Warm()
 	// The same order on the Z-cube: its operations share the dual-cube's
 	// schedule shapes, node tables, arena layout and plane stash, so the
 	// bundle collectives and Permute must stay as flat there.
-	zt := runtimeWith(t, "zcube", n, one)
+	zt := runtimeWith(t, "zcube", n, machine.Config{})
 	zt.Warm()
 	in := make([]int, rt.Nodes())
 	rev := make([]int, rt.Nodes())
@@ -238,7 +233,7 @@ func TestWarmRuntimeAllocGuard(t *testing.T) {
 	}
 	// SortLarge at k = 64 keys per node, on the D_4 grid cell the
 	// benchmark's lib-bulk workload runs.
-	rt4 := runtimeWith(t, "dualcube", 4, one)
+	rt4 := runtimeWith(t, "dualcube", 4, machine.Config{})
 	bulk := make([]int, 64*rt4.Nodes())
 	for i := range bulk {
 		bulk[i] = (i * 2654435761) % 1000

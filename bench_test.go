@@ -1,7 +1,7 @@
 // Benchmarks, one per experiment in DESIGN.md's index. Each measures the
 // wall-clock cost of one full run on the default backend (the direct
-// executor for compiled schedules, the worker-pool engine for everything
-// else; BenchmarkSchedulers and BenchmarkE22SortSchedulers compare the two
+// executor for compiled schedules, the engine for everything else;
+// BenchmarkSchedulers and BenchmarkE22SortSchedulers compare the two
 // head to head); the step counts the paper's theorems bound are asserted in
 // the unit tests and reported by cmd/dcbench — here we measure the
 // simulator.
@@ -215,7 +215,7 @@ func BenchmarkE13Collectives(b *testing.B) {
 }
 
 // BenchmarkSchedulers runs the same D_prefix workload under both execution
-// backends — the worker-pool engine and the direct kernel executor, one
+// backends — the engine and the direct kernel executor, one
 // Runtime each — the head-to-head behind the backend numbers in
 // EXPERIMENTS.md (E21 pins direct at >= 2x over the worker pool on D_6).
 func BenchmarkSchedulers(b *testing.B) {

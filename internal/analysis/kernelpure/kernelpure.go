@@ -1,8 +1,8 @@
 // Package kernelpure checks the allocation and determinism discipline of
 // direct-executor kernel bodies: any function taking a *machine.DirectCtx
 // parameter (Produce, Absorb, Local and their helpers) runs inside
-// RunDirect's per-step hot loop, once per node per step, across every shard
-// worker at once. A single stray allocation there multiplies by nodes×steps
+// RunDirect's per-step hot loop, once per node per step, in every run at
+// once. A single stray allocation there multiplies by nodes×steps
 // and shows up directly in the alloc guards and the escgate budgets; a
 // nondeterministic construct (map iteration, wall clock, rand) breaks the
 // three-way backend equivalence the differential and fuzz tests pin.
@@ -15,8 +15,9 @@
 //   - nondeterminism and side channels: map reads/writes/iteration/delete,
 //     calls into fmt, errors, time, math/rand, os and log, goroutine spawns,
 //     channel operations;
-//   - shared mutable state: assignments to package-level variables (kernels
-//     run concurrently over node shards; only per-node kernel state is safe).
+//   - shared mutable state: assignments to package-level variables (the
+//     kernels of concurrent runs share them; only per-node kernel state is
+//     safe).
 //
 // internal/machine itself is exempt: the executor's protocol-error paths
 // legitimately format errors (they fire at most once per run, not per step),
@@ -52,11 +53,11 @@ var Analyzer = &driver.Analyzer{
 var impurePackages = map[string]string{
 	"fmt":          "formatting allocates; record an error index and format it after the run",
 	"errors":       "error construction allocates; record an error index and format it after the run",
-	"time":         "wall-clock reads are nondeterministic across backends and shard workers",
+	"time":         "wall-clock reads are nondeterministic across backends and runs",
 	"math/rand":    "unseeded randomness breaks the direct/engine differential equivalence",
 	"math/rand/v2": "unseeded randomness breaks the direct/engine differential equivalence",
 	"os":           "kernel bodies must not touch the process environment",
-	"log":          "logging allocates and serializes the shard workers",
+	"log":          "logging allocates and serializes concurrent runs",
 }
 
 func run(pass *driver.Pass) (any, error) {
@@ -197,7 +198,7 @@ func checkGlobalWrite(pass *driver.Pass, lhs ast.Expr, report func(token.Pos, st
 		return
 	}
 	if v.Parent() == v.Pkg().Scope() {
-		report(lhs.Pos(), "kernel body writes package-level variable %s; kernels run concurrently over node shards and must only mutate per-node kernel state", v.Name())
+		report(lhs.Pos(), "kernel body writes package-level variable %s; kernels of concurrent runs share it, so they must only mutate per-node kernel state", v.Name())
 	}
 }
 

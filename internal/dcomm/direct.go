@@ -8,8 +8,8 @@ import (
 // execution paths of a compiled schedule: the direct kernel executor under
 // machine.SchedDefault (compiled schedules are static, so they run as array
 // kernels with no simulation overhead), or, under machine.SchedWorkerPool,
-// the worker-pool engine interpreting the same schedule with the same
-// kernel — the reference oracle. Both paths produce byte-identical outputs
+// the engine interpreting the same schedule with the same kernel — the
+// reference oracle. Both paths produce byte-identical outputs
 // and Stats, armed link faults included; the golden and differential suites
 // enforce it.
 //

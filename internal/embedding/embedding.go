@@ -188,24 +188,3 @@ func VerifyCycle(t topology.Topology, path []topology.NodeID) error {
 	}
 	return nil
 }
-
-// VerifyPath checks that path is a Hamiltonian path of t (every node once,
-// consecutive pairs adjacent, ends not required to close).
-func VerifyPath(t topology.Topology, path []topology.NodeID) error {
-	if len(path) != t.Nodes() {
-		return fmt.Errorf("embedding: path length %d != %d nodes", len(path), t.Nodes())
-	}
-	seen := make([]bool, t.Nodes())
-	for _, u := range path {
-		if u < 0 || u >= t.Nodes() || seen[u] {
-			return fmt.Errorf("embedding: node %d repeated or out of range", u)
-		}
-		seen[u] = true
-	}
-	for i := 1; i < len(path); i++ {
-		if !t.HasEdge(path[i-1], path[i]) {
-			return fmt.Errorf("embedding: consecutive pair (%d, %d) is not an edge", path[i-1], path[i])
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +50,7 @@ func TestHypercubePathExhaustive(t *testing.T) {
 				if path[0] != a || path[len(path)-1] != b {
 					t.Fatalf("Q_%d (%d,%d): endpoints wrong", m, a, b)
 				}
-				if err := VerifyPath(h, path); err != nil {
+				if err := verifyPath(h, path); err != nil {
 					t.Fatalf("Q_%d (%d,%d): %v", m, a, b, err)
 				}
 			}
@@ -73,7 +74,7 @@ func TestHypercubePathLargerQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyPath(topology.MustHypercube(m), path) == nil &&
+		return verifyPath(topology.MustHypercube(m), path) == nil &&
 			path[0] == a && path[len(path)-1] == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -132,13 +133,13 @@ func TestVerifyHelpers(t *testing.T) {
 	if err := VerifyCycle(h, []int{0, 1, 3, 3}); err == nil {
 		t.Error("repeated node accepted")
 	}
-	if err := VerifyPath(h, []int{0, 1, 3, 2}); err != nil {
+	if err := verifyPath(h, []int{0, 1, 3, 2}); err != nil {
 		t.Errorf("valid path rejected: %v", err)
 	}
-	if err := VerifyPath(h, []int{2, 0, 1, 3}); err != nil {
+	if err := verifyPath(h, []int{2, 0, 1, 3}); err != nil {
 		t.Errorf("valid path rejected: %v", err)
 	}
-	if err := VerifyPath(h, []int{0, 3, 1, 2}); err == nil {
+	if err := verifyPath(h, []int{0, 3, 1, 2}); err == nil {
 		t.Error("non-path accepted")
 	}
 }
@@ -155,4 +156,25 @@ func TestCompressExpandRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// verifyPath checks that path is a Hamiltonian path of t (every node once,
+// consecutive pairs adjacent, ends not required to close).
+func verifyPath(t topology.Topology, path []topology.NodeID) error {
+	if len(path) != t.Nodes() {
+		return fmt.Errorf("embedding: path length %d != %d nodes", len(path), t.Nodes())
+	}
+	seen := make([]bool, t.Nodes())
+	for _, u := range path {
+		if u < 0 || u >= t.Nodes() || seen[u] {
+			return fmt.Errorf("embedding: node %d repeated or out of range", u)
+		}
+		seen[u] = true
+	}
+	for i := 1; i < len(path); i++ {
+		if !t.HasEdge(path[i-1], path[i]) {
+			return fmt.Errorf("embedding: consecutive pair (%d, %d) is not an edge", path[i-1], path[i])
+		}
+	}
+	return nil
 }

@@ -92,7 +92,7 @@ func TestAscendPrefix(t *testing.T) {
 }
 
 // TestAscendSharded runs the prefix sweep on D_7 and on Q_13 (8192 nodes),
-// past the direct executor's sharding threshold, over three workers.
+// the largest machines the package's tests build.
 func TestAscendSharded(t *testing.T) {
 	const n, q = 7, 13
 	rng := rand.New(rand.NewSource(7))
@@ -103,14 +103,15 @@ func TestAscendSharded(t *testing.T) {
 		init[i] = ts{t: in[i], s: in[i]}
 	}
 	want := seq.ScanInclusive(in, monoid.Sum[int]())
-	cfg := machine.Config{Workers: 3}
 	for _, tc := range []struct {
 		name   string
 		cycles int
 		run    func() ([]ts, machine.Stats, error)
 	}{
-		{"D_7", CommSteps(n), func() ([]ts, machine.Stats, error) { return Ascend(cfg, topology.MustDualCube(n), init, prefixStep) }},
-		{"Q_13", q, func() ([]ts, machine.Stats, error) { return CubeAscend(cfg, q, init, prefixStep) }},
+		{"D_7", CommSteps(n), func() ([]ts, machine.Stats, error) {
+			return Ascend(machine.Config{}, topology.MustDualCube(n), init, prefixStep)
+		}},
+		{"Q_13", q, func() ([]ts, machine.Stats, error) { return CubeAscend(machine.Config{}, q, init, prefixStep) }},
 	} {
 		out, st, err := tc.run()
 		if err != nil {

@@ -10,7 +10,7 @@
 //
 // Everything here is deterministic: the same seed picks the same links, and
 // the same Plan yields the same detours and therefore the same Stats on
-// either executor and under any worker count.
+// either executor.
 package fault
 
 import (

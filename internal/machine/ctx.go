@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // ctx is a node's handle onto the engine: its identity, its links and the
 // global clock. Every method that communicates advances the clock by
@@ -16,12 +13,9 @@ type ctx[T any] struct {
 	cycle  int   // this node's local clock (== global clock under lockstep)
 	msgs   int64 // messages sent by this node, merged into Stats at run end
 
-	// yield is the clock boundary: it parks this node's coroutine until its
-	// worker reaches the next cycle. worker is the shard worker resuming the
-	// node; a send sets its sent flag for the barrier leader's comm-cycle
-	// count.
-	yield  func(unit) bool
-	worker *poolWorker
+	// yield is the clock boundary: it parks this node's coroutine until the
+	// engine's next pass resumes it.
+	yield func(unit) bool
 
 	// dctx is the node's DirectCtx under kernelProgram. Keeping it inside
 	// the node context lets the interpreter hand kernels a *DirectCtx
@@ -116,36 +110,8 @@ func (c *ctx[T]) step(sendTo int, v T, recv1, recv2 int) (T, T) {
 
 // exchangeAt is Exchange with the partner's CSR index already resolved (the
 // schedule interpreter's table-accelerated path): same send, boundary and
-// receive as step, with no neighbor search. With no fault spec armed, plain
-// (non-atomic) links and no send hook, the whole matched exchange is fused
-// into one body so the fault, atomics and hook branches of sendAt/recvAt are
-// tested once instead of per side; counters, clock and failure messages are
-// identical to the general path.
+// receive as step, with no neighbor search.
 func (c *ctx[T]) exchangeAt(i, partner int, v T) T {
-	e := c.engine
-	if e.fx == nil && !e.atomicLinks && e.onSend == nil {
-		s := int(e.offs[c.id]) + i
-		tail, head := e.tails[s], e.heads[s]
-		if tail-head >= e.ringCap {
-			c.failf("node %d: link %d->%d buffer overflow (capacity %d)", c.id, c.id, partner, e.ringCap)
-		}
-		e.buf[uint32(s)*linkCapacity+tail%linkCapacity] = v
-		e.tails[s] = tail + 1
-		c.msgs++
-		c.worker.sent = true
-		c.boundary()
-		rs := int(e.inSlot[s])
-		rhead, rtail := e.heads[rs], e.tails[rs]
-		if rtail == rhead {
-			c.failf("node %d: receive from %d on an empty link", c.id, partner)
-		}
-		idx := uint32(rs)*linkCapacity + rhead%linkCapacity
-		r := e.buf[idx]
-		var zero T
-		e.buf[idx] = zero
-		e.heads[rs] = rhead + 1
-		return r
-	}
 	c.sendAt(i, partner, v)
 	c.boundary()
 	return c.recvAt(i, partner)
@@ -170,25 +136,15 @@ func (c *ctx[T]) sendAt(i, to int, v T) {
 	if fx := e.fx; fx != nil && fx.down[s] {
 		c.failf("node %d: send to %d on a failed link", c.id, to)
 	}
-	tail := e.tails[s] // producer-owned cursor: plain read is always safe
-	var head uint32
-	if e.atomicLinks {
-		head = atomic.LoadUint32(&e.heads[s])
-	} else {
-		head = e.heads[s]
-	}
+	tail, head := e.tails[s], e.heads[s]
 	if tail-head >= e.ringCap {
 		c.failf("node %d: link %d->%d buffer overflow (capacity %d)", c.id, c.id, to, e.ringCap)
 	}
 	idx := uint32(s)*linkCapacity + tail%linkCapacity
 	e.buf[idx] = v
-	if e.atomicLinks {
-		atomic.StoreUint32(&e.tails[s], tail+1)
-	} else {
-		e.tails[s] = tail + 1
-	}
+	e.tails[s] = tail + 1
 	c.msgs++
-	c.worker.sent = true
+	e.sent = true
 	if e.onSend != nil {
 		e.onSend(c, to)
 	}
@@ -198,7 +154,7 @@ func (c *ctx[T]) sendAt(i, to int, v T) {
 func (c *ctx[T]) boundary() {
 	c.yield(unit{})
 	if c.engine.state == roundAbort {
-		// The barrier leader routes every worker into the drain pass after
+		// The per-cycle accounting routes the run into the drain pass after
 		// a recorded failure.
 		panic(abortPanic{errAborted})
 	}
@@ -222,13 +178,7 @@ func (c *ctx[T]) recvFrom(from int) T {
 func (c *ctx[T]) recvAt(i, from int) T {
 	e := c.engine
 	s := int(e.inSlot[int(e.offs[c.id])+i])
-	head := e.heads[s] // consumer-owned cursor: plain read is always safe
-	var tail uint32
-	if e.atomicLinks {
-		tail = atomic.LoadUint32(&e.tails[s])
-	} else {
-		tail = e.tails[s]
-	}
+	head, tail := e.heads[s], e.tails[s]
 	if tail == head {
 		c.failf("node %d: receive from %d on an empty link", c.id, from)
 	}
@@ -236,11 +186,7 @@ func (c *ctx[T]) recvAt(i, from int) T {
 	v := e.buf[idx]
 	var zero T
 	e.buf[idx] = zero // release references held by the buffered element
-	if e.atomicLinks {
-		atomic.StoreUint32(&e.heads[s], head+1)
-	} else {
-		e.heads[s] = head + 1
-	}
+	e.heads[s] = head + 1
 	return v
 }
 

@@ -2,22 +2,21 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"dualcube/internal/topology"
 )
 
 // This file is the direct kernel executor: the second way to run a compiled
 // Schedule. The simulator engine executes a schedule as N communicating
-// node programs — coroutines meeting at a clock barrier every cycle — which
-// is the faithful machine model but pure overhead once the
+// node programs — coroutines that all reach a clock boundary every cycle —
+// which is the faithful machine model but pure overhead once the
 // communication pattern is static. A finalized Schedule IS static: every
 // step's matching is a precomputed partner table. The direct executor
 // therefore runs the schedule as a sequence of array kernels over one flat
-// []T of per-node payloads: per communication step, one sharded loop over
-// the partner table performs every node's matched exchange + combine in
-// place (one sync.WaitGroup join per step, zero coroutines, zero barriers),
-// and a StepLocalCombine is a fused local loop.
+// []T of per-node payloads, on the caller's goroutine: per communication
+// step, one loop over the partner table performs every node's matched
+// exchange + combine in place (zero coroutines, zero clock boundaries), and
+// a StepLocalCombine is a fused local loop.
 //
 // The executor is NOT a second semantics. The algorithm is supplied as a
 // DirectKernel — produce a payload + role per step, absorb the partner's
@@ -78,8 +77,9 @@ func (dc *DirectCtx) Ops(k int) {
 // DirectKernel is one schedule-driven operation expressed as array kernels.
 // The executor drives it per (step, node); the contract is that each call
 // touches only node u's state (its own slots of the kernel's per-node
-// arrays), because the engine interleaves nodes arbitrarily and the direct
-// executor shards them across workers.
+// arrays), because neither executor runs one node's steps back to back: the
+// engine resumes every node once per cycle, and each direct pass runs one
+// step's absorbs for every node before any node's next produce.
 //
 // For a communication step k, Produce(dc, k, u) returns node u's role and
 // outgoing payload (ignored unless the role sends); if the role receives,
@@ -100,17 +100,11 @@ type DirectKernel[T any] interface {
 // static, and both executors compile them alike.
 func DirectEligible(cfg Config) bool { return cfg.Sched == SchedDefault }
 
-// directParallelMin is the node count from which RunDirect shards its passes
-// across workers. Below it a whole pass is a few microseconds of straight-
-// line code and the per-pass spawn + join would dominate, so small machines
-// run single-threaded. Variable so tests can force the parallel path.
-var directParallelMin = 4096
-
 // RunDirect executes a finalized schedule as array kernels and returns the
 // run's cost statistics, identical to what RunEngine reports for the same
-// schedule and kernel. cfg contributes Workers (sharding) and Faults
-// (compiled by downSet, as the engine compiles its armed spec, and checked
-// against the schedule's annotations).
+// schedule and kernel. cfg contributes Faults (compiled by downSet, as the
+// engine compiles its armed spec, and checked against the schedule's
+// annotations).
 func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, error) {
 	topo := sch.Topology()
 	n := topo.Nodes()
@@ -143,38 +137,17 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 		rolesPrev: roles[n:],
 		down:      down,
 	}
-	r.hostDC.ops = make([]int64, n)
-	ops := r.hostDC.ops
-
-	W := workerCount(cfg.Workers, n)
-	if n < directParallelMin {
-		W = 1
-	}
-	if W > 1 {
-		r.dcs = make([]DirectCtx, W)
-		for i := range r.dcs {
-			r.dcs[i].ops = ops
-		}
-		r.results = make([]passResult, W)
-	}
+	r.dc.ops = make([]int64, n)
 
 	// Pass p absorbs step p-1 and produces step p, so pass len(steps) only
 	// drains the final exchange. Payload and role arrays double-buffer
-	// between passes: producers write cur, absorbers read prev — node u's
-	// absorb may read any partner's slot, which pass p-1's join has already
-	// made visible, so a pass has no intra-pass ordering at all and shards
-	// over contiguous node ranges with a single join. The parallel variant
-	// lives in its own method so the serial loop here stays allocation-free
-	// (a goroutine closure in this loop would heap-box p every pass).
+	// between passes: producers write cur, absorbers read prev, so node u's
+	// absorb may read any partner's slot and a pass needs no order among
+	// its nodes.
 	for p := 0; p <= len(steps); p++ {
-		var res passResult
-		if W == 1 {
-			res = r.pass(p, 0, n, &r.hostDC)
-		} else {
-			res = r.passParallel(p, W)
-		}
-		if res.err != nil {
-			return st, res.err
+		sends, err := r.pass(p)
+		if err != nil {
+			return st, err
 		}
 		if p < len(steps) {
 			if s := &steps[p]; s.Kind == StepRecDim {
@@ -192,15 +165,15 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 					}
 				}
 				st.Cycles += 3
-				if res.sends > 0 {
+				if sends > 0 {
 					st.CommCycles += 3
-					st.Messages += int64(2 * res.sends)
+					st.Messages += int64(2 * sends)
 				}
 			} else if s.Kind != StepLocalCombine {
 				st.Cycles++
-				if res.sends > 0 {
+				if sends > 0 {
 					st.CommCycles++
-					st.Messages += int64(res.sends)
+					st.Messages += int64(sends)
 				}
 				// Detour epilogue: each severed pair's repair relays run
 				// serially after the matched cycle — len(Path)-1 hops out,
@@ -231,8 +204,7 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 		r.rolesPrev, r.rolesCur = r.rolesCur, r.rolesPrev
 	}
 
-	for u := 0; u < n; u++ {
-		o := ops[u]
+	for _, o := range r.dc.ops {
 		if int(o) > st.MaxOps {
 			st.MaxOps = int(o)
 		}
@@ -241,9 +213,9 @@ func RunDirect[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, e
 	return st, nil
 }
 
-// directRun is the per-run state of the direct executor shared by its
-// workers: the double-buffered payload and role arrays plus the compiled
-// down set of the armed fault plan.
+// directRun is the per-run state of the direct executor: the
+// double-buffered payload and role arrays, the compiled down set of the
+// armed fault plan and the kernels' accounting handle.
 type directRun[T any] struct {
 	steps     []Step
 	kern      DirectKernel[T]
@@ -252,84 +224,44 @@ type directRun[T any] struct {
 	rolesCur  []DirectRole
 	rolesPrev []DirectRole
 	down      map[int]bool // directed down links, keyed u*n+v; nil = fault-free
-	hostDC    DirectCtx    // the host worker's context (serial runs use only this)
-	dcs       []DirectCtx  // extra workers' contexts; nil on serial runs
-	results   []passResult // per-worker pass outcomes; nil on serial runs
+	dc        DirectCtx
 }
 
-// passParallel shards one pass over W workers on contiguous node ranges and
-// merges their outcomes: sends add up, and the protocol error of the lowest
-// node wins so reporting is deterministic under any worker count.
-func (r *directRun[T]) passParallel(p, W int) passResult {
-	n := r.n
-	var wg sync.WaitGroup
-	wg.Add(W - 1)
-	for i := 1; i < W; i++ {
-		go func(i int) {
-			defer wg.Done()
-			r.results[i] = r.pass(p, i*n/W, (i+1)*n/W, &r.dcs[i])
-		}(i)
-	}
-	r.results[0] = r.pass(p, 0, n/W, &r.dcs[0])
-	wg.Wait()
-	res := r.results[0]
-	for i := 1; i < W; i++ {
-		res.sends += r.results[i].sends
-		if r.results[i].err != nil && (res.err == nil || r.results[i].failNode < res.failNode) {
-			res.err, res.failNode = r.results[i].err, r.results[i].failNode
-		}
-	}
-	return res
-}
-
-// passResult is one worker's outcome of one pass: its shard's sender count
-// and the lowest-node protocol error, merged by the host after the join so
-// error reporting stays deterministic under any worker count.
-type passResult struct {
-	sends    int
-	failNode int
-	err      error
-}
-
-// pass runs nodes [lo, hi) through pass p: absorb step p-1, then produce
-// step p (or run its local combine). Protocol checks fold into the same
-// loops — a receiver whose partner did not send, a sender whose partner does
-// not receive, and a sender whose link the armed fault plan severed (outside
-// the schedule's Broken mask) are the engine's empty-link, unconsumed-message
-// and failed-link errors. A kernel call that panics (a user less or combine,
-// say) ends the shard's pass and becomes the engine's "node u panicked"
-// error, so sharded workers never take the process down and the lowest
-// failing node still wins the merge.
-func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) (res passResult) {
-	res.failNode = -1
+// pass runs every node, in ascending order, through pass p: absorb step
+// p-1, then produce step p (or run its local combine), and counts the
+// step's senders. Protocol checks fold into the same loops — a receiver
+// whose partner did not send, a sender whose partner does not receive, and
+// a sender whose link the armed fault plan severed (outside the schedule's
+// Broken mask) are the engine's empty-link, unconsumed-message and
+// failed-link errors. The first error recorded wins, so its node is the
+// lowest failing node of its loop. A kernel call that panics (a user less
+// or combine, say) ends the pass and becomes the engine's "node u panicked"
+// error, unless an error was recorded before it.
+func (r *directRun[T]) pass(p int) (sends int, err error) {
+	dc := &r.dc
 	defer func() {
-		if v := recover(); v != nil && (res.err == nil || dc.u < res.failNode) {
-			res.failNode = dc.u
-			res.err = fmt.Errorf("machine: node %d panicked: %v", dc.u, v)
+		if v := recover(); v != nil && err == nil {
+			err = fmt.Errorf("machine: node %d panicked: %v", dc.u, v)
 		}
 	}()
 	if p > 0 {
 		if s := &r.steps[p-1]; s.Kind != StepLocalCombine {
 			partners := s.partners
 			prev, roles := r.prev, r.rolesPrev
-			for u := lo; u < hi; u++ {
+			for u := 0; u < r.n; u++ {
 				role := roles[u]
 				w := int(partners[u])
 				if role == DirectExchange || role == DirectRecv {
 					if wr := roles[w]; wr != DirectExchange && wr != DirectSend {
-						if res.err == nil {
-							res.failNode = u
-							res.err = fmt.Errorf("machine: node %d: receive from %d on an empty link", u, w)
+						if err == nil {
+							err = fmt.Errorf("machine: node %d: receive from %d on an empty link", u, w)
 						}
 						continue
 					}
 					dc.u = u
 					r.kern.Absorb(dc, p-1, u, prev[w])
-				} else if wr := roles[w]; wr == DirectExchange || wr == DirectSend {
-					if res.err == nil {
-						res.failNode = u
-						res.err = fmt.Errorf("machine: 1 unconsumed message(s) on link %d->%d", w, u)
-					}
+				} else if wr := roles[w]; (wr == DirectExchange || wr == DirectSend) && err == nil {
+					err = fmt.Errorf("machine: 1 unconsumed message(s) on link %d->%d", w, u)
 				}
 			}
 		}
@@ -337,15 +269,15 @@ func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) (res passResult) {
 	if p < len(r.steps) {
 		s := &r.steps[p]
 		if s.Kind == StepLocalCombine {
-			for u := lo; u < hi; u++ {
+			for u := 0; u < r.n; u++ {
 				dc.u = u
 				r.kern.Local(dc, p, u)
 			}
-			return res
+			return sends, err
 		}
 		partners, broken := s.partners, s.Broken
 		recDim := s.Kind == StepRecDim
-		for u := lo; u < hi; u++ {
+		for u := 0; u < r.n; u++ {
 			dc.u = u
 			role, v := r.kern.Produce(dc, p, u)
 			r.rolesCur[u] = role
@@ -354,9 +286,8 @@ func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) (res passResult) {
 				// The 3-cycle choreography has no one-sided variant: a node
 				// that sends without receiving (or vice versa) would wedge the
 				// engine's relay cycles, so the direct path rejects it too.
-				if res.err == nil {
-					res.failNode = u
-					res.err = fmt.Errorf("machine: node %d: recursive-dimension step %d requires a matched exchange, got role %d", u, p, role)
+				if err == nil {
+					err = fmt.Errorf("machine: node %d: recursive-dimension step %d requires a matched exchange, got role %d", u, p, role)
 				}
 				continue
 			}
@@ -371,17 +302,16 @@ func (r *directRun[T]) pass(p, lo, hi int, dc *DirectCtx) (res passResult) {
 				// step's fault validation runs link-exactly in RunDirect via
 				// checkRecDimLinks instead.
 				if w := int(partners[u]); r.down[u*r.n+w] {
-					if res.err == nil {
-						res.failNode = u
-						res.err = fmt.Errorf("machine: node %d: send to %d on a failed link", u, w)
+					if err == nil {
+						err = fmt.Errorf("machine: node %d: send to %d on a failed link", u, w)
 					}
 					continue
 				}
 			}
-			res.sends++
+			sends++
 		}
 	}
-	return res
+	return sends, err
 }
 
 // checkRecDimLinks validates one recursive-dimension exchange against the

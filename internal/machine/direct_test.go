@@ -101,48 +101,11 @@ func TestRunDirectMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestRunDirectParallelMatchesSerial forces the sharded pass path (the node
-// count is pushed over directParallelMin) and requires the same outputs and
-// Stats as the serial pass under several worker counts.
-func TestRunDirectParallelMatchesSerial(t *testing.T) {
-	defer func(min int) { directParallelMin = min }(directParallelMin)
-
-	const n = 4
-	sch := directTestSchedule(t, n)
-	N := sch.D.Nodes()
-
-	directParallelMin = 1 << 30 // force serial
-	ks, serialVals := sumKernel(N)
-	serialStats, err := RunDirect(sch, Config{}, DirectKernel[int](ks))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	directParallelMin = 1 // force the sharded path
-	for _, w := range []int{1, 2, 3, 7, 64} {
-		kp, parallelVals := sumKernel(N)
-		parallelStats, err := RunDirect(sch, Config{Workers: w}, DirectKernel[int](kp))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if parallelStats != serialStats {
-			t.Errorf("workers=%d: stats diverge: %+v vs %+v", w, parallelStats, serialStats)
-		}
-		for u := range serialVals {
-			if parallelVals[u] != serialVals[u] {
-				t.Fatalf("workers=%d node %d: parallel %d, serial %d", w, u, parallelVals[u], serialVals[u])
-			}
-		}
-	}
-}
-
 // TestRunDirectContainsKernelPanics panics inside kernel calls — an absorb
-// on two nodes in different shards, or a produce — and requires RunDirect to
-// return the engine's "node u panicked" error for the lowest panicking node,
-// on the serial pass and on sharded passes alike, instead of letting the
-// panic escape (serial) or kill the process (a shard worker).
+// on two nodes, or a produce — and requires RunDirect to return the
+// engine's "node u panicked" error for the lowest panicking node instead of
+// letting the panic escape.
 func TestRunDirectContainsKernelPanics(t *testing.T) {
-	defer func(min int) { directParallelMin = min }(directParallelMin)
 	sch := directTestSchedule(t, 4)
 	N := sch.D.Nodes()
 	for _, tc := range []struct {
@@ -167,20 +130,13 @@ func TestRunDirectContainsKernelPanics(t *testing.T) {
 			},
 		}, "machine: node 100 panicked: produce exploded"},
 	} {
-		for _, w := range []int{1, 2, 3, 7} {
-			directParallelMin = 1 << 30 // serial
-			if w > 1 {
-				directParallelMin = 1 // sharded over w workers
-			}
-			_, err := RunDirect(sch, Config{Workers: w}, DirectKernel[int](tc.kern))
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("%s, workers=%d: err = %v, want %q", tc.name, w, err, tc.want)
-			}
+		if _, err := RunDirect(sch, Config{}, DirectKernel[int](tc.kern)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 	// The executor holds no state across runs: the next run succeeds.
 	k, vals := sumKernel(N)
-	if _, err := RunDirect(sch, Config{Workers: 3}, DirectKernel[int](k)); err != nil || vals[0] == 0 {
+	if _, err := RunDirect(sch, Config{}, DirectKernel[int](k)); err != nil || vals[0] == 0 {
 		t.Fatalf("run after a contained panic: err = %v, vals[0] = %d", err, vals[0])
 	}
 }

@@ -25,7 +25,7 @@ type FaultSpec struct {
 
 // FaultStats is the per-run fault breakdown reported in Stats.Faults. It
 // depends only on the armed FaultSpec and the topology, never on the
-// executor or worker count.
+// executor.
 type FaultStats struct {
 	// DownLinks is the number of directed links masked out by the armed
 	// spec (an undirected failure contributes 2).

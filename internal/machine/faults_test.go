@@ -8,17 +8,10 @@ import (
 	"dualcube/internal/topology"
 )
 
-// faultSchedulers runs the test body on the engine with one worker (plain
-// link cursors) and with four (atomic cursors, sharded fault mask reads).
+// faultSchedulers runs the test body on the engine.
 func faultSchedulers(t *testing.T, body func(t *testing.T, cfg Config)) {
 	t.Helper()
-	for _, w := range []int{1, 4} {
-		name := "worker-pool"
-		if w > 1 {
-			name = fmt.Sprintf("worker-pool-w%d", w)
-		}
-		t.Run(name, func(t *testing.T) { body(t, Config{Sched: SchedWorkerPool, Workers: w}) })
-	}
+	t.Run("worker-pool", func(t *testing.T) { body(t, Config{Sched: SchedWorkerPool}) })
 }
 
 // TestFaultDownLinkPlainSendFails checks fail-fast: a send on a failed link
@@ -39,9 +32,8 @@ func TestFaultDownLinkPlainSendFails(t *testing.T) {
 }
 
 // TestFaultStatsReproducible runs a program that exchanges on every live
-// link and idles on the failed ones, twice per worker count and across
-// worker counts, and requires identical Stats, including the fault figures —
-// the determinism contract of the subsystem.
+// link and idles on the failed ones, twice, and requires identical Stats,
+// including the fault figures — the determinism contract of the subsystem.
 func TestFaultStatsReproducible(t *testing.T) {
 	d := topology.MustDualCube(3)
 	dead := [][2]int{{0, d.ClusterNeighbor(0, 0)}, {5, d.CrossNeighbor(5)}}

@@ -12,10 +12,11 @@ package machine
 // produced for step s are read by the absorbers of step s during pass s+1,
 // while pass s+1's producers (step s+1) write the opposite arena — so a row
 // stays immutable from its Produce until every partner has absorbed it. A
-// kernel that produced rows out of its live state arrays instead would race
-// with its own next step. The same discipline holds on the simulator
-// engine: the lockstep clock barrier guarantees step s's absorbs complete
-// before any node produces step s+2, the first reuse of the arena.
+// kernel that produced rows out of its live state arrays instead would
+// overwrite a row in its own next step before every partner had read it.
+// The same discipline holds on the simulator engine: the lockstep clock
+// guarantees step s's absorbs complete before any node produces step s+2,
+// the first reuse of the arena.
 type Lanes[E any] struct {
 	k   int
 	buf [2][]E

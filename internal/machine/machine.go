@@ -4,8 +4,8 @@
 // the synchronous message-passing multicomputer that the paper's cost
 // model assumes: one process per node of an interconnection network, links
 // as bidirectional FIFO channels, and a global clock. On the engine every
-// node walks the same schedule, calling the kernel at each step; a barrier
-// advances the global clock.
+// node walks the same schedule, calling the kernel at each step, and a
+// clock boundary that every node reaches advances the global clock.
 //
 // # Communication model
 //
@@ -19,43 +19,39 @@
 // to one receive per cycle (everything in Section 3) simply never use it.
 //
 // Messages become visible to receivers in the same cycle they are sent
-// (sends happen before the barrier, receives after) and are buffered in
-// FIFO order per directed link, so a value sent in cycle t may be consumed
-// in any cycle >= t. A receive on an empty link, a send to a non-neighbor,
-// or a link buffer overflow aborts the whole run with a descriptive error —
-// the machine is also a protocol checker for the algorithms above it.
+// (sends happen before the clock boundary, receives after) and are buffered
+// in FIFO order per directed link, so a value sent in cycle t may be
+// consumed in any cycle >= t. A receive on an empty link, a send to a
+// non-neighbor, or a link buffer overflow aborts the whole run with a
+// descriptive error — the machine is also a protocol checker for the
+// algorithms above it.
 //
 // # Execution
 //
-// The engine is a stepped worker-pool scheduler: W ≈ GOMAXPROCS workers
-// each own a contiguous shard of nodes and advance them cycle-by-cycle for
-// the whole run. Each node's walk of the schedule runs as a coroutine
-// (iter.Pull) that parks at every clock boundary, so resuming a node is a
-// direct stack switch with no Go-scheduler involvement, no per-node
-// goroutine wakeup, and no N-party lock contention. An engine serves one
-// run: RunEngine and RunRecorded build it, each node coroutine runs the
-// program once and returns, and the engine is dropped. Workers synchronize
-// once per cycle through a sense-reversing barrier over W parties (not N),
-// whose leader performs the per-cycle accounting and detects
-// desynchronized programs deterministically. Message and operation
-// counters are kept per-node/per-worker and merged once at run end — there
-// are no shared atomics on the hot path, and with a single worker the
-// whole simulation is lock-free straight-line code.
+// Every run uses one goroutine, its caller's. The engine walks each node's
+// schedule in a coroutine (iter.Pull) that parks at every clock boundary,
+// and resumes every live coroutine once per cycle, in node order, so
+// resuming a node is a direct stack switch with no Go-scheduler
+// involvement and no lock. After each round of resumes it does the cycle's
+// accounting, which detects desynchronized programs deterministically. An
+// engine serves one run: RunEngine and RunRecorded build it, each node
+// coroutine runs the program once and returns, and the engine is dropped.
 //
-// Because the leader sees every broken lockstep, the watchdog (one minute
-// plus 30ms per node) only has runaway lockstep programs left to end:
-// nodes that keep stepping together forever. A node that blocked outside
-// the machine's primitives would wedge its shard, since a shard runs its
-// nodes' cycle segments one after another; RunEngine accepts only a
-// schedule and a kernel, so the one program a node coroutine runs is the
-// package's own interpreter.
+// Because the accounting sees every broken lockstep, the watchdog (one
+// minute plus 30ms per node) only has runaway lockstep programs left to
+// end: nodes that keep stepping together forever. A node that blocked
+// outside the machine's primitives would wedge the whole run; RunEngine
+// accepts only a schedule and a kernel, so the one program a node
+// coroutine runs is the package's own interpreter.
 //
 // The direct kernel executor (direct.go) is the second path, and not a
 // simulator at all: it runs a finalized Schedule as array kernels over flat
-// per-node state — no coroutines, no per-cycle barrier, one worker join per
-// schedule step — and reproduces the engine's Stats exactly. Operations use
-// it by default (see DirectEligible); the engine remains the reference
-// semantics, the oracle the direct executor is tested against.
+// per-node state — no coroutines, no clock boundaries, one loop over the
+// nodes per schedule step — and reproduces the engine's Stats exactly.
+// Operations use it by default (see DirectEligible); the engine remains the
+// reference semantics, the oracle the direct executor is tested against.
+// Runs may execute concurrently with each other (concurrent calls on one
+// Runtime, serve's shards), but nothing inside a run is parallel.
 //
 // # Cost-model invariants
 //
@@ -64,11 +60,11 @@
 // traverses one link), and per-node computation rounds reported by the
 // kernels through DirectCtx.Ops. The maximum per-node operation count is the
 // parallel computation time the paper's theorems bound. The engine keeps
-// these measures exactly: Cycles is the number of barrier rounds,
+// these measures exactly: Cycles is the number of clock rounds,
 // CommCycles counts rounds whose preceding send phase carried at least one
 // message, Messages is the sum of per-node send counts, and MaxOps/TotalOps
 // aggregate the per-node operation accounts. Scheduling order inside a
-// cycle is deterministic (shard order), so repeated runs produce identical
+// cycle is deterministic (node order), so repeated runs produce identical
 // results bit-for-bit.
 //
 // # Link representation
@@ -84,7 +80,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,9 +103,10 @@ const (
 	// SchedDefault is the zero Config's choice: every operation runs on the
 	// direct executor (DirectEligible).
 	SchedDefault Sched = iota
-	// SchedWorkerPool runs every operation on the worker-pool engine, which
-	// interprets the same schedule with the same kernel: the reference
-	// oracle the direct executor is tested against.
+	// SchedWorkerPool selects the engine, which interprets the same
+	// schedule with the same kernel on its caller's goroutine: the
+	// reference oracle the direct executor is tested against. Its name
+	// predates the single-goroutine engine; test names embed it.
 	SchedWorkerPool
 )
 
@@ -135,27 +131,15 @@ func scaledTimeout(n int) time.Duration {
 // it makes a ring index a mask.
 const linkCapacity = 4
 
-// Config selects how a run executes.
+// Config selects how a run executes. Either backend runs on its caller's
+// goroutine.
 type Config struct {
 	// Sched selects the execution backend: SchedDefault runs every
 	// operation on the direct executor, SchedWorkerPool on the engine.
 	Sched Sched
-	// Workers is the worker-pool size W, and the shard count of the direct
-	// executor's passes. Zero means GOMAXPROCS; both clamp W to the node
-	// count.
-	Workers int
 	// Faults arms a fault specification for every run: the listed links are
 	// permanently down (see FaultSpec). nil means a fault-free run.
 	Faults *FaultSpec
-}
-
-// workerCount resolves a Config's Workers for n nodes: zero means
-// GOMAXPROCS, and the result lies in 1..n.
-func workerCount(w, n int) int {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(w, n))
 }
 
 // Stats reports the cost of one run in the paper's measures.
@@ -195,7 +179,7 @@ func (a Stats) Add(b Stats) Stats {
 	}
 }
 
-// roundState is the worker-barrier leader's verdict for one clock cycle.
+// roundState is the per-cycle accounting's verdict for one clock cycle.
 type roundState uint8
 
 const (
@@ -208,13 +192,13 @@ const (
 // one run (RunEngine, RunRecorded) and dropped after it.
 type engine[T any] struct {
 	topo topology.Topology
-	cfg  Config // Workers resolved to 1..n
+	cfg  Config
 	n    int
 
 	// timeout is the watchdog: it aborts a run still stepping after this
-	// long, a lockstep program that never ends (the barrier leader already
-	// catches every desynchronized one). scaledTimeout(n); machine's tests
-	// shorten it.
+	// long, a lockstep program that never ends (the per-cycle accounting
+	// already catches every desynchronized one). scaledTimeout(n);
+	// machine's tests shorten it.
 	timeout time.Duration
 
 	// Precomputed CSR adjacency and per-edge index tables. Directed edge
@@ -233,27 +217,19 @@ type engine[T any] struct {
 	heads   []uint32 // consumer cursors, written by the receiving node only
 	tails   []uint32 // producer cursors, written by the sending node only
 
-	// atomicLinks selects atomic ring-cursor access. Required whenever link
-	// endpoints can run on different OS threads (a worker pool with W > 1);
-	// a single-worker pool runs the whole machine on one goroutine and uses
-	// plain loads/stores.
-	atomicLinks bool
-
 	nodes []ctx[T] // per-node contexts
 
 	// fx is the compiled form of the armed fault spec, nil when the run is
 	// fault-free — the send and receive paths check only this one pointer.
 	fx *armedFaults
 
-	cycles     int                      // barrier rounds completed (leader-written)
-	commCycles int                      // rounds whose send phase carried traffic
+	cycles     int  // clock rounds completed
+	commCycles int  // rounds whose send phase carried traffic
+	sent       bool // did any node send since the last round?
+	state      roundState
 	onSend     func(c *ctx[T], dst int) // optional send hook (recording)
 
-	// Worker-pool scheduler state.
-	workers []poolWorker
-	wbar    *senseBarrier
-	state   roundState
-
+	// The watchdog fails the run from its own timer goroutine.
 	failMu   sync.Mutex
 	failed   atomic.Bool
 	firstErr error
@@ -265,8 +241,7 @@ type engine[T any] struct {
 // degree).
 func newEngine[T any](t topology.Topology, cfg Config) (*engine[T], error) {
 	n := t.Nodes()
-	cfg.Workers = workerCount(cfg.Workers, n)
-	e := &engine[T]{topo: t, cfg: cfg, n: n, timeout: scaledTimeout(n), ringCap: linkCapacity, atomicLinks: cfg.Workers > 1}
+	e := &engine[T]{topo: t, cfg: cfg, n: n, timeout: scaledTimeout(n), ringCap: linkCapacity}
 	e.offs = make([]int32, n+1)
 	for u := 0; u < n; u++ {
 		e.offs[u+1] = e.offs[u] + int32(t.Degree(u))
@@ -330,9 +305,9 @@ func (e *engine[T]) idxOf(u, v int) int {
 // abortPanic unwinds a node program after the run has been failed.
 type abortPanic struct{ err error }
 
-// RunEngine executes kern over the finalized schedule sch on the
-// worker-pool engine, each node walking the schedule through the
-// interpreter in lockstep, and returns the cost statistics: the reference
+// RunEngine executes kern over the finalized schedule sch on the engine,
+// each node walking the schedule through the interpreter in lockstep on the
+// calling goroutine, and returns the cost statistics: the reference
 // semantics RunDirect is held to. The engine is built for this run and
 // dropped after it.
 func RunEngine[T any](sch *Schedule, cfg Config, kern DirectKernel[T]) (Stats, error) {
@@ -353,8 +328,8 @@ func engineFor[T any](sch *Schedule, cfg Config) (*engine[T], error) {
 
 // run executes program on every node in lockstep, once. The program must
 // perform the same number of clock cycles on every node (the usual SPMD
-// discipline); the barrier leader reports a desynchronized program as an
-// error deterministically, and the watchdog ends one that keeps stepping
+// discipline); the per-cycle accounting reports a desynchronized program as
+// an error deterministically, and the watchdog ends one that keeps stepping
 // past e.timeout.
 func (e *engine[T]) run(program func(c *ctx[T])) (Stats, error) {
 	if err := e.armFaults(); err != nil {
@@ -363,7 +338,7 @@ func (e *engine[T]) run(program func(c *ctx[T])) (Stats, error) {
 	watchdog := time.AfterFunc(e.timeout, func() {
 		e.fail(fmt.Errorf("machine: run exceeded %v (desynchronized program?)", e.timeout))
 	})
-	e.runWorkers(program)
+	e.runNodes(program)
 	watchdog.Stop()
 
 	e.failMu.Lock()
@@ -402,9 +377,8 @@ func (e *engine[T]) run(program func(c *ctx[T])) (Stats, error) {
 }
 
 // fail records the first error and marks the run failed. No abort
-// broadcast is needed: the worker barrier always completes a round, and the
-// leader routes every worker into the drain path on the next cycle once the
-// failure flag is up.
+// broadcast is needed: the accounting at the end of the cycle sees the flag
+// and routes the run into its drain pass.
 func (e *engine[T]) fail(err error) {
 	e.failMu.Lock()
 	if e.firstErr == nil {

@@ -3,30 +3,17 @@ package machine
 import (
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"dualcube/internal/topology"
 )
 
-// schedConfigs enumerates the engine configurations every semantic test
-// runs under: the worker pool in its single-worker fast path, and the pool
-// with forced multi-worker sharding (exercising the atomic link cursors and
-// the sense barrier even on one CPU).
-var schedConfigs = []struct {
-	name string
-	cfg  Config
-}{
-	{"pool", Config{Sched: SchedWorkerPool, Workers: 1}},
-	{"pool-w4", Config{Sched: SchedWorkerPool, Workers: 4}},
-}
-
+// forEachSched runs a semantic test on the engine, as the subtest "pool"
+// that the test IDs name.
 func forEachSched(t *testing.T, f func(t *testing.T, cfg Config)) {
 	t.Helper()
-	for _, sc := range schedConfigs {
-		t.Run(sc.name, func(t *testing.T) { f(t, sc.cfg) })
-	}
+	t.Run("pool", func(t *testing.T) { f(t, Config{Sched: SchedWorkerPool}) })
 }
 
 // mustEngine builds the engine of one run over topo. The engine's
@@ -310,7 +297,7 @@ func desyncProgram(c *ctx[int]) {
 }
 
 // TestWatchdogCatchesDesync runs a program whose nodes all idle forever.
-// The barrier leader sees perfect lockstep every cycle, so only the watchdog
+// The per-cycle accounting sees perfect lockstep, so only the watchdog
 // can end the run; afterwards a fresh engine must run cleanly.
 func TestWatchdogCatchesDesync(t *testing.T) {
 	forEachSched(t, func(t *testing.T, cfg Config) {
@@ -332,22 +319,19 @@ func TestWatchdogCatchesDesync(t *testing.T) {
 	})
 }
 
-// TestPoolDetectsDesyncDeterministically asserts the worker pool improves
-// on the watchdog: its barrier leader sees the broken lockstep immediately,
-// with no timeout involved, for both single- and multi-worker pools.
+// TestPoolDetectsDesyncDeterministically asserts the engine improves on
+// the watchdog: its per-cycle accounting sees the broken lockstep
+// immediately, with no timeout involved.
 func TestPoolDetectsDesyncDeterministically(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		h := topology.MustHypercube(1)
-		e := mustEngine[int](t, h, Config{Sched: SchedWorkerPool, Workers: workers})
-		e.timeout = time.Hour
-		start := time.Now()
-		_, err := e.run(desyncProgram)
-		if err == nil || !strings.Contains(err.Error(), "desynchronized") {
-			t.Errorf("W=%d: want desync error, got %v", workers, err)
-		}
-		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Errorf("W=%d: desync detection took %v, should not involve a timeout", workers, elapsed)
-		}
+	e := mustEngine[int](t, topology.MustHypercube(1), Config{Sched: SchedWorkerPool})
+	e.timeout = time.Hour
+	start := time.Now()
+	_, err := e.run(desyncProgram)
+	if err == nil || !strings.Contains(err.Error(), "desynchronized") {
+		t.Errorf("want desync error, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("desync detection took %v, should not involve a timeout", elapsed)
 	}
 }
 
@@ -445,30 +429,6 @@ func TestStatsAddRejectsMixedMachines(t *testing.T) {
 	_ = Stats{Nodes: 8}.Add(Stats{Nodes: 32})
 }
 
-// TestSenseBarrierRounds drives the worker pool's W-party barrier directly
-// through many rounds and checks the leader action runs exactly once per
-// round.
-func TestSenseBarrierRounds(t *testing.T) {
-	const parties, rounds = 5, 200
-	count := 0
-	b := newSenseBarrier(parties, func() { count++ })
-	var wg sync.WaitGroup
-	for p := 0; p < parties; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sense uint32
-			for r := 0; r < rounds; r++ {
-				b.wait(&sense)
-			}
-		}()
-	}
-	wg.Wait()
-	if count != rounds {
-		t.Errorf("leader action ran %d times, want %d", count, rounds)
-	}
-}
-
 func TestLargeMachineSmoke(t *testing.T) {
 	// 2048-node dual-cube: a full cross-edge exchange round.
 	d := topology.MustDualCube(6)
@@ -503,48 +463,46 @@ func TestTimeoutScalesWithNodes(t *testing.T) {
 
 // TestEngineRunsLeaveNoGoroutines runs oracle schedules that end four ways
 // — normally, with a protocol error, with a kernel panic and by the
-// watchdog — on one worker and on four, and then requires the goroutine
-// count to return to its starting value: an engine serves one run, and
-// every node coroutine has returned by the time the run does.
+// watchdog — and then requires the goroutine count to return to its
+// starting value: an engine serves one run, and every node coroutine has
+// returned by the time the run does.
 func TestEngineRunsLeaveNoGoroutines(t *testing.T) {
 	sch := directTestSchedule(t, 3)
 	start := runtime.NumGoroutine()
-	for _, cfg := range []Config{{Workers: 1}, {Workers: 4}} {
-		sum, _ := sumKernel(sch.D.Nodes())
-		if _, err := RunEngine(sch, cfg, DirectKernel[int](sum)); err != nil {
-			t.Fatalf("W=%d normal run: %v", cfg.Workers, err)
+	sum, _ := sumKernel(sch.D.Nodes())
+	if _, err := RunEngine(sch, Config{}, DirectKernel[int](sum)); err != nil {
+		t.Fatalf("normal run: %v", err)
+	}
+	recvOnly := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+		if u == 0 {
+			return DirectRecv, 0
 		}
-		recvOnly := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
-			if u == 0 {
-				return DirectRecv, 0
-			}
-			return DirectIdle, 0
-		}}
-		if _, err := RunEngine(sch, cfg, DirectKernel[int](recvOnly)); err == nil || !strings.Contains(err.Error(), "empty link") {
-			t.Fatalf("W=%d protocol error: err = %v, want an empty-link error", cfg.Workers, err)
+		return DirectIdle, 0
+	}}
+	if _, err := RunEngine(sch, Config{}, DirectKernel[int](recvOnly)); err == nil || !strings.Contains(err.Error(), "empty link") {
+		t.Fatalf("protocol error: err = %v, want an empty-link error", err)
+	}
+	panicky := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+		if k == 1 && u == 5 {
+			panic("boom")
 		}
-		panicky := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
-			if k == 1 && u == 5 {
-				panic("boom")
-			}
-			return DirectExchange, u
-		}}
-		if _, err := RunEngine(sch, cfg, DirectKernel[int](panicky)); err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("W=%d kernel panic: err = %v, want the panic", cfg.Workers, err)
+		return DirectExchange, u
+	}}
+	if _, err := RunEngine(sch, Config{}, DirectKernel[int](panicky)); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("kernel panic: err = %v, want the panic", err)
+	}
+	// The first node stalls in its first Produce until the run has failed,
+	// so only the watchdog can end it.
+	e := mustEngine[int](t, sch.D, Config{})
+	e.timeout = time.Millisecond
+	stall := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
+		for !e.failed.Load() {
+			time.Sleep(100 * time.Microsecond)
 		}
-		// Every node stalls in its first Produce until the run has failed, so
-		// only the watchdog can end it.
-		e := mustEngine[int](t, sch.D, cfg)
-		e.timeout = time.Millisecond
-		stall := fnKernel{produce: func(dc *DirectCtx, k, u int) (DirectRole, int) {
-			for !e.failed.Load() {
-				time.Sleep(100 * time.Microsecond)
-			}
-			return DirectExchange, u
-		}}
-		if _, err := e.run(kernelProgram(sch, DirectKernel[int](stall))); err == nil || !strings.Contains(err.Error(), "exceeded") {
-			t.Fatalf("W=%d watchdog: err = %v, want the watchdog error", cfg.Workers, err)
-		}
+		return DirectExchange, u
+	}}
+	if _, err := e.run(kernelProgram(sch, DirectKernel[int](stall))); err == nil || !strings.Contains(err.Error(), "exceeded") {
+		t.Fatalf("watchdog: err = %v, want the watchdog error", err)
 	}
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

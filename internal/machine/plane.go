@@ -18,8 +18,8 @@ package machine
 // those live in two send planes indexed by step parity (step&1), exactly
 // like Lanes: the ids produced for step s are read by step s's absorbers
 // during pass s+1, while pass s+1's producers (step s+1) write the opposite
-// plane, and no node produces step s+2 (the first reuse) before every
-// backend's per-cycle barrier has retired step s's absorbs.
+// plane, and on either backend no node produces step s+2 (the first reuse)
+// before every absorb of step s has run.
 
 // Extent is a contiguous run [Off, Off+Len) of a payload arena — the
 // communication payload of the extent-plane collectives. A zero Len is the
@@ -94,7 +94,7 @@ func (p *ExtentPlane[T]) Reset() { clear(p.tab) }
 // FirstBad returns the lowest node with a recorded protocol failure and its
 // marker, or (-1, 0). Kernels record markers into their own node's slot and
 // keep walking the schedule; the host formats the error deterministically
-// after the run, regardless of worker interleaving.
+// after the run, regardless of the order in which the nodes ran.
 func (p *ExtentPlane[T]) FirstBad() (node int, marker int32) {
 	for u, b := range p.Bad {
 		if b != 0 {

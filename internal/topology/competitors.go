@@ -24,15 +24,6 @@ func NewCCC(k int) (*CCC, error) {
 	return &CCC{k: k}, nil
 }
 
-// MustCCC is NewCCC but panics on an invalid order.
-func MustCCC(k int) *CCC {
-	c, err := NewCCC(k)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Dim returns k.
 func (c *CCC) Dim() int { return c.k }
 
@@ -96,15 +87,6 @@ func NewDeBruijn(q int) (*DeBruijn, error) {
 	return &DeBruijn{q: q}, nil
 }
 
-// MustDeBruijn is NewDeBruijn but panics on an invalid order.
-func MustDeBruijn(q int) *DeBruijn {
-	d, err := NewDeBruijn(q)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name implements Topology.
 func (d *DeBruijn) Name() string { return "DB_" + itoa(d.q) }
 
@@ -154,15 +136,6 @@ func NewShuffleExchange(q int) (*ShuffleExchange, error) {
 		return nil, fmt.Errorf("topology: shuffle-exchange order %d out of range [1,%d]", q, MaxHypercubeDim)
 	}
 	return &ShuffleExchange{q: q}, nil
-}
-
-// MustShuffleExchange is NewShuffleExchange but panics on an invalid order.
-func MustShuffleExchange(q int) *ShuffleExchange {
-	s, err := NewShuffleExchange(q)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Name implements Topology.

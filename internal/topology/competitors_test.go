@@ -2,19 +2,55 @@ package topology
 
 import "testing"
 
+// mustButterfly is NewButterfly but panics on an invalid order.
+func mustButterfly(k int) *Butterfly {
+	b, err := NewButterfly(k)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// mustCCC is NewCCC but panics on an invalid order.
+func mustCCC(k int) *CCC {
+	c, err := NewCCC(k)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// mustDeBruijn is NewDeBruijn but panics on an invalid order.
+func mustDeBruijn(q int) *DeBruijn {
+	d, err := NewDeBruijn(q)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// mustShuffleExchange is NewShuffleExchange but panics on an invalid order.
+func mustShuffleExchange(q int) *ShuffleExchange {
+	s, err := NewShuffleExchange(q)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestCCCBasics(t *testing.T) {
 	for k := 3; k <= 6; k++ {
-		c := MustCCC(k)
+		c := mustCCC(k)
 		if c.Nodes() != k<<k {
 			t.Fatalf("CCC_%d nodes = %d", k, c.Nodes())
 		}
 		if deg, ok := IsRegular(c); !ok || deg != 3 {
 			t.Fatalf("CCC_%d degree=%d regular=%v", k, deg, ok)
 		}
-		if err := CheckSymmetric(c); err != nil {
+		if err := checkSymmetric(c); err != nil {
 			t.Fatal(err)
 		}
-		if !IsConnected(c) {
+		if !isConnected(c) {
 			t.Fatalf("CCC_%d disconnected", k)
 		}
 	}
@@ -27,7 +63,7 @@ func TestCCCBasics(t *testing.T) {
 }
 
 func TestCCCStructure(t *testing.T) {
-	c := MustCCC(3)
+	c := mustCCC(3)
 	// Node (p=0, v=0) = 0: cycle neighbors (1,0)=1, (2,0)=2; cube neighbor (0,1)=3.
 	ns := c.Neighbors(0)
 	want := []int{1, 2, 3}
@@ -41,14 +77,14 @@ func TestCCCStructure(t *testing.T) {
 
 func TestDeBruijnBasics(t *testing.T) {
 	for q := 2; q <= 8; q++ {
-		d := MustDeBruijn(q)
+		d := mustDeBruijn(q)
 		if d.Nodes() != 1<<q {
 			t.Fatalf("DB_%d nodes", q)
 		}
-		if err := CheckSymmetric(d); err != nil {
+		if err := checkSymmetric(d); err != nil {
 			t.Fatal(err)
 		}
-		if !IsConnected(d) {
+		if !isConnected(d) {
 			t.Fatalf("DB_%d disconnected", q)
 		}
 		for u := 0; u < d.Nodes(); u++ {
@@ -68,14 +104,14 @@ func TestDeBruijnBasics(t *testing.T) {
 
 func TestShuffleExchangeBasics(t *testing.T) {
 	for q := 2; q <= 8; q++ {
-		s := MustShuffleExchange(q)
+		s := mustShuffleExchange(q)
 		if s.Nodes() != 1<<q {
 			t.Fatalf("SE_%d nodes", q)
 		}
-		if err := CheckSymmetric(s); err != nil {
+		if err := checkSymmetric(s); err != nil {
 			t.Fatal(err)
 		}
-		if !IsConnected(s) {
+		if !isConnected(s) {
 			t.Fatalf("SE_%d disconnected", q)
 		}
 		for u := 0; u < s.Nodes(); u++ {
@@ -91,9 +127,9 @@ func TestShuffleExchangeBasics(t *testing.T) {
 
 func TestCompetitorMustConstructorsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"CCC":             func() { MustCCC(1) },
-		"DeBruijn":        func() { MustDeBruijn(0) },
-		"ShuffleExchange": func() { MustShuffleExchange(0) },
+		"CCC":             func() { mustCCC(1) },
+		"DeBruijn":        func() { mustDeBruijn(0) },
+		"ShuffleExchange": func() { mustShuffleExchange(0) },
 	} {
 		func() {
 			defer func() {
@@ -115,16 +151,16 @@ func TestAnalyze(t *testing.T) {
 		t.Errorf("Analyze(D_2) avg distance = %v", st.AvgDist)
 	}
 	// Non-regular example: de Bruijn.
-	db := Analyze(MustDeBruijn(3))
+	db := Analyze(mustDeBruijn(3))
 	if db.Regular {
 		t.Error("DB_3 should not be regular (self-loop nodes have lower degree)")
 	}
 }
 
 func TestGraphErrorMessage(t *testing.T) {
-	e := &GraphError{Op: "Check", U: 3, V: -1, Msg: "bad"}
+	e := &graphError{Op: "Check", U: 3, V: -1, Msg: "bad"}
 	if e.Error() != "Check: bad (u=3, v=-1)" {
-		t.Errorf("GraphError format: %q", e.Error())
+		t.Errorf("graphError format: %q", e.Error())
 	}
 	if itoa(0) != "0" || itoa(-12) != "-12" || itoa(907) != "907" {
 		t.Error("itoa broken")
@@ -133,17 +169,17 @@ func TestGraphErrorMessage(t *testing.T) {
 
 func TestButterflyBasics(t *testing.T) {
 	for k := 3; k <= 6; k++ {
-		b := MustButterfly(k)
+		b := mustButterfly(k)
 		if b.Nodes() != k<<k {
 			t.Fatalf("WBF_%d nodes = %d", k, b.Nodes())
 		}
 		if deg, ok := IsRegular(b); !ok || deg != 4 {
 			t.Fatalf("WBF_%d degree=%d regular=%v", k, deg, ok)
 		}
-		if err := CheckSymmetric(b); err != nil {
+		if err := checkSymmetric(b); err != nil {
 			t.Fatal(err)
 		}
-		if !IsConnected(b) {
+		if !isConnected(b) {
 			t.Fatalf("WBF_%d disconnected", k)
 		}
 		// Diameter of the wrapped butterfly is known to be floor(3k/2).
@@ -160,15 +196,15 @@ func TestButterflyBasics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("MustButterfly(1) should panic")
+				t.Error("mustButterfly(1) should panic")
 			}
 		}()
-		MustButterfly(1)
+		mustButterfly(1)
 	}()
 }
 
 func TestButterflyStructure(t *testing.T) {
-	b := MustButterfly(3)
+	b := mustButterfly(3)
 	// Node (level 0, row 0) = 0: straight to (1,0)=1, cross to (1,1)=3+?,
 	// id(1, row 1) = 1*? -> row*k+level = 1*3+1 = 4; prev level (2,0)=2 and
 	// (2, 0^4)=4*3+2=14.

@@ -45,10 +45,10 @@ func TestDualCubeBasicCounts(t *testing.T) {
 		if got, want := EdgeCount(d), d.Nodes()*n/2; got != want {
 			t.Errorf("D_%d: edges=%d, want %d", n, got, want)
 		}
-		if err := CheckSymmetric(d); err != nil {
+		if err := checkSymmetric(d); err != nil {
 			t.Errorf("D_%d: %v", n, err)
 		}
-		if !IsConnected(d) {
+		if !isConnected(d) {
 			t.Errorf("D_%d: not connected", n)
 		}
 	}

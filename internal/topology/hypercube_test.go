@@ -17,10 +17,10 @@ func TestHypercubeBasics(t *testing.T) {
 		if got, want := EdgeCount(h), q*(1<<q)/2; got != want {
 			t.Fatalf("Q_%d edges = %d, want %d", q, got, want)
 		}
-		if err := CheckSymmetric(h); err != nil {
+		if err := checkSymmetric(h); err != nil {
 			t.Fatal(err)
 		}
-		if !IsConnected(h) {
+		if !isConnected(h) {
 			t.Fatalf("Q_%d disconnected", q)
 		}
 	}

@@ -7,7 +7,7 @@
 // All networks are undirected, connected, and presented as static graphs on
 // the node set {0, ..., Nodes()-1}. The package also provides the graph
 // analysis used by the experiment harness (BFS distances, diameter, average
-// distance, regularity and symmetry checks) and the dual-cube-specific
+// distance, regularity) and the dual-cube-specific
 // machinery the paper's algorithms rely on: class/cluster addressing, the
 // point-to-point distance formula and routing, and the recursive (bit
 // interleaved) presentation of Section 4.
@@ -58,44 +58,6 @@ func IsRegular(t Topology) (degree int, ok bool) {
 		}
 	}
 	return degree, true
-}
-
-// CheckSymmetric verifies that the adjacency relation of t is symmetric and
-// irreflexive (no self-loops) and that Neighbors is duplicate-free. It
-// returns a non-nil error describing the first violation found.
-func CheckSymmetric(t Topology) error {
-	n := t.Nodes()
-	for u := 0; u < n; u++ {
-		seen := make(map[NodeID]bool, t.Degree(u))
-		for _, v := range t.Neighbors(u) {
-			if v == u {
-				return &GraphError{Op: "CheckSymmetric", U: u, V: v, Msg: "self-loop"}
-			}
-			if v < 0 || v >= n {
-				return &GraphError{Op: "CheckSymmetric", U: u, V: v, Msg: "neighbor out of range"}
-			}
-			if seen[v] {
-				return &GraphError{Op: "CheckSymmetric", U: u, V: v, Msg: "duplicate neighbor"}
-			}
-			seen[v] = true
-			if !t.HasEdge(v, u) {
-				return &GraphError{Op: "CheckSymmetric", U: u, V: v, Msg: "asymmetric edge"}
-			}
-		}
-	}
-	return nil
-}
-
-// GraphError describes a structural violation found by a topology check.
-type GraphError struct {
-	Op  string // the check that failed
-	U   NodeID // first node involved
-	V   NodeID // second node involved (or -1)
-	Msg string // description of the violation
-}
-
-func (e *GraphError) Error() string {
-	return e.Op + ": " + e.Msg + " (u=" + itoa(e.U) + ", v=" + itoa(e.V) + ")"
 }
 
 // itoa is a minimal integer formatter so the error path has no fmt

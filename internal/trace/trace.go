@@ -99,13 +99,6 @@ func RenderSortTrace(w io.Writer, n int, tr *sortnet.Trace[int]) error {
 	return nil
 }
 
-// RenderStatsRow formats one experiment-table row: measured communication
-// and computation steps next to the paper's bound.
-func RenderStatsRow(name string, n, comm, comp, commBound, compBound int) string {
-	return fmt.Sprintf("%-24s n=%d  comm=%4d (bound %4d)  comp=%4d (bound %4d)",
-		name, n, comm, commBound, comp, compBound)
-}
-
 // RenderRecursive writes the original-to-recursive ID mapping of D_n with
 // the dimension-parity rule summary (experiment E6).
 func RenderRecursive(w io.Writer, d *topology.DualCube) error {

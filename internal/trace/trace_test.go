@@ -97,15 +97,6 @@ func TestRenderSortTraceFigures56(t *testing.T) {
 	}
 }
 
-func TestRenderStatsRow(t *testing.T) {
-	row := RenderStatsRow("D_prefix", 3, 6, 6, 7, 6)
-	for _, want := range []string{"D_prefix", "n=3", "comm=   6", "bound    7"} {
-		if !strings.Contains(row, want) {
-			t.Errorf("stats row missing %q: %s", want, row)
-		}
-	}
-}
-
 func TestRenderRecursive(t *testing.T) {
 	var sb strings.Builder
 	d := topology.MustDualCube(2)

@@ -162,8 +162,7 @@ func diffInput(n int) []int {
 
 // runtimeWith returns a Runtime on family's topology of order n that runs
 // every operation under cfg. The package hands out zero-Config Runtimes
-// only, so this is how a test pins a backend, a worker count or a fault
-// spec — per Runtime, with no state shared between tests.
+// only, so this is how a test pins a backend or a fault spec — per Runtime, with no state shared between tests.
 func runtimeWith(tb testing.TB, family string, n int, cfg machine.Config) *Runtime {
 	tb.Helper()
 	rt, err := NewRuntimeOn(family, n)
@@ -174,8 +173,8 @@ func runtimeWith(tb testing.TB, family string, n int, cfg machine.Config) *Runti
 	return rt
 }
 
-// backends are the two execution backends: the worker-pool engine (the
-// reference) first, then the default, which runs compiled schedules on the
+// backends are the two execution backends: the engine (the reference)
+// first, then the default, which runs compiled schedules on the
 // direct executor.
 var backends = []machine.Sched{machine.SchedWorkerPool, machine.SchedDefault}
 
@@ -257,32 +256,5 @@ func familiesMatchOracle(t *testing.T, name string, n int, run func(*Runtime) (a
 				t.Errorf("outputs diverge between dualcube and %s", fam)
 			}
 		})
-	}
-}
-
-// TestSchedulerDifferentialWorkerCounts pins the worker count to several
-// values, on the direct executor and on the worker pool, and requires the
-// default Runtime's outputs and Stats — shard boundaries must not be
-// observable.
-func TestSchedulerDifferentialWorkerCounts(t *testing.T) {
-	t.Parallel()
-	const n = 3
-	ref, refStats, err := Prefix(n, diffInput(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 3, 7, 64} {
-		for _, s := range []machine.Sched{machine.SchedDefault, machine.SchedWorkerPool} {
-			out, st, err := PrefixOn(runtimeWith(t, "dualcube", n, machine.Config{Sched: s, Workers: k}), diffInput(n))
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", s, k, err)
-			}
-			if st != refStats {
-				t.Errorf("%v workers=%d: stats diverge: %+v vs %+v", s, k, st, refStats)
-			}
-			if !reflect.DeepEqual(out, ref) {
-				t.Errorf("%v workers=%d: outputs diverge", s, k)
-			}
-		}
 	}
 }

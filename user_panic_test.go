@@ -1,7 +1,6 @@
 package dualcube
 
 import (
-	"regexp"
 	"slices"
 	"testing"
 
@@ -9,15 +8,11 @@ import (
 )
 
 // TestUserPanicsBecomeErrors hands the library a user less or combine that
-// panics and requires every backend to return the run's "node u panicked"
-// error instead of crashing — the direct executor on its serial pass (D_3)
-// and on a sharded pass (D_7, past the 4096-node sharding threshold), and
-// the worker-pool engine — after which the same Runtime must serve the next
-// call.
+// panics and requires both backends, on D_3, to return the run's "node 0
+// panicked" error instead of crashing: the direct executor visits the
+// nodes in ascending order, and the engine resumes node 0 first in every
+// cycle. The same Runtime must then serve the next call.
 func TestUserPanicsBecomeErrors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("D_7 sharded case skipped in -short mode")
-	}
 	badLess := func(a, b int) bool { panic("user less exploded") }
 	badCombine := func(a, b int) int { panic("user combine exploded") }
 	calls := []struct {
@@ -41,27 +36,20 @@ func TestUserPanicsBecomeErrors(t *testing.T) {
 	for _, tc := range []struct {
 		backend string
 		sched   machine.Sched
-		n       int
-		node0   bool // the lowest panicking node is reported deterministically
 	}{
-		{"direct", machine.SchedDefault, 3, true},
-		{"direct-sharded", machine.SchedDefault, 7, true},
-		{"worker-pool", machine.SchedWorkerPool, 3, false},
+		{"direct", machine.SchedDefault},
+		{"worker-pool", machine.SchedWorkerPool},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
-			rt := runtimeWith(t, "dualcube", tc.n, machine.Config{Sched: tc.sched, Workers: 4})
+			rt := runtimeWith(t, "dualcube", 3, machine.Config{Sched: tc.sched})
 			in := make([]int, rt.Nodes())
 			for i := range in {
 				in[i] = (i * 7919) % len(in)
 			}
 			for _, c := range calls {
-				err := c.run(rt, in)
-				node := `\d+`
-				if tc.node0 {
-					node = "0"
-				}
-				if err == nil || !regexp.MustCompile(`^machine: node `+node+` panicked: `+c.value+`$`).MatchString(err.Error()) {
-					t.Errorf("%s: err = %v, want machine: node %s panicked: %s", c.name, err, node, c.value)
+				want := "machine: node 0 panicked: " + c.value
+				if err := c.run(rt, in); err == nil || err.Error() != want {
+					t.Errorf("%s: err = %v, want %s", c.name, err, want)
 				}
 				got, _, err := SortOn(rt, in, Ascending)
 				if err != nil || !slices.IsSorted(got) {
