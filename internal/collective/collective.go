@@ -209,7 +209,7 @@ func (ak *allReduceKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.
 }
 
 func (ak *allReduceKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
-	m := ak.m
+	m := &ak.m
 	local := int(ak.node[u].Local)
 	switch {
 	case k < ak.mdim:

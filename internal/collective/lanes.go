@@ -60,7 +60,7 @@ func (ak *laneAllReduceKernel[E]) Produce(dc *machine.DirectCtx, step, u int) (m
 }
 
 func (ak *laneAllReduceKernel[E]) Absorb(dc *machine.DirectCtx, step, u int, v []E) {
-	m := ak.m
+	m := &ak.m
 	k := ak.k
 	local := int(ak.node[u].Local)
 	// Re-slice the rows to length k up front so every in-loop index is

@@ -22,6 +22,53 @@ type Monoid[T any] struct {
 	Identity func() T
 	// Combine returns a⊕b.
 	Combine func(a, b T) T
+
+	// rows, when set, runs Scan and Fold as direct row loops in place of
+	// their per-element Combine loops. Only Sum sets it, to a nil
+	// *sumRows[T]: its methods read no receiver, and a pointer converts to
+	// an interface without allocating, so building a Sum costs no more.
+	rows rowForm[T]
+}
+
+// rowForm is a monoid's direct row loops: scan and fold compute what Scan
+// and Fold do.
+type rowForm[T any] interface {
+	scan(dst, src []T, acc T, inclusive bool) T
+	fold(off T, row []T)
+}
+
+// Scan writes the running ⊕-prefix of src, seeded with acc, to
+// dst[:len(src)] and returns acc⊕src[0]⊕…⊕src[len(src)-1]. An inclusive
+// scan writes dst[i] = acc⊕src[0]⊕…⊕src[i], an exclusive one
+// acc⊕src[0]⊕…⊕src[i-1]. It combines in the order of the per-element
+// loop, left operand first, so every monoid gets the same result from
+// either form. dst must hold at least len(src) elements.
+func (m *Monoid[T]) Scan(dst, src []T, acc T, inclusive bool) T {
+	if m.rows != nil {
+		return m.rows.scan(dst, src, acc, inclusive)
+	}
+	dst = dst[:len(src)]
+	for i, v := range src {
+		if inclusive {
+			acc = m.Combine(acc, v)
+			dst[i] = acc
+		} else {
+			dst[i] = acc
+			acc = m.Combine(acc, v)
+		}
+	}
+	return acc
+}
+
+// Fold sets row[i] = off⊕row[i] for every i.
+func (m *Monoid[T]) Fold(off T, row []T) {
+	if m.rows != nil {
+		m.rows.fold(off, row)
+		return
+	}
+	for i, x := range row {
+		row[i] = m.Combine(off, x)
+	}
 }
 
 // Number is the constraint for the arithmetic monoids below.
@@ -31,12 +78,39 @@ type Number interface {
 		~float32 | ~float64
 }
 
-// Sum returns the addition monoid.
+// Sum returns the addition monoid. Its Scan and Fold run direct + loops.
 func Sum[T Number]() Monoid[T] {
 	return Monoid[T]{
 		Name:     "sum",
 		Identity: func() T { var z T; return z },
 		Combine:  func(a, b T) T { return a + b },
+		rows:     (*sumRows[T])(nil),
+	}
+}
+
+// sumRows is Sum's row form: the per-element loops with + in place of
+// Combine, operands in the same order.
+type sumRows[T Number] struct{}
+
+func (*sumRows[T]) scan(dst, src []T, acc T, inclusive bool) T {
+	dst = dst[:len(src)]
+	if inclusive {
+		for i, v := range src {
+			acc += v
+			dst[i] = acc
+		}
+		return acc
+	}
+	for i, v := range src {
+		dst[i] = acc
+		acc += v
+	}
+	return acc
+}
+
+func (*sumRows[T]) fold(off T, row []T) {
+	for i, x := range row {
+		row[i] = off + x
 	}
 }
 
@@ -119,13 +193,15 @@ func Mat2Mul() Monoid[Mat2] {
 // CountedCombine wraps m so every Combine application atomically increments
 // counter (Combine may run concurrently on many simulated nodes). Tests use
 // it to validate the paper's computation-step accounting against raw
-// operator applications.
+// operator applications. The result has no direct row loops, so Scan and
+// Fold count every element they combine.
 func CountedCombine[T any](m Monoid[T], counter *atomic.Int64) Monoid[T] {
 	inner := m.Combine
 	m.Combine = func(a, b T) T {
 		counter.Add(1)
 		return inner(a, b)
 	}
+	m.rows = nil
 	m.Name = m.Name + "+counted"
 	return m
 }

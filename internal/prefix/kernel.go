@@ -83,7 +83,7 @@ func (pk *prefixKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dir
 }
 
 func (pk *prefixKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
-	m := pk.m
+	m := &pk.m
 	nd := pk.node[u]
 	idx, local := int(nd.Data), int(nd.Local)
 	switch {
@@ -168,18 +168,7 @@ func (lk *largeKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dire
 	if k == 0 {
 		idx := int(lk.node[u].Data)
 		cin := lk.in[idx*lk.chunk : (idx+1)*lk.chunk]
-		scan := lk.out[idx*lk.chunk:][:len(cin)]
-		acc := lk.m.Identity()
-		for i, v := range cin {
-			if lk.inclusive {
-				acc = lk.m.Combine(acc, v)
-				scan[i] = acc
-			} else {
-				scan[i] = acc
-				acc = lk.m.Combine(acc, v)
-			}
-		}
-		lk.t[u] = acc
+		lk.t[u] = lk.m.Scan(lk.out[idx*lk.chunk:], cin, lk.m.Identity(), lk.inclusive)
 		lk.s[u] = lk.m.Identity()
 		dc.Ops(lk.chunk - 1)
 	}
@@ -190,7 +179,7 @@ func (lk *largeKernel[T]) Produce(dc *machine.DirectCtx, k, u int) (machine.Dire
 }
 
 func (lk *largeKernel[T]) Absorb(dc *machine.DirectCtx, k, u int, v T) {
-	m := lk.m
+	m := &lk.m
 	local := int(lk.node[u].Local)
 	switch {
 	case k < lk.mdim:
@@ -224,13 +213,8 @@ func (lk *largeKernel[T]) Local(dc *machine.DirectCtx, k, u int) {
 		lk.s[u] = lk.m.Combine(lk.t[u], lk.s[u])
 		dc.Ops(1)
 	}
-	// Fold the global offset into the local scan. The offset load is
-	// hoisted so the loop body carries no bounds check.
+	// Fold the global offset into the local scan.
 	idx := int(nd.Data)
-	off := lk.s[u]
-	res := lk.out[idx*lk.chunk : (idx+1)*lk.chunk]
-	for i := range res {
-		res[i] = lk.m.Combine(off, res[i])
-	}
+	lk.m.Fold(lk.s[u], lk.out[idx*lk.chunk:(idx+1)*lk.chunk])
 	dc.Ops(lk.chunk)
 }

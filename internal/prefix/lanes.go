@@ -80,7 +80,7 @@ func (pk *lanePrefixKernel[E]) Produce(dc *machine.DirectCtx, step, u int) (mach
 }
 
 func (pk *lanePrefixKernel[E]) Absorb(dc *machine.DirectCtx, step, u int, v []E) {
-	m := pk.m
+	m := &pk.m
 	k := pk.k
 	local := int(pk.node[u].Local)
 	t := pk.t[u*k:][:k]

@@ -407,6 +407,37 @@ func TestDPrefixLargeNonCommutative(t *testing.T) {
 	}
 }
 
+// TestDPrefixLargeCountedSum checks that a counted Sum reaches DPrefixLarge
+// without Sum's direct row loops: every chunk-scan and offset-fold combine
+// goes through the counted Combine, so it counts exactly what a counted
+// literal + monoid counts.
+func TestDPrefixLargeCountedSum(t *testing.T) {
+	const n, k = 3, 5
+	c := topology.MustDualCube(n)
+	in := randInts(rand.New(rand.NewSource(6)), k*c.Nodes())
+	plus := monoid.Monoid[int]{Name: "plus", Identity: func() int { return 0 }, Combine: func(a, b int) int { return a + b }}
+	for _, inclusive := range []bool{true, false} {
+		var sum, lit atomic.Int64
+		got, _, err := DPrefixLarge(machine.Config{}, c, k, in, monoid.CountedCombine(monoid.Sum[int](), &sum), inclusive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := DPrefixLarge(machine.Config{}, c, k, in, monoid.CountedCombine(plus, &lit), inclusive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("inclusive=%v: counted Sum and counted + disagree", inclusive)
+		}
+		// Each node combines its k elements twice (scan and fold), plus
+		// the ladder over the chunk totals.
+		if sum.Load() != lit.Load() || sum.Load() < int64(2*k*c.Nodes()) {
+			t.Errorf("inclusive=%v: counted Sum made %d combines, counted + made %d (at least %d expected)",
+				inclusive, sum.Load(), lit.Load(), 2*k*c.Nodes())
+		}
+	}
+}
+
 func TestDPrefixLargeBadInput(t *testing.T) {
 	if _, _, err := DPrefixLarge(machine.Config{}, topology.MustDualCube(2), 0, nil, monoid.Sum[int](), true); err == nil {
 		t.Error("k=0 should fail")

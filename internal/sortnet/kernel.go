@@ -151,34 +151,61 @@ func (mk *mergeKernel[K]) unload(out []K) []K {
 // mergeLow fills dst with the len(dst) smallest keys of the ascending runs
 // a and b, ascending; on ties a's key comes first. With len(dst) =
 // len(a)+len(b) it is the stable merge of a and b.
+//
+// Each step compares the two heads once and turns the outcome into d = 0
+// (take a's head) or 1 (take b's): the key is selected and the indexes
+// advance by 1−d and d, with no branch on the comparison for the
+// processor to mispredict.
 func mergeLow[K any](dst, a, b []K, less func(x, y K) bool) {
-	for t := range dst {
-		if len(b) > 0 {
-			if len(a) == 0 || less(b[0], a[0]) {
-				dst[t], b = b[0], b[1:]
-				continue
-			}
+	t, i, j := 0, 0, 0
+	// i >= 0 and j >= 0 always hold; stating them lets the compiler drop
+	// the bounds checks on a[i] and b[j].
+	for t < len(dst) && i < len(a) && j < len(b) && i >= 0 && j >= 0 {
+		x, y := a[i], b[j]
+		d := 0
+		if less(y, x) {
+			d = 1
 		}
-		if len(a) > 0 {
-			dst[t], a = a[0], a[1:]
+		if d != 0 {
+			x = y
 		}
+		dst[t] = x
+		t++
+		i += 1 - d
+		j += d
 	}
+	// At most one run is left.
+	t += copy(dst[t:], a[i:])
+	copy(dst[t:], b[j:])
 }
 
 // mergeHigh fills dst with the len(dst) largest keys of the ascending runs
-// a and b, ascending; on ties a's key comes last.
+// a and b, ascending; on ties a's key comes last. It takes each key as
+// mergeLow does, from the top down.
 func mergeHigh[K any](dst, a, b []K, less func(x, y K) bool) {
-	for t := len(dst) - 1; t >= 0; t-- {
-		if j := len(b) - 1; j >= 0 {
-			if len(a) == 0 || less(a[len(a)-1], b[j]) {
-				dst[t], b = b[j], b[:j]
-				continue
-			}
+	t, i, j := len(dst), len(a), len(b)
+	// i <= len(a) and j <= len(b) always hold; stating them lets the
+	// compiler drop the bounds checks on a[i-1] and b[j-1].
+	for t > 0 && i > 0 && j > 0 && i <= len(a) && j <= len(b) {
+		x, y := a[i-1], b[j-1]
+		d := 0
+		if less(x, y) {
+			d = 1
 		}
-		if i := len(a) - 1; i >= 0 {
-			dst[t], a = a[i], a[:i]
+		if d != 0 {
+			x = y
 		}
+		t--
+		dst[t] = x
+		i -= 1 - d
+		j -= d
 	}
+	// At most one run is left: copy its top.
+	n := min(t, i)
+	copy(dst[t-n:t], a[i-n:i])
+	t -= n
+	n = min(t, j)
+	copy(dst[t-n:t], b[j-n:j])
 }
 
 // sortChunk sorts chunk stably and ascending by bottom-up merging, with

@@ -43,6 +43,45 @@ func TestSortChunkStable(t *testing.T) {
 	}
 }
 
+// TestMergeTieRule pins which of two equal keys merge-split keeps, on
+// tie-heavy tagged records, for every run length up to 9 (the short and
+// unequal runs cover sortChunk's ragged merges) and every output length up
+// to the sum of both. mergeLow must return the head of the stable merge of
+// a then b (a's key first on a tie), and mergeHigh the tail of the stable
+// merge of b then a (a's key last on a tie).
+func TestMergeTieRule(t *testing.T) {
+	type rec struct{ key, tag int }
+	less := func(x, y rec) bool { return x.key < y.key }
+	cmp := func(x, y rec) int { return x.key - y.key }
+	rng := rand.New(rand.NewSource(9))
+	run := func(n, side int) []rec {
+		r := make([]rec, n)
+		for i := range r {
+			r[i] = rec{rng.Intn(3), side*100 + i}
+		}
+		slices.SortStableFunc(r, cmp)
+		return r
+	}
+	for la := 0; la <= 9; la++ {
+		for lb := 0; lb <= 9; lb++ {
+			a, b := run(la, 1), run(lb, 2)
+			low := slices.SortedStableFunc(slices.Values(slices.Concat(a, b)), cmp)
+			high := slices.SortedStableFunc(slices.Values(slices.Concat(b, a)), cmp)
+			for n := 0; n <= la+lb; n++ {
+				dst := make([]rec, n)
+				mergeLow(dst, a, b, less)
+				if want := low[:n]; !slices.Equal(dst, want) {
+					t.Fatalf("mergeLow(len %d, a=%v, b=%v) = %v, want %v", n, a, b, dst, want)
+				}
+				mergeHigh(dst, a, b, less)
+				if want := high[la+lb-n:]; !slices.Equal(dst, want) {
+					t.Fatalf("mergeHigh(len %d, a=%v, b=%v) = %v, want %v", n, a, b, dst, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMergeSplit(t *testing.T) {
 	a := []int{1, 4, 6, 9}
 	b := []int{2, 3, 7, 8}

@@ -1,6 +1,7 @@
 package dualcube
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -79,6 +80,44 @@ func TestRuntimeSortOnAllFamilies(t *testing.T) {
 		for i := range want {
 			if out[i] != want[i] {
 				t.Fatalf("%s: sorted[%d] = %d, want %d", fam, i, out[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPrefixLargeOnRowFormBits checks that PrefixLargeOn, whose Sum runs
+// the chunk scan and the offset fold as direct + loops, returns the very
+// bits PrefixLargeFuncOn returns for the same + as a user combine, which
+// runs them one Combine call per element. The float64 input mixes
+// magnitudes that cancel (1e16, 1, -1e16), so any change in combine order
+// would change the rounding.
+func TestPrefixLargeOnRowFormBits(t *testing.T) {
+	mag := [3]float64{1e16, 1, -1e16}
+	for _, fam := range Families() {
+		rt, err := NewRuntimeOn(fam, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 7, 64} {
+			in := make([]float64, k*rt.Nodes())
+			for i := range in {
+				in[i] = mag[i%3] * (1 + float64(i%11)/16)
+			}
+			got, gst, err := PrefixLargeOn(rt, k, in)
+			if err != nil {
+				t.Fatalf("%s k=%d: PrefixLargeOn: %v", fam, k, err)
+			}
+			want, wst, err := PrefixLargeFuncOn(rt, k, in, func() float64 { return 0 }, func(a, b float64) float64 { return a + b }, true)
+			if err != nil {
+				t.Fatalf("%s k=%d: PrefixLargeFuncOn: %v", fam, k, err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s k=%d: [%d] = %v, want %v", fam, k, i, got[i], want[i])
+				}
+			}
+			if gst != wst {
+				t.Errorf("%s k=%d: Stats %+v, want %+v", fam, k, gst, wst)
 			}
 		}
 	}
